@@ -19,7 +19,6 @@ from .domain import (
     Observation,
     ScenarioSpec,
     derive_seed,
-    partition,
 )
 from .dgp import (
     GridFunction,

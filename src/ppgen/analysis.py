@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import CompositeSample, DecompositionReport, ScenarioSpec, derive_seed
+from .domain import CompositeSample, DecompositionReport, GenerationError, ScenarioSpec, derive_seed
 from .dgp import (
     World,
     draw_target,
@@ -126,8 +126,8 @@ def scenario_predictor(spec: ScenarioSpec, world: World, seed_tag: object = "wor
     """
     if spec.predictor_kind == "iid_noise":
         return noise_predictor(derive_seed(spec.master_seed, seed_tag, "noise-predictor"))
-    os_records = generate_os(world, spec.n_os, derive_seed(spec.master_seed, seed_tag, "os"))
-    x, y = os_arm_arrays(os_records, a=1)
+    os_cohort = generate_os(world, spec.n_os, derive_seed(spec.master_seed, seed_tag, "os"))
+    x, y = os_arm_arrays(os_cohort, a=1)
     if spec.dgp_kind == "gp":
         return flexible_fit(x, y, seed=derive_seed(spec.master_seed, seed_tag, "fpred"))
     return ridge_cv(x, y, degree=5, fold_seed=derive_seed(spec.master_seed, seed_tag, "fpred"))
@@ -143,8 +143,11 @@ def decompose_mse(
 
     The world, the target sample, and the predictor are fixed; each
     replication redraws the trial sample only.  ``estimator`` receives the
-    composite sample and the predictor and returns a point estimate; a
-    replication that raises is excluded and counted.
+    composite sample and the predictor and returns a point estimate.  A
+    replication that raises ValueError (PositivityError, IllConditionedError
+    and numpy's LinAlgError included) or GenerationError is excluded and
+    counted; any other exception propagates.  Fewer than two successful
+    replications leave the variance undefined and raise ValueError.
     """
     if n_replications < 2:
         raise ValueError("need at least 2 replications")
@@ -156,13 +159,15 @@ def decompose_mse(
     failures = 0
     for rep in range(n_replications):
         trial = draw_trial(world, spec.n1, derive_seed(spec.master_seed, seed_tag, "trial", rep))
-        sample = CompositeSample.from_records(trial + target)
+        sample = CompositeSample.concat(trial, target)
         try:
             estimates.append(estimator(sample, predictor))
-        except Exception:
+        except (ValueError, GenerationError):
             failures += 1
     est = np.asarray(estimates)
     r = est.shape[0]
+    if r < 2:
+        raise ValueError(f"only {r} of {n_replications} replications succeeded; need at least 2")
     bias = float(np.mean(est) - mu)
     variance = float(np.var(est, ddof=1))
     mse = float(np.mean((est - mu) ** 2))

@@ -26,13 +26,7 @@ from .analysis import (
     true_outcome_function,
 )
 from .dgp import World, draw_target, draw_trial, generate_os, os_arm_arrays, sample_gp
-from .domain import (
-    TARGET,
-    TRIAL,
-    CompositeSample,
-    Observation,
-    derive_seed,
-)
+from .domain import TARGET, TRIAL, CompositeSample, derive_seed
 from .estimators import (
     EstimatorConfig,
     NuisanceSet,
@@ -81,13 +75,12 @@ _PROP1_GROUPS = {
 
 
 def _categorical_sample(rng, props, means, sds, counts, n0) -> CompositeSample:
-    records = []
-    for k in range(props.shape[0]):
-        for y in rng.normal(means[k], sds[k], counts[k]):
-            records.append(Observation(float(k + 1), 0.0, TRIAL, 1, float(y)))
-    group_of = rng.choice(props.shape[0], size=n0, p=props)
-    records += [Observation(float(k + 1), 0.0, TARGET) for k in group_of]
-    return CompositeSample.from_records(records)
+    groups = np.arange(1.0, props.shape[0] + 1)
+    y1 = np.concatenate([rng.normal(m, sd, c) for m, sd, c in zip(means, sds, counts)])
+    x0 = groups[rng.choice(props.shape[0], size=n0, p=props)]
+    n1 = y1.shape[0]
+    trial = CompositeSample.cohort(TRIAL, np.repeat(groups, counts), np.zeros(n1), np.ones(n1, int), y1)
+    return CompositeSample.concat(trial, CompositeSample.cohort(TARGET, x0, np.zeros(n0)))
 
 
 def prop1_check(
@@ -172,7 +165,7 @@ def theorem_structural_check(
         raise ValueError("which must be om, abc or aom")
     world = _check_world(derive_seed(seed, "thm", which))
     target = draw_target(world, n0, derive_seed(seed, "thm", which, "target"))
-    target_x = np.array([r.x for r in target])
+    target_x = target.x_array()
     mu = true_mu(world, a=1).mu_a
     g_true = true_outcome_function(world, 1, target_x)
     basis0 = legendre_eval(target_x, degree)
@@ -180,8 +173,8 @@ def theorem_structural_check(
     f = None
     f_target = None
     if which in ("abc", "aom"):
-        os_records = generate_os(world, n_os, derive_seed(seed, "thm", which, "os"))
-        x_os, y_os = os_arm_arrays(os_records, a=1)
+        os_cohort = generate_os(world, n_os, derive_seed(seed, "thm", which, "os"))
+        x_os, y_os = os_arm_arrays(os_cohort, a=1)
         f = flexible_fit(x_os, y_os, seed=derive_seed(seed, "thm", which, "fpred"))
         f_target = f.predict(target_x)
 
@@ -189,8 +182,7 @@ def theorem_structural_check(
     pointwise_sum = np.zeros(target_x.shape[0])
     for r in range(n_refits):
         trial = draw_trial(world, n1, derive_seed(seed, "thm", which, "trial", r))
-        sample = CompositeSample.from_records(trial)
-        x1, y1 = sample.trial_arm_arrays(1)
+        x1, y1 = trial.trial_arm_arrays(1)
         fold_seed = derive_seed(seed, "thm", which, "folds", r)
         if which == "om":
             fit = ridge_cv(x1, y1, degree, fold_seed=fold_seed)
@@ -250,8 +242,8 @@ def lemma2_check(
     for w in range(n_worlds):
         world_seed = derive_seed(seed, "lemma2", w)
         world = _check_world(world_seed, lx=0.2, conf="none")
-        os_records = generate_os(world, n_os, derive_seed(world_seed, "os"))
-        x_os, y_os = os_arm_arrays(os_records, a=1)
+        os_cohort = generate_os(world, n_os, derive_seed(world_seed, "os"))
+        x_os, y_os = os_arm_arrays(os_cohort, a=1)
         f = flexible_fit(x_os, y_os, n_features=n_features, seed=derive_seed(world_seed, "fpred"))
 
         def g_fn(x):
@@ -265,8 +257,7 @@ def lemma2_check(
         if spec_b.tail_mass(degree) >= spec_g.tail_mass(degree):
             continue
         trial = draw_trial(world, n1, derive_seed(world_seed, "trial"))
-        sample = CompositeSample.from_records(trial)
-        x1, y1 = sample.trial_arm_arrays(1)
+        x1, y1 = trial.trial_arm_arrays(1)
         fold_seed = derive_seed(world_seed, "folds")
         g_fit = ridge_cv(x1, y1, degree, fold_seed=fold_seed)
         b_fit = ridge_cv(x1, f.predict(x1) - y1, degree, fold_seed=fold_seed)
@@ -354,7 +345,7 @@ def dr_robustness_check(
     for rep in range(n_replications):
         trial = draw_trial(world, n1, derive_seed(seed, "dr", "trial", rep))
         target = draw_target(world, n0, derive_seed(seed, "dr", "target", rep))
-        sample = CompositeSample.from_records(trial + target)
+        sample = CompositeSample.concat(trial, target)
         for key, fn in cases.items():
             estimates[key].append(fn(sample).point_estimate)
     details = []

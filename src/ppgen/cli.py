@@ -19,7 +19,7 @@ import numpy as np
 
 from .checks import run_checks
 from .dgp import World, draw_trial, generate_os, os_arm_arrays, sample_gp, world_lattice_table
-from .domain import CompositeSample, derive_seed
+from .domain import derive_seed
 from .grid import (
     ALL_ESTIMATORS,
     DEFAULT_DEGREES,
@@ -273,12 +273,11 @@ def cmd_export_world(cfg: RunConfig) -> int:
     for i in range(table["x"].shape[0]):
         lattice_lines.append(",".join(repr(float(table[c][i])) for c in ("x", "u", "fom0", "fom1", "ps", "pa")))
 
-    os_records = generate_os(world, 50_000, derive_seed(seed, "export", "os"))
-    x_os, y_os = os_arm_arrays(os_records, a=1)
+    os_cohort = generate_os(world, 50_000, derive_seed(seed, "export", "os"))
+    x_os, y_os = os_arm_arrays(os_cohort, a=1)
     f = flexible_fit(x_os, y_os, seed=derive_seed(seed, "export", "fpred"))
     trial = draw_trial(world, 200, derive_seed(seed, "export", "trial"))
-    sample = CompositeSample.from_records(trial)
-    x1, y1 = sample.trial_arm_arrays(1)
+    x1, y1 = trial.trial_arm_arrays(1)
     degree = cfg.degrees[0]
     fold_seed = derive_seed(seed, "export", "folds")
     g_fit = ridge_cv(x1, y1, degree, fold_seed=fold_seed)

@@ -34,7 +34,6 @@ from .domain import (
     GlmLogitParams,
     GlmOutcomeParams,
     KernelParams,
-    Observation,
     ScenarioSpec,
     derive_seed,
 )
@@ -125,9 +124,12 @@ def sample_gp(params: KernelParams, grid_size: int = 101, seed: int = 0) -> Grid
 
 
 def _glm_poly(x: np.ndarray, coefs: tuple[float, ...]) -> np.ndarray:
-    out = np.zeros_like(x)
-    for j, c in enumerate(coefs, start=1):
-        out += c * x**j
+    """sum_j coefs[j-1] x^j (no constant term), by Horner's rule."""
+    out = np.full_like(x, coefs[-1])
+    for c in coefs[-2::-1]:
+        out *= x
+        out += c
+    out *= x
     return out
 
 
@@ -232,7 +234,7 @@ def _draw_conditional(
     raise GenerationError(f"rejection sampling did not reach {n} draws for s={s_value}")
 
 
-def draw_trial(world: World, n1: int, seed: int) -> list[Observation]:
+def draw_trial(world: World, n1: int, seed: int) -> CompositeSample:
     """Trial cohort: P(x,u | S=1) covariates, Bernoulli(1/2) treatment, noisy outcome."""
     if n1 < 1:
         raise ValueError("n1 must be positive")
@@ -241,28 +243,26 @@ def draw_trial(world: World, n1: int, seed: int) -> list[Observation]:
     a = (rng.random(n1) < 0.5).astype(np.int64)
     eps = rng.standard_normal(n1) * world.noise_sigma
     y = np.where(a == 1, world.outcome(1, x, u), world.outcome(0, x, u)) + eps
-    return [
-        Observation(float(x[i]), float(u[i]), TRIAL, int(a[i]), float(y[i])) for i in range(n1)
-    ]
+    return CompositeSample.cohort(TRIAL, x, u, a, y)
 
 
-def draw_target(world: World, n0: int, seed: int) -> list[Observation]:
+def draw_target(world: World, n0: int, seed: int) -> CompositeSample:
     """Target cohort: P(x,u | S=0) covariates only."""
     if n0 < 1:
         raise ValueError("n0 must be positive")
     rng = np.random.default_rng(seed)
     x, u = _draw_conditional(world, n0, TARGET, rng)
-    return [Observation(float(x[i]), float(u[i]), TARGET) for i in range(n0)]
+    return CompositeSample.cohort(TARGET, x, u)
 
 
 def generate_trial_target(world: World, n1: int, n0: int, seed: int) -> CompositeSample:
     """A composite sample with exactly n1 trial and n0 target records."""
     trial = draw_trial(world, n1, derive_seed(seed, "trial"))
     target = draw_target(world, n0, derive_seed(seed, "target"))
-    return CompositeSample.from_records(trial + target)
+    return CompositeSample.concat(trial, target)
 
 
-def generate_os(world: World, n_os: int, seed: int) -> list[Observation]:
+def generate_os(world: World, n_os: int, seed: int) -> CompositeSample:
     """Observational cohort: uniform covariates, confounded treatment, noisy outcome."""
     if n_os < 1:
         raise ValueError("n_os must be positive")
@@ -273,16 +273,13 @@ def generate_os(world: World, n_os: int, seed: int) -> list[Observation]:
     a = (rng.random(n_os) < pa).astype(np.int64)
     eps = rng.standard_normal(n_os) * world.noise_sigma
     y = np.where(a == 1, world.outcome(1, x, u), world.outcome(0, x, u)) + eps
-    return [
-        Observation(float(x[i]), float(u[i]), OS, int(a[i]), float(y[i])) for i in range(n_os)
-    ]
+    return CompositeSample.cohort(OS, x, u, a, y)
 
 
-def os_arm_arrays(records: list[Observation], a: int) -> tuple[np.ndarray, np.ndarray]:
+def os_arm_arrays(cohort: CompositeSample, a: int) -> tuple[np.ndarray, np.ndarray]:
     """Covariates and outcomes of the observational records under treatment a."""
-    x = np.array([r.x for r in records if r.a == a])
-    y = np.array([r.y for r in records if r.a == a])
-    return x, y
+    mask = cohort.a == a
+    return cohort.x[mask], cohort.y[mask]
 
 
 # -- i.i.d.-noise predictor --------------------------------------------------

@@ -1,12 +1,15 @@
 """Core data types shared by every other module.
 
-An observation is one record of the composite sample: an observed covariate,
-a population label, and (for trial / observational records) a treatment and
-an outcome.  Each record also carries the hidden covariate that drives
-confounding in the synthetic worlds; estimator code must never read it, so
-it is exposed only through the oracle-flagged accessors below
+A composite sample is a struct of columns, one row per record: the observed
+covariate ``x``, the hidden covariate ``u``, the population label ``s``, and
+the treatment ``a`` and outcome ``y`` of trial and observational rows (-1 and
+NaN on target rows, which carry neither).  Cohort draws return one-label
+samples and :meth:`CompositeSample.concat` stacks them.  The hidden covariate
+drives confounding in the synthetic worlds; estimator code must never read
+it, so it is exposed only through the oracle-flagged accessors below
 (``hidden_u_array``, ``include_hidden=`` in the CSV writer) and can be
-stripped wholesale with :meth:`CompositeSample.public`.
+blanked wholesale with :meth:`CompositeSample.public`.  :class:`Observation`
+is a single record, used only to read and write CSV files.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -27,6 +29,7 @@ TRIAL = 1
 OS = 2
 
 _LABELS = (TARGET, TRIAL, OS)
+_COLUMNS = ("x", "u", "s", "a", "y")  # CompositeSample fields and CSV header
 
 
 class PositivityError(ValueError):
@@ -38,13 +41,19 @@ class GenerationError(RuntimeError):
 
 
 def derive_seed(*parts) -> int:
-    """Derive a stable 64-bit seed from an arbitrary tuple of parts.
+    """Derive a stable 64-bit seed from a tuple of str, int, float or bool parts.
 
     Uses blake2b over the reprs, so results do not depend on
-    PYTHONHASHSEED or on the process the call runs in.
+    PYTHONHASHSEED or on the process the call runs in.  Numpy scalars are
+    converted to the builtin they hold first, so ``np.int64(5)`` seeds like
+    ``5``; any other type raises TypeError rather than seeding by its repr.
     """
     h = hashlib.blake2b(digest_size=8)
     for part in parts:
+        if isinstance(part, np.generic):
+            part = part.item()
+        if not isinstance(part, (str, int, float, bool)):
+            raise TypeError(f"seed parts must be str, int, float or bool, not {type(part).__name__}")
         h.update(repr(part).encode())
         h.update(b"\x1f")
     return int.from_bytes(h.digest(), "little")
@@ -70,90 +79,105 @@ class Observation:
             raise ValueError("treatment/outcome present iff the record is not a target record")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompositeSample:
-    """An ordered collection of observations with trial/target counts.
+    """Equal-length record columns with trial/target counts derived from ``s``.
 
-    ``n1``/``n0`` count trial and target records; observational records may
-    be carried alongside but do not enter either count.
+    ``a`` is -1 and ``y`` NaN exactly on target rows.  ``n1``/``n0`` count
+    trial and target rows; observational rows may be carried alongside but
+    do not enter either count.
     """
 
-    records: tuple[Observation, ...]
-    n1: int
-    n0: int
+    x: np.ndarray
+    u: np.ndarray
+    s: np.ndarray
+    a: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        for name in _COLUMNS:
+            col = np.asarray(getattr(self, name))
+            integral = name in ("s", "a")
+            if col.ndim != 1:
+                raise ValueError(f"column {name} must be one-dimensional")
+            if integral and col.size and col.dtype.kind not in "iu":
+                raise ValueError(f"column {name} must hold integers, not {col.dtype}")
+            object.__setattr__(self, name, col.astype(np.int64 if integral else float, copy=False))
+        if len({getattr(self, name).shape[0] for name in _COLUMNS}) != 1:
+            raise ValueError("columns must have equal lengths")
+        if not np.isin(self.s, _LABELS).all():
+            raise ValueError(f"unknown population label in {np.unique(self.s)}")
+        has_a = self.a != -1
+        if not (np.array_equal(has_a, ~np.isnan(self.y)) and np.array_equal(has_a, self.s != TARGET)):
+            raise ValueError("treatment and outcome must be present exactly on non-target records")
+
+    @staticmethod
+    def cohort(s: int, x, u, a=None, y=None) -> "CompositeSample":
+        """Rows of one population; target rows take no treatment or outcome."""
+        n = len(x)
+        a, y = (np.full(n, -1), np.full(n, np.nan)) if a is None else (a, y)
+        return CompositeSample(x, u, np.full(n, s), a, y)
+
+    @staticmethod
+    def concat(*parts: "CompositeSample") -> "CompositeSample":
+        """The rows of ``parts``, in order."""
+        return CompositeSample(*(np.concatenate([getattr(p, c) for p in parts]) for c in _COLUMNS))
 
     @staticmethod
     def from_records(records: Iterable[Observation]) -> "CompositeSample":
-        recs = tuple(records)
-        n1 = sum(1 for r in recs if r.s == TRIAL)
-        n0 = sum(1 for r in recs if r.s == TARGET)
-        return CompositeSample(recs, n1, n0)
+        rows = [(r.x, r.u, r.s, -1 if r.a is None else r.a, math.nan if r.y is None else r.y) for r in records]
+        x, u, s, a, y = np.array(rows, dtype=float).reshape(-1, len(_COLUMNS)).T
+        return CompositeSample(x, u, s.astype(np.int64), a.astype(np.int64), y)
 
-    def __post_init__(self):
-        n1 = sum(1 for r in self.records if r.s == TRIAL)
-        n0 = sum(1 for r in self.records if r.s == TARGET)
-        if (n1, n0) != (self.n1, self.n0):
-            raise ValueError("n1/n0 do not match the record labels")
+    def __len__(self) -> int:
+        return self.x.shape[0]
+
+    def __eq__(self, other) -> bool:
+        """Equal when every column holds the same values, NaN matching NaN."""
+        if not isinstance(other, CompositeSample):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, c), getattr(other, c), equal_nan=True) for c in _COLUMNS)
+
+    @property
+    def n1(self) -> int:
+        return int(np.count_nonzero(self.s == TRIAL))
+
+    @property
+    def n0(self) -> int:
+        return int(np.count_nonzero(self.s == TARGET))
 
     # -- array views ---------------------------------------------------
     # Estimators consume these; none of them expose the hidden covariate.
 
-    @cached_property
-    def _arrays(self) -> dict[str, np.ndarray]:
-        n = len(self.records)
-        x = np.empty(n)
-        s = np.empty(n, dtype=np.int64)
-        a = np.full(n, -1, dtype=np.int64)
-        y = np.full(n, np.nan)
-        for i, r in enumerate(self.records):
-            x[i] = r.x
-            s[i] = r.s
-            if r.a is not None:
-                a[i] = r.a
-                y[i] = r.y
-        return {"x": x, "s": s, "a": a, "y": y}
-
     def x_array(self) -> np.ndarray:
-        return self._arrays["x"]
+        return self.x
 
     def s_array(self) -> np.ndarray:
-        return self._arrays["s"]
+        return self.s
 
     def a_array(self) -> np.ndarray:
         """Treatments; -1 where absent (target records)."""
-        return self._arrays["a"]
+        return self.a
 
     def y_array(self) -> np.ndarray:
         """Outcomes; NaN where absent (target records)."""
-        return self._arrays["y"]
+        return self.y
 
     def target_x(self) -> np.ndarray:
-        arr = self._arrays
-        return arr["x"][arr["s"] == TARGET]
+        return self.x[self.s == TARGET]
 
     def trial_arm_arrays(self, a: int) -> tuple[np.ndarray, np.ndarray]:
         """Covariates and outcomes of trial records with treatment ``a``."""
-        arr = self._arrays
-        mask = (arr["s"] == TRIAL) & (arr["a"] == a)
-        return arr["x"][mask], arr["y"][mask]
+        mask = (self.s == TRIAL) & (self.a == a)
+        return self.x[mask], self.y[mask]
 
     def hidden_u_array(self) -> np.ndarray:
         """Oracle accessor: the hidden covariate of every record, in order."""
-        return np.array([r.u for r in self.records])
+        return self.u
 
     def public(self) -> "CompositeSample":
         """A copy with the hidden covariate blanked out (NaN) on every record."""
-        return CompositeSample(
-            tuple(replace(r, u=math.nan) for r in self.records), self.n1, self.n0
-        )
-
-
-def partition(sample: CompositeSample, s: int, a: int | None = None) -> list[Observation]:
-    """Records of ``sample`` with population label ``s`` (and treatment ``a`` if given)."""
-    if not sample.records:
-        raise ValueError("empty sample")
-    out = [r for r in sample.records if r.s == s and (a is None or r.a == a)]
-    return out
+        return replace(self, u=np.full(len(self), np.nan))
 
 
 # -- scenario specifications ------------------------------------------------
@@ -280,56 +304,41 @@ class DecompositionReport:
 
 # -- CSV serialization -------------------------------------------------------
 
-_CSV_HEADER = ["x", "u", "s", "a", "y"]
-
 
 def write_observations_csv(
     records: Sequence[Observation], path: str | Path, include_hidden: bool = False
 ) -> None:
-    """Write records as CSV (columns x,u,s,a,y; empty cells for absent fields).
+    """Write records as CSV; see :func:`write_sample_csv`."""
+    write_sample_csv(CompositeSample.from_records(records), path, include_hidden=include_hidden)
+
+
+def read_observations_csv(path: str | Path) -> list[Observation]:
+    """Read records written by :func:`write_sample_csv`."""
+    out: list[Observation] = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if tuple(header) != _COLUMNS:
+            raise ValueError(f"unexpected CSV header {header}")
+        for x, u, s, a, y in reader:
+            u, a, y = float(u) if u else math.nan, int(a) if a else None, float(y) if y else None
+            out.append(Observation(float(x), u, int(s), a, y))
+    return out
+
+
+def write_sample_csv(sample: CompositeSample, path: str | Path, include_hidden: bool = False) -> None:
+    """Write a sample as CSV (columns x,u,s,a,y; empty cells for absent fields).
 
     The hidden covariate is written only when ``include_hidden`` is set;
     otherwise its column is left empty.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for r in records:
-            writer.writerow(
-                [
-                    repr(r.x),
-                    repr(r.u) if include_hidden else "",
-                    r.s,
-                    "" if r.a is None else r.a,
-                    "" if r.y is None else repr(r.y),
-                ]
-            )
-
-
-def read_observations_csv(path: str | Path) -> list[Observation]:
-    """Read records written by :func:`write_observations_csv`."""
-    out: list[Observation] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != _CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header}")
-        for row in reader:
-            x, u, s, a, y = row
-            out.append(
-                Observation(
-                    x=float(x),
-                    u=float(u) if u else math.nan,
-                    s=int(s),
-                    a=int(a) if a else None,
-                    y=float(y) if y else None,
-                )
-            )
-    return out
-
-
-def write_sample_csv(sample: CompositeSample, path: str | Path, include_hidden: bool = False) -> None:
-    write_observations_csv(sample.records, path, include_hidden=include_hidden)
+        writer.writerow(_COLUMNS)
+        for x, u, s, a, y in zip(*(getattr(sample, c).tolist() for c in _COLUMNS)):
+            present = s != TARGET
+            hidden = repr(u) if include_hidden else ""
+            writer.writerow([repr(x), hidden, s, a if present else "", repr(y) if present else ""])
 
 
 def read_sample_csv(path: str | Path) -> CompositeSample:

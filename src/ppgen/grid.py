@@ -24,7 +24,7 @@ import numpy as np
 
 from .analysis import true_mu
 from .dgp import World, draw_target, draw_trial, generate_os, noise_predictor, os_arm_arrays, sample_gp
-from .domain import CompositeSample, KernelParams, GlmLogitParams, GlmOutcomeParams, ScenarioSpec, derive_seed
+from .domain import CompositeSample, GenerationError, GlmLogitParams, GlmOutcomeParams, KernelParams, ScenarioSpec, derive_seed
 from .estimators import (
     EstimatorConfig,
     estimate_abc,
@@ -169,8 +169,8 @@ def _task_predictor(spec: ScenarioSpec, world: World, scenario: int):
     seed = spec.master_seed
     if spec.predictor_kind == "iid_noise":
         return noise_predictor(derive_seed(seed, "noisef", scenario))
-    os_records = generate_os(world, spec.n_os, derive_seed(seed, "os", scenario))
-    x, y = os_arm_arrays(os_records, a=1)
+    os_cohort = generate_os(world, spec.n_os, derive_seed(seed, "os", scenario))
+    x, y = os_arm_arrays(os_cohort, a=1)
     if spec.dgp_kind == "gp":
         return flexible_fit(x, y, seed=derive_seed(seed, "fpred", scenario))
     return ridge_cv(x, y, degree=5, fold_seed=derive_seed(seed, "fpred", scenario))
@@ -219,7 +219,7 @@ def _run_scenario_task(task: _ScenarioTask) -> list[dict]:
         }
         for run in range(task.n_runs):
             trial = draw_trial(world, n1, derive_seed(seed, "trial", n1, task.scenario, run))
-            sample = CompositeSample.from_records(trial + target)
+            sample = CompositeSample.concat(trial, target)
             fold_seed = derive_seed(seed, "folds", n1, task.scenario, run)
             nuis_by_degree = {}
             if needs_nuisance:
@@ -233,8 +233,8 @@ def _run_scenario_task(task: _ScenarioTask) -> list[dict]:
                     else:
                         value = _point_estimate(name, sample, predictor, nuis_by_degree, cfg)
                     estimates[(name, deg)][run] = value
-                except Exception:
-                    pass  # left as NaN and counted below
+                except (ValueError, GenerationError):
+                    pass  # a named domain failure: left as NaN and counted below
         for name, deg in keyed:
             est = estimates[(name, deg)]
             ok = est[~np.isnan(est)]
@@ -522,8 +522,8 @@ def _run_table2_task(task: _Table2Task) -> list[dict]:
     row, g, seed = task.row, task.ground_truth, task.master_seed
     world = _sample_glm_world(row, seed, g)
     target = draw_target(world, task.n0, derive_seed(seed, "table2-target", row["row_id"], g))
-    os_records = generate_os(world, task.n_os, derive_seed(seed, "table2-os", row["row_id"], g))
-    x_os, y_os = os_arm_arrays(os_records, a=1)
+    os_cohort = generate_os(world, task.n_os, derive_seed(seed, "table2-os", row["row_id"], g))
+    x_os, y_os = os_arm_arrays(os_cohort, a=1)
     f = _MemoPredictor(
         ridge_cv(x_os, y_os, degree=5, fold_seed=derive_seed(seed, "table2-fpred", row["row_id"], g))
     )
@@ -533,7 +533,7 @@ def _run_table2_task(task: _Table2Task) -> list[dict]:
     }
     for run in range(task.n_runs):
         trial = draw_trial(world, TABLE2_N1, derive_seed(seed, "table2-trial", row["row_id"], g, run))
-        sample = CompositeSample.from_records(trial + target)
+        sample = CompositeSample.concat(trial, target)
         fold_seed = derive_seed(seed, "table2-folds", row["row_id"], g, run)
         for order in TABLE2_ORDERS:
             cfg = EstimatorConfig(

@@ -19,7 +19,7 @@ from ppgen.checks import (
     prop1_check,
     theorem_structural_check,
 )
-from ppgen.domain import CompositeSample, KernelParams, Observation, ScenarioSpec, TARGET, TRIAL
+from ppgen.domain import CompositeSample, KernelParams, ScenarioSpec, TARGET, TRIAL
 from ppgen.estimators import (
     EstimatorConfig,
     NuisanceSet,
@@ -203,9 +203,10 @@ def test_criterion_7_numerical_invariants(workers):
     x1 = rng.uniform(-1, 1, 100)
     y1 = np.sin(2 * x1) + rng.normal(0, 0.2, 100)
     x0 = rng.uniform(-1, 1, 500)
-    records = [Observation(float(a), 0.0, TRIAL, 1, float(b)) for a, b in zip(x1, y1)]
-    records += [Observation(float(a), 0.0, TARGET) for a in x0]
-    sample = CompositeSample.from_records(records)
+    sample = CompositeSample.concat(
+        CompositeSample.cohort(TRIAL, x1, np.zeros(100), np.ones(100, dtype=np.int64), y1),
+        CompositeSample.cohort(TARGET, x0, np.zeros(500)),
+    )
     cfg = EstimatorConfig(degree=3, a=1, fold_seed=11)
     if estimate_abc(sample, ConstantPredictor(0.0), cfg).point_estimate != estimate_om(sample, cfg).point_estimate:
         problems.append("ABC(f=0) != OM bit-for-bit")

@@ -14,7 +14,7 @@ from ppgen.analysis import (
     true_outcome_function,
 )
 from ppgen.dgp import GridFunction, World
-from ppgen.domain import KernelParams, ScenarioSpec
+from ppgen.domain import KernelParams, PositivityError, ScenarioSpec
 from ppgen.regression import CallablePredictor, legendre_eval, ridge_fit
 
 SE_ONLY = KernelParams(0.0, 0.0, 0.5, None)
@@ -117,12 +117,32 @@ def test_decompose_counts_failures():
     def flaky(sample, f, state={"n": 0}):
         state["n"] += 1
         if state["n"] % 3 == 0:
-            raise RuntimeError("boom")
+            raise PositivityError("boom")
         return 1.0
 
     report = decompose_mse(spec, flaky, n_replications=9)
     assert report.n_failures == 3
     assert report.n_replications == 6
+
+
+def test_decompose_propagates_unexpected_errors():
+    def buggy(sample, f):
+        raise TypeError("a bug, not a failed replication")
+
+    with pytest.raises(TypeError):
+        decompose_mse(_tiny_spec(), buggy, n_replications=3)
+
+
+@pytest.mark.parametrize("n_ok", [0, 1])
+def test_decompose_needs_two_successes(n_ok):
+    def mostly_failing(sample, f, state={"n": 0}):
+        state["n"] += 1
+        if state["n"] > n_ok:
+            raise ValueError("failed replication")
+        return 1.0
+
+    with pytest.raises(ValueError, match="replications succeeded"):
+        decompose_mse(_tiny_spec(), mostly_failing, n_replications=4)
 
 
 def test_decompose_identity_om():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
@@ -139,30 +141,31 @@ def test_exact_cohort_sizes():
 
 def test_constant_world_outcomes():
     sample = generate_trial_target(flat_world(fom1=2.0), 50, 10, seed=2)
-    for rec in sample.records:
-        if rec.s == 1 and rec.a == 1:
-            assert rec.y == pytest.approx(2.0, abs=1e-12)
+    treated = (sample.s_array() == 1) & (sample.a_array() == 1)
+    for y in sample.y_array()[treated]:
+        assert y == pytest.approx(2.0, abs=1e-12)
 
 
 def test_trial_treatment_fraction_clt_band():
     world = flat_world()
     trial = draw_trial(world, 10_000, seed=3)
-    frac = np.mean([r.a for r in trial])
+    frac = np.mean(trial.a_array())
     assert abs(frac - 0.5) < 3 * np.sqrt(0.25 / 10_000)
 
 
 def test_noise_free_consistency():
     world = world_from_spec(_gp_spec(), "consistency")
     trial = draw_trial(world, 500, seed=4)
-    for rec in trial:
-        assert rec.y == pytest.approx(float(world.outcome(rec.a, rec.x, rec.u)[0]), abs=1e-12)
+    rows = zip(trial.x_array(), trial.hidden_u_array(), trial.a_array(), trial.y_array())
+    for x, u, a, y in rows:
+        assert y == pytest.approx(float(world.outcome(a, x, u)[0]), abs=1e-12)
 
 
 def test_trial_randomization_chi_square():
     world = world_from_spec(_gp_spec(), "chi2")
     trial = draw_trial(world, 50_000, seed=6)
-    x = np.array([r.x for r in trial])
-    a = np.array([r.a for r in trial])
+    x = trial.x_array()
+    a = trial.a_array()
     bins = np.digitize(x, np.linspace(-1, 1, 11)[1:-1])
     table = np.array([[np.sum((bins == b) & (a == t)) for t in (0, 1)] for b in range(10)])
     _, p_value, _, _ = chi2_contingency(table)
@@ -170,10 +173,10 @@ def test_trial_randomization_chi_square():
 
 
 def test_os_counts_and_balanced_treatment():
-    records = generate_os(flat_world(pa_logit=0.0), 50_000, seed=7)
-    assert len(records) == 50_000
-    assert all(r.s == OS for r in records)
-    frac = np.mean([r.a for r in records])
+    cohort = generate_os(flat_world(pa_logit=0.0), 50_000, seed=7)
+    assert len(cohort) == 50_000
+    assert all(cohort.s_array() == OS)
+    frac = np.mean(cohort.a_array())
     assert abs(frac - 0.5) < 3 * np.sqrt(0.25 / 50_000)
 
 
@@ -192,9 +195,9 @@ def test_os_treatment_independent_of_u_without_confounding():
         master_seed=5,
     )
     world = world_from_spec(spec, "no-conf")
-    records = generate_os(world, 50_000, seed=8)
-    u = np.array([r.u for r in records])
-    a = np.array([r.a for r in records])
+    cohort = generate_os(world, 50_000, seed=8)
+    u = cohort.hidden_u_array()
+    a = cohort.a_array()
     lo, hi = a[u < 0], a[u >= 0]
     se = np.sqrt(lo.var() / lo.size + hi.var() / hi.size)
     assert abs(lo.mean() - hi.mean()) < 3 * se
@@ -202,7 +205,7 @@ def test_os_treatment_independent_of_u_without_confounding():
 
 def test_target_records_carry_no_outcome():
     target = draw_target(flat_world(), 100, seed=9)
-    assert all(r.a is None and r.y is None for r in target)
+    assert all(target.a_array() == -1) and all(np.isnan(target.y_array()))
 
 
 # -- GLM variant -----------------------------------------------------------------
@@ -285,3 +288,89 @@ def test_pipeline_determinism():
     os_a = generate_os(world_a, spec.n_os, seed=spec.master_seed)
     os_b = generate_os(world_b, spec.n_os, seed=spec.master_seed)
     assert os_a == os_b
+
+
+# -- cohort draws against stored values -------------------------------------------
+
+# First value and float.hex of the exact (math.fsum) sum of each column, as
+# drawn by the per-record implementation these cohorts replaced: (trial 150,
+# seed 11), (target 400, seed 12), (OS 600, seed 13).  Target y is all NaN.
+_GOLDEN = {
+    "gp": {
+        "trial": {
+            "x": ("-0x1.7c5817bf76fcep-1", "-0x1.658610a707a86p+2"),
+            "u": ("-0x1.780df32c57844p-1", "0x1.2fca699736059p+2"),
+            "s": (1, "0x1.2c00000000000p+7"),
+            "a": (1, "0x1.2400000000000p+6"),
+            "y": ("0x1.7d9399b2abd95p+0", "-0x1.db64f30387837p+4"),
+        },
+        "target": {
+            "x": ("-0x1.fe4fbf1b1931cp-2", "-0x1.000afe167ed3ap+0"),
+            "u": ("-0x1.fa3e126058fb6p-1", "-0x1.c0183212ea203p+3"),
+            "s": (0, "0x0.0p+0"),
+            "a": (-1, "-0x1.9000000000000p+8"),
+        },
+        "os": {
+            "x": ("0x1.758d7fa79574cp-1", "-0x1.3fb74802e6b03p+3"),
+            "u": ("0x1.2098c5782c4b4p-1", "0x1.3a31691e8c392p+3"),
+            "s": (2, "0x1.2c00000000000p+10"),
+            "a": (1, "0x1.f200000000000p+7"),
+            "y": ("-0x1.a8dfbc98b676cp+0", "-0x1.537ef880c8295p+5"),
+        },
+    },
+    "glm": {
+        "trial": {
+            "x": ("-0x1.7c5817bf76fcep-1", "-0x1.3251d906b9d47p+5"),
+            "u": ("-0x1.780df32c57844p-1", "0x1.c0a2800d23f7ep+2"),
+            "s": (1, "0x1.2c00000000000p+7"),
+            "a": (1, "0x1.2400000000000p+6"),
+            "y": ("0x1.e751394ab0cfap-4", "0x1.119732e81ba00p+6"),
+        },
+        "target": {
+            "x": ("-0x1.fe4fbf1b1931cp-2", "0x1.c9af6666a1904p+6"),
+            "u": ("-0x1.fa3e126058fb6p-1", "-0x1.89661f8d3d9afp+1"),
+            "s": (0, "0x0.0p+0"),
+            "a": (-1, "-0x1.9000000000000p+8"),
+        },
+        "os": {
+            "x": ("0x1.758d7fa79574cp-1", "-0x1.3fb74802e6b03p+3"),
+            "u": ("0x1.2098c5782c4b4p-1", "0x1.3a31691e8c392p+3"),
+            "s": (2, "0x1.2c00000000000p+10"),
+            "a": (1, "0x1.7400000000000p+8"),
+            "y": ("0x1.18b6576e42cacp+0", "0x1.f451af726a405p+7"),
+        },
+    },
+}
+
+
+def _golden_worlds():
+    from ppgen.grid import TABLE2_ROWS, _sample_glm_world, benchmark_grid
+
+    spec = benchmark_grid(7, n1_values=(200,), lx_values=(0.2,), confounding=("mid",), n_os=3000)[0]
+    return {"gp": world_from_spec(spec), "glm": _sample_glm_world(TABLE2_ROWS[1], 7, 0)}
+
+
+@pytest.mark.parametrize("kind", ["gp", "glm"])
+def test_cohort_draws_match_stored_values(kind):
+    """GP draws are bit-exact; GLM surfaces may move by polynomial rounding only."""
+    world = _golden_worlds()[kind]
+    cohorts = {
+        "trial": draw_trial(world, 150, seed=11),
+        "target": draw_target(world, 400, seed=12),
+        "os": generate_os(world, 600, seed=13),
+    }
+    assert [len(c) for c in cohorts.values()] == [150, 400, 600]
+    assert np.isnan(cohorts["target"].y_array()).all()
+    rel = 0.0 if kind == "gp" else 1e-12
+    for name, stored in _GOLDEN[kind].items():
+        c = cohorts[name]
+        columns = {"x": c.x_array(), "u": c.hidden_u_array(), "s": c.s_array(),
+                   "a": c.a_array(), "y": c.y_array()}
+        for col, (first, total) in stored.items():
+            values = columns[col]
+            if isinstance(first, int):
+                assert values[0] == first
+            else:
+                assert float(values[0]) == pytest.approx(float.fromhex(first), rel=rel, abs=0)
+            got = math.fsum(values.astype(float).tolist())
+            assert got == pytest.approx(float.fromhex(total), rel=rel, abs=0), (name, col)

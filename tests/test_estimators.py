@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from ppgen.domain import (
     TRIAL,
     CompositeSample,
     KernelParams,
-    Observation,
     PositivityError,
     ScenarioSpec,
     derive_seed,
@@ -31,9 +32,11 @@ from ppgen.regression import CallablePredictor, ConstantPredictor
 
 
 def build_sample(x1, y1, x0, a=1):
-    records = [Observation(float(x), 0.0, TRIAL, a, float(y)) for x, y in zip(x1, y1)]
-    records += [Observation(float(x), 0.0, TARGET) for x in x0]
-    return CompositeSample.from_records(records)
+    n1, n0 = len(x1), len(x0)
+    return CompositeSample.concat(
+        CompositeSample.cohort(TRIAL, x1, np.zeros(n1), np.full(n1, a), y1),
+        CompositeSample.cohort(TARGET, x0, np.zeros(n0)),
+    )
 
 
 def tiny_cfg(degree, penalty=1e-8, fold_seed=0):
@@ -227,7 +230,7 @@ def test_aom_noise_predictor_tracks_om():
     diffs, oms = [], []
     for rep in range(100):
         trial = draw_trial(world, 200, seed=derive_seed("aom-noise", rep))
-        sample = CompositeSample.from_records(trial + target)
+        sample = CompositeSample.concat(trial, target)
         cfg = EstimatorConfig(degree=3, a=1, fold_seed=rep)
         om = estimate_om(sample, cfg).point_estimate
         aom = estimate_aom(sample, noise_predictor(7), cfg).point_estimate
@@ -263,11 +266,10 @@ def test_ipw_single_record_unit_weight():
 
 def test_ipw_consistent_on_homogeneous_world():
     world = seeded_world(seed=41)
-    # overwrite outcomes with a constant by rebuilding records
+    # overwrite outcomes with a constant
     trial = draw_trial(world, 25_000, seed=2)
     target = draw_target(world, 25_000, seed=3)
-    records = [Observation(r.x, r.u, TRIAL, r.a, 3.0) for r in trial] + target
-    sample = CompositeSample.from_records(records)
+    sample = CompositeSample.concat(replace(trial, y=np.full(len(trial), 3.0)), target)
     nuis = fit_nuisances(sample, degree=3)
     rec = estimate_ipw(sample, nuis, a=1)
     assert rec.point_estimate == pytest.approx(3.0, abs=0.03)
@@ -351,7 +353,7 @@ def test_dr_double_robustness_small():
     for rep in range(12):
         trial = draw_trial(world, 5_000, seed=derive_seed("dr-small", "t", rep))
         target = draw_target(world, 15_000, seed=derive_seed("dr-small", "c", rep))
-        sample = CompositeSample.from_records(trial + target)
+        sample = CompositeSample.concat(trial, target)
         ests_bad_outcome.append(
             estimate_dr_baseline(sample, nuis_good, tiny_cfg(3), outcome_fit=g_wrong).point_estimate
         )
@@ -403,7 +405,7 @@ def test_estimators_blind_to_hidden_covariate():
     world = seeded_world(seed=61)
     trial = draw_trial(world, 300, seed=4)
     target = draw_target(world, 1_000, seed=5)
-    sample = CompositeSample.from_records(trial + target)
+    sample = CompositeSample.concat(trial, target)
     cfg = EstimatorConfig(degree=3, a=1, fold_seed=2)
     f = CallablePredictor(lambda x: x)
     pub = sample.public()
@@ -415,9 +417,7 @@ def test_estimators_blind_to_hidden_covariate():
 
 def test_nuisance_set_marginal_exact():
     world = seeded_world(seed=71)
-    sample = CompositeSample.from_records(
-        draw_trial(world, 120, seed=6) + draw_target(world, 480, seed=7)
-    )
+    sample = CompositeSample.concat(draw_trial(world, 120, seed=6), draw_target(world, 480, seed=7))
     nuis = fit_nuisances(sample, degree=2)
     assert nuis.p_hat_marginal == 120 / 600
     p = nuis.p_hat.predict(np.linspace(-1, 1, 50))

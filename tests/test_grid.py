@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ppgen.domain import KernelParams, ScenarioSpec
+from ppgen.domain import KernelParams, PositivityError, ScenarioSpec
 from ppgen.grid import (
     GP_ESTIMATORS,
     TABLE2_ROWS,
@@ -55,6 +55,32 @@ def test_grid_runs_weighting_estimators():
     assert names == set(ALL_ESTIMATORS)
     assert all(np.isfinite(r["rmse"]) for r in result.combo_rows)
     assert all(r["n_failures"] == 0 for r in result.combo_rows)
+
+
+def _failing_om(exc):
+    def estimate_om(sample, cfg):
+        raise exc
+
+    return estimate_om
+
+
+def test_grid_counts_named_failures(monkeypatch):
+    from ppgen import grid
+
+    monkeypatch.setattr(grid, "estimate_om", _failing_om(PositivityError("no support")))
+    result = run_scenario_grid(small_grid(predictor_kind="iid_noise")[:1], estimators=("om", "abc"),
+                               degrees=(1,), n_scenarios=1, n_runs=2, workers=1)
+    failures = {r["estimator"]: r["n_failures"] for r in result.combo_rows}
+    assert failures == {"om": 2, "abc": 0}
+
+
+def test_grid_propagates_unexpected_errors(monkeypatch):
+    from ppgen import grid
+
+    monkeypatch.setattr(grid, "estimate_om", _failing_om(TypeError("a bug")))
+    with pytest.raises(TypeError):
+        run_scenario_grid(small_grid(predictor_kind="iid_noise")[:1], estimators=("om",),
+                          degrees=(1,), n_scenarios=1, n_runs=1, workers=1)
 
 
 def test_grid_deterministic_across_workers():
