@@ -10,6 +10,7 @@ approximations are stated in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -116,21 +117,23 @@ def tilted_participation(world: World, n1: int, n0: int, order: int = 64) -> Cal
 # -- Monte Carlo MSE decomposition -------------------------------------------
 
 
-def scenario_predictor(spec: ScenarioSpec, world: World, seed_tag: object = "world"):
-    """Build the observational predictor a scenario calls for.
+def os_predictor(world: World, n_os: int, seed_of: Callable[[str], int],
+                 predictor_kind: str = "learned", n_features: int = 500):
+    """Build the observational predictor f of treated outcomes.
 
-    "learned" fits the flexible regressor (GP worlds) or a degree-5 ridge
-    (GLM worlds) on the treated observational records; "iid_noise" returns
-    the fixed pseudo-noise function and skips the observational sample
-    entirely, since nothing would consume it.
+    "learned" fits the treated arm of an n_os-record observational cohort:
+    the flexible regressor (GP worlds) or a degree-5 ridge (GLM worlds).
+    "iid_noise" returns the fixed pseudo-noise function and skips the cohort,
+    since nothing would consume it.  ``seed_of(part)`` seeds the parts "os"
+    (the cohort), "fpred" (the fit) and "noisef" (the noise function).
     """
-    if spec.predictor_kind == "iid_noise":
-        return noise_predictor(derive_seed(spec.master_seed, seed_tag, "noise-predictor"))
-    os_cohort = generate_os(world, spec.n_os, derive_seed(spec.master_seed, seed_tag, "os"))
+    if predictor_kind == "iid_noise":
+        return noise_predictor(seed_of("noisef"))
+    os_cohort = generate_os(world, n_os, seed_of("os"))
     x, y = os_arm_arrays(os_cohort, a=1)
-    if spec.dgp_kind == "gp":
-        return flexible_fit(x, y, seed=derive_seed(spec.master_seed, seed_tag, "fpred"))
-    return ridge_cv(x, y, degree=5, fold_seed=derive_seed(spec.master_seed, seed_tag, "fpred"))
+    if world.kind == "gp":
+        return flexible_fit(x, y, n_features=n_features, seed=seed_of("fpred"))
+    return ridge_cv(x, y, degree=5, fold_seed=seed_of("fpred"))
 
 
 def decompose_mse(
@@ -151,14 +154,19 @@ def decompose_mse(
     """
     if n_replications < 2:
         raise ValueError("need at least 2 replications")
+    seed_of = partial(derive_seed, spec.master_seed, seed_tag)
     world = world_from_spec(spec, seed_tag)
-    target = draw_target(world, spec.n0, derive_seed(spec.master_seed, seed_tag, "target"))
-    predictor = scenario_predictor(spec, world, seed_tag)
+    target = draw_target(world, spec.n0, seed_of("target"))
+    # the noise function's seed part is "noise-predictor" here, "noisef" in the grid
+    predictor = os_predictor(
+        world, spec.n_os, lambda part: seed_of("noise-predictor" if part == "noisef" else part),
+        spec.predictor_kind,
+    )
     mu = true_mu(world, a=1).mu_a
     estimates = []
     failures = 0
     for rep in range(n_replications):
-        trial = draw_trial(world, spec.n1, derive_seed(spec.master_seed, seed_tag, "trial", rep))
+        trial = draw_trial(world, spec.n1, seed_of("trial", rep))
         sample = CompositeSample.concat(trial, target)
         try:
             estimates.append(estimator(sample, predictor))

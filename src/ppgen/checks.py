@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 from .analysis import (
     empirical_excess_risk,
     gauss_legendre_nodes,
+    os_predictor,
     prop1_formula,
     spectrum,
     tilted_participation,
@@ -25,7 +27,7 @@ from .analysis import (
     true_mu_monte_carlo,
     true_outcome_function,
 )
-from .dgp import World, draw_target, draw_trial, generate_os, os_arm_arrays, sample_gp
+from .dgp import World, draw_target, draw_trial, gp_world
 from .domain import TARGET, TRIAL, CompositeSample, derive_seed
 from .estimators import (
     EstimatorConfig,
@@ -36,8 +38,8 @@ from .estimators import (
     estimate_dr_baseline,
     estimate_om_categorical,
 )
-from .grid import FOM0_KERNEL, PS_KERNEL, fom1_kernel, pa_kernel
-from .regression import CallablePredictor, flexible_fit, legendre_eval, ridge_cv
+from .grid import grid_kernels
+from .regression import CallablePredictor, legendre_eval, ridge_cv
 
 
 @dataclass(frozen=True)
@@ -131,16 +133,9 @@ def prop1_check(
 
 
 def _check_world(master_seed: int, lx: float = 0.5, conf: str = "mid") -> World:
-    from .grid import CONFOUNDING_SETTINGS
-
-    l_u, alpha_u = CONFOUNDING_SETTINGS[conf]
-    fom = tuple(
-        sample_gp(params, seed=derive_seed(master_seed, "check-fom", a))
-        for a, params in enumerate((FOM0_KERNEL, fom1_kernel(lx)))
+    return gp_world(
+        *grid_kernels(lx, conf), 0.0, lambda part, *arm: derive_seed(master_seed, "check-" + part, *arm)
     )
-    ps = sample_gp(PS_KERNEL, seed=derive_seed(master_seed, "check-ps"))
-    pa = sample_gp(pa_kernel(l_u, alpha_u), seed=derive_seed(master_seed, "check-pa"))
-    return World("gp", fom, ps, pa, 0.0)
 
 
 def theorem_structural_check(
@@ -163,8 +158,9 @@ def theorem_structural_check(
     """
     if which not in ("om", "abc", "aom"):
         raise ValueError("which must be om, abc or aom")
-    world = _check_world(derive_seed(seed, "thm", which))
-    target = draw_target(world, n0, derive_seed(seed, "thm", which, "target"))
+    seed_of = partial(derive_seed, seed, "thm", which)
+    world = _check_world(seed_of())
+    target = draw_target(world, n0, seed_of("target"))
     target_x = target.x_array()
     mu = true_mu(world, a=1).mu_a
     g_true = true_outcome_function(world, 1, target_x)
@@ -173,17 +169,15 @@ def theorem_structural_check(
     f = None
     f_target = None
     if which in ("abc", "aom"):
-        os_cohort = generate_os(world, n_os, derive_seed(seed, "thm", which, "os"))
-        x_os, y_os = os_arm_arrays(os_cohort, a=1)
-        f = flexible_fit(x_os, y_os, seed=derive_seed(seed, "thm", which, "fpred"))
+        f = os_predictor(world, n_os, seed_of)
         f_target = f.predict(target_x)
 
     m = np.empty(n_refits)
     pointwise_sum = np.zeros(target_x.shape[0])
     for r in range(n_refits):
-        trial = draw_trial(world, n1, derive_seed(seed, "thm", which, "trial", r))
+        trial = draw_trial(world, n1, seed_of("trial", r))
         x1, y1 = trial.trial_arm_arrays(1)
-        fold_seed = derive_seed(seed, "thm", which, "folds", r)
+        fold_seed = seed_of("folds", r)
         if which == "om":
             fit = ridge_cv(x1, y1, degree, fold_seed=fold_seed)
             pred = basis0 @ fit.coefficients
@@ -242,9 +236,7 @@ def lemma2_check(
     for w in range(n_worlds):
         world_seed = derive_seed(seed, "lemma2", w)
         world = _check_world(world_seed, lx=0.2, conf="none")
-        os_cohort = generate_os(world, n_os, derive_seed(world_seed, "os"))
-        x_os, y_os = os_arm_arrays(os_cohort, a=1)
-        f = flexible_fit(x_os, y_os, n_features=n_features, seed=derive_seed(world_seed, "fpred"))
+        f = os_predictor(world, n_os, lambda part: derive_seed(world_seed, part), n_features=n_features)
 
         def g_fn(x):
             return true_outcome_function(world, 1, x)

@@ -13,28 +13,29 @@ import math
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from .analysis import os_predictor
 from .checks import run_checks
-from .dgp import World, draw_trial, generate_os, os_arm_arrays, sample_gp, world_lattice_table
-from .domain import derive_seed
+from .dgp import draw_trial, gp_world, world_lattice_table
+from .domain import csv_text, derive_seed
 from .grid import (
     ALL_ESTIMATORS,
     DEFAULT_DEGREES,
-    FOM0_KERNEL,
     GP_ESTIMATORS,
-    PS_KERNEL,
     GridResult,
     benchmark_grid,
+    check_degrees,
+    check_estimators,
     combo_id,
-    fom1_kernel,
-    pa_kernel,
+    grid_kernels,
     run_scenario_grid,
     run_table2,
 )
-from .regression import flexible_fit, ridge_cv
+from .regression import ridge_cv
 
 DEFAULT_SEED = 1729
 
@@ -100,11 +101,13 @@ class RunConfig:
         self.workers = int(pick("workers", os.cpu_count() or 1))
         self.combos = pick("combo", None)
         est = pick("estimators", None)
-        self.estimators = tuple(est.split(",")) if isinstance(est, str) else est
+        if est is not None:
+            est = _checked("estimators", check_estimators, est.split(",") if isinstance(est, str) else est)
+        self.estimators = est
         deg = pick("degrees", None)
         if isinstance(deg, str):
-            deg = [int(d) for d in deg.split(",")]
-        self.degrees = tuple(deg) if deg else DEFAULT_DEGREES
+            deg = _checked("degrees", lambda parts: [int(d) for d in parts], deg.split(","))
+        self.degrees = _checked("degrees", check_degrees, deg) if deg else DEFAULT_DEGREES
         self.checks = pick("check", None)
         self.max_failures = int(pick("max-failures", 0))
 
@@ -112,10 +115,20 @@ class RunConfig:
         return max(1, math.ceil(n * self.scale))
 
 
+def _checked(flag: str, check, value):
+    """``check(value)``, with a ValueError turned into an exit naming the flag."""
+    try:
+        return check(value)
+    except ValueError as exc:
+        raise SystemExit(f"--{flag}: {exc}") from None
+
+
 def _parse_combo_filter(text: str) -> dict:
     out = {}
     for part in text.replace(";", ",").split(","):
-        key, value = part.split("=")
+        key, sep, value = part.partition("=")
+        if not sep:
+            raise SystemExit(f"--combo: expected key=value pairs such as n1=200,lx=0.2,conf=none, not {text!r}")
         out[key.strip()] = value.strip()
     return out
 
@@ -137,12 +150,19 @@ def _filter_grid(grid, combo_filters):
     return keep
 
 
-def _write_outputs(cfg: RunConfig, stem: str, csv_text: str, payload: dict) -> None:
+def _write_json(path: Path, payload: dict) -> None:
+    """Strict JSON: an undefined value (NaN, an infinity) is written as null."""
+    # json reads its own NaN/Infinity tokens back through parse_constant
+    strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    path.write_text(json.dumps(strict, indent=2, allow_nan=False) + "\n")
+
+
+def _write_outputs(cfg: RunConfig, stem: str, text: str, payload: dict) -> None:
     cfg.out.mkdir(parents=True, exist_ok=True)
     if cfg.format in ("csv", "both"):
-        (cfg.out / f"{stem}.csv").write_text(csv_text)
+        (cfg.out / f"{stem}.csv").write_text(text)
     if cfg.format in ("json", "both"):
-        (cfg.out / f"{stem}.json").write_text(json.dumps(payload, indent=2, default=str) + "\n")
+        _write_json(cfg.out / f"{stem}.json", payload)
 
 
 def _grid_command(cfg: RunConfig, stem: str, estimators, predictor_kind: str = "learned") -> int:
@@ -200,22 +220,6 @@ def _noise_robustness_report(result: GridResult, degrees) -> dict:
     return {"lines": lines, "entries": entries}
 
 
-def cmd_figure3(cfg: RunConfig) -> int:
-    return _grid_command(cfg, "figure3", GP_ESTIMATORS)
-
-
-def cmd_biasvar(cfg: RunConfig) -> int:
-    return _grid_command(cfg, "biasvar", GP_ESTIMATORS)
-
-
-def cmd_ipwdr(cfg: RunConfig) -> int:
-    return _grid_command(cfg, "ipwdr", ALL_ESTIMATORS)
-
-
-def cmd_noise_robustness(cfg: RunConfig) -> int:
-    return _grid_command(cfg, "noise_robustness", GP_ESTIMATORS, predictor_kind="iid_noise")
-
-
 def cmd_table2(cfg: RunConfig) -> int:
     started = time.time()
     n_ground_truths = cfg.scaled(100)
@@ -249,61 +253,45 @@ def cmd_checks(cfg: RunConfig) -> int:
         "scale": cfg.scale,
         "results": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
     }
-    csv_text = "name,passed,detail\n" + "".join(
-        f"{r.name},{int(r.passed)},\"{r.detail}\"\n" for r in results
-    )
-    _write_outputs(cfg, "checks", csv_text, payload)
+    _write_outputs(cfg, "checks", csv_text(("name", "passed", "detail"), payload["results"]), payload)
     return 0 if all(r.passed for r in results) else 1
 
 
 def cmd_export_world(cfg: RunConfig) -> int:
-    seed = cfg.seed
-    world = World(
-        "gp",
-        (
-            sample_gp(FOM0_KERNEL, seed=derive_seed(seed, "export", "fom", 0)),
-            sample_gp(fom1_kernel(0.2), seed=derive_seed(seed, "export", "fom", 1)),
-        ),
-        sample_gp(PS_KERNEL, seed=derive_seed(seed, "export", "ps")),
-        sample_gp(pa_kernel(0.5, 0.0), seed=derive_seed(seed, "export", "pa")),
-        0.0,
-    )
+    seed_of = partial(derive_seed, cfg.seed, "export")
+    world = gp_world(*grid_kernels(0.2, "mid"), 0.0, seed_of)
     table = world_lattice_table(world)
-    lattice_lines = ["x,u,fom0,fom1,ps,pa"]
-    for i in range(table["x"].shape[0]):
-        lattice_lines.append(",".join(repr(float(table[c][i])) for c in ("x", "u", "fom0", "fom1", "ps", "pa")))
-
-    os_cohort = generate_os(world, 50_000, derive_seed(seed, "export", "os"))
-    x_os, y_os = os_arm_arrays(os_cohort, a=1)
-    f = flexible_fit(x_os, y_os, seed=derive_seed(seed, "export", "fpred"))
-    trial = draw_trial(world, 200, derive_seed(seed, "export", "trial"))
+    f = os_predictor(world, 50_000, seed_of)
+    trial = draw_trial(world, 200, seed_of("trial"))
     x1, y1 = trial.trial_arm_arrays(1)
     degree = cfg.degrees[0]
-    fold_seed = derive_seed(seed, "export", "folds")
+    fold_seed = seed_of("folds")
     g_fit = ridge_cv(x1, y1, degree, fold_seed=fold_seed)
     b_fit = ridge_cv(x1, f.predict(x1) - y1, degree, fold_seed=fold_seed)
     xs = np.linspace(-1.0, 1.0, 201)
-    fit_lines = ["x,f1,g_hat,b_hat"]
-    f_xs, g_xs, b_xs = f.predict(xs), g_fit.predict(xs), b_fit.predict(xs)
-    for i, x in enumerate(xs):
-        fit_lines.append(f"{x!r},{f_xs[i]!r},{g_xs[i]!r},{b_xs[i]!r}")
+    fits = {"x": xs, "f1": f.predict(xs), "g_hat": g_fit.predict(xs), "b_hat": b_fit.predict(xs)}
 
     cfg.out.mkdir(parents=True, exist_ok=True)
-    (cfg.out / "world_grid.csv").write_text("\n".join(lattice_lines) + "\n")
-    (cfg.out / "world_fits.csv").write_text("\n".join(fit_lines) + "\n")
+    lattice = {c: v.tolist() for c, v in table.items()}
+    (cfg.out / "world_grid.csv").write_text(
+        csv_text(list(lattice), [dict(zip(lattice, row)) for row in zip(*lattice.values())])
+    )
+    (cfg.out / "world_fits.csv").write_text(
+        csv_text(list(fits), [dict(zip(fits, row)) for row in zip(*fits.values())])
+    )
     if cfg.format in ("json", "both"):
-        payload = {"command": "export-world", "master_seed": seed, "degree": degree}
-        (cfg.out / "export_world.json").write_text(json.dumps(payload, indent=2) + "\n")
+        payload = {"command": "export-world", "master_seed": cfg.seed, "degree": degree}
+        _write_json(cfg.out / "export_world.json", payload)
     print(f"export-world: wrote {cfg.out}/world_grid.csv and world_fits.csv")
     return 0
 
 
 COMMANDS = {
-    "figure3": cmd_figure3,
-    "biasvar": cmd_biasvar,
-    "ipwdr": cmd_ipwdr,
+    "figure3": lambda cfg: _grid_command(cfg, "figure3", GP_ESTIMATORS),
+    "biasvar": lambda cfg: _grid_command(cfg, "biasvar", GP_ESTIMATORS),
+    "ipwdr": lambda cfg: _grid_command(cfg, "ipwdr", ALL_ESTIMATORS),
     "table2": cmd_table2,
-    "noise-robustness": cmd_noise_robustness,
+    "noise-robustness": lambda cfg: _grid_command(cfg, "noise_robustness", GP_ESTIMATORS, "iid_noise"),
     "checks": cmd_checks,
     "export-world": cmd_export_world,
 }

@@ -20,7 +20,8 @@ factorization of the full G^2 x G^2 covariance, and is exact in distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import partial
+from typing import Callable
 
 import numpy as np
 from scipy.special import expit, ndtri
@@ -61,10 +62,6 @@ class GridFunction:
     values: np.ndarray  # shape (G, G); values[i, j] = f(x_i, u_j)
     params: KernelParams
     seed: int
-
-    @cached_property
-    def _lattice(self) -> np.ndarray:
-        return np.linspace(-1.0, 1.0, self.grid_size)
 
     def __call__(self, x, u) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -190,6 +187,16 @@ def participation_prob(world: World, x, u) -> np.ndarray:
     return world.participation_prob(x, u)
 
 
+def gp_world(fom_params: tuple, ps_params: KernelParams, pa_params: KernelParams,
+             noise_sigma: float, seed_of: Callable[..., int]) -> World:
+    """Draw a GP world from its kernels; ``seed_of(part, *arm)`` seeds each
+    surface, called as ("fom", 0), ("fom", 1), ("ps",) and ("pa",)."""
+    fom = tuple(sample_gp(fom_params[a], seed=seed_of("fom", a)) for a in (0, 1))
+    ps = sample_gp(ps_params, seed=seed_of("ps"))
+    pa = sample_gp(pa_params, seed=seed_of("pa"))
+    return World("gp", fom, ps, pa, noise_sigma)
+
+
 def world_from_spec(spec: ScenarioSpec, seed_tag: object = "world") -> World:
     """Realize a world from a scenario specification, deterministically.
 
@@ -198,13 +205,8 @@ def world_from_spec(spec: ScenarioSpec, seed_tag: object = "world") -> World:
     """
     if spec.dgp_kind == "glm":
         return World("glm", spec.fom_params, spec.ps_params, spec.pa_params, spec.noise_sigma)
-    fom = tuple(
-        sample_gp(spec.fom_params[a], seed=derive_seed(spec.master_seed, seed_tag, "fom", a))
-        for a in (0, 1)
-    )
-    ps = sample_gp(spec.ps_params, seed=derive_seed(spec.master_seed, seed_tag, "ps"))
-    pa = sample_gp(spec.pa_params, seed=derive_seed(spec.master_seed, seed_tag, "pa"))
-    return World("gp", fom, ps, pa, spec.noise_sigma)
+    seed_of = partial(derive_seed, spec.master_seed, seed_tag)
+    return gp_world(spec.fom_params, spec.ps_params, spec.pa_params, spec.noise_sigma, seed_of)
 
 
 # -- cohort sampling ---------------------------------------------------------

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -305,11 +306,23 @@ class DecompositionReport:
 # -- CSV serialization -------------------------------------------------------
 
 
-def write_observations_csv(
-    records: Sequence[Observation], path: str | Path, include_hidden: bool = False
-) -> None:
-    """Write records as CSV; see :func:`write_sample_csv`."""
-    write_sample_csv(CompositeSample.from_records(records), path, include_hidden=include_hidden)
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        value = int(value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def csv_text(columns: Sequence[str], rows: Iterable[Mapping]) -> str:
+    """CSV text: the header, then each row's values under ``columns``.
+
+    Floats are written by ``repr`` (which round-trips), booleans as 1/0 and
+    anything else by ``str``; cells are quoted only where CSV needs it.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_cell(row[c]) for c in columns] for row in rows)
+    return buf.getvalue()
 
 
 def read_observations_csv(path: str | Path) -> list[Observation]:
@@ -332,13 +345,12 @@ def write_sample_csv(sample: CompositeSample, path: str | Path, include_hidden: 
     The hidden covariate is written only when ``include_hidden`` is set;
     otherwise its column is left empty.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_COLUMNS)
-        for x, u, s, a, y in zip(*(getattr(sample, c).tolist() for c in _COLUMNS)):
-            present = s != TARGET
-            hidden = repr(u) if include_hidden else ""
-            writer.writerow([repr(x), hidden, s, a if present else "", repr(y) if present else ""])
+    rows = []
+    for x, u, s, a, y in zip(*(getattr(sample, c).tolist() for c in _COLUMNS)):
+        present = s != TARGET
+        hidden = u if include_hidden else ""
+        rows.append({"x": x, "u": hidden, "s": s, "a": a if present else "", "y": y if present else ""})
+    Path(path).write_text(csv_text(_COLUMNS, rows))
 
 
 def read_sample_csv(path: str | Path) -> CompositeSample:

@@ -16,15 +16,17 @@ independent of how work is split across processes.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import true_mu
-from .dgp import World, draw_target, draw_trial, generate_os, noise_predictor, os_arm_arrays, sample_gp
-from .domain import CompositeSample, GenerationError, GlmLogitParams, GlmOutcomeParams, KernelParams, ScenarioSpec, derive_seed
+from .analysis import os_predictor, true_mu
+from .dgp import World, draw_target, draw_trial, gp_world
+from .domain import CompositeSample, GenerationError, GlmLogitParams, GlmOutcomeParams, KernelParams, ScenarioSpec
+from .domain import csv_text, derive_seed
 from .estimators import (
     EstimatorConfig,
     estimate_abc,
@@ -37,11 +39,56 @@ from .estimators import (
     estimate_os_om,
     fit_nuisances,
 )
-from .regression import flexible_fit, ridge_cv
 
-GP_ESTIMATORS = ("om", "os-om", "abc", "aom")
-ALL_ESTIMATORS = ("om", "os-om", "abc", "aom", "ipw", "dr", "dr-abc", "dr-pa")
+
+@dataclass(frozen=True)
+class Estimator:
+    """One estimator and what it needs: ``estimate(sample, f, nuisances, cfg)``
+    gets the OS predictor and, if ``nuisances``, the nuisances fitted at
+    ``cfg.degree``; one that is not ``per_degree`` runs once, as degree -1."""
+
+    estimate: Callable
+    per_degree: bool = True
+    nuisances: bool = False
+
+
+# Each entry looks its estimate function up when called, so replacing the
+# module-level name (in a test, or to trace it) reaches every caller.
+ESTIMATORS = {
+    "om": Estimator(lambda s, f, nuis, cfg: estimate_om(s, cfg)),
+    "os-om": Estimator(lambda s, f, nuis, cfg: estimate_os_om(s, f), per_degree=False),
+    "abc": Estimator(lambda s, f, nuis, cfg: estimate_abc(s, f, cfg)),
+    "aom": Estimator(lambda s, f, nuis, cfg: estimate_aom(s, f, cfg)),
+    "ipw": Estimator(lambda s, f, nuis, cfg: estimate_ipw(s, nuis, cfg.a), nuisances=True),
+    "dr": Estimator(lambda s, f, nuis, cfg: estimate_dr_baseline(s, nuis, cfg), nuisances=True),
+    "dr-abc": Estimator(lambda s, f, nuis, cfg: estimate_dr_abc(s, f, nuis, cfg), nuisances=True),
+    "dr-pa": Estimator(lambda s, f, nuis, cfg: estimate_dr_aom(s, f, nuis, cfg), nuisances=True),
+}
+GP_ESTIMATORS = tuple(name for name, e in ESTIMATORS.items() if not e.nuisances)
+ALL_ESTIMATORS = tuple(ESTIMATORS)
 DEFAULT_DEGREES = (1, 3, 5, 7)
+
+
+def check_estimators(names: Sequence[str]) -> tuple[str, ...]:
+    """``names`` as a tuple; ValueError naming the valid estimators if one is unknown."""
+    unknown = [n for n in names if n not in ESTIMATORS]
+    if unknown:
+        raise ValueError(f"unknown estimators {unknown}; valid: {', '.join(ESTIMATORS)}")
+    return tuple(names)
+
+
+def check_degrees(degrees: Sequence[int]) -> tuple[int, ...]:
+    """``degrees`` as a tuple; ValueError unless they are distinct nonnegative
+    integers (-1 labels the estimators that are not fitted per degree)."""
+    degrees = tuple(degrees)
+    if not degrees or len(set(degrees)) < len(degrees) or any(not isinstance(d, int) or d < 0 for d in degrees):
+        raise ValueError(f"degrees must be distinct nonnegative integers, got {degrees}")
+    return degrees
+
+
+def _estimator_degrees(name: str, degrees: tuple[int, ...]) -> tuple[int, ...]:
+    return degrees if ESTIMATORS[name].per_degree else (-1,)
+
 
 # Fixed kernels of the benchmark grid: participation depends on x only; the
 # outcome surfaces vary smoothly in x and carry a linear trend along the
@@ -64,12 +111,13 @@ def confounding_label(l_u_pa: float | None, alpha_u_pa: float) -> str:
     return f"lu={l_u_pa},au={alpha_u_pa}"
 
 
-def fom1_kernel(l_x: float) -> KernelParams:
-    return KernelParams(alpha_x=1.0, alpha_u=1.0, l_x=l_x, l_u=None)
-
-
-def pa_kernel(l_u: float | None, alpha_u: float) -> KernelParams:
-    return KernelParams(alpha_x=1.0, alpha_u=alpha_u, l_x=1.0, l_u=l_u)
+def grid_kernels(l_x: float, conf: str) -> tuple:
+    """(outcome kernels, participation kernel, treatment kernel) of the grid
+    cell with treated-outcome length-scale ``l_x`` and confounding ``conf``."""
+    l_u, alpha_u = CONFOUNDING_SETTINGS[conf]
+    fom1 = KernelParams(alpha_x=1.0, alpha_u=1.0, l_x=l_x, l_u=None)
+    pa = KernelParams(alpha_x=1.0, alpha_u=alpha_u, l_x=1.0, l_u=l_u)
+    return (FOM0_KERNEL, fom1), PS_KERNEL, pa
 
 
 def benchmark_grid(
@@ -86,13 +134,13 @@ def benchmark_grid(
     for n1 in n1_values:
         for lx in lx_values:
             for conf in confounding:
-                l_u, alpha_u = CONFOUNDING_SETTINGS[conf]
+                fom, ps, pa = grid_kernels(lx, conf)
                 grid.append(
                     ScenarioSpec(
                         dgp_kind="gp",
-                        fom_params=(FOM0_KERNEL, fom1_kernel(lx)),
-                        ps_params=PS_KERNEL,
-                        pa_params=pa_kernel(l_u, alpha_u),
+                        fom_params=fom,
+                        ps_params=ps,
+                        pa_params=pa,
                         n1=n1,
                         n0=n0,
                         n_os=n_os,
@@ -108,6 +156,25 @@ def combo_id(spec: ScenarioSpec) -> str:
     lx = spec.fom_params[1].l_x
     conf = confounding_label(spec.pa_params.l_u, spec.pa_params.alpha_u)
     return f"n1={spec.n1};lx={lx};conf={conf}"  # semicolons keep the CSV comma-free
+
+
+def _combo_fields(spec: ScenarioSpec) -> dict:
+    """The combo id, trial size and kernel settings a grid row reports."""
+    return {
+        "combo_id": combo_id(spec),
+        "n1": spec.n1,
+        "l_x_fom1": spec.fom_params[1].l_x,
+        "l_u_pa": spec.pa_params.l_u,
+        "alpha_u_pa": spec.pa_params.alpha_u,
+    }
+
+
+def _map(fn, tasks: list, workers: int) -> list:
+    """``fn`` over ``tasks`` in order, in a process pool when workers > 1."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks, chunksize=1))
+    return [fn(t) for t in tasks]
 
 
 class _MemoPredictor:
@@ -153,67 +220,26 @@ class _ScenarioTask:
     n_runs: int
 
 
-def _build_world(spec: ScenarioSpec, scenario: int) -> World:
-    seed = spec.master_seed
-    if spec.dgp_kind == "glm":
-        return World("glm", spec.fom_params, spec.ps_params, spec.pa_params, spec.noise_sigma)
-    fom = tuple(
-        sample_gp(spec.fom_params[a], seed=derive_seed(seed, "fom", a, scenario)) for a in (0, 1)
-    )
-    ps = sample_gp(spec.ps_params, seed=derive_seed(seed, "ps", scenario))
-    pa = sample_gp(spec.pa_params, seed=derive_seed(seed, "pa", scenario))
-    return World("gp", fom, ps, pa, spec.noise_sigma)
-
-
-def _task_predictor(spec: ScenarioSpec, world: World, scenario: int):
-    seed = spec.master_seed
-    if spec.predictor_kind == "iid_noise":
-        return noise_predictor(derive_seed(seed, "noisef", scenario))
-    os_cohort = generate_os(world, spec.n_os, derive_seed(seed, "os", scenario))
-    x, y = os_arm_arrays(os_cohort, a=1)
-    if spec.dgp_kind == "gp":
-        return flexible_fit(x, y, seed=derive_seed(seed, "fpred", scenario))
-    return ridge_cv(x, y, degree=5, fold_seed=derive_seed(seed, "fpred", scenario))
-
-
-def _point_estimate(name, sample, f, nuis_by_degree, cfg) -> float:
-    if name == "om":
-        return estimate_om(sample, cfg).point_estimate
-    if name == "abc":
-        return estimate_abc(sample, f, cfg).point_estimate
-    if name == "aom":
-        return estimate_aom(sample, f, cfg).point_estimate
-    if name == "ipw":
-        return estimate_ipw(sample, nuis_by_degree[cfg.degree], cfg.a).point_estimate
-    if name == "dr":
-        return estimate_dr_baseline(sample, nuis_by_degree[cfg.degree], cfg).point_estimate
-    if name == "dr-abc":
-        return estimate_dr_abc(sample, f, nuis_by_degree[cfg.degree], cfg).point_estimate
-    if name == "dr-pa":
-        return estimate_dr_aom(sample, f, nuis_by_degree[cfg.degree], cfg).point_estimate
-    raise ValueError(f"unknown estimator {name!r}")
-
-
-_WEIGHTED = ("ipw", "dr", "dr-abc", "dr-pa")
-
-
 def _run_scenario_task(task: _ScenarioTask) -> list[dict]:
     spec = task.template
     seed = spec.master_seed
-    world = _build_world(spec, task.scenario)
-    target = draw_target(world, spec.n0, derive_seed(seed, "target", task.scenario))
-    predictor = _MemoPredictor(_task_predictor(spec, world, task.scenario))
+
+    def seed_of(*parts):
+        return derive_seed(seed, *parts, task.scenario)
+
+    world = gp_world(spec.fom_params, spec.ps_params, spec.pa_params, spec.noise_sigma, seed_of)
+    target = draw_target(world, spec.n0, seed_of("target"))
+    predictor = _MemoPredictor(os_predictor(world, spec.n_os, seed_of, spec.predictor_kind))
     mu = true_mu(world, a=1).mu_a
-    needs_nuisance = any(e in _WEIGHTED for e in task.estimators)
+    # os-om first (sorted is stable), then estimators x degrees in the given order
+    keyed = [
+        (name, deg)
+        for name in sorted(task.estimators, key=lambda n: ESTIMATORS[n].per_degree)
+        for deg in _estimator_degrees(name, task.degrees)
+    ]
+    needs_nuisance = any(ESTIMATORS[name].nuisances for name in task.estimators)
     rows: list[dict] = []
     for n1 in task.n1_values:
-        keyed = [("os-om", -1)] if "os-om" in task.estimators else []
-        keyed += [
-            (name, deg)
-            for name in task.estimators
-            if name != "os-om"
-            for deg in task.degrees
-        ]
         estimates: dict[tuple[str, int], np.ndarray] = {
             k: np.full(task.n_runs, np.nan) for k in keyed
         }
@@ -228,11 +254,8 @@ def _run_scenario_task(task: _ScenarioTask) -> list[dict]:
             for name, deg in keyed:
                 cfg = EstimatorConfig(degree=max(deg, 0), a=1, fold_seed=fold_seed)
                 try:
-                    if name == "os-om":
-                        value = estimate_os_om(sample, predictor).point_estimate
-                    else:
-                        value = _point_estimate(name, sample, predictor, nuis_by_degree, cfg)
-                    estimates[(name, deg)][run] = value
+                    record = ESTIMATORS[name].estimate(sample, predictor, nuis_by_degree.get(deg), cfg)
+                    estimates[(name, deg)][run] = record.point_estimate
                 except (ValueError, GenerationError):
                     pass  # a named domain failure: left as NaN and counted below
         for name, deg in keyed:
@@ -261,6 +284,12 @@ def _run_scenario_task(task: _ScenarioTask) -> list[dict]:
     return rows
 
 
+COMBO_COLUMNS = (
+    "combo_id", "n1", "l_x_fom1", "l_u_pa", "alpha_u_pa", "estimator", "degree",
+    "rmse", "bias_sq", "variance", "n_scenarios", "n_runs", "n_failures", "master_seed",
+)
+
+
 @dataclass(frozen=True)
 class GridResult:
     """Per-scenario and per-combo tables for one grid run."""
@@ -270,49 +299,18 @@ class GridResult:
     master_seed: int
 
     def combo_csv_text(self) -> str:
-        header = (
-            "combo_id,n1,l_x_fom1,l_u_pa,alpha_u_pa,estimator,degree,"
-            "rmse,bias_sq,variance,n_scenarios,n_runs,n_failures,master_seed"
-        )
-        lines = [header]
-        for row in self.combo_rows:
-            lines.append(
-                ",".join(
-                    [
-                        row["combo_id"],
-                        str(row["n1"]),
-                        repr(row["l_x_fom1"]),
-                        "inf" if row["l_u_pa"] is None else repr(row["l_u_pa"]),
-                        repr(row["alpha_u_pa"]),
-                        row["estimator"],
-                        str(row["degree"]),
-                        repr(row["rmse"]),
-                        repr(row["bias_sq"]),
-                        repr(row["variance"]),
-                        str(row["n_scenarios"]),
-                        str(row["n_runs"]),
-                        str(row["n_failures"]),
-                        str(self.master_seed),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        # an inactive length-scale (None) is the infinite-length-scale limit
+        return csv_text(COMBO_COLUMNS, [
+            {**row, "l_u_pa": math.inf if row["l_u_pa"] is None else row["l_u_pa"],
+             "master_seed": self.master_seed}
+            for row in self.combo_rows
+        ])
 
     def scenario_values(self, combo: str, estimator: str, degree: int, field: str = "rmse") -> np.ndarray:
         """Per-scenario values for one (combo, estimator, degree), in scenario order."""
-        vals = [
-            r[field]
-            for r in self.scenario_rows
-            if r["combo_id"] == combo and r["estimator"] == estimator and r["degree"] == degree
-        ]
-        return np.asarray(vals)
-
-    def _scenario_rows(self, combo: str, estimator: str, degree: int) -> list[dict]:
-        return [
-            r
-            for r in self.scenario_rows
-            if r["combo_id"] == combo and r["estimator"] == estimator and r["degree"] == degree
-        ]
+        key = (combo, estimator, degree)
+        rows = self.scenario_rows
+        return np.asarray([r[field] for r in rows if (r["combo_id"], r["estimator"], r["degree"]) == key])
 
     def mean_rmse(self, combo: str, estimator: str, degrees) -> tuple[float, float]:
         """Mean RMSE over (scenarios x degrees) and its Monte Carlo standard error.
@@ -325,17 +323,19 @@ class GridResult:
         """
         if np.isscalar(degrees):
             degrees = (degrees,)
-        per_degree = [self._scenario_rows(combo, estimator, d) for d in degrees]
-        n_scen = len(per_degree[0])
-        if n_scen == 0 or any(len(rows) != n_scen for rows in per_degree):
+        per_degree = [
+            (self.scenario_values(combo, estimator, d, "estimates"), self.scenario_values(combo, estimator, d, "mu"))
+            for d in degrees
+        ]
+        n_scen = len(per_degree[0][1])
+        if n_scen == 0 or any(len(mu) != n_scen for _, mu in per_degree):
             raise ValueError("mismatched scenario rows")
         means, var_terms = [], []
         for s in range(n_scen):
             total = 0.0
             influence = None
-            for rows in per_degree:
-                row = rows[s]
-                e2 = (np.asarray(row["estimates"]) - row["mu"]) ** 2
+            for estimates, mu in per_degree:
+                e2 = (estimates[s] - mu[s]) ** 2
                 rmse = math.sqrt(float(np.nanmean(e2)))
                 total += rmse / len(per_degree)
                 inf = e2 / (2 * rmse * len(per_degree))
@@ -345,8 +345,7 @@ class GridResult:
             var_terms.append(float(np.var(influence[keep], ddof=1)) / int(keep.sum()))
         return float(np.mean(means)), math.sqrt(sum(var_terms)) / n_scen
 
-    def rmse_gap(self, combo: str, est_ref: str, est_other: str, degrees,
-                 degrees_other=None) -> tuple[float, float]:
+    def rmse_gap(self, combo: str, est_ref: str, est_other: str, degrees) -> tuple[float, float]:
         """Mean-RMSE difference (ref minus other) and the combined MC SE.
 
         The SE combines the two estimators' own Monte Carlo standard errors
@@ -354,9 +353,7 @@ class GridResult:
         comparison.
         """
         ref, se_ref = self.mean_rmse(combo, est_ref, degrees)
-        other, se_other = self.mean_rmse(
-            combo, est_other, degrees if degrees_other is None else degrees_other
-        )
+        other, se_other = self.mean_rmse(combo, est_other, degrees)
         return ref - other, math.hypot(se_ref, se_other)
 
 
@@ -371,10 +368,12 @@ def run_scenario_grid(
     """Run every combo of the grid and aggregate RMSE / bias^2 / variance.
 
     All templates must share a master seed.  Deterministic for a fixed seed
-    regardless of ``workers``.
+    regardless of ``workers``.  Unknown estimator names and invalid degrees
+    raise ValueError before any world is built.
     """
     if not grid:
         raise ValueError("empty grid")
+    estimators, degrees = check_estimators(estimators), check_degrees(degrees)
     seeds = {spec.master_seed for spec in grid}
     if len(seeds) != 1:
         raise ValueError("all grid templates must share one master seed")
@@ -391,50 +390,37 @@ def run_scenario_grid(
             scenario=i,
             template=key,
             n1_values=tuple(n1s),
-            estimators=tuple(estimators),
-            degrees=tuple(degrees),
+            estimators=estimators,
+            degrees=degrees,
             n_runs=n_runs,
         )
         for key, n1s in groups.items()
         for i in range(n_scenarios)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_scenario_task, tasks, chunksize=1))
-    else:
-        results = [_run_scenario_task(t) for t in tasks]
+    results = _map(_run_scenario_task, tasks, workers)
 
     scenario_rows: list[dict] = []
     for task, rows in zip(tasks, results):
         spec = task.template
         for row in rows:
-            row = dict(row)
-            row["combo_id"] = combo_id(replace_n1(spec, row["n1"]))
-            row["l_x_fom1"] = spec.fom_params[1].l_x if spec.dgp_kind == "gp" else math.nan
-            row["l_u_pa"] = spec.pa_params.l_u if spec.dgp_kind == "gp" else math.nan
-            row["alpha_u_pa"] = spec.pa_params.alpha_u if spec.dgp_kind == "gp" else math.nan
-            scenario_rows.append(row)
+            scenario_rows.append({**row, **_combo_fields(replace(spec, n1=row["n1"]))})
     scenario_rows.sort(key=lambda r: (r["combo_id"], r["estimator"], r["degree"], r["scenario"]))
 
-    combo_rows: list[dict] = []
-    seen: dict[tuple, list[dict]] = {}
+    seen: dict[tuple, list[dict]] = defaultdict(list)
     for row in scenario_rows:
-        seen.setdefault((row["combo_id"], row["estimator"], row["degree"]), []).append(row)
+        seen[(row["combo_id"], row["estimator"], row["degree"])].append(row)
+    combo_rows: list[dict] = []
     for spec in grid:
-        cid = combo_id(spec)
+        fields = _combo_fields(spec)
         for name in estimators:
-            for deg in [-1] if name == "os-om" else degrees:
-                rows = seen.get((cid, name, deg), [])
+            for deg in _estimator_degrees(name, degrees):
+                rows = seen.get((fields["combo_id"], name, deg), [])
                 rmse = np.asarray([r["rmse"] for r in rows])
                 bias = np.asarray([r["bias"] for r in rows])
                 var = np.asarray([r["variance"] for r in rows])
                 combo_rows.append(
                     {
-                        "combo_id": cid,
-                        "n1": spec.n1,
-                        "l_x_fom1": spec.fom_params[1].l_x if spec.dgp_kind == "gp" else math.nan,
-                        "l_u_pa": spec.pa_params.l_u if spec.dgp_kind == "gp" else math.nan,
-                        "alpha_u_pa": spec.pa_params.alpha_u if spec.dgp_kind == "gp" else math.nan,
+                        **fields,
                         "estimator": name,
                         "degree": deg,
                         "rmse": float(np.mean(rmse)),
@@ -446,10 +432,6 @@ def run_scenario_grid(
                     }
                 )
     return GridResult(scenario_rows, combo_rows, master_seed)
-
-
-def replace_n1(spec: ScenarioSpec, n1: int) -> ScenarioSpec:
-    return replace(spec, n1=n1)
 
 
 # -- Table-2 GLM study --------------------------------------------------------
@@ -465,6 +447,7 @@ TABLE2_ROWS = (
 
 TABLE2_N1 = 200  # fixed trial size of the linear-model benchmark; recorded in output metadata
 TABLE2_ORDERS = (1, 5)
+TABLE2_ESTIMATORS = ("abc", "om")
 # Fixed near-zero penalty: the linear-model study fits plain polynomial least
 # squares, and an equal tiny penalty on the outcome and bias fits preserves
 # the exact fifth-order equivalence of the two estimators.
@@ -520,29 +503,26 @@ class _Table2Task:
 
 def _run_table2_task(task: _Table2Task) -> list[dict]:
     row, g, seed = task.row, task.ground_truth, task.master_seed
+
+    def seed_of(part, *rest):
+        return derive_seed(seed, "table2-" + part, row["row_id"], g, *rest)
+
     world = _sample_glm_world(row, seed, g)
-    target = draw_target(world, task.n0, derive_seed(seed, "table2-target", row["row_id"], g))
-    os_cohort = generate_os(world, task.n_os, derive_seed(seed, "table2-os", row["row_id"], g))
-    x_os, y_os = os_arm_arrays(os_cohort, a=1)
-    f = _MemoPredictor(
-        ridge_cv(x_os, y_os, degree=5, fold_seed=derive_seed(seed, "table2-fpred", row["row_id"], g))
-    )
+    target = draw_target(world, task.n0, seed_of("target"))
+    f = _MemoPredictor(os_predictor(world, task.n_os, seed_of))
     mu = true_mu(world, a=1).mu_a
-    sq_errors: dict[tuple[str, int], list[float]] = {
-        (name, order): [] for name in ("abc", "om") for order in TABLE2_ORDERS
-    }
+    sq_errors: dict[tuple[str, int], list[float]] = defaultdict(list)
     for run in range(task.n_runs):
-        trial = draw_trial(world, TABLE2_N1, derive_seed(seed, "table2-trial", row["row_id"], g, run))
+        trial = draw_trial(world, TABLE2_N1, seed_of("trial", run))
         sample = CompositeSample.concat(trial, target)
-        fold_seed = derive_seed(seed, "table2-folds", row["row_id"], g, run)
+        fold_seed = seed_of("folds", run)
         for order in TABLE2_ORDERS:
             cfg = EstimatorConfig(
                 degree=order, a=1, penalty_grid=(TABLE2_PENALTY,), fold_seed=fold_seed
             )
-            sq_errors[("om", order)].append((estimate_om(sample, cfg).point_estimate - mu) ** 2)
-            sq_errors[("abc", order)].append(
-                (estimate_abc(sample, f, cfg).point_estimate - mu) ** 2
-            )
+            for name in ("om", "abc"):
+                estimate = ESTIMATORS[name].estimate(sample, f, None, cfg).point_estimate
+                sq_errors[(name, order)].append((estimate - mu) ** 2)
     return [
         {
             "row_id": row["row_id"],
@@ -551,9 +531,12 @@ def _run_table2_task(task: _Table2Task) -> list[dict]:
             "order": order,
             "mse": float(np.mean(sq_errors[(name, order)])),
         }
-        for name in ("abc", "om")
+        for name in TABLE2_ESTIMATORS
         for order in TABLE2_ORDERS
     ]
+
+
+TABLE2_COLUMNS = ("row_id", "gamma", "sigma", "beta_scale", "lambda_scale", "estimator", "order", "mse")
 
 
 @dataclass(frozen=True)
@@ -563,23 +546,7 @@ class Table2Result:
     master_seed: int
 
     def csv_text(self) -> str:
-        lines = ["row_id,gamma,sigma,beta_scale,lambda_scale,estimator,order,mse"]
-        for row in self.table_rows:
-            lines.append(
-                ",".join(
-                    [
-                        str(row["row_id"]),
-                        repr(row["gamma"]),
-                        repr(row["sigma"]),
-                        repr(row["beta_scale"]),
-                        repr(row["lambda_scale"]),
-                        row["estimator"],
-                        str(row["order"]),
-                        repr(row["mse"]),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(TABLE2_COLUMNS, self.table_rows)
 
 
 def run_table2(
@@ -595,31 +562,14 @@ def run_table2(
         for row in rows
         for g in range(n_ground_truths)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_table2_task, tasks, chunksize=1))
-    else:
-        results = [_run_table2_task(t) for t in tasks]
-    gt_rows = [row for rows_ in results for row in rows_]
-    table_rows = []
-    for row in rows:
-        for name in ("abc", "om"):
-            for order in TABLE2_ORDERS:
-                vals = [
-                    r["mse"]
-                    for r in gt_rows
-                    if r["row_id"] == row["row_id"] and r["estimator"] == name and r["order"] == order
-                ]
-                table_rows.append(
-                    {
-                        "row_id": row["row_id"],
-                        "gamma": row["gamma"],
-                        "sigma": row["sigma"],
-                        "beta_scale": row["beta_scale"],
-                        "lambda_scale": row["lambda_scale"],
-                        "estimator": name,
-                        "order": order,
-                        "mse": float(np.mean(vals)),
-                    }
-                )
+    gt_rows = [row for rows_ in _map(_run_table2_task, tasks, workers) for row in rows_]
+    mse: dict[tuple, list[float]] = defaultdict(list)
+    for r in gt_rows:
+        mse[(r["row_id"], r["estimator"], r["order"])].append(r["mse"])
+    table_rows = [
+        {**row, "estimator": name, "order": order, "mse": float(np.mean(mse[(row["row_id"], name, order)]))}
+        for row in rows
+        for name in TABLE2_ESTIMATORS
+        for order in TABLE2_ORDERS
+    ]
     return Table2Result(gt_rows, table_rows, master_seed)

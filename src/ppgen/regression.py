@@ -106,11 +106,7 @@ class RidgeFit:
     extra_column: object | None = None  # Predictor appended as a final feature
 
     def features(self, x) -> np.ndarray:
-        feats = legendre_eval(np.atleast_1d(np.asarray(x, dtype=float)), self.degree)
-        if self.extra_column is not None:
-            extra = self.extra_column.predict(np.atleast_1d(np.asarray(x, dtype=float)))
-            feats = np.column_stack([feats, extra])
-        return feats
+        return _design(np.atleast_1d(np.asarray(x, dtype=float)), self.degree, self.extra_column)
 
     def predict(self, x) -> np.ndarray:
         return self.features(x) @ self.coefficients

@@ -81,3 +81,19 @@ def test_scale_validation(tmp_path):
 
     with pytest.raises(SystemExit):
         main(["checks", "--scale", "1.5", "--out", str(tmp_path)])
+
+
+def test_unknown_estimator_lists_valid_names(tmp_path):
+    import pytest
+
+    with pytest.raises(SystemExit, match="omm.*valid: om, os-om, abc"):
+        main(["figure3", "--estimators", "omm", "--scale", "0.01", "--out", str(tmp_path)])
+
+
+def test_degrees_and_combo_validation(tmp_path):
+    import pytest
+
+    # -1 is the degree label of os-om; the others do not parse
+    for flag, value in [("--degrees", "-1"), ("--degrees", ""), ("--degrees", "1,1"), ("--combo", "lx")]:
+        with pytest.raises(SystemExit, match=flag):
+            main(["figure3", flag, value, "--scale", "0.01", "--out", str(tmp_path)])

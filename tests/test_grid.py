@@ -121,6 +121,19 @@ def test_mean_rmse_and_gap():
     assert np.isfinite(gap) and gap_se > 0
 
 
+def test_unknown_estimator_rejected_before_any_world(monkeypatch):
+    from ppgen import grid
+
+    def no_world(*args):
+        raise AssertionError("a world was built")
+
+    monkeypatch.setattr(grid, "gp_world", no_world)
+    with pytest.raises(ValueError, match="omm.*valid: om, os-om"):
+        run_scenario_grid(small_grid()[:1], estimators=("om", "omm"), n_scenarios=1, n_runs=1)
+    with pytest.raises(ValueError, match="degrees"):
+        run_scenario_grid(small_grid()[:1], degrees=(-1,), n_scenarios=1, n_runs=1)
+
+
 def test_grid_requires_shared_master_seed():
     specs = small_grid(seed=1)[:1] + small_grid(seed=2)[:1]
     with pytest.raises(ValueError):
