@@ -28,7 +28,7 @@ from .analysis import (
     true_outcome_function,
 )
 from .dgp import World, draw_target, draw_trial, gp_world
-from .domain import TARGET, TRIAL, CompositeSample, derive_seed
+from .domain import TARGET, TRIAL, CompositeSample, check_names, derive_seed
 from .estimators import (
     EstimatorConfig,
     NuisanceSet,
@@ -37,9 +37,10 @@ from .estimators import (
     estimate_dr_aom,
     estimate_dr_baseline,
     estimate_om_categorical,
+    trial_fit,
 )
 from .grid import grid_kernels
-from .regression import CallablePredictor, legendre_eval, ridge_cv
+from .regression import CallablePredictor, legendre_eval
 
 
 @dataclass(frozen=True)
@@ -164,29 +165,25 @@ def theorem_structural_check(
     target_x = target.x_array()
     mu = true_mu(world, a=1).mu_a
     g_true = true_outcome_function(world, 1, target_x)
-    basis0 = legendre_eval(target_x, degree)
+    # the fit's design on the target, built once rather than per refit
+    design = legendre_eval(target_x, degree)
 
     f = None
-    f_target = None
     if which in ("abc", "aom"):
         f = os_predictor(world, n_os, seed_of)
         f_target = f.predict(target_x)
+        if which == "aom":
+            design = np.column_stack([design, f_target])
 
     m = np.empty(n_refits)
     pointwise_sum = np.zeros(target_x.shape[0])
     for r in range(n_refits):
         trial = draw_trial(world, n1, seed_of("trial", r))
         x1, y1 = trial.trial_arm_arrays(1)
-        fold_seed = seed_of("folds", r)
-        if which == "om":
-            fit = ridge_cv(x1, y1, degree, fold_seed=fold_seed)
-            pred = basis0 @ fit.coefficients
-        elif which == "abc":
-            fit = ridge_cv(x1, f.predict(x1) - y1, degree, fold_seed=fold_seed)
-            pred = f_target - basis0 @ fit.coefficients
-        else:
-            fit = ridge_cv(x1, y1, degree, fold_seed=fold_seed, extra_column=f)
-            pred = np.column_stack([basis0, f_target]) @ fit.coefficients
+        fit = trial_fit(which, x1, y1, f, EstimatorConfig(degree, fold_seed=seed_of("folds", r)))
+        pred = design @ fit.coefficients
+        if which == "abc":
+            pred = f_target - pred
         m[r] = float(np.mean(pred))
         pointwise_sum += pred
 
@@ -250,9 +247,8 @@ def lemma2_check(
             continue
         trial = draw_trial(world, n1, derive_seed(world_seed, "trial"))
         x1, y1 = trial.trial_arm_arrays(1)
-        fold_seed = derive_seed(world_seed, "folds")
-        g_fit = ridge_cv(x1, y1, degree, fold_seed=fold_seed)
-        b_fit = ridge_cv(x1, f.predict(x1) - y1, degree, fold_seed=fold_seed)
+        cfg = EstimatorConfig(degree, fold_seed=derive_seed(world_seed, "folds"))
+        g_fit, b_fit = (trial_fit(kind, x1, y1, f, cfg) for kind in ("om", "abc"))
         risks_g.append(empirical_excess_risk(g_fit, g_fn, x1))
         risks_b.append(empirical_excess_risk(b_fit, b_fn, x1))
     if len(risks_g) < max(3, n_worlds // 10):
@@ -314,25 +310,18 @@ def dr_robustness_check(
         p_hat=CallablePredictor(lambda x: np.full(np.atleast_1d(x).shape[0], 0.5)),
     )
     plus_one = lambda fn: CallablePredictor(lambda x: fn.predict(x) + 1.0)
+    cfg = EstimatorConfig(degree=3, a=1)
 
-    cases = {
-        ("dr", "bad-outcome"): lambda s: estimate_dr_baseline(
-            s, nuis_good, _CFG, outcome_fit=plus_one(g_hat)
-        ),
-        ("dr", "bad-weights"): lambda s: estimate_dr_baseline(
-            s, nuis_bad, _CFG, outcome_fit=g_hat
-        ),
-        ("dr-abc", "bad-outcome"): lambda s: estimate_dr_abc(
-            s, f, nuis_good, _CFG, bias_fit=plus_one(b_fn)
-        ),
-        ("dr-abc", "bad-weights"): lambda s: estimate_dr_abc(s, f, nuis_bad, _CFG, bias_fit=b_fn),
-        ("dr-pa", "bad-outcome"): lambda s: estimate_dr_aom(
-            s, f, nuis_good, _CFG, augmented_fit=plus_one(g_hat)
-        ),
-        ("dr-pa", "bad-weights"): lambda s: estimate_dr_aom(
-            s, f, nuis_bad, _CFG, augmented_fit=g_hat
-        ),
-    }
+    # each DR estimator with its exact regression component, corrupted or kept
+    trio = (
+        ("dr", lambda s, nuis, fit: estimate_dr_baseline(s, nuis, cfg, outcome_fit=fit), g_hat),
+        ("dr-abc", lambda s, nuis, fit: estimate_dr_abc(s, f, nuis, cfg, bias_fit=fit), b_fn),
+        ("dr-pa", lambda s, nuis, fit: estimate_dr_aom(s, f, nuis, cfg, augmented_fit=fit), g_hat),
+    )
+    cases = {}
+    for name, estimate, exact in trio:
+        cases[(name, "bad-outcome")] = partial(estimate, nuis=nuis_good, fit=plus_one(exact))
+        cases[(name, "bad-weights")] = partial(estimate, nuis=nuis_bad, fit=exact)
     estimates = {key: [] for key in cases}
     for rep in range(n_replications):
         trial = draw_trial(world, n1, derive_seed(seed, "dr", "trial", rep))
@@ -352,10 +341,21 @@ def dr_robustness_check(
     return CheckResult("dr-robustness", passed, "; ".join(details))
 
 
-_CFG = EstimatorConfig(degree=3, a=1)
-
-
 # -- registry -------------------------------------------------------------------
+
+
+# Each check is run as check(master seed, scaled(n, floor) -> count).
+CHECKS: dict[str, Callable[[int, Callable[[int, int], int]], CheckResult]] = {
+    "orthonormality": lambda seed, scaled: orthonormality_check(),
+    "prop1": lambda seed, scaled: prop1_check(seed=seed, n_replications=scaled(10_000, 200)),
+    "theorem1": lambda seed, scaled: theorem_structural_check("om", seed=seed, n_refits=scaled(500, 50)),
+    "theorem2": lambda seed, scaled: theorem_structural_check("abc", seed=seed, n_refits=scaled(500, 50)),
+    "theorem3": lambda seed, scaled: theorem_structural_check("aom", seed=seed, n_refits=scaled(500, 50)),
+    "lemma2": lambda seed, scaled: lemma2_check(seed=seed, n_worlds=scaled(100, 10)),
+    "oracle": lambda seed, scaled: oracle_agreement_check(seed=seed, n_draws=scaled(1_000_000, 10_000)),
+    "dr": lambda seed, scaled: dr_robustness_check(seed=seed, n_replications=scaled(40, 10)),
+}
+DEFAULT_CHECKS = ("orthonormality", "prop1", "theorem1", "theorem2", "theorem3", "lemma2")
 
 
 def run_checks(
@@ -366,19 +366,5 @@ def run_checks(
     def scaled(n: int, floor: int) -> int:
         return max(floor, math.ceil(n * scale))
 
-    registry: dict[str, Callable[[], CheckResult]] = {
-        "orthonormality": lambda: orthonormality_check(),
-        "prop1": lambda: prop1_check(seed=seed, n_replications=scaled(10_000, 200)),
-        "theorem1": lambda: theorem_structural_check("om", seed=seed, n_refits=scaled(500, 50)),
-        "theorem2": lambda: theorem_structural_check("abc", seed=seed, n_refits=scaled(500, 50)),
-        "theorem3": lambda: theorem_structural_check("aom", seed=seed, n_refits=scaled(500, 50)),
-        "lemma2": lambda: lemma2_check(seed=seed, n_worlds=scaled(100, 10)),
-        "oracle": lambda: oracle_agreement_check(seed=seed, n_draws=scaled(1_000_000, 10_000)),
-        "dr": lambda: dr_robustness_check(seed=seed, n_replications=scaled(40, 10)),
-    }
-    default = ("orthonormality", "prop1", "theorem1", "theorem2", "theorem3", "lemma2")
-    selected = default if names is None else tuple(names)
-    unknown = [n for n in selected if n not in registry]
-    if unknown:
-        raise ValueError(f"unknown checks: {unknown}; available: {sorted(registry)}")
-    return [registry[n]() for n in selected]
+    selected = DEFAULT_CHECKS if names is None else check_names("checks", names, CHECKS)
+    return [CHECKS[n](seed, scaled) for n in selected]

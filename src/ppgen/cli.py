@@ -19,23 +19,23 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import os_predictor
-from .checks import run_checks
+from .checks import CHECKS, run_checks
 from .dgp import draw_trial, gp_world, world_lattice_table
-from .domain import csv_text, derive_seed
+from .domain import check_names, csv_text, derive_seed
+from .estimators import EstimatorConfig, trial_fit
 from .grid import (
     ALL_ESTIMATORS,
     DEFAULT_DEGREES,
+    ESTIMATORS,
     GP_ESTIMATORS,
     GridResult,
     benchmark_grid,
     check_degrees,
-    check_estimators,
     combo_id,
     grid_kernels,
     run_scenario_grid,
     run_table2,
 )
-from .regression import ridge_cv
 
 DEFAULT_SEED = 1729
 
@@ -99,16 +99,15 @@ class RunConfig:
         self.out = Path(pick("out", "ppgen-out"))
         self.format = pick("format", "both")
         self.workers = int(pick("workers", os.cpu_count() or 1))
+        if self.workers < 1:
+            raise SystemExit("--workers must be at least 1")
         self.combos = pick("combo", None)
-        est = pick("estimators", None)
-        if est is not None:
-            est = _checked("estimators", check_estimators, est.split(",") if isinstance(est, str) else est)
-        self.estimators = est
+        self.estimators = _names("estimators", pick("estimators", None), ESTIMATORS)
         deg = pick("degrees", None)
         if isinstance(deg, str):
             deg = _checked("degrees", lambda parts: [int(d) for d in parts], deg.split(","))
         self.degrees = _checked("degrees", check_degrees, deg) if deg else DEFAULT_DEGREES
-        self.checks = pick("check", None)
+        self.checks = _names("check", pick("check", None), CHECKS)
         self.max_failures = int(pick("max-failures", 0))
 
     def scaled(self, n: int) -> int:
@@ -121,6 +120,14 @@ def _checked(flag: str, check, value):
         return check(value)
     except ValueError as exc:
         raise SystemExit(f"--{flag}: {exc}") from None
+
+
+def _names(flag: str, value, valid) -> tuple[str, ...] | None:
+    """The comma-separated names in ``value`` (one string or a list), each checked against ``valid``."""
+    if value is None:
+        return None
+    names = [n for part in ([value] if isinstance(value, str) else value) for n in part.split(",")]
+    return _checked(flag, partial(check_names, flag, valid=valid), names)
 
 
 def _parse_combo_filter(text: str) -> dict:
@@ -212,11 +219,11 @@ def _noise_robustness_report(result: GridResult, degrees) -> dict:
             gap, se = result.rmse_gap(cid, "aom", "om", degrees)
         except ValueError:
             continue
-        within = abs(gap) <= 2 * se
+        # a single run per scenario leaves the SE, and so the comparison, undefined
+        within = abs(gap) <= 2 * se if math.isfinite(se) else None
         entries.append({"combo_id": cid, "gap": gap, "se": se, "within_2se": within})
-        lines.append(
-            f"  {cid}: AOM-OM gap {gap:+.4f} ({'<=' if within else '>'} 2*SE {2 * se:.4f})"
-        )
+        verdict = "SE undefined" if within is None else f"{'<=' if within else '>'} 2*SE {2 * se:.4f}"
+        lines.append(f"  {cid}: AOM-OM gap {gap:+.4f} ({verdict})")
     return {"lines": lines, "entries": entries}
 
 
@@ -241,10 +248,7 @@ def cmd_table2(cfg: RunConfig) -> int:
 
 
 def cmd_checks(cfg: RunConfig) -> int:
-    names = None
-    if cfg.checks:
-        names = [n for spec in cfg.checks for n in spec.split(",")]
-    results = run_checks(names, seed=cfg.seed, scale=cfg.scale)
+    results = run_checks(cfg.checks or None, seed=cfg.seed, scale=cfg.scale)
     for res in results:
         print(res.line())
     payload = {
@@ -265,20 +269,15 @@ def cmd_export_world(cfg: RunConfig) -> int:
     trial = draw_trial(world, 200, seed_of("trial"))
     x1, y1 = trial.trial_arm_arrays(1)
     degree = cfg.degrees[0]
-    fold_seed = seed_of("folds")
-    g_fit = ridge_cv(x1, y1, degree, fold_seed=fold_seed)
-    b_fit = ridge_cv(x1, f.predict(x1) - y1, degree, fold_seed=fold_seed)
+    fit_cfg = EstimatorConfig(degree, fold_seed=seed_of("folds"))
+    g_fit, b_fit = (trial_fit(kind, x1, y1, f, fit_cfg) for kind in ("om", "abc"))
     xs = np.linspace(-1.0, 1.0, 201)
     fits = {"x": xs, "f1": f.predict(xs), "g_hat": g_fit.predict(xs), "b_hat": b_fit.predict(xs)}
 
     cfg.out.mkdir(parents=True, exist_ok=True)
-    lattice = {c: v.tolist() for c, v in table.items()}
-    (cfg.out / "world_grid.csv").write_text(
-        csv_text(list(lattice), [dict(zip(lattice, row)) for row in zip(*lattice.values())])
-    )
-    (cfg.out / "world_fits.csv").write_text(
-        csv_text(list(fits), [dict(zip(fits, row)) for row in zip(*fits.values())])
-    )
+    for name, columns in (("world_grid.csv", table), ("world_fits.csv", fits)):
+        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        (cfg.out / name).write_text(csv_text(list(columns), rows))
     if cfg.format in ("json", "both"):
         payload = {"command": "export-world", "master_seed": cfg.seed, "degree": degree}
         _write_json(cfg.out / "export_world.json", payload)

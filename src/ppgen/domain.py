@@ -60,6 +60,14 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+def check_names(what: str, names: Sequence[str], valid: Iterable[str]) -> tuple[str, ...]:
+    """``names`` as a tuple; ValueError listing the ``valid`` ``what`` if one is unknown."""
+    unknown = [n for n in names if n not in valid]
+    if unknown:
+        raise ValueError(f"unknown {what} {unknown}; valid: {', '.join(valid)}")
+    return tuple(names)
+
+
 @dataclass(frozen=True)
 class Observation:
     """One composite-sample record (x, s, s*a, s*y) plus the hidden covariate."""
@@ -307,6 +315,8 @@ class DecompositionReport:
 
 
 def _cell(value) -> str:
+    if isinstance(value, np.generic):
+        value = value.item()
     if isinstance(value, bool):
         value = int(value)
     return repr(value) if isinstance(value, float) else str(value)
@@ -315,8 +325,9 @@ def _cell(value) -> str:
 def csv_text(columns: Sequence[str], rows: Iterable[Mapping]) -> str:
     """CSV text: the header, then each row's values under ``columns``.
 
-    Floats are written by ``repr`` (which round-trips), booleans as 1/0 and
-    anything else by ``str``; cells are quoted only where CSV needs it.
+    Numpy scalars are written as the builtin they hold.  Floats are written
+    by ``repr`` (which round-trips), booleans as 1/0 and anything else by
+    ``str``; cells are quoted only where CSV needs it.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

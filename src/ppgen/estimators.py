@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import TARGET, TRIAL, CompositeSample, EstimateRecord, PositivityError
+from .domain import TRIAL, CompositeSample, EstimateRecord, PositivityError
 from .regression import DEFAULT_PENALTY_GRID, RidgeFit, logistic_fit, ridge_cv
 
 
@@ -63,7 +63,31 @@ def fit_nuisances(
     return NuisanceSet(p_hat_marginal=sample.n1 / (sample.n1 + sample.n0), p_hat=fit)
 
 
-def _trial_arm(sample: CompositeSample, cfg: EstimatorConfig) -> tuple[np.ndarray, np.ndarray]:
+def _response(kind: str, x, y, f_a):
+    """What variant ``kind`` regresses: ``y``, or for ABC the bias ``f(x) - y``."""
+    return f_a.predict(x) - y if kind == "abc" else y
+
+
+def trial_fit(kind: str, x, y, f_a, cfg: EstimatorConfig) -> RidgeFit:
+    """The trial-arm regression of variant ``kind`` ("om", "abc" or "aom").
+
+    OM fits ``y``; ABC fits the bias ``f(x) - y`` of the predictor; AOM fits
+    ``y`` with ``f`` appended to the Legendre design as one more regressor.
+    """
+    if kind not in ("om", "abc", "aom"):
+        raise ValueError(f"unknown trial fit {kind!r}; valid: om, abc, aom")
+    return ridge_cv(
+        x,
+        _response(kind, x, y, f_a),
+        cfg.degree,
+        penalty_grid=cfg.penalty_grid,
+        n_folds=cfg.n_folds,
+        fold_seed=cfg.fold_seed,
+        extra_column=f_a if kind == "aom" else None,
+    )
+
+
+def _sample_fit(kind: str, sample: CompositeSample, f_a, cfg: EstimatorConfig) -> RidgeFit:
     x, y = sample.trial_arm_arrays(cfg.a)
     if x.shape[0] < cfg.degree + 2:
         raise ValueError(
@@ -71,27 +95,34 @@ def _trial_arm(sample: CompositeSample, cfg: EstimatorConfig) -> tuple[np.ndarra
         )
     if sample.n0 < 1:
         raise ValueError("no target records")
-    return x, y
+    return trial_fit(kind, x, y, f_a, cfg)
 
 
-def _fit_trial(cfg, targets, x, extra_column=None) -> RidgeFit:
-    return ridge_cv(
-        x,
-        targets,
-        cfg.degree,
-        penalty_grid=cfg.penalty_grid,
-        n_folds=cfg.n_folds,
-        fold_seed=cfg.fold_seed,
-        extra_column=extra_column,
-    )
+def _regression_estimate(kind: str, sample: CompositeSample, f_a, cfg: EstimatorConfig) -> EstimateRecord:
+    """The target average of the trial fit; for ABC, of ``f`` minus the fitted bias."""
+    fit = _sample_fit(kind, sample, f_a, cfg)
+    x0 = sample.target_x()
+    pred = f_a.predict(x0) - fit.predict(x0) if kind == "abc" else fit.predict(x0)
+    return EstimateRecord(kind, cfg.degree, float(np.mean(pred)), cfg.a)
 
 
 def estimate_om(sample: CompositeSample, cfg: EstimatorConfig) -> EstimateRecord:
     """Outcome model: fit the trial arm, average predictions over the target."""
-    x, y = _trial_arm(sample, cfg)
-    fit = _fit_trial(cfg, y, x)
-    est = float(np.mean(fit.predict(sample.target_x())))
-    return EstimateRecord("om", cfg.degree, est, cfg.a)
+    return _regression_estimate("om", sample, None, cfg)
+
+
+def estimate_abc(sample: CompositeSample, f_a, cfg: EstimatorConfig) -> EstimateRecord:
+    """Additive bias correction: subtract a trial-fitted bias of the predictor.
+
+    Fits the prediction errors z_i = f(x_i) - y_i on the trial arm, then
+    averages f - fitted-bias over the target.
+    """
+    return _regression_estimate("abc", sample, f_a, cfg)
+
+
+def estimate_aom(sample: CompositeSample, f_a, cfg: EstimatorConfig) -> EstimateRecord:
+    """Augmented outcome model: the predictor becomes an extra regressor."""
+    return _regression_estimate("aom", sample, f_a, cfg)
 
 
 def categorical_point_estimate(target_props: np.ndarray, group_means: np.ndarray) -> float:
@@ -129,62 +160,46 @@ def estimate_os_om(sample: CompositeSample, f_a) -> EstimateRecord:
     return EstimateRecord("os-om", -1, est, 1)
 
 
-def estimate_abc(sample: CompositeSample, f_a, cfg: EstimatorConfig) -> EstimateRecord:
-    """Additive bias correction: subtract a trial-fitted bias of the predictor.
-
-    Fits the prediction errors z_i = f(x_i) - y_i on the trial arm, then
-    averages f - fitted-bias over the target.
-    """
-    x, y = _trial_arm(sample, cfg)
-    z = f_a.predict(x) - y
-    bias_fit = _fit_trial(cfg, z, x)
-    x0 = sample.target_x()
-    est = float(np.mean(f_a.predict(x0) - bias_fit.predict(x0)))
-    return EstimateRecord("abc", cfg.degree, est, cfg.a)
-
-
-def estimate_aom(sample: CompositeSample, f_a, cfg: EstimatorConfig) -> EstimateRecord:
-    """Augmented outcome model: the predictor becomes an extra regressor."""
-    x, y = _trial_arm(sample, cfg)
-    fit = _fit_trial(cfg, y, x, extra_column=f_a)
-    est = float(np.mean(fit.predict(sample.target_x())))
-    return EstimateRecord("aom", cfg.degree, est, cfg.a)
-
-
 # -- weighting-based estimators ----------------------------------------------
 
 
 def _weight_pieces(sample: CompositeSample, nuis: NuisanceSet, a: int):
-    """Shared scaffolding for the weighted estimators.
-
-    Returns the trial-arm mask, target mask, inverse-odds weights on the
-    trial arm, the 1/(n(1-p)) normalizer, and any extreme-weight warnings.
-    """
-    arr_s = sample.s_array()
-    keep = arr_s != 2
-    x = sample.x_array()[keep]
-    s = arr_s[keep]
-    a_arr = sample.a_array()[keep]
-    y = sample.y_array()[keep]
-    trial_arm = (s == TRIAL) & (a_arr == a)
-    target = s == TARGET
-    p_x = np.asarray(nuis.p_hat.predict(x[trial_arm]), dtype=float)
+    """Shared scaffolding for the weighted estimators: the trial-arm covariates
+    and outcomes, the target covariates, the inverse-odds weights on the trial
+    arm, the 1/(n(1-p)) normalizer over the n trial and target records, and
+    any extreme-weight warnings."""
+    x1, y1 = sample.trial_arm_arrays(a)
+    p_x = np.asarray(nuis.p_hat.predict(x1), dtype=float)
     warnings = ()
-    if trial_arm.any() and ((p_x <= 1e-3) | (p_x >= 1 - 1e-3)).any():
+    if x1.size and ((p_x <= 1e-3) | (p_x >= 1 - 1e-3)).any():
         warnings = ("extreme participation probabilities in inverse-odds weights",)
     weights = (1.0 - p_x) / (p_x * nuis.pi_a)
-    n = s.shape[0]
-    norm = 1.0 / (n * (1.0 - nuis.p_hat_marginal))
-    return x, y, trial_arm, target, weights, norm, warnings
+    norm = 1.0 / ((sample.n1 + sample.n0) * (1.0 - nuis.p_hat_marginal))
+    return x1, y1, sample.target_x(), weights, norm, warnings
 
 
 def estimate_ipw(sample: CompositeSample, nuis: NuisanceSet, a: int = 1) -> EstimateRecord:
     """Inverse-odds weighting of trial-arm outcomes."""
-    x, y, trial_arm, _, weights, norm, warns = _weight_pieces(sample, nuis, a)
-    if not trial_arm.any():
+    _, y1, _, weights, norm, warns = _weight_pieces(sample, nuis, a)
+    if not y1.size:
         raise ValueError("empty trial arm")
-    est = norm * float(np.sum(weights * y[trial_arm]))
+    est = norm * float(np.sum(weights * y1))
     return EstimateRecord("ipw", -1, est, a, warnings=warns)
+
+
+def _dr_estimate(
+    kind: str, name: str, sample: CompositeSample, f_a, nuis: NuisanceSet, cfg: EstimatorConfig, fit
+) -> EstimateRecord:
+    """``norm * (sum fit(x0) + sum w * (response - fit(x1)))`` of variant ``kind``
+    (its own trial fit when ``fit`` is None); ABC subtracts it from mean f(x0)."""
+    if fit is None:
+        fit = _sample_fit(kind, sample, f_a, cfg)
+    x1, y1, x0, weights, norm, warns = _weight_pieces(sample, nuis, cfg.a)
+    resid = _response(kind, x1, y1, f_a) - fit.predict(x1)
+    est = norm * (float(np.sum(fit.predict(x0))) + float(np.sum(weights * resid)))
+    if kind == "abc":
+        est = float(np.mean(f_a.predict(x0))) - est
+    return EstimateRecord(name, cfg.degree, est, cfg.a, warnings=warns)
 
 
 def estimate_dr_baseline(
@@ -198,16 +213,7 @@ def estimate_dr_baseline(
     ``outcome_fit`` overrides the internally fitted trial-arm regression
     (used for the robustness checks with deliberately corrupted fits).
     """
-    if outcome_fit is None:
-        x1, y1 = _trial_arm(sample, cfg)
-        outcome_fit = _fit_trial(cfg, y1, x1)
-    x, y, trial_arm, target, weights, norm, warns = _weight_pieces(sample, nuis, cfg.a)
-    g_target = outcome_fit.predict(x[target])
-    g_trial = outcome_fit.predict(x[trial_arm])
-    est = norm * (
-        float(np.sum(g_target)) + float(np.sum(weights * (y[trial_arm] - g_trial)))
-    )
-    return EstimateRecord("dr", cfg.degree, est, cfg.a, warnings=warns)
+    return _dr_estimate("om", "dr", sample, None, nuis, cfg, outcome_fit)
 
 
 def estimate_dr_abc(
@@ -225,18 +231,7 @@ def estimate_dr_abc(
     when both regression components are zero, recovering the identification
     target in both limits.
     """
-    if bias_fit is None:
-        x1, y1 = _trial_arm(sample, cfg)
-        bias_fit = _fit_trial(cfg, f_a.predict(x1) - y1, x1)
-    x, y, trial_arm, target, weights, norm, warns = _weight_pieces(sample, nuis, cfg.a)
-    z_trial = f_a.predict(x[trial_arm]) - y[trial_arm]
-    b_target = bias_fit.predict(x[target])
-    b_trial = bias_fit.predict(x[trial_arm])
-    f_target_mean = float(np.mean(f_a.predict(x[target])))
-    correction = norm * (
-        float(np.sum(b_target)) + float(np.sum(weights * (z_trial - b_trial)))
-    )
-    return EstimateRecord("dr-abc", cfg.degree, f_target_mean - correction, cfg.a, warnings=warns)
+    return _dr_estimate("abc", "dr-abc", sample, f_a, nuis, cfg, bias_fit)
 
 
 def estimate_dr_aom(
@@ -247,13 +242,4 @@ def estimate_dr_aom(
     augmented_fit=None,
 ) -> EstimateRecord:
     """Doubly-robust augmented outcome model (DR-PA)."""
-    if augmented_fit is None:
-        x1, y1 = _trial_arm(sample, cfg)
-        augmented_fit = _fit_trial(cfg, y1, x1, extra_column=f_a)
-    x, y, trial_arm, target, weights, norm, warns = _weight_pieces(sample, nuis, cfg.a)
-    h_target = augmented_fit.predict(x[target])
-    h_trial = augmented_fit.predict(x[trial_arm])
-    est = norm * (
-        float(np.sum(h_target)) + float(np.sum(weights * (y[trial_arm] - h_trial)))
-    )
-    return EstimateRecord("dr-pa", cfg.degree, est, cfg.a, warnings=warns)
+    return _dr_estimate("aom", "dr-pa", sample, f_a, nuis, cfg, augmented_fit)

@@ -26,7 +26,7 @@ import numpy as np
 from .analysis import os_predictor, true_mu
 from .dgp import World, draw_target, draw_trial, gp_world
 from .domain import CompositeSample, GenerationError, GlmLogitParams, GlmOutcomeParams, KernelParams, ScenarioSpec
-from .domain import csv_text, derive_seed
+from .domain import check_names, csv_text, derive_seed
 from .estimators import (
     EstimatorConfig,
     estimate_abc,
@@ -67,14 +67,6 @@ ESTIMATORS = {
 GP_ESTIMATORS = tuple(name for name, e in ESTIMATORS.items() if not e.nuisances)
 ALL_ESTIMATORS = tuple(ESTIMATORS)
 DEFAULT_DEGREES = (1, 3, 5, 7)
-
-
-def check_estimators(names: Sequence[str]) -> tuple[str, ...]:
-    """``names`` as a tuple; ValueError naming the valid estimators if one is unknown."""
-    unknown = [n for n in names if n not in ESTIMATORS]
-    if unknown:
-        raise ValueError(f"unknown estimators {unknown}; valid: {', '.join(ESTIMATORS)}")
-    return tuple(names)
 
 
 def check_degrees(degrees: Sequence[int]) -> tuple[int, ...]:
@@ -368,12 +360,14 @@ def run_scenario_grid(
     """Run every combo of the grid and aggregate RMSE / bias^2 / variance.
 
     All templates must share a master seed.  Deterministic for a fixed seed
-    regardless of ``workers``.  Unknown estimator names and invalid degrees
-    raise ValueError before any world is built.
+    regardless of ``workers``.  Unknown estimator names, invalid degrees and
+    non-GP specs raise ValueError before any world is built.
     """
     if not grid:
         raise ValueError("empty grid")
-    estimators, degrees = check_estimators(estimators), check_degrees(degrees)
+    if any(spec.dgp_kind != "gp" for spec in grid):
+        raise ValueError("the scenario grid runs GP worlds only; GLM worlds run in run_table2")
+    estimators, degrees = check_names("estimators", estimators, ESTIMATORS), check_degrees(degrees)
     seeds = {spec.master_seed for spec in grid}
     if len(seeds) != 1:
         raise ValueError("all grid templates must share one master seed")

@@ -97,3 +97,32 @@ def test_degrees_and_combo_validation(tmp_path):
     for flag, value in [("--degrees", "-1"), ("--degrees", ""), ("--degrees", "1,1"), ("--combo", "lx")]:
         with pytest.raises(SystemExit, match=flag):
             main(["figure3", flag, value, "--scale", "0.01", "--out", str(tmp_path)])
+
+
+def test_check_names_and_workers_validation(tmp_path, monkeypatch):
+    import pytest
+
+    from ppgen import cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli, "run_checks", no_run)
+    with pytest.raises(SystemExit, match="--check: .*nope.*valid: orthonormality, prop1"):
+        main(["checks", "--check", "orthonormality,nope", "--out", str(tmp_path)])
+    for workers in ("0", "-3"):
+        with pytest.raises(SystemExit, match="--workers"):
+            main(["checks", "--check", "orthonormality", "--workers", workers, "--out", str(tmp_path)])
+
+
+def test_error_inside_a_check_propagates(tmp_path, monkeypatch):
+    import pytest
+
+    from ppgen import checks
+
+    def failing(seed, scaled):
+        raise ValueError("raised inside a check")
+
+    monkeypatch.setitem(checks.CHECKS, "orthonormality", failing)
+    with pytest.raises(ValueError, match="raised inside a check"):
+        main(["checks", "--check", "orthonormality", "--out", str(tmp_path)])

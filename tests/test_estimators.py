@@ -195,6 +195,28 @@ def test_abc_equals_os_om_minus_mean_bias_fit():
     assert abc.point_estimate == pytest.approx(float(expected), abs=1e-12)
 
 
+def test_trial_fit_variants_are_the_three_regressions():
+    from ppgen.estimators import trial_fit
+    from ppgen.regression import ridge_cv
+
+    rng = np.random.default_rng(12)
+    x1 = rng.uniform(-1, 1, 80)
+    y1 = np.sin(2 * x1) + rng.normal(0, 0.1, 80)
+    f = CallablePredictor(lambda x: x**3)
+    cfg = EstimatorConfig(degree=2, fold_seed=3)
+    expected = {
+        "om": ridge_cv(x1, y1, 2, fold_seed=3),
+        "abc": ridge_cv(x1, f.predict(x1) - y1, 2, fold_seed=3),
+        "aom": ridge_cv(x1, y1, 2, fold_seed=3, extra_column=f),
+    }
+    for kind, want in expected.items():
+        got = trial_fit(kind, x1, y1, f, cfg)
+        assert got.penalty == want.penalty
+        assert np.array_equal(got.coefficients, want.coefficients)
+    with pytest.raises(ValueError, match="ipw"):
+        trial_fit("ipw", x1, y1, f, cfg)
+
+
 # -- AOM --------------------------------------------------------------------------
 
 

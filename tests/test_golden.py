@@ -14,9 +14,18 @@ ab6bcb08dc70e623f4299213c2a2908c1241a575 with
     python -m ppgen.cli export-world --seed 7 --scale 0.01 --workers 1 --out tests/golden
     (cd tests/golden && sha256sum world_grid.csv > world_grid.csv.sha256)
 
-keeping the CSVs, and of the 1 MB lattice only its digest.  JSON payloads
-carry a run time, so they are not stored; every one written is parsed
-strictly instead (no NaN or Infinity tokens).
+keeping the CSVs, and of the 1 MB lattice only its digest.  The theory
+checks were pinned by commit d5d3de66529314c2307f5bac35b1077a974da987 with
+
+    python -m ppgen.cli checks --check theorem1,theorem2,theorem3,lemma2 \
+        --seed 7 --scale 0.01 --workers 1 --out tests/golden
+    mv tests/golden/checks.csv tests/golden/theory_checks.csv
+
+and world_fits.csv was written again by the export-world command above once
+numpy scalars were written as plain numbers (every cell equals the old cell
+without its ``np.float64(...)`` wrapper).  JSON payloads carry a run time, so
+they are not stored; every one written is parsed strictly instead (no NaN or
+Infinity tokens).
 """
 
 import csv
@@ -33,13 +42,16 @@ GOLDEN = Path(__file__).parent / "golden"
 COMMON = ["--seed", "7", "--scale", "0.01", "--workers", "1"]
 COMBO = ["--combo", "lx=0.5,conf=mid"]
 
+# command -> (arguments, {file written: golden file})
 RUNS = {
-    "figure3": (["figure3", *COMBO], ["figure3.csv"]),
-    "ipwdr": (["ipwdr", *COMBO], ["ipwdr.csv"]),
-    "noise-robustness": (["noise-robustness", *COMBO], ["noise_robustness.csv"]),
-    "table2": (["table2"], ["table2.csv"]),
-    "checks": (["checks", "--check", "orthonormality,prop1,oracle"], ["checks.csv"]),
-    "export-world": (["export-world"], ["world_fits.csv"]),
+    "figure3": (["figure3", *COMBO], {"figure3.csv": "figure3.csv"}),
+    "ipwdr": (["ipwdr", *COMBO], {"ipwdr.csv": "ipwdr.csv"}),
+    "noise-robustness": (["noise-robustness", *COMBO], {"noise_robustness.csv": "noise_robustness.csv"}),
+    "table2": (["table2"], {"table2.csv": "table2.csv"}),
+    "checks": (["checks", "--check", "orthonormality,prop1,oracle"], {"checks.csv": "checks.csv"}),
+    "theory-checks": (["checks", "--check", "theorem1,theorem2,theorem3,lemma2"],
+                      {"checks.csv": "theory_checks.csv"}),
+    "export-world": (["export-world"], {"world_fits.csv": "world_fits.csv"}),
 }
 
 
@@ -55,8 +67,8 @@ def _cells(text: str) -> list[list[str]]:
 def test_golden_outputs(command, tmp_path):
     argv, files = RUNS[command]
     assert main([*argv, *COMMON, "--out", str(tmp_path)]) == 0
-    for name in files:
-        got, want = (tmp_path / name).read_text(), (GOLDEN / name).read_text()
+    for name, golden in files.items():
+        got, want = (tmp_path / name).read_text(), (GOLDEN / golden).read_text()
         if name == "checks.csv":
             # quoted only where CSV needs it; the cells are unchanged
             assert _cells(got) == _cells(want)
@@ -71,4 +83,4 @@ def test_golden_outputs(command, tmp_path):
     if command == "noise-robustness":
         # one run per scenario leaves the Monte Carlo SE of the AOM-OM gap undefined
         entries = payloads["noise_robustness.json"]["robustness_report"]["entries"]
-        assert entries and all(e["se"] is None for e in entries)
+        assert entries and all(e["se"] is None and e["within_2se"] is None for e in entries)

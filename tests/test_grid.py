@@ -134,6 +134,23 @@ def test_unknown_estimator_rejected_before_any_world(monkeypatch):
         run_scenario_grid(small_grid()[:1], degrees=(-1,), n_scenarios=1, n_runs=1)
 
 
+def test_glm_spec_rejected_before_any_world(monkeypatch):
+    from dataclasses import replace
+
+    from ppgen import grid
+
+    world = grid._sample_glm_world(TABLE2_ROWS[0], 11, 0)
+    glm = replace(small_grid()[0], dgp_kind="glm", fom_params=world.fom,
+                  ps_params=world.ps_logit, pa_params=world.pa_logit)
+
+    def no_world(*args):
+        raise AssertionError("a world was built")
+
+    monkeypatch.setattr(grid, "gp_world", no_world)
+    with pytest.raises(ValueError, match="GP worlds only"):
+        run_scenario_grid([glm], n_scenarios=1, n_runs=1)
+
+
 def test_grid_requires_shared_master_seed():
     specs = small_grid(seed=1)[:1] + small_grid(seed=2)[:1]
     with pytest.raises(ValueError):
