@@ -41,10 +41,10 @@ class OracleResult:
 
 def _target_weighted_integral(world: World, a: int, order: int) -> float:
     nodes, weights = gauss_legendre_nodes(order)
-    xg, ug = np.meshgrid(nodes, nodes, indexing="ij")
+    xg, ug = nodes[:, None], nodes[None, :]
     w2 = weights[:, None] * weights[None, :]
-    density = 1.0 - world.participation_prob(xg.ravel(), ug.ravel()).reshape(order, order)
-    fom = world.outcome(a, xg.ravel(), ug.ravel()).reshape(order, order)
+    density = 1.0 - world.participation_prob(xg, ug)
+    fom = world.outcome(a, xg, ug)
     return float(np.sum(w2 * density * fom) / np.sum(w2 * density))
 
 
@@ -77,14 +77,10 @@ def true_outcome_function(world: World, a: int, xs: np.ndarray, order: int = 64)
     probability at (x, u).
     """
     nodes, weights = gauss_legendre_nodes(order)
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    xg = np.repeat(xs, order)
-    ug = np.tile(nodes, xs.shape[0])
-    ps = world.participation_prob(xg, ug).reshape(xs.shape[0], order)
-    fom = world.outcome(a, xg, ug).reshape(xs.shape[0], order)
-    num = np.sum(weights[None, :] * ps * fom, axis=1)
-    den = np.sum(weights[None, :] * ps, axis=1)
-    return num / den
+    xg = np.atleast_1d(np.asarray(xs, dtype=float))[:, None]
+    weighted_ps = weights[None, :] * world.participation_prob(xg, nodes[None, :])
+    fom = world.outcome(a, xg, nodes[None, :])
+    return np.sum(weighted_ps * fom, axis=1) / np.sum(weighted_ps, axis=1)
 
 
 def tilted_participation(world: World, n1: int, n0: int, order: int = 64) -> Callable[[np.ndarray], np.ndarray]:
@@ -96,16 +92,13 @@ def tilted_participation(world: World, n1: int, n0: int, order: int = 64) -> Cal
     one, so the oracle-weight checks must use it.
     """
     nodes, weights = gauss_legendre_nodes(order)
-    xg, ug = np.meshgrid(nodes, nodes, indexing="ij")
-    p_grid = world.participation_prob(xg.ravel(), ug.ravel()).reshape(order, order)
+    p_grid = world.participation_prob(nodes[:, None], nodes[None, :])
     w2 = weights[:, None] * weights[None, :]
     p_marg = float(np.sum(w2 * p_grid) / np.sum(w2))
 
     def p_of_x(x: np.ndarray) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        xr = np.repeat(x, order)
-        ur = np.tile(nodes, x.shape[0])
-        ps = world.participation_prob(xr, ur).reshape(x.shape[0], order)
+        ps = world.participation_prob(x[:, None], nodes[None, :])
         p_x = np.sum(weights[None, :] * ps, axis=1) / np.sum(weights)
         lift1 = n1 / p_marg
         lift0 = n0 / (1.0 - p_marg)

@@ -10,6 +10,7 @@ basis, oracle agreement, and double robustness of the weighted estimators.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -40,7 +41,7 @@ from .estimators import (
     trial_fit,
 )
 from .grid import grid_kernels
-from .regression import CallablePredictor, legendre_eval
+from .regression import CallablePredictor, ConstantPredictor, TablePredictor, legendre_eval
 
 
 @dataclass(frozen=True)
@@ -155,10 +156,13 @@ def theorem_structural_check(
     The squared-bias term integrates the pointwise refit-averaged deviation
     from the true outcome function over the target draw, the variance term
     is the refit variance of the target-averaged prediction: exactly the two
-    terms of the MSE approximations.
+    terms of the MSE approximations.  The refit variance needs at least two
+    refits; fewer raise ValueError.
     """
     if which not in ("om", "abc", "aom"):
         raise ValueError("which must be om, abc or aom")
+    if n_refits < 2:
+        raise ValueError("need at least 2 refits for a refit variance")
     seed_of = partial(derive_seed, seed, "thm", which)
     world = _check_world(seed_of())
     target = draw_target(world, n0, seed_of("target"))
@@ -293,42 +297,35 @@ def dr_robustness_check(
     n_replications: int = 40,
 ) -> CheckResult:
     """Each DR estimator stays within 3 MC standard errors of the oracle when
-    exactly one nuisance side is deliberately corrupted."""
+    exactly one nuisance side is deliberately corrupted.  The standard error
+    needs at least two replications; fewer raise ValueError."""
+    if n_replications < 2:
+        raise ValueError("need at least 2 replications for a standard error")
     world = _check_world(derive_seed(seed, "dr"), lx=0.5, conf="none")
     mu = true_mu(world, a=1).mu_a
-
-    def g_fn(x):
-        return true_outcome_function(world, 1, x)
-
-    f = CallablePredictor(lambda x: g_fn(x) + 0.3 + 0.5 * x)  # a distorted but fixed predictor
-    b_fn = CallablePredictor(lambda x: 0.3 + 0.5 * x)  # its exact bias
-    g_hat = CallablePredictor(g_fn)
+    b_fn = CallablePredictor(lambda x: 0.3 + 0.5 * x)  # the exact bias of f below
     q = tilted_participation(world, n1, n0)
     nuis_good = NuisanceSet(p_hat_marginal=n1 / (n1 + n0), p_hat=CallablePredictor(q))
-    nuis_bad = NuisanceSet(
-        p_hat_marginal=n1 / (n1 + n0),
-        p_hat=CallablePredictor(lambda x: np.full(np.atleast_1d(x).shape[0], 0.5)),
-    )
+    nuis_bad = NuisanceSet(p_hat_marginal=n1 / (n1 + n0), p_hat=ConstantPredictor(0.5))
     plus_one = lambda fn: CallablePredictor(lambda x: fn.predict(x) + 1.0)
     cfg = EstimatorConfig(degree=3, a=1)
-
-    # each DR estimator with its exact regression component, corrupted or kept
-    trio = (
-        ("dr", lambda s, nuis, fit: estimate_dr_baseline(s, nuis, cfg, outcome_fit=fit), g_hat),
-        ("dr-abc", lambda s, nuis, fit: estimate_dr_abc(s, f, nuis, cfg, bias_fit=fit), b_fn),
-        ("dr-pa", lambda s, nuis, fit: estimate_dr_aom(s, f, nuis, cfg, augmented_fit=fit), g_hat),
-    )
-    cases = {}
-    for name, estimate, exact in trio:
-        cases[(name, "bad-outcome")] = partial(estimate, nuis=nuis_good, fit=plus_one(exact))
-        cases[(name, "bad-weights")] = partial(estimate, nuis=nuis_bad, fit=exact)
-    estimates = {key: [] for key in cases}
+    estimates = defaultdict(list)
     for rep in range(n_replications):
         trial = draw_trial(world, n1, derive_seed(seed, "dr", "trial", rep))
         target = draw_target(world, n0, derive_seed(seed, "dr", "target", rep))
         sample = CompositeSample.concat(trial, target)
-        for key, fn in cases.items():
-            estimates[key].append(fn(sample).point_estimate)
+        # the truth at every point of the sample, computed once for all six cases
+        g_hat = TablePredictor(sample.x, true_outcome_function(world, 1, sample.x))
+        f = CallablePredictor(lambda x: g_hat.predict(x) + 0.3 + 0.5 * x)  # distorted but fixed
+        # each DR estimator with its exact regression component, corrupted or kept
+        trio = (
+            ("dr", lambda nuis, fit: estimate_dr_baseline(sample, nuis, cfg, outcome_fit=fit), g_hat),
+            ("dr-abc", lambda nuis, fit: estimate_dr_abc(sample, f, nuis, cfg, bias_fit=fit), b_fn),
+            ("dr-pa", lambda nuis, fit: estimate_dr_aom(sample, f, nuis, cfg, augmented_fit=fit), g_hat),
+        )
+        for name, estimate, exact in trio:
+            estimates[name, "bad-outcome"].append(estimate(nuis_good, plus_one(exact)).point_estimate)
+            estimates[name, "bad-weights"].append(estimate(nuis_bad, exact).point_estimate)
     details = []
     passed = True
     for key, vals in estimates.items():

@@ -39,6 +39,13 @@ from .grid import (
 
 DEFAULT_SEED = 1729
 
+# The selection flags each command reads; giving one to a command that would
+# ignore it is an error.
+_GRID_FLAGS = ("combo", "estimators", "degrees", "max-failures")
+SELECTIONS = {"figure3": _GRID_FLAGS, "biasvar": _GRID_FLAGS, "ipwdr": _GRID_FLAGS,
+              "noise-robustness": _GRID_FLAGS, "table2": (), "checks": ("check",),
+              "export-world": ("degrees",)}
+
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="JSON config file; flags override it")
@@ -91,6 +98,9 @@ class RunConfig:
             return file_cfg.get(name, default)
 
         self.command = args.command
+        for flag in ("combo", "estimators", "degrees", "check", "max-failures"):
+            if getattr(args, flag.replace("-", "_")) is not None and flag not in SELECTIONS[self.command]:
+                raise SystemExit(f"--{flag}: {self.command} does not use this flag")
         self.scale = float(pick("scale", 1.0))
         if not 0.0 < self.scale <= 1.0:
             raise SystemExit("--scale must lie in (0, 1]")

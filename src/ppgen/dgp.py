@@ -73,13 +73,21 @@ class GridFunction:
         iu = np.minimum(tu.astype(np.int64), g - 1)
         fx = tx - ix
         fu = tu - iu
-        v = self.values
-        return (
-            v[ix, iu] * (1 - fx) * (1 - fu)
-            + v[ix + 1, iu] * fx * (1 - fu)
-            + v[ix, iu + 1] * (1 - fx) * fu
-            + v[ix + 1, iu + 1] * fx * fu
-        )
+        gx, gu = 1 - fx, 1 - fu
+        # values[ix + i, iu + j] is the row-major lattice at k + i*G + j.  The
+        # four corner terms are formed and summed in place, in the order of
+        # v00*gx*gu + v10*fx*gu + v01*gx*fu + v11*fx*fu.
+        k = ix * self.grid_size + iu
+        flat = self.values.ravel()
+        out = flat.take(k)
+        out *= gx
+        out *= gu
+        for offset, wx, wu in ((self.grid_size, fx, gu), (1, gx, fu), (self.grid_size + 1, fx, fu)):
+            term = flat[offset:].take(k)
+            term *= wx
+            term *= wu
+            out += term
+        return out
 
 
 def _se_factor_cholesky(lattice: np.ndarray, length_scale: float | None) -> np.ndarray:

@@ -332,9 +332,10 @@ class GridResult:
                 total += rmse / len(per_degree)
                 inf = e2 / (2 * rmse * len(per_degree))
                 influence = inf if influence is None else influence + inf
-            keep = ~np.isnan(influence)
+            kept = influence[~np.isnan(influence)]
             means.append(total)
-            var_terms.append(float(np.var(influence[keep], ddof=1)) / int(keep.sum()))
+            # fewer than two successful runs leave the variance undefined
+            var_terms.append(float(np.var(kept, ddof=1)) / kept.shape[0] if kept.shape[0] >= 2 else math.nan)
         return float(np.mean(means)), math.sqrt(sum(var_terms)) / n_scen
 
     def rmse_gap(self, combo: str, est_ref: str, est_other: str, degrees) -> tuple[float, float]:

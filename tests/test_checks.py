@@ -48,6 +48,14 @@ def test_dr_robustness_reduced_scale():
     assert res.passed, res.detail
 
 
+def test_one_replication_is_an_error():
+    """A single replication or refit leaves the standard error undefined."""
+    with pytest.raises(ValueError, match="at least 2 replications"):
+        dr_robustness_check(seed=5, n1=200, n0=600, n_replications=1)
+    with pytest.raises(ValueError, match="at least 2 refits"):
+        theorem_structural_check("om", seed=9, n_refits=1, n0=400, n_os=500)
+
+
 def test_oracle_agreement_reduced_scale():
     res = oracle_agreement_check(seed=5, n_draws=100_000)
     assert res.passed, res.detail

@@ -126,3 +126,26 @@ def test_error_inside_a_check_propagates(tmp_path, monkeypatch):
     monkeypatch.setitem(checks.CHECKS, "orthonormality", failing)
     with pytest.raises(ValueError, match="raised inside a check"):
         main(["checks", "--check", "orthonormality", "--out", str(tmp_path)])
+
+
+def test_commands_reject_selection_flags_they_ignore(tmp_path, monkeypatch):
+    import pytest
+
+    from ppgen import cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "run_table2", no_run)
+    monkeypatch.setattr(cli, "run_checks", no_run)
+    monkeypatch.setattr(cli, "run_scenario_grid", no_run)
+    cases = [
+        ("table2", "--estimators", "dr"), ("table2", "--degrees", "2"), ("table2", "--combo", "lx=0.9"),
+        ("table2", "--check", "prop1"), ("table2", "--max-failures", "3"),
+        ("checks", "--estimators", "om"), ("checks", "--degrees", "2"), ("checks", "--combo", "lx=0.9"),
+        ("checks", "--max-failures", "3"), ("figure3", "--check", "prop1"),
+        ("export-world", "--estimators", "om"), ("export-world", "--combo", "lx=0.2"),
+    ]
+    for command, flag, value in cases:
+        with pytest.raises(SystemExit, match=f"{flag}: {command} does not use this flag"):
+            main([command, flag, value, "--scale", "0.01", "--out", str(tmp_path)])
