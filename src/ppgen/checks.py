@@ -305,7 +305,6 @@ def dr_robustness_check(
     mu = true_mu(world, a=1).mu_a
     b_fn = CallablePredictor(lambda x: 0.3 + 0.5 * x)  # the exact bias of f below
     q = tilted_participation(world, n1, n0)
-    nuis_good = NuisanceSet(p_hat_marginal=n1 / (n1 + n0), p_hat=CallablePredictor(q))
     nuis_bad = NuisanceSet(p_hat_marginal=n1 / (n1 + n0), p_hat=ConstantPredictor(0.5))
     plus_one = lambda fn: CallablePredictor(lambda x: fn.predict(x) + 1.0)
     cfg = EstimatorConfig(degree=3, a=1)
@@ -316,6 +315,9 @@ def dr_robustness_check(
         sample = CompositeSample.concat(trial, target)
         # the truth at every point of the sample, computed once for all six cases
         g_hat = TablePredictor(sample.x, true_outcome_function(world, 1, sample.x))
+        # the weights read the participation only on the trial arm: tabled once for three cases
+        x1, _ = sample.trial_arm_arrays(cfg.a)
+        nuis_good = NuisanceSet(p_hat_marginal=n1 / (n1 + n0), p_hat=TablePredictor(x1, q(x1)))
         f = CallablePredictor(lambda x: g_hat.predict(x) + 0.3 + 0.5 * x)  # distorted but fixed
         # each DR estimator with its exact regression component, corrupted or kept
         trio = (

@@ -11,6 +11,10 @@ that share a component (the target sample across trial sizes, the outcome
 surface across confounding settings) get bit-identical draws.  This pairs the
 cells, which both stabilizes head-to-head comparisons and makes results
 independent of how work is split across processes.
+
+The OS predictor is fixed within a world, so a task evaluates it on the
+target once per world and, through a run-scoped ``_MemoPredictor``, on each
+run's trial arm once per run, however many estimators and degrees read it.
 """
 
 from __future__ import annotations
@@ -170,34 +174,28 @@ def _map(fn, tasks: list, workers: int) -> list:
 
 
 class _MemoPredictor:
-    """Content-addressed memo around a predictor.
+    """One run's view of the OS predictor: each distinct input is evaluated once.
 
-    The scenario loop evaluates the predictor on the same large target
-    covariate array once per estimator per run; caching by content makes
-    that a single evaluation per scenario.  Only large inputs are cached
-    (the scan compares full arrays, which is cheap next to the predictor),
-    and equality is exact, so results are bit-identical with and without
-    the memo.
+    The predictor is fixed within a run, and every estimator reads it on the
+    same two inputs, the target covariates and the trial arm.  ``known``
+    holds (input, values) pairs already computed (the target's, once per
+    world); any other input is evaluated by ``base`` on first sight and kept
+    for the rest of the run.  Lookup compares whole arrays exactly, so results
+    are bit-identical with and without the memo.
     """
 
-    def __init__(self, base, min_cached_size: int = 1000, max_entries: int = 4):
+    def __init__(self, base, known):
         self.base = base
-        self.min_cached_size = min_cached_size
-        self.max_entries = max_entries
-        self._inputs: list[np.ndarray] = []
-        self._outputs: list[np.ndarray] = []
+        self._known = list(known)
 
     def predict(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape[0] >= self.min_cached_size:
-            for known, value in zip(self._inputs, self._outputs):
-                if known.shape == x.shape and np.array_equal(known, x):
-                    return value
-        value = self.base.predict(x)
-        if x.shape[0] >= self.min_cached_size and len(self._inputs) < self.max_entries:
-            self._inputs.append(x.copy())
-            self._outputs.append(value)
-        return value
+        for inputs, values in self._known:
+            if inputs.shape == x.shape and np.array_equal(inputs, x):
+                return values
+        values = self.base.predict(x)
+        self._known.append((x.copy(), values))
+        return values
 
 
 @dataclass(frozen=True)
@@ -221,7 +219,8 @@ def _run_scenario_task(task: _ScenarioTask) -> list[dict]:
 
     world = gp_world(spec.fom_params, spec.ps_params, spec.pa_params, spec.noise_sigma, seed_of)
     target = draw_target(world, spec.n0, seed_of("target"))
-    predictor = _MemoPredictor(os_predictor(world, spec.n_os, seed_of, spec.predictor_kind))
+    f = os_predictor(world, spec.n_os, seed_of, spec.predictor_kind)
+    f_target = f.predict(target.x)
     mu = true_mu(world, a=1).mu_a
     # os-om first (sorted is stable), then estimators x degrees in the given order
     keyed = [
@@ -239,6 +238,7 @@ def _run_scenario_task(task: _ScenarioTask) -> list[dict]:
             trial = draw_trial(world, n1, derive_seed(seed, "trial", n1, task.scenario, run))
             sample = CompositeSample.concat(trial, target)
             fold_seed = derive_seed(seed, "folds", n1, task.scenario, run)
+            predictor = _MemoPredictor(f, known=[(target.x, f_target)])
             nuis_by_degree = {}
             if needs_nuisance:
                 for deg in task.degrees:
@@ -256,7 +256,7 @@ def _run_scenario_task(task: _ScenarioTask) -> list[dict]:
             if ok.size:
                 rmse = float(np.sqrt(np.mean((ok - mu) ** 2)))
                 bias = float(np.mean(ok) - mu)
-                var = float(np.var(ok, ddof=1)) if ok.size > 1 else 0.0
+                var = float(np.var(ok, ddof=1)) if ok.size > 1 else math.nan  # undefined from one run
             else:
                 rmse = bias = var = math.nan
             rows.append(
@@ -504,19 +504,21 @@ def _run_table2_task(task: _Table2Task) -> list[dict]:
 
     world = _sample_glm_world(row, seed, g)
     target = draw_target(world, task.n0, seed_of("target"))
-    f = _MemoPredictor(os_predictor(world, task.n_os, seed_of))
+    f = os_predictor(world, task.n_os, seed_of)
+    f_target = f.predict(target.x)
     mu = true_mu(world, a=1).mu_a
     sq_errors: dict[tuple[str, int], list[float]] = defaultdict(list)
     for run in range(task.n_runs):
         trial = draw_trial(world, TABLE2_N1, seed_of("trial", run))
         sample = CompositeSample.concat(trial, target)
         fold_seed = seed_of("folds", run)
+        predictor = _MemoPredictor(f, known=[(target.x, f_target)])
         for order in TABLE2_ORDERS:
             cfg = EstimatorConfig(
                 degree=order, a=1, penalty_grid=(TABLE2_PENALTY,), fold_seed=fold_seed
             )
             for name in ("om", "abc"):
-                estimate = ESTIMATORS[name].estimate(sample, f, None, cfg).point_estimate
+                estimate = ESTIMATORS[name].estimate(sample, predictor, None, cfg).point_estimate
                 sq_errors[(name, order)].append((estimate - mu) ** 2)
     return [
         {

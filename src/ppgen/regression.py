@@ -151,32 +151,50 @@ def ridge_cv(
     Held-out squared error is pooled over all points (each is held out
     exactly once); exact ties go to the larger penalty.  The winner is
     refit on all the data, so a one-element grid reproduces ridge_fit.
+    An empty grid or a negative penalty raises ValueError.
     """
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)
-    n = x.shape[0]
-    if not penalty_grid:
-        raise ValueError("penalty grid must be nonempty")
-    if n < n_folds or n_folds < 2:
+    penalties = _penalties(penalty_grid)
+    if x.shape[0] < n_folds or n_folds < 2:
         raise ValueError("need at least n_folds samples and n_folds >= 2")
+    coefs, penalty = _cv_ridge(_design(x, degree, extra_column), y, penalties, n_folds, fold_seed)
+    return RidgeFit(degree, coefs, penalty, extra_column)
+
+
+def _penalties(penalty_grid: Sequence[float]) -> list[float]:
+    """The grid in ascending order; ValueError if it is empty or has a negative penalty."""
     penalties = sorted(penalty_grid)
-    feats = _design(x, degree, extra_column)
-    if len(penalties) == 1:
-        best = 0  # degenerate grid: identical to a plain ridge fit
-    else:
-        errors = _cv_errors(feats, y, penalties, n_folds, fold_seed)
+    if not penalties:
+        raise ValueError("penalty grid must be nonempty")
+    if penalties[0] < 0:
+        raise ValueError("penalty must be nonnegative")
+    return penalties
+
+
+def _cv_ridge(
+    feats: np.ndarray, y: np.ndarray, penalties: list[float], n_folds: int, fold_seed: int
+) -> tuple[np.ndarray, float]:
+    """Coefficients at the cross-validated penalty, and that penalty.
+
+    The full-design Gram and right-hand side are formed once; the folds
+    subtract their held-out rows from them and the winner is solved from them.
+    """
+    gram = feats.T @ feats
+    rhs = feats.T @ y
+    best = 0  # a one-element grid needs no sweep
+    if len(penalties) > 1:
+        errors = _cv_errors(feats, y, gram, rhs, penalties, n_folds, fold_seed)
         best = max(np.flatnonzero(errors == errors.min()))  # ties -> larger penalty
-    coefs = ridge_solve(feats, y, penalties[best])
-    return RidgeFit(degree, coefs, penalties[best], extra_column)
+    return _solve_gram(gram, rhs, penalties[best]), penalties[best]
 
 
 def _cv_errors(
-    feats: np.ndarray, y: np.ndarray, penalties: Sequence[float], n_folds: int, fold_seed: int
+    feats: np.ndarray, y: np.ndarray, gram_all: np.ndarray, rhs_all: np.ndarray,
+    penalties: Sequence[float], n_folds: int, fold_seed: int,
 ) -> np.ndarray:
     """Pooled held-out squared error per penalty."""
     n = feats.shape[0]
-    gram_all = feats.T @ feats
-    rhs_all = feats.T @ y
     sse = np.zeros(len(penalties))
     for idx in cv_fold_indices(n, n_folds, fold_seed):
         f_hold, y_hold = feats[idx], y[idx]
@@ -186,6 +204,15 @@ def _cv_errors(
         resid = y_hold[None, :] - coefs @ f_hold.T
         sse += np.sum(resid**2, axis=1)
     return sse / n
+
+
+def _cosine_features(x: np.ndarray, freqs: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Random cosine features sqrt(2/m) cos(x w + b), built in one buffer."""
+    out = x[:, None] * freqs[None, :]
+    out += phases[None, :]
+    np.cos(out, out=out)
+    out *= np.sqrt(2.0 / freqs.shape[0])
+    return out
 
 
 @dataclass(frozen=True)
@@ -204,19 +231,11 @@ class RandomFeatureFit:
     penalty: float
     seed: int
 
-    @property
-    def n_features(self) -> int:
-        return self.frequencies.shape[0]
-
-    def _features(self, x: np.ndarray) -> np.ndarray:
-        z = x[:, None] * self.frequencies[None, :] + self.phases[None, :]
-        return np.cos(z) * np.sqrt(2.0 / self.n_features)
-
     def predict(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if self.coefficients.size == 0:  # degenerate constant fallback
             return np.full(x.shape[0], self.intercept)
-        return self._features(x) @ self.coefficients + self.intercept
+        return _cosine_features(x, self.frequencies, self.phases) @ self.coefficients + self.intercept
 
 
 def _median_bandwidth(x: np.ndarray, rng: np.random.Generator) -> float:
@@ -239,9 +258,11 @@ def flexible_fit(
     Requires at least 50 training points.  Targets are centered so the
     intercept is not penalized; training MSE therefore never exceeds the
     target variance.  All-identical inputs fall back to the target mean.
+    An empty grid or a negative penalty raises ValueError.
     """
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)
+    penalties = _penalties(penalty_grid)
     if x.shape[0] < 50:
         raise ValueError("flexible fit needs at least 50 training points")
     rng = np.random.default_rng(seed)
@@ -259,14 +280,9 @@ def flexible_fit(
     freqs = rng.standard_normal(n_features) / bandwidth
     phases = rng.uniform(0.0, 2.0 * np.pi, n_features)
     fold_seed = int(rng.integers(2**63))
-    feats = np.cos(x[:, None] * freqs[None, :] + phases[None, :]) * np.sqrt(2.0 / n_features)
     y_mean = float(np.mean(y))
-    yc = y - y_mean
-    penalties = sorted(penalty_grid)
-    errors = _cv_errors(feats, yc, penalties, n_folds, fold_seed)
-    best = max(np.flatnonzero(errors == errors.min()))
-    coefs = ridge_solve(feats, yc, penalties[best])
-    return RandomFeatureFit(freqs, phases, coefs, y_mean, bandwidth, penalties[best], seed)
+    coefs, penalty = _cv_ridge(_cosine_features(x, freqs, phases), y - y_mean, penalties, n_folds, fold_seed)
+    return RandomFeatureFit(freqs, phases, coefs, y_mean, bandwidth, penalty, seed)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,11 @@ checks were pinned by commit d5d3de66529314c2307f5bac35b1077a974da987 with
 
 and world_fits.csv was written again by the export-world command above once
 numpy scalars were written as plain numbers (every cell equals the old cell
-without its ``np.float64(...)`` wrapper).  JSON payloads carry a run time, so
+without its ``np.float64(...)`` wrapper).  figure3.csv, ipwdr.csv and
+noise_robustness.csv were written again by the grid commands above once a
+scenario with a single successful run reported its variance as undefined:
+each of their variance cells went from 0.0 to nan, and every other cell is
+unchanged (checked by script).  JSON payloads carry a run time, so
 they are not stored; every one written is parsed strictly instead (no NaN or
 Infinity tokens).
 """

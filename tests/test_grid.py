@@ -46,6 +46,15 @@ def test_single_cell_grid_rows():
     assert all(np.isfinite(r["rmse"]) for r in result.combo_rows)
 
 
+def test_variance_is_undefined_from_one_run():
+    spec = small_grid(predictor_kind="iid_noise")[:1]
+    one = run_scenario_grid(spec, estimators=("om",), degrees=(1,), n_scenarios=1, n_runs=1)
+    assert np.isnan(one.scenario_rows[0]["variance"]) and np.isnan(one.combo_rows[0]["variance"])
+    assert np.isfinite(one.combo_rows[0]["rmse"])
+    two = run_scenario_grid(spec, estimators=("om",), degrees=(1,), n_scenarios=1, n_runs=2)
+    assert np.isfinite(two.combo_rows[0]["variance"])
+
+
 def test_grid_runs_weighting_estimators():
     from ppgen.grid import ALL_ESTIMATORS
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ppgen import regression
 from ppgen.regression import (
     CallablePredictor,
     ConstantPredictor,
@@ -146,6 +147,18 @@ def test_ridge_cv_too_few_samples():
         ridge_cv([0.1, 0.2, 0.3], [1, 2, 3], degree=1, penalty_grid=(1.0,), n_folds=5)
 
 
+def _no_sweep(*args):
+    raise AssertionError("the grid must be checked before any sweep")
+
+
+@pytest.mark.parametrize("grid, message", [((), "nonempty"), ((1.0, -0.5, 2.0), "nonnegative")])
+def test_ridge_cv_rejects_bad_grid_up_front(monkeypatch, grid, message):
+    monkeypatch.setattr(regression, "_gram_penalty_sweep", _no_sweep)
+    rng = np.random.default_rng(5)
+    with pytest.raises(ValueError, match=message):
+        ridge_cv(rng.uniform(-1, 1, 40), rng.normal(0, 1, 40), degree=2, penalty_grid=grid)
+
+
 def test_ridge_prediction_is_pure():
     rng = np.random.default_rng(4)
     fit = ridge_fit(rng.uniform(-1, 1, 20), rng.normal(0, 1, 20), degree=2, penalty=0.1)
@@ -200,6 +213,14 @@ def test_flexible_fit_training_mse_bounded_by_variance():
 def test_flexible_fit_needs_50_points():
     with pytest.raises(ValueError):
         flexible_fit(np.linspace(-1, 1, 49), np.zeros(49))
+
+
+@pytest.mark.parametrize("grid, message", [((), "nonempty"), ((1.0, -0.5, 2.0), "nonnegative")])
+def test_flexible_fit_rejects_bad_grid_up_front(monkeypatch, grid, message):
+    monkeypatch.setattr(regression, "_gram_penalty_sweep", _no_sweep)
+    rng = np.random.default_rng(6)
+    with pytest.raises(ValueError, match=message):
+        flexible_fit(rng.uniform(-1, 1, 200), rng.normal(0, 1, 200), penalty_grid=grid)
 
 
 # -- logistic fit ---------------------------------------------------------------
