@@ -48,6 +48,7 @@ from .regression import (
 from .estimators import (
     EstimatorConfig,
     NuisanceSet,
+    Target,
     estimate_abc,
     estimate_aom,
     estimate_dr_abc,

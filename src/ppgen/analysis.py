@@ -10,7 +10,7 @@ approximations are stated in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -28,8 +28,12 @@ from .dgp import (
 from .regression import flexible_fit, legendre_eval, ridge_cv
 
 
+@cache
 def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+    """The n-point Gauss-Legendre nodes and weights, computed once per n and read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass(frozen=True)

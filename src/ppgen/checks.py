@@ -33,6 +33,7 @@ from .domain import TARGET, TRIAL, CompositeSample, check_names, derive_seed
 from .estimators import (
     EstimatorConfig,
     NuisanceSet,
+    Target,
     categorical_point_estimate,
     estimate_dr_abc,
     estimate_dr_aom,
@@ -165,19 +166,11 @@ def theorem_structural_check(
         raise ValueError("need at least 2 refits for a refit variance")
     seed_of = partial(derive_seed, seed, "thm", which)
     world = _check_world(seed_of())
-    target = draw_target(world, n0, seed_of("target"))
-    target_x = target.x_array()
+    target_x = draw_target(world, n0, seed_of("target")).x_array()
     mu = true_mu(world, a=1).mu_a
     g_true = true_outcome_function(world, 1, target_x)
-    # the fit's design on the target, built once rather than per refit
-    design = legendre_eval(target_x, degree)
-
-    f = None
-    if which in ("abc", "aom"):
-        f = os_predictor(world, n_os, seed_of)
-        f_target = f.predict(target_x)
-        if which == "aom":
-            design = np.column_stack([design, f_target])
+    f = os_predictor(world, n_os, seed_of) if which in ("abc", "aom") else None
+    target = Target(target_x, f)  # the fit's design on the target, built once rather than per refit
 
     m = np.empty(n_refits)
     pointwise_sum = np.zeros(target_x.shape[0])
@@ -185,9 +178,9 @@ def theorem_structural_check(
         trial = draw_trial(world, n1, seed_of("trial", r))
         x1, y1 = trial.trial_arm_arrays(1)
         fit = trial_fit(which, x1, y1, f, EstimatorConfig(degree, fold_seed=seed_of("folds", r)))
-        pred = design @ fit.coefficients
+        pred = target.design(which, degree) @ fit.coefficients
         if which == "abc":
-            pred = f_target - pred
+            pred = target.f - pred
         m[r] = float(np.mean(pred))
         pointwise_sum += pred
 

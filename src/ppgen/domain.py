@@ -114,7 +114,7 @@ class CompositeSample:
             object.__setattr__(self, name, col.astype(np.int64 if integral else float, copy=False))
         if len({getattr(self, name).shape[0] for name in _COLUMNS}) != 1:
             raise ValueError("columns must have equal lengths")
-        if not np.isin(self.s, _LABELS).all():
+        if not ((self.s == TARGET) | (self.s == TRIAL) | (self.s == OS)).all():
             raise ValueError(f"unknown population label in {np.unique(self.s)}")
         has_a = self.a != -1
         if not (np.array_equal(has_a, ~np.isnan(self.y)) and np.array_equal(has_a, self.s != TARGET)):

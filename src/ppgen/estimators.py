@@ -7,16 +7,22 @@ and three doubly-robust combinations (DR, DR-ABC, DR-PA).
 
 Every estimator sees only observed covariates, treatments and outcomes; the
 hidden covariate never enters any code path here.
+
+The regression estimators and their DR versions read the target sample only
+through a ``Target``, which computes the OS predictor's values and each fit's
+design on it once.  A caller that estimates many times on one target sample
+passes one as ``target=``; without it, each estimate builds its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .domain import TRIAL, CompositeSample, EstimateRecord, PositivityError
-from .regression import DEFAULT_PENALTY_GRID, RidgeFit, logistic_fit, ridge_cv
+from .regression import DEFAULT_PENALTY_GRID, RidgeFit, _augment, _design, logistic_fit, ridge_cv
 
 
 @dataclass(frozen=True)
@@ -63,6 +69,44 @@ def fit_nuisances(
     return NuisanceSet(p_hat_marginal=sample.n1 / (sample.n1 + sample.n0), p_hat=fit)
 
 
+class Target:
+    """The target sample as the estimators read it, for one world.
+
+    ``x`` holds the target covariates, ``f`` the OS predictor's values on
+    them, and ``design(kind, degree)`` the design of trial fit ``kind`` on
+    them: the Legendre features up to ``degree``, with ``f`` appended as the
+    last column for AOM (OM and ABC share one).  Each piece is computed on
+    first use and kept, so the runs, estimators and degrees of a world share
+    one evaluation.  ``predictor`` must be the OS predictor the estimators are
+    given, or agree with it on ``x``.
+    """
+
+    def __init__(self, x, predictor=None):
+        self.x = np.atleast_1d(np.asarray(x, dtype=float))
+        self._predictor = predictor
+        self._designs: dict[tuple[bool, int], np.ndarray] = {}
+
+    @cached_property
+    def f(self) -> np.ndarray:
+        if self._predictor is None:
+            raise ValueError("this target has no predictor")
+        return self._predictor.predict(self.x)
+
+    def design(self, kind: str, degree: int) -> np.ndarray:
+        key = (kind == "aom", degree)
+        if key not in self._designs:
+            # the same matrix RidgeFit.predict builds, so products with it are bit-identical
+            if kind == "aom":
+                self._designs[key] = _augment(self.design("om", degree), self.f)
+            else:
+                self._designs[key] = _design(self.x, degree, None)
+        return self._designs[key]
+
+
+def _target_of(sample: CompositeSample, f_a, target: Target | None) -> Target:
+    return Target(sample.target_x(), f_a) if target is None else target
+
+
 def _response(kind: str, x, y, f_a):
     """What variant ``kind`` regresses: ``y``, or for ABC the bias ``f(x) - y``."""
     return f_a.predict(x) - y if kind == "abc" else y
@@ -98,31 +142,35 @@ def _sample_fit(kind: str, sample: CompositeSample, f_a, cfg: EstimatorConfig) -
     return trial_fit(kind, x, y, f_a, cfg)
 
 
-def _regression_estimate(kind: str, sample: CompositeSample, f_a, cfg: EstimatorConfig) -> EstimateRecord:
+def _regression_estimate(
+    kind: str, sample: CompositeSample, f_a, cfg: EstimatorConfig, target: Target | None
+) -> EstimateRecord:
     """The target average of the trial fit; for ABC, of ``f`` minus the fitted bias."""
     fit = _sample_fit(kind, sample, f_a, cfg)
-    x0 = sample.target_x()
-    pred = f_a.predict(x0) - fit.predict(x0) if kind == "abc" else fit.predict(x0)
+    target = _target_of(sample, f_a, target)
+    pred = target.design(kind, fit.degree) @ fit.coefficients
+    if kind == "abc":
+        pred = target.f - pred
     return EstimateRecord(kind, cfg.degree, float(np.mean(pred)), cfg.a)
 
 
-def estimate_om(sample: CompositeSample, cfg: EstimatorConfig) -> EstimateRecord:
+def estimate_om(sample: CompositeSample, cfg: EstimatorConfig, *, target: Target | None = None) -> EstimateRecord:
     """Outcome model: fit the trial arm, average predictions over the target."""
-    return _regression_estimate("om", sample, None, cfg)
+    return _regression_estimate("om", sample, None, cfg, target)
 
 
-def estimate_abc(sample: CompositeSample, f_a, cfg: EstimatorConfig) -> EstimateRecord:
+def estimate_abc(sample: CompositeSample, f_a, cfg: EstimatorConfig, *, target: Target | None = None) -> EstimateRecord:
     """Additive bias correction: subtract a trial-fitted bias of the predictor.
 
     Fits the prediction errors z_i = f(x_i) - y_i on the trial arm, then
     averages f - fitted-bias over the target.
     """
-    return _regression_estimate("abc", sample, f_a, cfg)
+    return _regression_estimate("abc", sample, f_a, cfg, target)
 
 
-def estimate_aom(sample: CompositeSample, f_a, cfg: EstimatorConfig) -> EstimateRecord:
+def estimate_aom(sample: CompositeSample, f_a, cfg: EstimatorConfig, *, target: Target | None = None) -> EstimateRecord:
     """Augmented outcome model: the predictor becomes an extra regressor."""
-    return _regression_estimate("aom", sample, f_a, cfg)
+    return _regression_estimate("aom", sample, f_a, cfg, target)
 
 
 def categorical_point_estimate(target_props: np.ndarray, group_means: np.ndarray) -> float:
@@ -152,11 +200,11 @@ def estimate_om_categorical(sample: CompositeSample, a: int) -> EstimateRecord:
     return EstimateRecord("om-categorical", 0, est, a)
 
 
-def estimate_os_om(sample: CompositeSample, f_a) -> EstimateRecord:
+def estimate_os_om(sample: CompositeSample, f_a, *, target: Target | None = None) -> EstimateRecord:
     """Average the observational predictor over the target sample; no trial data."""
     if sample.n0 < 1:
         raise ValueError("no target records")
-    est = float(np.mean(f_a.predict(sample.target_x())))
+    est = float(np.mean(_target_of(sample, f_a, target).f))
     return EstimateRecord("os-om", -1, est, 1)
 
 
@@ -165,9 +213,9 @@ def estimate_os_om(sample: CompositeSample, f_a) -> EstimateRecord:
 
 def _weight_pieces(sample: CompositeSample, nuis: NuisanceSet, a: int):
     """Shared scaffolding for the weighted estimators: the trial-arm covariates
-    and outcomes, the target covariates, the inverse-odds weights on the trial
-    arm, the 1/(n(1-p)) normalizer over the n trial and target records, and
-    any extreme-weight warnings."""
+    and outcomes, the inverse-odds weights on the trial arm, the 1/(n(1-p))
+    normalizer over the n trial and target records, and any extreme-weight
+    warnings."""
     x1, y1 = sample.trial_arm_arrays(a)
     p_x = np.asarray(nuis.p_hat.predict(x1), dtype=float)
     warnings = ()
@@ -175,12 +223,12 @@ def _weight_pieces(sample: CompositeSample, nuis: NuisanceSet, a: int):
         warnings = ("extreme participation probabilities in inverse-odds weights",)
     weights = (1.0 - p_x) / (p_x * nuis.pi_a)
     norm = 1.0 / ((sample.n1 + sample.n0) * (1.0 - nuis.p_hat_marginal))
-    return x1, y1, sample.target_x(), weights, norm, warnings
+    return x1, y1, weights, norm, warnings
 
 
 def estimate_ipw(sample: CompositeSample, nuis: NuisanceSet, a: int = 1) -> EstimateRecord:
     """Inverse-odds weighting of trial-arm outcomes."""
-    _, y1, _, weights, norm, warns = _weight_pieces(sample, nuis, a)
+    _, y1, weights, norm, warns = _weight_pieces(sample, nuis, a)
     if not y1.size:
         raise ValueError("empty trial arm")
     est = norm * float(np.sum(weights * y1))
@@ -188,17 +236,23 @@ def estimate_ipw(sample: CompositeSample, nuis: NuisanceSet, a: int = 1) -> Esti
 
 
 def _dr_estimate(
-    kind: str, name: str, sample: CompositeSample, f_a, nuis: NuisanceSet, cfg: EstimatorConfig, fit
+    kind: str, name: str, sample: CompositeSample, f_a, nuis: NuisanceSet, cfg: EstimatorConfig, fit,
+    target: Target | None,
 ) -> EstimateRecord:
     """``norm * (sum fit(x0) + sum w * (response - fit(x1)))`` of variant ``kind``
-    (its own trial fit when ``fit`` is None); ABC subtracts it from mean f(x0)."""
+    (its own trial fit when ``fit`` is None); ABC subtracts it from mean f(x0).
+    Only its own fit is read through the target's design; a given fit predicts."""
+    target = _target_of(sample, f_a, target)
     if fit is None:
         fit = _sample_fit(kind, sample, f_a, cfg)
-    x1, y1, x0, weights, norm, warns = _weight_pieces(sample, nuis, cfg.a)
+        fit_x0 = target.design(kind, fit.degree) @ fit.coefficients
+    else:
+        fit_x0 = fit.predict(target.x)
+    x1, y1, weights, norm, warns = _weight_pieces(sample, nuis, cfg.a)
     resid = _response(kind, x1, y1, f_a) - fit.predict(x1)
-    est = norm * (float(np.sum(fit.predict(x0))) + float(np.sum(weights * resid)))
+    est = norm * (float(np.sum(fit_x0)) + float(np.sum(weights * resid)))
     if kind == "abc":
-        est = float(np.mean(f_a.predict(x0))) - est
+        est = float(np.mean(target.f)) - est
     return EstimateRecord(name, cfg.degree, est, cfg.a, warnings=warns)
 
 
@@ -207,13 +261,15 @@ def estimate_dr_baseline(
     nuis: NuisanceSet,
     cfg: EstimatorConfig,
     outcome_fit=None,
+    *,
+    target: Target | None = None,
 ) -> EstimateRecord:
     """Doubly-robust baseline: outcome-model term plus weighted residuals.
 
     ``outcome_fit`` overrides the internally fitted trial-arm regression
     (used for the robustness checks with deliberately corrupted fits).
     """
-    return _dr_estimate("om", "dr", sample, None, nuis, cfg, outcome_fit)
+    return _dr_estimate("om", "dr", sample, None, nuis, cfg, outcome_fit, target)
 
 
 def estimate_dr_abc(
@@ -222,6 +278,8 @@ def estimate_dr_abc(
     nuis: NuisanceSet,
     cfg: EstimatorConfig,
     bias_fit=None,
+    *,
+    target: Target | None = None,
 ) -> EstimateRecord:
     """Doubly-robust additive bias correction.
 
@@ -231,7 +289,7 @@ def estimate_dr_abc(
     when both regression components are zero, recovering the identification
     target in both limits.
     """
-    return _dr_estimate("abc", "dr-abc", sample, f_a, nuis, cfg, bias_fit)
+    return _dr_estimate("abc", "dr-abc", sample, f_a, nuis, cfg, bias_fit, target)
 
 
 def estimate_dr_aom(
@@ -240,6 +298,8 @@ def estimate_dr_aom(
     nuis: NuisanceSet,
     cfg: EstimatorConfig,
     augmented_fit=None,
+    *,
+    target: Target | None = None,
 ) -> EstimateRecord:
     """Doubly-robust augmented outcome model (DR-PA)."""
-    return _dr_estimate("aom", "dr-pa", sample, f_a, nuis, cfg, augmented_fit)
+    return _dr_estimate("aom", "dr-pa", sample, f_a, nuis, cfg, augmented_fit, target)

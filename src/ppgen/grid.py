@@ -12,9 +12,11 @@ surface across confounding settings) get bit-identical draws.  This pairs the
 cells, which both stabilizes head-to-head comparisons and makes results
 independent of how work is split across processes.
 
-The OS predictor is fixed within a world, so a task evaluates it on the
-target once per world and, through a run-scoped ``_MemoPredictor``, on each
-run's trial arm once per run, however many estimators and degrees read it.
+The target sample and the OS predictor are fixed within a world, so a task
+builds one ``Target`` per world: the predictor's values on the target and
+each fit's design on it are computed once per world, however many runs,
+estimators and degrees read them.  Through a run-scoped ``_MemoPredictor``
+the predictor is evaluated on each run's trial arm once per run.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .domain import CompositeSample, GenerationError, GlmLogitParams, GlmOutcome
 from .domain import check_names, csv_text, derive_seed
 from .estimators import (
     EstimatorConfig,
+    Target,
     estimate_abc,
     estimate_aom,
     estimate_dr_abc,
@@ -47,9 +50,10 @@ from .estimators import (
 
 @dataclass(frozen=True)
 class Estimator:
-    """One estimator and what it needs: ``estimate(sample, f, nuisances, cfg)``
-    gets the OS predictor and, if ``nuisances``, the nuisances fitted at
-    ``cfg.degree``; one that is not ``per_degree`` runs once, as degree -1."""
+    """One estimator and what it needs: ``estimate(sample, f, nuisances, cfg,
+    target)`` gets the OS predictor, the world's ``Target`` and, if
+    ``nuisances``, the nuisances fitted at ``cfg.degree``; one that is not
+    ``per_degree`` runs once, as degree -1."""
 
     estimate: Callable
     per_degree: bool = True
@@ -59,14 +63,14 @@ class Estimator:
 # Each entry looks its estimate function up when called, so replacing the
 # module-level name (in a test, or to trace it) reaches every caller.
 ESTIMATORS = {
-    "om": Estimator(lambda s, f, nuis, cfg: estimate_om(s, cfg)),
-    "os-om": Estimator(lambda s, f, nuis, cfg: estimate_os_om(s, f), per_degree=False),
-    "abc": Estimator(lambda s, f, nuis, cfg: estimate_abc(s, f, cfg)),
-    "aom": Estimator(lambda s, f, nuis, cfg: estimate_aom(s, f, cfg)),
-    "ipw": Estimator(lambda s, f, nuis, cfg: estimate_ipw(s, nuis, cfg.a), nuisances=True),
-    "dr": Estimator(lambda s, f, nuis, cfg: estimate_dr_baseline(s, nuis, cfg), nuisances=True),
-    "dr-abc": Estimator(lambda s, f, nuis, cfg: estimate_dr_abc(s, f, nuis, cfg), nuisances=True),
-    "dr-pa": Estimator(lambda s, f, nuis, cfg: estimate_dr_aom(s, f, nuis, cfg), nuisances=True),
+    "om": Estimator(lambda s, f, nuis, cfg, t: estimate_om(s, cfg, target=t)),
+    "os-om": Estimator(lambda s, f, nuis, cfg, t: estimate_os_om(s, f, target=t), per_degree=False),
+    "abc": Estimator(lambda s, f, nuis, cfg, t: estimate_abc(s, f, cfg, target=t)),
+    "aom": Estimator(lambda s, f, nuis, cfg, t: estimate_aom(s, f, cfg, target=t)),
+    "ipw": Estimator(lambda s, f, nuis, cfg, t: estimate_ipw(s, nuis, cfg.a), nuisances=True),
+    "dr": Estimator(lambda s, f, nuis, cfg, t: estimate_dr_baseline(s, nuis, cfg, target=t), nuisances=True),
+    "dr-abc": Estimator(lambda s, f, nuis, cfg, t: estimate_dr_abc(s, f, nuis, cfg, target=t), nuisances=True),
+    "dr-pa": Estimator(lambda s, f, nuis, cfg, t: estimate_dr_aom(s, f, nuis, cfg, target=t), nuisances=True),
 }
 GP_ESTIMATORS = tuple(name for name, e in ESTIMATORS.items() if not e.nuisances)
 ALL_ESTIMATORS = tuple(ESTIMATORS)
@@ -176,17 +180,17 @@ def _map(fn, tasks: list, workers: int) -> list:
 class _MemoPredictor:
     """One run's view of the OS predictor: each distinct input is evaluated once.
 
-    The predictor is fixed within a run, and every estimator reads it on the
-    same two inputs, the target covariates and the trial arm.  ``known``
-    holds (input, values) pairs already computed (the target's, once per
-    world); any other input is evaluated by ``base`` on first sight and kept
-    for the rest of the run.  Lookup compares whole arrays exactly, so results
-    are bit-identical with and without the memo.
+    The predictor is fixed within a run, and the estimators read it through
+    this view only on the run's trial arm (ABC's response, AOM's extra
+    column); they read it on the target through the world's ``Target``.  Each
+    input is evaluated by ``base`` on first sight and kept for the rest of the
+    run.  Lookup compares whole arrays exactly, so results are bit-identical
+    with and without the memo.
     """
 
-    def __init__(self, base, known):
+    def __init__(self, base):
         self.base = base
-        self._known = list(known)
+        self._known: list[tuple[np.ndarray, np.ndarray]] = []
 
     def predict(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -218,9 +222,9 @@ def _run_scenario_task(task: _ScenarioTask) -> list[dict]:
         return derive_seed(seed, *parts, task.scenario)
 
     world = gp_world(spec.fom_params, spec.ps_params, spec.pa_params, spec.noise_sigma, seed_of)
-    target = draw_target(world, spec.n0, seed_of("target"))
+    target_cohort = draw_target(world, spec.n0, seed_of("target"))
     f = os_predictor(world, spec.n_os, seed_of, spec.predictor_kind)
-    f_target = f.predict(target.x)
+    target = Target(target_cohort.x, f)
     mu = true_mu(world, a=1).mu_a
     # os-om first (sorted is stable), then estimators x degrees in the given order
     keyed = [
@@ -236,9 +240,9 @@ def _run_scenario_task(task: _ScenarioTask) -> list[dict]:
         }
         for run in range(task.n_runs):
             trial = draw_trial(world, n1, derive_seed(seed, "trial", n1, task.scenario, run))
-            sample = CompositeSample.concat(trial, target)
+            sample = CompositeSample.concat(trial, target_cohort)
             fold_seed = derive_seed(seed, "folds", n1, task.scenario, run)
-            predictor = _MemoPredictor(f, known=[(target.x, f_target)])
+            predictor = _MemoPredictor(f)
             nuis_by_degree = {}
             if needs_nuisance:
                 for deg in task.degrees:
@@ -246,7 +250,7 @@ def _run_scenario_task(task: _ScenarioTask) -> list[dict]:
             for name, deg in keyed:
                 cfg = EstimatorConfig(degree=max(deg, 0), a=1, fold_seed=fold_seed)
                 try:
-                    record = ESTIMATORS[name].estimate(sample, predictor, nuis_by_degree.get(deg), cfg)
+                    record = ESTIMATORS[name].estimate(sample, predictor, nuis_by_degree.get(deg), cfg, target)
                     estimates[(name, deg)][run] = record.point_estimate
                 except (ValueError, GenerationError):
                     pass  # a named domain failure: left as NaN and counted below
@@ -503,22 +507,22 @@ def _run_table2_task(task: _Table2Task) -> list[dict]:
         return derive_seed(seed, "table2-" + part, row["row_id"], g, *rest)
 
     world = _sample_glm_world(row, seed, g)
-    target = draw_target(world, task.n0, seed_of("target"))
+    target_cohort = draw_target(world, task.n0, seed_of("target"))
     f = os_predictor(world, task.n_os, seed_of)
-    f_target = f.predict(target.x)
+    target = Target(target_cohort.x, f)
     mu = true_mu(world, a=1).mu_a
     sq_errors: dict[tuple[str, int], list[float]] = defaultdict(list)
     for run in range(task.n_runs):
         trial = draw_trial(world, TABLE2_N1, seed_of("trial", run))
-        sample = CompositeSample.concat(trial, target)
+        sample = CompositeSample.concat(trial, target_cohort)
         fold_seed = seed_of("folds", run)
-        predictor = _MemoPredictor(f, known=[(target.x, f_target)])
+        predictor = _MemoPredictor(f)
         for order in TABLE2_ORDERS:
             cfg = EstimatorConfig(
                 degree=order, a=1, penalty_grid=(TABLE2_PENALTY,), fold_seed=fold_seed
             )
             for name in ("om", "abc"):
-                estimate = ESTIMATORS[name].estimate(sample, predictor, None, cfg).point_estimate
+                estimate = ESTIMATORS[name].estimate(sample, predictor, None, cfg, target).point_estimate
                 sq_errors[(name, order)].append((estimate - mu) ** 2)
     return [
         {

@@ -114,9 +114,12 @@ class RidgeFit:
 
 def _design(x: np.ndarray, degree: int, extra: object | None) -> np.ndarray:
     feats = legendre_eval(x, degree)
-    if extra is not None:
-        feats = np.column_stack([feats, extra.predict(x)])
-    return feats
+    return feats if extra is None else _augment(feats, extra.predict(x))
+
+
+def _augment(feats: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """The Legendre features with ``column`` appended as the last regressor."""
+    return np.column_stack([feats, column])
 
 
 def ridge_fit(

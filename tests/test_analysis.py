@@ -5,6 +5,7 @@ from ppgen.analysis import (
     Spectrum,
     decompose_mse,
     empirical_excess_risk,
+    gauss_legendre_nodes,
     lemma2_bounds,
     prop1_formula,
     spectrum,
@@ -32,6 +33,18 @@ def lattice_world(fom1_fn, ps_logit_fn, grid_size=201):
 
 
 # -- oracle ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_gauss_legendre_nodes_are_leggauss_once_and_read_only(n):
+    nodes, weights = gauss_legendre_nodes(n)
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
+    assert nodes.tobytes() == want_nodes.tobytes() and weights.tobytes() == want_weights.tobytes()
+    again = gauss_legendre_nodes(n)
+    assert again[0] is nodes and again[1] is weights
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_true_mu_odd_function_balanced_selection():

@@ -1,5 +1,6 @@
-"""Bit-exactness pins for the OS predictor and the trial-side ridge fits, and
-the grid's one evaluation of the OS predictor per input.
+"""Bit-exactness pins for the OS predictor and the trial-side ridge fits, the
+grid's one evaluation of the OS predictor per input, and the estimators'
+reads of the target through one ``Target`` per world.
 
 The digests and hex floats below were computed at commit
 b000459dd1e302c7709eb21d712fbf5a8196fe95, before the cross-validated fits
@@ -7,7 +8,8 @@ solved their chosen penalty from the Gram matrix of the CV sweep, before the
 cosine design was built in one buffer and before the grid evaluated the OS
 predictor once per run.  Equal sha256 digests of the float64 bytes mean
 bit-identical arrays.  A multithreaded BLAS may split the OS Gram's sums
-differently, so the fits run in a subprocess with one BLAS thread.
+differently, so the fits run in a subprocess with one BLAS thread.  The
+``Target`` tests compare two paths within one process, so they run in it.
 """
 
 import functools
@@ -21,11 +23,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ppgen import grid
+from ppgen import estimators, grid, regression
 from ppgen.analysis import os_predictor
 from ppgen.dgp import draw_target, draw_trial, world_from_spec
-from ppgen.domain import KernelParams, ScenarioSpec, derive_seed
-from ppgen.estimators import EstimatorConfig, trial_fit
+from ppgen.domain import CompositeSample, KernelParams, ScenarioSpec, derive_seed
+from ppgen.estimators import EstimatorConfig, Target, fit_nuisances, trial_fit
 from ppgen.grid import benchmark_grid, run_scenario_grid
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,31 +37,35 @@ def _digest(values) -> str:
     return hashlib.sha256(np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
 
 
+FOLD_SEED = derive_seed(7, "fit-exactness", "folds")
+
+
 @functools.cache
 def _world():
     """A seed-7 GP world at the grid's default sizes (50k OS records, n0 = 20k),
-    its fitted OS predictor, its target covariates and one trial arm."""
+    its fitted OS predictor, its target cohort and one trial cohort."""
     spec = benchmark_grid(7, n1_values=(1000,), lx_values=(0.5,), confounding=("mid",))[0]
     world = world_from_spec(spec)
     f = os_predictor(world, spec.n_os, lambda part: derive_seed(7, "fit-exactness", part))
     target = draw_target(world, spec.n0, derive_seed(7, "fit-exactness", "target"))
-    x1, y1 = draw_trial(world, spec.n1, derive_seed(7, "fit-exactness", "trial")).trial_arm_arrays(1)
-    return f, target.x, x1, y1
+    trial = draw_trial(world, spec.n1, derive_seed(7, "fit-exactness", "trial"))
+    return f, target, trial
 
 
 def flexible_fit_values() -> dict:
-    f, x0, _, _ = _world()
+    f, target, _ = _world()
     return {
         "penalty": float(f.penalty).hex(),
         "coefficients": _digest(f.coefficients),
         "intercept": float(f.intercept).hex(),
-        "predict_target": _digest(f.predict(x0)),
+        "predict_target": _digest(f.predict(target.x)),
     }
 
 
 def ridge_cv_values() -> dict:
-    f, _, x1, y1 = _world()
-    fold_seed = derive_seed(7, "fit-exactness", "folds")
+    f, _, trial = _world()
+    x1, y1 = trial.trial_arm_arrays(1)
+    fold_seed = FOLD_SEED
     out = {}
     for kind in ("om", "abc", "aom"):
         for degree in (1, 3, 5, 7):
@@ -153,7 +159,7 @@ def test_grid_evaluates_the_predictor_once_per_input(monkeypatch):
         assert first == 400 and all(0 < n <= 120 for n in arms)
 
     class PassThrough:
-        def __init__(self, base, known=()):
+        def __init__(self, base):
             self.base = base
 
         def predict(self, x):
@@ -164,3 +170,60 @@ def test_grid_evaluates_the_predictor_once_per_input(monkeypatch):
                               n_scenarios=2, n_runs=3)
     assert json.dumps(result.scenario_rows) == json.dumps(plain.scenario_rows)
     assert len(sizes) > n_worlds * per_world  # the pass-through evaluated inputs again
+
+
+def test_target_design_reproduces_predict():
+    f, target, trial = _world()
+    x1, y1 = trial.trial_arm_arrays(1)
+    shared = Target(target.x, f)
+    for kind in ("om", "abc", "aom"):
+        for degree in (1, 3, 5, 7):
+            fit = trial_fit(kind, x1, y1, None if kind == "om" else f,
+                            EstimatorConfig(degree=degree, fold_seed=FOLD_SEED))
+            want = fit.predict(target.x)
+            assert _digest(shared.design(kind, degree) @ fit.coefficients) == _digest(want), (kind, degree)
+
+
+def test_estimates_do_not_depend_on_sharing_the_target():
+    f, target, trial = _world()
+    sample = CompositeSample.concat(trial, target)
+    shared = Target(target.x, f)
+    nuisances = {d: fit_nuisances(sample, d) for d in grid.DEFAULT_DEGREES}
+    for name, estimator in grid.ESTIMATORS.items():
+        for degree in grid._estimator_degrees(name, grid.DEFAULT_DEGREES):
+            cfg = EstimatorConfig(degree=max(degree, 0), fold_seed=FOLD_SEED)
+            nuis = nuisances.get(degree)
+            alone, with_shared = (estimator.estimate(sample, f, nuis, cfg, t).point_estimate
+                                  for t in (None, shared))
+            assert alone.hex() == with_shared.hex(), (name, degree)
+
+
+def test_grid_builds_each_target_design_once_per_world(monkeypatch):
+    built = []  # the row count of every Legendre design and every appended f column
+    legendre, augment = regression.legendre_eval, estimators._augment
+
+    def phi(x, degree):
+        built.append(("phi", len(x), degree))
+        return legendre(x, degree)
+
+    def with_f(feats, column):
+        built.append(("f", len(column)))
+        return augment(feats, column)
+
+    monkeypatch.setattr(regression, "legendre_eval", phi)
+    monkeypatch.setattr(estimators, "_augment", with_f)  # the target's AOM column
+
+    def run():
+        built.clear()
+        rows = run_scenario_grid(_grid_specs(), estimators=grid.ALL_ESTIMATORS, degrees=(1, 3),
+                                 n_scenarios=2, n_runs=3).scenario_rows
+        return rows, [b for b in built if b[1] == 400]  # n0 = 400; no trial arm or sample has 400 rows
+
+    shared, on_target = run()
+    # per world, one Legendre design per degree (OM and ABC share it) and one AOM column per degree
+    n_worlds = 2
+    assert sorted(on_target) == sorted([("phi", 400, d) for d in (1, 3)] * n_worlds + [("f", 400)] * 2 * n_worlds)
+    monkeypatch.setattr(grid, "Target", lambda x, f: None)  # every estimate builds its own
+    alone, rebuilt = run()
+    assert json.dumps(shared) == json.dumps(alone)
+    assert len(rebuilt) > len(on_target)

@@ -67,7 +67,7 @@ def test_grid_runs_weighting_estimators():
 
 
 def _failing_om(exc):
-    def estimate_om(sample, cfg):
+    def estimate_om(sample, cfg, target=None):
         raise exc
 
     return estimate_om
