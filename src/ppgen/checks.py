@@ -304,19 +304,20 @@ def dr_robustness_check(
     estimates = defaultdict(list)
     for rep in range(n_replications):
         trial = draw_trial(world, n1, derive_seed(seed, "dr", "trial", rep))
-        target = draw_target(world, n0, derive_seed(seed, "dr", "target", rep))
-        sample = CompositeSample.concat(trial, target)
+        target_cohort = draw_target(world, n0, derive_seed(seed, "dr", "target", rep))
+        sample = CompositeSample.concat(trial, target_cohort)
         # the truth at every point of the sample, computed once for all six cases
         g_hat = TablePredictor(sample.x, true_outcome_function(world, 1, sample.x))
         # the weights read the participation only on the trial arm: tabled once for three cases
         x1, _ = sample.trial_arm_arrays(cfg.a)
         nuis_good = NuisanceSet(p_hat_marginal=n1 / (n1 + n0), p_hat=TablePredictor(x1, q(x1)))
         f = CallablePredictor(lambda x: g_hat.predict(x) + 0.3 + 0.5 * x)  # distorted but fixed
+        target = Target(sample.target_x(), f)  # the target and f on it, shared by all six cases
         # each DR estimator with its exact regression component, corrupted or kept
         trio = (
-            ("dr", lambda nuis, fit: estimate_dr_baseline(sample, nuis, cfg, outcome_fit=fit), g_hat),
-            ("dr-abc", lambda nuis, fit: estimate_dr_abc(sample, f, nuis, cfg, bias_fit=fit), b_fn),
-            ("dr-pa", lambda nuis, fit: estimate_dr_aom(sample, f, nuis, cfg, augmented_fit=fit), g_hat),
+            ("dr", lambda nuis, fit: estimate_dr_baseline(sample, nuis, cfg, outcome_fit=fit, target=target), g_hat),
+            ("dr-abc", lambda nuis, fit: estimate_dr_abc(sample, f, nuis, cfg, bias_fit=fit, target=target), b_fn),
+            ("dr-pa", lambda nuis, fit: estimate_dr_aom(sample, f, nuis, cfg, augmented_fit=fit, target=target), g_hat),
         )
         for name, estimate, exact in trio:
             estimates[name, "bad-outcome"].append(estimate(nuis_good, plus_one(exact)).point_estimate)

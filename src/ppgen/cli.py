@@ -11,12 +11,14 @@ import argparse
 import json
 import math
 import os
+import platform
 import sys
 import time
 from functools import partial
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .analysis import os_predictor
 from .checks import CHECKS, run_checks
@@ -167,8 +169,27 @@ def _filter_grid(grid, combo_filters):
     return keep
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    """Strict JSON: an undefined value (NaN, an infinity) is written as null."""
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment(workers: int) -> dict:
+    """What a run's speed and last bits depend on: cores, workers, the BLAS
+    thread variables as set (None when unset) and the library versions.  The
+    OS predictor's fit sums in BLAS, so its last bits follow the thread count."""
+    return {
+        "cpu_count": os.cpu_count(),
+        "workers": workers,
+        **{name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+
+
+def _write_json(cfg: RunConfig, path: Path, payload: dict) -> None:
+    """Strict JSON with the run's ``environment``: an undefined value (NaN, an
+    infinity) is written as null."""
+    payload = {**payload, "environment": _environment(cfg.workers)}
     # json reads its own NaN/Infinity tokens back through parse_constant
     strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
     path.write_text(json.dumps(strict, indent=2, allow_nan=False) + "\n")
@@ -179,7 +200,7 @@ def _write_outputs(cfg: RunConfig, stem: str, text: str, payload: dict) -> None:
     if cfg.format in ("csv", "both"):
         (cfg.out / f"{stem}.csv").write_text(text)
     if cfg.format in ("json", "both"):
-        _write_json(cfg.out / f"{stem}.json", payload)
+        _write_json(cfg, cfg.out / f"{stem}.json", payload)
 
 
 def _grid_command(cfg: RunConfig, stem: str, estimators, predictor_kind: str = "learned") -> int:
@@ -290,7 +311,7 @@ def cmd_export_world(cfg: RunConfig) -> int:
         (cfg.out / name).write_text(csv_text(list(columns), rows))
     if cfg.format in ("json", "both"):
         payload = {"command": "export-world", "master_seed": cfg.seed, "degree": degree}
-        _write_json(cfg.out / "export_world.json", payload)
+        _write_json(cfg, cfg.out / "export_world.json", payload)
     print(f"export-world: wrote {cfg.out}/world_grid.csv and world_fits.csv")
     return 0
 

@@ -74,16 +74,31 @@ class GridFunction:
         fx = tx - ix
         fu = tu - iu
         gx, gu = 1 - fx, 1 - fu
-        # values[ix + i, iu + j] is the row-major lattice at k + i*G + j.  The
-        # four corner terms are formed and summed in place, in the order of
-        # v00*gx*gu + v10*fx*gu + v01*gx*fu + v11*fx*fu.
-        k = ix * self.grid_size + iu
-        flat = self.values.ravel()
-        out = flat.take(k)
+        if x.ndim == 2 and u.ndim == 2 and x.shape[1] == 1 and u.shape[0] == 1:
+            # An outer grid of n x rows by m u columns: the lattice columns at
+            # the m u indices are gathered once into two (G, m) tables, and
+            # each corner takes whole rows of one by the x index.
+            rows, tables = ix[:, 0], (self.values[:, iu[0]], self.values[:, iu[0] + 1])
+
+            def corner(i, j, **out):
+                return tables[j].take(rows + i, axis=0, **out)
+        else:
+            # values[ix + i, iu + j] is the row-major lattice at k + i*G + j.
+            k, flat = ix * self.grid_size + iu, self.values.ravel()
+
+            def corner(i, j, **out):
+                return flat[i * self.grid_size + j :].take(k, **out)
+        # The four corner terms are formed and summed in place, in the order of
+        # v00*gx*gu + v10*fx*gu + v01*gx*fu + v11*fx*fu, so both paths give the
+        # same values.  The first gather checks the indices; the others are in
+        # range with it and write into one buffer in "clip" mode, which numpy,
+        # unlike the default mode, does not buffer.
+        out = corner(0, 0)
         out *= gx
         out *= gu
-        for offset, wx, wu in ((self.grid_size, fx, gu), (1, gx, fu), (self.grid_size + 1, fx, fu)):
-            term = flat[offset:].take(k)
+        term = np.empty_like(out)
+        for i, j, wx, wu in ((1, 0, fx, gu), (0, 1, gx, fu), (1, 1, fx, fu)):
+            corner(i, j, out=term, mode="clip")
             term *= wx
             term *= wu
             out += term
@@ -138,15 +153,27 @@ def _glm_poly(x: np.ndarray, coefs: tuple[float, ...]) -> np.ndarray:
     return out
 
 
+def _plus_hidden(base: np.ndarray, gamma: float, x: np.ndarray, u: np.ndarray,
+                 coefs_u: tuple[float, ...], coefs_xu: tuple[float, ...]) -> np.ndarray:
+    """base + gamma * (sum_j coefs_u[j-1] u^j + sum_j coefs_xu[j-1] (xu)^j).
+
+    At gamma 0 the hidden-covariate terms are skipped rather than multiplied
+    by zero; adding that zero would change no value (for finite terms) except
+    the sign of a base that is exactly -0.0.  The result takes the broadcast
+    shape of x and u either way.
+    """
+    if gamma == 0.0:
+        shape = np.broadcast_shapes(x.shape, u.shape)
+        return base if base.shape == shape else np.broadcast_to(base, shape).copy()
+    return base + gamma * (_glm_poly(u, coefs_u) + _glm_poly(x * u, coefs_xu))
+
+
 def glm_outcome(params: GlmOutcomeParams, x, u) -> np.ndarray:
     """Degree-5 polynomial outcome surface with confounding multiplier gamma."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    return (
-        params.beta0
-        + _glm_poly(x, params.beta_x)
-        + params.gamma * (_glm_poly(u, params.beta_u) + _glm_poly(x * u, params.beta_xu))
-    )
+    base = params.beta0 + _glm_poly(x, params.beta_x)
+    return _plus_hidden(base, params.gamma, x, u, params.beta_u, params.beta_xu)
 
 
 def glm_logit_prob(params: GlmLogitParams, x, u) -> np.ndarray:
@@ -157,10 +184,8 @@ def glm_logit_prob(params: GlmLogitParams, x, u) -> np.ndarray:
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    lin = params.scale * (params.c0 + _glm_poly(x, params.c_x)) + params.gamma * (
-        _glm_poly(u, params.c_u) + _glm_poly(x * u, params.c_xu)
-    )
-    return expit(-lin)
+    base = params.scale * (params.c0 + _glm_poly(x, params.c_x))
+    return expit(-_plus_hidden(base, params.gamma, x, u, params.c_u, params.c_xu))
 
 
 @dataclass(frozen=True)
@@ -181,13 +206,20 @@ class World:
 
     def participation_prob(self, x, u) -> np.ndarray:
         if self.kind == "gp":
-            return np.clip(expit(self.ps_logit(x, u)), *PROB_CLIP)
+            return _clipped_expit(self.ps_logit(x, u))
         return glm_logit_prob(self.ps_logit, x, u)
 
     def treatment_prob(self, x, u) -> np.ndarray:
         if self.kind == "gp":
-            return np.clip(expit(self.pa_logit(x, u)), *PROB_CLIP)
+            return _clipped_expit(self.pa_logit(x, u))
         return glm_logit_prob(self.pa_logit, x, u)
+
+
+def _clipped_expit(logit: np.ndarray) -> np.ndarray:
+    """sigmoid(logit) clipped to PROB_CLIP, computed in place in ``logit``,
+    a fresh array from a GridFunction."""
+    expit(logit, out=logit)
+    return np.clip(logit, *PROB_CLIP, out=logit)
 
 
 def participation_prob(world: World, x, u) -> np.ndarray:

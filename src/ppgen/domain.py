@@ -19,6 +19,7 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -94,7 +95,8 @@ class CompositeSample:
 
     ``a`` is -1 and ``y`` NaN exactly on target rows.  ``n1``/``n0`` count
     trial and target rows; observational rows may be carried alongside but
-    do not enter either count.
+    do not enter either count.  A sample is read, never modified: the counts
+    and each trial arm are computed on first use and kept.
     """
 
     x: np.ndarray
@@ -119,6 +121,7 @@ class CompositeSample:
         has_a = self.a != -1
         if not (np.array_equal(has_a, ~np.isnan(self.y)) and np.array_equal(has_a, self.s != TARGET)):
             raise ValueError("treatment and outcome must be present exactly on non-target records")
+        object.__setattr__(self, "_arms", {})
 
     @staticmethod
     def cohort(s: int, x, u, a=None, y=None) -> "CompositeSample":
@@ -147,11 +150,11 @@ class CompositeSample:
             return NotImplemented
         return all(np.array_equal(getattr(self, c), getattr(other, c), equal_nan=True) for c in _COLUMNS)
 
-    @property
+    @cached_property
     def n1(self) -> int:
         return int(np.count_nonzero(self.s == TRIAL))
 
-    @property
+    @cached_property
     def n0(self) -> int:
         return int(np.count_nonzero(self.s == TARGET))
 
@@ -176,9 +179,17 @@ class CompositeSample:
         return self.x[self.s == TARGET]
 
     def trial_arm_arrays(self, a: int) -> tuple[np.ndarray, np.ndarray]:
-        """Covariates and outcomes of trial records with treatment ``a``."""
+        """Covariates and outcomes of trial records with treatment ``a``,
+        masked once per arm and shared read-only by every caller."""
+        if a not in self._arms:
+            self._arms[a] = self._trial_arm(a)
+        return self._arms[a]
+
+    def _trial_arm(self, a: int) -> tuple[np.ndarray, np.ndarray]:
         mask = (self.s == TRIAL) & (self.a == a)
-        return self.x[mask], self.y[mask]
+        x, y = self.x[mask], self.y[mask]
+        x.flags.writeable = y.flags.writeable = False
+        return x, y
 
     def hidden_u_array(self) -> np.ndarray:
         """Oracle accessor: the hidden covariate of every record, in order."""

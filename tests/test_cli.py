@@ -15,6 +15,18 @@ def test_checks_subcommand_writes_outputs(tmp_path):
     assert (tmp_path / "checks.csv").read_text().startswith("name,passed,detail")
 
 
+def test_environment_reports_unset_blas_variables_as_null(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    for name in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    assert main(["checks", "--check", "orthonormality", "--workers", "3", "--out", str(tmp_path)]) == 0
+    env = json.loads((tmp_path / "checks.json").read_text())["environment"]
+    assert env["workers"] == 3
+    assert (env["OPENBLAS_NUM_THREADS"], env["OMP_NUM_THREADS"], env["MKL_NUM_THREADS"]) == ("1", None, None)
+    # the CSV carries the results only
+    assert "environment" not in (tmp_path / "checks.csv").read_text()
+
+
 def test_export_world_deterministic(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["export-world", "--seed", "4", "--out", str(out_a), "--degrees", "3"]) == 0

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 from scipy.stats import chi2_contingency
 
 from ppgen.dgp import (
     GridFunction,
     World,
+    _glm_poly,
     draw_target,
     draw_trial,
     generate_os,
@@ -216,6 +218,37 @@ def test_glm_outcome_gamma_zero_ignores_u():
     x = np.linspace(-1, 1, 11)
     for u in (-1.0, 0.0, 0.7):
         assert np.allclose(glm_outcome(params, x, np.full(11, u)), glm_outcome(params, x, np.zeros(11)))
+
+
+def _glm_outcome_full(params, x, u):
+    """The outcome surface with the hidden terms always evaluated, times gamma."""
+    x, u = np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(u, dtype=float))
+    return (params.beta0 + _glm_poly(x, params.beta_x)
+            + params.gamma * (_glm_poly(u, params.beta_u) + _glm_poly(x * u, params.beta_xu)))
+
+
+def _glm_logit_prob_full(params, x, u):
+    x, u = np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(u, dtype=float))
+    lin = params.scale * (params.c0 + _glm_poly(x, params.c_x)) + params.gamma * (
+        _glm_poly(u, params.c_u) + _glm_poly(x * u, params.c_xu))
+    return expit(-lin)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.7, 2.5])
+@pytest.mark.parametrize("seed", range(3))
+def test_glm_surfaces_equal_the_full_formula_bitwise(gamma, seed):
+    """Skipping the hidden terms at gamma 0 changes no bit, and keeps the
+    broadcast shape of x and u."""
+    rng = np.random.default_rng(seed)
+    out = GlmOutcomeParams(float(rng.normal()), *(tuple(rng.normal(size=5)) for _ in range(3)), gamma=gamma)
+    logit = GlmLogitParams(float(rng.normal()), *(tuple(rng.normal(size=5)) for _ in range(3)), gamma=gamma,
+                           scale=float(rng.uniform(0.5, 2.0)))
+    x, u = rng.uniform(-1.2, 1.2, 500), rng.uniform(-1.2, 1.2, 500)
+    for xs, us in ((x, u), (x[:40, None], u[None, :30]), (x[None, :30], u[:40, None]), (x[0], u[0])):
+        for fn, full, params in ((glm_outcome, _glm_outcome_full, out),
+                                 (glm_logit_prob, _glm_logit_prob_full, logit)):
+            got, want = fn(params, xs, us), full(params, xs, us)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_glm_outcome_zero_params():

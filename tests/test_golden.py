@@ -29,7 +29,8 @@ scenario with a single successful run reported its variance as undefined:
 each of their variance cells went from 0.0 to nan, and every other cell is
 unchanged (checked by script).  JSON payloads carry a run time, so
 they are not stored; every one written is parsed strictly instead (no NaN or
-Infinity tokens).
+Infinity tokens) and must carry the run's ``environment`` (cores, workers,
+BLAS thread variables, library versions).
 
 The OS predictor's fit and the GP draws go through BLAS, whose sums split
 differently with the number of threads, so the last bits of some cells depend
@@ -112,6 +113,13 @@ def test_golden_outputs(command, tmp_path):
     payloads = {path.name: json.loads(path.read_text(), parse_constant=_reject_constant)
                 for path in tmp_path.glob("*.json")}
     assert payloads
+    for payload in payloads.values():
+        # the setting a run's speed and last bits depend on, as the command saw it
+        env = payload["environment"]
+        assert env["cpu_count"] == os.cpu_count() and env["workers"] == 1
+        assert all(env[name] == "1" for name in ONE_BLAS_THREAD)
+        assert {"python", "numpy", "scipy"} <= env.keys()
+        assert all(isinstance(env[name], str) and env[name] for name in ("python", "numpy", "scipy"))
     if command == "noise-robustness":
         # one run per scenario leaves the Monte Carlo SE of the AOM-OM gap undefined
         entries = payloads["noise_robustness.json"]["robustness_report"]["entries"]

@@ -66,6 +66,32 @@ def test_grid_runs_weighting_estimators():
     assert all(r["n_failures"] == 0 for r in result.combo_rows)
 
 
+def test_trial_arm_is_masked_once_per_sample_and_arm(monkeypatch):
+    from collections import Counter
+
+    from ppgen.domain import CompositeSample
+    from ppgen.grid import ALL_ESTIMATORS
+
+    masked, reads = [], []
+    mask, read = CompositeSample._trial_arm, CompositeSample.trial_arm_arrays
+
+    def counted_mask(self, a):
+        masked.append((self, a))  # holding the sample keeps its id unique
+        return mask(self, a)
+
+    def counted_read(self, a):
+        reads.append((self, a))
+        return read(self, a)
+
+    monkeypatch.setattr(CompositeSample, "_trial_arm", counted_mask)
+    monkeypatch.setattr(CompositeSample, "trial_arm_arrays", counted_read)
+    run_scenario_grid(small_grid(seed=23)[:1], estimators=ALL_ESTIMATORS,
+                      degrees=(1, 3, 5), n_scenarios=1, n_runs=2, workers=1)
+    per_arm = Counter((id(sample), a) for sample, a in masked)
+    assert len(per_arm) == 2 and set(per_arm.values()) == {1}  # two runs, one arm each
+    assert len(reads) > 10 * len(masked)  # every estimator and degree reads the kept arm
+
+
 def _failing_om(exc):
     def estimate_om(sample, cfg, target=None):
         raise exc

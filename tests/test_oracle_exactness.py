@@ -3,8 +3,9 @@
 The digests and hex floats below were computed at commit
 7e5467d28bf43a317ee044c385d55e81046fcb33, before the oracle was rewritten to
 broadcast over its quadrature nodes, to evaluate the truth once per
-double-robustness replication and to interpolate through one flat index.
-Equal sha256 digests of the float64 bytes mean bit-identical arrays.
+double-robustness replication and to interpolate through one flat index, and
+before it was evaluated in point blocks with outer grids interpolated by row
+gathers.  Equal sha256 digests of the float64 bytes mean bit-identical arrays.
 """
 
 import functools
@@ -15,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+
 from ppgen import checks
-from ppgen.analysis import gauss_legendre_nodes, tilted_participation, true_outcome_function
+from ppgen.analysis import ORACLE_BLOCK, gauss_legendre_nodes, tilted_participation, true_outcome_function
 from ppgen.dgp import world_from_spec
 from ppgen.grid import TABLE2_ROWS, _sample_glm_world, benchmark_grid
 
@@ -165,3 +167,58 @@ def test_oracle_rows_do_not_depend_on_the_batch(kind, a, head, tail):
     p_of_x = tilted_participation(world, 200, 800)
     parts = np.concatenate([p_of_x(np.array(p)) for p in (head, tail)])
     assert _digest(p_of_x(np.array(head + tail))) == _digest(parts)
+
+
+def _unblocked_outcome_function(world, a, xs, order=64):
+    """The oracle as one (points x nodes) evaluation, with no blocks."""
+    nodes, weights = gauss_legendre_nodes(order)
+    xg = np.atleast_1d(np.asarray(xs, dtype=float))[:, None]
+    weighted_ps = weights[None, :] * world.participation_prob(xg, nodes[None, :])
+    fom = world.outcome(a, xg, nodes[None, :])
+    return np.sum(weighted_ps * fom, axis=1) / np.sum(weighted_ps, axis=1)
+
+
+def _unblocked_tilted_participation(world, n1, n0, xs, order=64):
+    nodes, weights = gauss_legendre_nodes(order)
+    p_grid = world.participation_prob(nodes[:, None], nodes[None, :])
+    w2 = weights[:, None] * weights[None, :]
+    p_marg = float(np.sum(w2 * p_grid) / np.sum(w2))
+    ps = world.participation_prob(np.asarray(xs, dtype=float)[:, None], nodes[None, :])
+    p_x = np.sum(weights[None, :] * ps, axis=1) / np.sum(weights)
+    lift1, lift0 = n1 / p_marg, n0 / (1.0 - p_marg)
+    return lift1 * p_x / (lift1 * p_x + lift0 * (1.0 - p_x))
+
+
+@pytest.mark.parametrize("kind", ["gp", "glm"])
+@pytest.mark.parametrize("n", [1, ORACLE_BLOCK - 1, ORACLE_BLOCK, ORACLE_BLOCK + 1, 3 * ORACLE_BLOCK + 5])
+def test_blocked_oracle_equals_the_unblocked_evaluation(kind, n):
+    world = _worlds()[kind]
+    xs = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+    for a in (0, 1):
+        got = true_outcome_function(world, a, xs)
+        assert got.shape == (n,) and _digest(got) == _digest(_unblocked_outcome_function(world, a, xs))
+    got = tilted_participation(world, 300, 900)(xs)
+    assert got.shape == (n,) and _digest(got) == _digest(_unblocked_tilted_participation(world, 300, 900, xs))
+
+
+_LATTICE = np.linspace(-1.0, 1.0, 101)
+_EDGES = [-1.5, float(np.nextafter(-1.0, -2.0)), float(np.nextafter(-1.0, 0.0)),
+          float(np.nextafter(1.0, 0.0)), float(np.nextafter(1.0, 2.0)), 1.5]
+_edgy = st.one_of(
+    st.floats(-1.5, 1.5, allow_nan=False),
+    st.integers(0, _LATTICE.shape[0] - 1).map(lambda i: float(_LATTICE[i])),
+    st.sampled_from(_EDGES),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_edgy, min_size=1, max_size=40), st.lists(_edgy, min_size=1, max_size=40))
+def test_outer_grid_path_equals_the_flat_path(xs, us):
+    """An (n, 1) x (1, m) call gathers rows; flattened pairs index the lattice
+    point by point.  Both give the same bits, on lattice edges and outside it."""
+    g = _worlds()["gp"].fom[1]
+    assert g.grid_size == _LATTICE.shape[0]
+    x, u = np.array(xs), np.array(us)
+    grid = g(x[:, None], u[None, :])
+    flat = g(np.repeat(x, u.shape[0]), np.tile(u, x.shape[0])).reshape(x.shape[0], u.shape[0])
+    assert grid.shape == flat.shape and _digest(grid) == _digest(flat)
