@@ -306,13 +306,17 @@ def dr_robustness_check(
         trial = draw_trial(world, n1, derive_seed(seed, "dr", "trial", rep))
         target_cohort = draw_target(world, n0, derive_seed(seed, "dr", "target", rep))
         sample = CompositeSample.concat(trial, target_cohort)
-        # the truth at every point of the sample, computed once for all six cases
-        g_hat = TablePredictor(sample.x, true_outcome_function(world, 1, sample.x))
+        # the truth at every point of the sample, computed once; the estimators
+        # evaluate their fits only on the target and on the trial arm, so it is
+        # looked up once on each and served to all six cases by array identity
+        x0, (x1, _) = sample.target_x(), sample.trial_arm_arrays(cfg.a)
+        truth = TablePredictor(sample.x, true_outcome_function(world, 1, sample.x))
+        truth_on = {id(x0): truth.predict(x0), id(x1): truth.predict(x1)}
+        g_hat = CallablePredictor(lambda x: truth_on[id(x)])
         # the weights read the participation only on the trial arm: tabled once for three cases
-        x1, _ = sample.trial_arm_arrays(cfg.a)
         nuis_good = NuisanceSet(p_hat_marginal=n1 / (n1 + n0), p_hat=TablePredictor(x1, q(x1)))
         f = CallablePredictor(lambda x: g_hat.predict(x) + 0.3 + 0.5 * x)  # distorted but fixed
-        target = Target(sample.target_x(), f)  # the target and f on it, shared by all six cases
+        target = Target(x0, f)  # the target and f on it, shared by all six cases
         # each DR estimator with its exact regression component, corrupted or kept
         trio = (
             ("dr", lambda nuis, fit: estimate_dr_baseline(sample, nuis, cfg, outcome_fit=fit, target=target), g_hat),

@@ -20,6 +20,11 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+try:
+    import resource
+except ImportError:  # not on every platform (Windows)
+    resource = None
+
 from .analysis import os_predictor
 from .checks import CHECKS, run_checks
 from .dgp import draw_trial, gp_world, world_lattice_table
@@ -186,6 +191,20 @@ def _environment(workers: int) -> dict:
     }
 
 
+def _cost(cfg: RunConfig, started: float) -> dict:
+    """The run's wall time since ``started``, and ``peak_rss_mb``: the largest
+    peak resident memory of one of its processes in MiB (``ru_maxrss`` of this
+    process and, with ``--workers`` above 1, of its finished pool workers), or
+    None where the ``resource`` module does not exist."""
+    peak = None
+    if resource is not None:
+        who = (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN) if cfg.workers > 1 else (resource.RUSAGE_SELF,)
+        # ru_maxrss is in bytes on macOS, in KiB elsewhere
+        kib = max(resource.getrusage(w).ru_maxrss for w in who) / (1024 if sys.platform == "darwin" else 1)
+        peak = round(kib / 1024, 1)
+    return {"runtime_seconds": round(time.time() - started, 3), "peak_rss_mb": peak}
+
+
 def _write_json(cfg: RunConfig, path: Path, payload: dict) -> None:
     """Strict JSON with the run's ``environment``: an undefined value (NaN, an
     infinity) is written as null."""
@@ -228,7 +247,7 @@ def _grid_command(cfg: RunConfig, stem: str, estimators, predictor_kind: str = "
         "scale": cfg.scale,
         "n_scenarios": n_scenarios,
         "n_runs": n_runs,
-        "runtime_seconds": round(time.time() - started, 3),
+        **_cost(cfg, started),
         "rows": result.combo_rows,
     }
     if predictor_kind == "iid_noise":
@@ -270,7 +289,7 @@ def cmd_table2(cfg: RunConfig) -> int:
         "n_ground_truths": n_ground_truths,
         "n_runs": 100,
         "n1": 200,  # the linear-model benchmark runs a fixed 200-patient trial
-        "runtime_seconds": round(time.time() - started, 3),
+        **_cost(cfg, started),
         "rows": result.table_rows,
     }
     _write_outputs(cfg, "table2", result.csv_text(), payload)
@@ -279,6 +298,7 @@ def cmd_table2(cfg: RunConfig) -> int:
 
 
 def cmd_checks(cfg: RunConfig) -> int:
+    started = time.time()
     results = run_checks(cfg.checks or None, seed=cfg.seed, scale=cfg.scale)
     for res in results:
         print(res.line())
@@ -286,6 +306,7 @@ def cmd_checks(cfg: RunConfig) -> int:
         "command": "checks",
         "master_seed": cfg.seed,
         "scale": cfg.scale,
+        **_cost(cfg, started),
         "results": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
     }
     _write_outputs(cfg, "checks", csv_text(("name", "passed", "detail"), payload["results"]), payload)
@@ -293,6 +314,7 @@ def cmd_checks(cfg: RunConfig) -> int:
 
 
 def cmd_export_world(cfg: RunConfig) -> int:
+    started = time.time()
     seed_of = partial(derive_seed, cfg.seed, "export")
     world = gp_world(*grid_kernels(0.2, "mid"), 0.0, seed_of)
     table = world_lattice_table(world)
@@ -310,7 +332,7 @@ def cmd_export_world(cfg: RunConfig) -> int:
         rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
         (cfg.out / name).write_text(csv_text(list(columns), rows))
     if cfg.format in ("json", "both"):
-        payload = {"command": "export-world", "master_seed": cfg.seed, "degree": degree}
+        payload = {"command": "export-world", "master_seed": cfg.seed, "degree": degree, **_cost(cfg, started)}
         _write_json(cfg, cfg.out / "export_world.json", payload)
     print(f"export-world: wrote {cfg.out}/world_grid.csv and world_fits.csv")
     return 0

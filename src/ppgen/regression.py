@@ -20,6 +20,11 @@ import scipy.linalg
 from scipy.special import expit
 
 DEFAULT_PENALTY_GRID = tuple(np.logspace(-6, 2, 10))
+# Rows per block when the CV sweep gathers held-out rows and when the random
+# features are evaluated for prediction: a 1024 x 500 block is 4 MiB.  Block
+# boundaries at multiples of BLAS's row groups keep predictions bit-identical
+# to one product over all rows.
+ROW_BLOCK = 1024
 
 
 class IllConditionedError(ValueError):
@@ -73,22 +78,6 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray, penalty: float) -> np.ndarray
                 "normal equations are singular at penalty 0; use a positive penalty"
             )
     return scipy.linalg.solve(gram + penalty * np.eye(p), rhs, assume_a="pos")
-
-
-def _gram_penalty_sweep(
-    gram: np.ndarray, rhs: np.ndarray, penalties: Sequence[float]
-) -> np.ndarray:
-    """Coefficients for every penalty at once, via one eigendecomposition."""
-    vals, vecs = scipy.linalg.eigh(gram)
-    proj = vecs.T @ rhs
-    coefs = np.empty((len(penalties), gram.shape[0]))
-    for i, lam in enumerate(penalties):
-        if lam == 0.0 and vals[0] <= vals[-1] * 1e-12:
-            raise IllConditionedError(
-                "normal equations are singular at penalty 0; use a positive penalty"
-            )
-        coefs[i] = vecs @ (proj / (vals + lam))
-    return coefs
 
 
 @dataclass(frozen=True)
@@ -196,22 +185,67 @@ def _cv_errors(
     feats: np.ndarray, y: np.ndarray, gram_all: np.ndarray, rhs_all: np.ndarray,
     penalties: Sequence[float], n_folds: int, fold_seed: int,
 ) -> np.ndarray:
-    """Pooled held-out squared error per penalty."""
-    n = feats.shape[0]
+    """Pooled held-out squared error per penalty.
+
+    Every fold's training Gram and right-hand side are the full ones minus the
+    products of its held-out rows; one stacked eigendecomposition solves all
+    folds at all penalties; a second pass scores the held-out rows.  Both
+    passes gather the held-out rows ``ROW_BLOCK`` at a time into one buffer,
+    so no fold's rows are ever copied whole.
+    """
+    folds = cv_fold_indices(feats.shape[0], n_folds, fold_seed)
+    coefs = _fold_penalty_sweep(*_training_grams(feats, y, folds, gram_all, rhs_all), penalties)
     sse = np.zeros(len(penalties))
-    for idx in cv_fold_indices(n, n_folds, fold_seed):
-        f_hold, y_hold = feats[idx], y[idx]
-        gram = gram_all - f_hold.T @ f_hold
-        rhs = rhs_all - f_hold.T @ y_hold
-        coefs = _gram_penalty_sweep(gram, rhs, penalties)
-        resid = y_hold[None, :] - coefs @ f_hold.T
-        sse += np.sum(resid**2, axis=1)
-    return sse / n
+    for k, rows, y_rows in _held_out_blocks(feats, y, folds):
+        resid = y_rows[:, None] - rows @ coefs[k].T
+        sse += np.sum(resid**2, axis=0)
+    return sse / feats.shape[0]
 
 
-def _cosine_features(x: np.ndarray, freqs: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Random cosine features sqrt(2/m) cos(x w + b), built in one buffer."""
-    out = x[:, None] * freqs[None, :]
+def _training_grams(
+    feats: np.ndarray, y: np.ndarray, folds: list[np.ndarray], gram_all: np.ndarray, rhs_all: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every fold's training Gram and right-hand side, stacked: the full ones
+    minus the products of the fold's held-out blocks."""
+    grams = np.repeat(gram_all[None], len(folds), axis=0)
+    rhs = np.repeat(rhs_all[None], len(folds), axis=0)
+    for k, rows, y_rows in _held_out_blocks(feats, y, folds):
+        grams[k] -= rows.T @ rows
+        rhs[k] -= rows.T @ y_rows
+    return grams, rhs
+
+
+def _held_out_blocks(feats: np.ndarray, y: np.ndarray, folds: list[np.ndarray]):
+    """(fold number, held-out rows, their targets) for each block of at most
+    ``ROW_BLOCK`` rows of each fold.  The rows are gathered into one buffer
+    and hold only until the next block."""
+    buf = np.empty((min(ROW_BLOCK, max(idx.shape[0] for idx in folds)), feats.shape[1]))
+    for k, idx in enumerate(folds):
+        for start in range(0, idx.shape[0], ROW_BLOCK):
+            part = idx[start:start + ROW_BLOCK]
+            # mode="clip" lets take write straight into out= (the indices are in range)
+            yield k, np.take(feats, part, axis=0, out=buf[:part.shape[0]], mode="clip"), y[part]
+
+
+def _fold_penalty_sweep(grams: np.ndarray, rhs: np.ndarray, penalties: Sequence[float]) -> np.ndarray:
+    """Coefficients of every fold at every penalty, shape (folds, penalties,
+    features), from one stacked eigendecomposition of the folds' Grams."""
+    vals, vecs = np.linalg.eigh(grams)
+    lams = np.asarray(penalties, dtype=float)
+    if np.any(lams == 0.0) and np.any(vals[:, 0] <= vals[:, -1] * 1e-12):
+        raise IllConditionedError(
+            "normal equations are singular at penalty 0; use a positive penalty"
+        )
+    proj = np.matmul(rhs[:, None, :], vecs)  # (folds, 1, features): vecs' rhs
+    return (proj / (vals[:, None, :] + lams[None, :, None])) @ vecs.transpose(0, 2, 1)
+
+
+def _cosine_features(
+    x: np.ndarray, freqs: np.ndarray, phases: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Random cosine features sqrt(2/m) cos(x w + b), built in one buffer
+    (``out`` when given)."""
+    out = np.multiply(x[:, None], freqs[None, :], out=out)
     out += phases[None, :]
     np.cos(out, out=out)
     out *= np.sqrt(2.0 / freqs.shape[0])
@@ -238,7 +272,25 @@ class RandomFeatureFit:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if self.coefficients.size == 0:  # degenerate constant fallback
             return np.full(x.shape[0], self.intercept)
-        return _cosine_features(x, self.frequencies, self.phases) @ self.coefficients + self.intercept
+        # ROW_BLOCK rows of features at a time, each block's products written into the output
+        out = np.empty(x.shape[0])
+        feats = np.empty((min(ROW_BLOCK + 1, x.shape[0]), self.frequencies.shape[0]))
+        for start, stop in _row_blocks(x.shape[0]):
+            rows = _cosine_features(x[start:stop], self.frequencies, self.phases, out=feats[:stop - start])
+            np.matmul(rows, self.coefficients, out=out[start:stop])
+        out += self.intercept
+        return out
+
+
+def _row_blocks(n: int):
+    """(start, stop) of consecutive blocks of ``ROW_BLOCK`` rows out of ``n``.
+    A last block of one row joins the block before it: numpy forms a one-row
+    product as a dot product, whose sum can differ in the last bit from the
+    matrix-vector kernel's."""
+    starts = list(range(0, n, ROW_BLOCK))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return zip(starts, starts[1:] + [n])
 
 
 def _median_bandwidth(x: np.ndarray, rng: np.random.Generator) -> float:
@@ -324,24 +376,25 @@ def logistic_fit(
     feats = legendre_eval(x, degree)
     p_dim = feats.shape[1]
     coefs = np.zeros(p_dim)
+    weighted = np.empty_like(feats)  # feats * w[:, None], one buffer for every Newton step
 
     def objective(c):
+        """The penalized objective at ``c``, and the logits it was computed from."""
         logits = feats @ c
         # log(1 + exp(logits)) - y*logits, computed stably
         nll = np.sum(np.logaddexp(0.0, logits) - y * logits)
-        return nll + 0.5 * ridge_penalty * float(c @ c)
+        return nll + 0.5 * ridge_penalty * float(c @ c), logits
 
-    obj = objective(coefs)
+    obj, logits = objective(coefs)
     converged = False
     for _ in range(max_iter):
-        logits = feats @ coefs
         probs = expit(logits)
         grad = feats.T @ (probs - y) + ridge_penalty * coefs
         if np.max(np.abs(grad)) < grad_tol:
             converged = True
             break
         w = probs * (1.0 - probs)
-        hess = (feats * w[:, None]).T @ feats + ridge_penalty * np.eye(p_dim)
+        hess = np.multiply(feats, w[:, None], out=weighted).T @ feats + ridge_penalty * np.eye(p_dim)
         step = scipy.linalg.solve(hess, grad, assume_a="pos")
         # Halve the step until the objective decreases (up to float resolution;
         # near the optimum the true decrease falls below machine precision).
@@ -349,15 +402,14 @@ def logistic_fit(
         slack = 1e-12 * (1.0 + abs(obj))
         for _ in range(30):
             new_coefs = coefs - scale * step
-            new_obj = objective(new_coefs)
+            new_obj, new_logits = objective(new_coefs)
             if new_obj < obj + slack:
                 break
             scale *= 0.5
         else:
             break  # no acceptable step; stop with the current iterate
-        coefs, obj = new_coefs, new_obj
+        coefs, obj, logits = new_coefs, new_obj, new_logits
     else:
-        logits = feats @ coefs
         probs = expit(logits)
         grad = feats.T @ (probs - y) + ridge_penalty * coefs
         converged = bool(np.max(np.abs(grad)) < grad_tol)

@@ -27,6 +27,47 @@ def test_environment_reports_unset_blas_variables_as_null(tmp_path, monkeypatch)
     assert "environment" not in (tmp_path / "checks.csv").read_text()
 
 
+def _checks_payload(tmp_path, *flags) -> dict:
+    assert main(["checks", "--check", "orthonormality", *flags, "--out", str(tmp_path)]) == 0
+    return json.loads((tmp_path / "checks.json").read_text())
+
+
+def test_peak_rss_is_the_process_peak_next_to_the_runtime(tmp_path):
+    import resource
+
+    payload = _checks_payload(tmp_path, "--workers", "1")
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    assert list(payload)[list(payload).index("runtime_seconds") + 1] == "peak_rss_mb"
+    assert 0 < payload["peak_rss_mb"] <= after + 0.05
+    assert "peak_rss_mb" not in (tmp_path / "checks.csv").read_text()
+
+
+def test_peak_rss_counts_pool_workers_only_with_several_workers(tmp_path, monkeypatch):
+    from types import SimpleNamespace
+
+    from ppgen import cli
+
+    kib = {"self": 100 * 1024, "children": 300 * 1024}
+    fake = SimpleNamespace(
+        RUSAGE_SELF="self", RUSAGE_CHILDREN="children",
+        getrusage=lambda who: SimpleNamespace(ru_maxrss=kib[who]),
+    )
+    monkeypatch.setattr(cli, "resource", fake)
+    monkeypatch.setattr(cli.sys, "platform", "linux")
+    assert _checks_payload(tmp_path, "--workers", "1")["peak_rss_mb"] == 100.0
+    assert _checks_payload(tmp_path, "--workers", "2")["peak_rss_mb"] == 300.0
+    kib["self"] = 400 * 1024
+    assert _checks_payload(tmp_path, "--workers", "2")["peak_rss_mb"] == 400.0
+
+
+def test_peak_rss_is_null_without_the_resource_module(tmp_path, monkeypatch):
+    from ppgen import cli
+
+    monkeypatch.setattr(cli, "resource", None)
+    payload = _checks_payload(tmp_path)
+    assert payload["peak_rss_mb"] is None and payload["runtime_seconds"] >= 0
+
+
 def test_export_world_deterministic(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["export-world", "--seed", "4", "--out", str(out_a), "--degrees", "3"]) == 0

@@ -1,15 +1,20 @@
 """Bit-exactness pins for the OS predictor and the trial-side ridge fits, the
-grid's one evaluation of the OS predictor per input, and the estimators'
-reads of the target through one ``Target`` per world.
+OS predictor's prediction in row blocks, the grid's one evaluation of the OS
+predictor per input, and the estimators' reads of the target through one
+``Target`` per world.
 
 The digests and hex floats below were computed at commit
 b000459dd1e302c7709eb21d712fbf5a8196fe95, before the cross-validated fits
 solved their chosen penalty from the Gram matrix of the CV sweep, before the
-cosine design was built in one buffer and before the grid evaluated the OS
-predictor once per run.  Equal sha256 digests of the float64 bytes mean
+cosine design was built in one buffer, before the grid evaluated the OS
+predictor once per run and before the CV sweep and ``predict`` worked in
+blocks of ``ROW_BLOCK`` rows.  Equal sha256 digests of the float64 bytes mean
 bit-identical arrays.  A multithreaded BLAS may split the OS Gram's sums
-differently, so the fits run in a subprocess with one BLAS thread.  The
-``Target`` tests compare two paths within one process, so they run in it.
+differently, and a matrix-vector product's rows at other boundaries than the
+blocks' (3,077 rows on two threads moved predictions by 1 ulp), so the fits
+and the blocked-versus-one-shot predictions run in a subprocess with one BLAS
+thread.  The ``Target`` tests compare two paths within one process, so they
+run in it.
 """
 
 import functools
@@ -75,6 +80,23 @@ def ridge_cv_values() -> dict:
     return out
 
 
+def _one_shot_predict(fit, x) -> np.ndarray:
+    """RandomFeatureFit.predict as one product of the whole cosine design."""
+    feats = x[:, None] * fit.frequencies[None, :]
+    feats += fit.phases[None, :]
+    np.cos(feats, out=feats)
+    feats *= np.sqrt(2.0 / fit.frequencies.shape[0])
+    return feats @ fit.coefficients + fit.intercept
+
+
+def blocked_predict_values() -> dict:
+    """Digests of the blocked and the one-shot prediction at sizes around the row block."""
+    f, target, _ = _world()
+    block = regression.ROW_BLOCK
+    return {str(n): [_digest(f.predict(target.x[:n])), _digest(_one_shot_predict(f, target.x[:n]))]
+            for n in (1, block - 1, block, block + 1, 3 * block + 1, 3 * block + 5)}
+
+
 FLEXIBLE_FIT = {
     "penalty": "0x1.ab08a305b6da7p+0",
     "coefficients": "e8063ddca0f7122103432a6a4b2d1dc1d8f414de27febe4c334315848443007c",
@@ -101,7 +123,8 @@ SCRIPT = """
 import json, sys
 sys.path[:0] = ["src", "tests"]
 import test_fit_exactness as t
-print(json.dumps({"flexible_fit": t.flexible_fit_values(), "ridge_cv": t.ridge_cv_values()}))
+print(json.dumps({"flexible_fit": t.flexible_fit_values(), "ridge_cv": t.ridge_cv_values(),
+                  "blocked_predict": t.blocked_predict_values()}))
 """
 
 
@@ -119,6 +142,12 @@ def test_flexible_fit_is_bit_identical(pinned):
 
 def test_ridge_cv_is_bit_identical(pinned):
     assert pinned["ridge_cv"] == RIDGE_CV
+
+
+def test_blocked_predict_equals_one_shot_predict(pinned):
+    assert len(pinned["blocked_predict"]) == 6
+    for n, (blocked, one_shot) in pinned["blocked_predict"].items():
+        assert blocked == one_shot, n
 
 
 class _Counting:

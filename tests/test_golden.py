@@ -27,10 +27,10 @@ without its ``np.float64(...)`` wrapper).  figure3.csv, ipwdr.csv and
 noise_robustness.csv were written again by the grid commands above once a
 scenario with a single successful run reported its variance as undefined:
 each of their variance cells went from 0.0 to nan, and every other cell is
-unchanged (checked by script).  JSON payloads carry a run time, so
-they are not stored; every one written is parsed strictly instead (no NaN or
-Infinity tokens) and must carry the run's ``environment`` (cores, workers,
-BLAS thread variables, library versions).
+unchanged (checked by script).  JSON payloads carry a run time and a
+peak memory, so they are not stored; every one written is parsed strictly
+instead (no NaN or Infinity tokens) and must carry both and the run's
+``environment`` (cores, workers, BLAS thread variables, library versions).
 
 The OS predictor's fit and the GP draws go through BLAS, whose sums split
 differently with the number of threads, so the last bits of some cells depend
@@ -114,6 +114,7 @@ def test_golden_outputs(command, tmp_path):
                 for path in tmp_path.glob("*.json")}
     assert payloads
     for payload in payloads.values():
+        assert payload["runtime_seconds"] >= 0 and payload["peak_rss_mb"] > 0
         # the setting a run's speed and last bits depend on, as the command saw it
         env = payload["environment"]
         assert env["cpu_count"] == os.cpu_count() and env["workers"] == 1

@@ -1,0 +1,48 @@
+"""Memory guards for the OS predictor: its CV sweep gathers held-out rows and
+its prediction evaluates cosine features in blocks of ``ROW_BLOCK`` rows, so
+neither holds a second copy of a large design.
+
+Peaks are numpy's allocations as tracemalloc sees them, above what was
+allocated before the call.  The fit is measured at 200 features: at the
+default 500, the five folds' stacked Grams and their eigenvectors alone take
+19 MiB, which is not a row-sized cost and would hide a row-sized copy.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from ppgen.regression import flexible_fit
+
+MIB = 2**20
+N_ROWS = 20_000
+
+
+def _peak_bytes(fn, *args, **kwargs) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _data(n: int, seed: int):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, n)
+    return x, np.sin(4 * x) + rng.normal(0, 0.5, n)
+
+
+def test_flexible_fit_peaks_at_its_design_plus_8_mib():
+    x, y = _data(N_ROWS, 1)
+    n_features = 200
+    design = N_ROWS * n_features * 8
+    assert _peak_bytes(flexible_fit, x, y, n_features=n_features, seed=2) <= design + 8 * MIB
+
+
+def test_predict_on_20k_rows_peaks_under_8_mib():
+    fit = flexible_fit(*_data(2_000, 3), seed=4)  # the default 500 features
+    assert fit.frequencies.shape[0] == 500
+    x = np.random.default_rng(5).uniform(-1, 1, N_ROWS)
+    assert _peak_bytes(fit.predict, x) <= 8 * MIB

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppgen import regression
 from ppgen.regression import (
+    ROW_BLOCK,
     CallablePredictor,
     ConstantPredictor,
     IllConditionedError,
@@ -133,6 +136,62 @@ def test_ridge_cv_ties_break_toward_larger_penalty():
     assert fit.penalty == 50.0
 
 
+def _reference_cv_errors(feats, y, penalties, n_folds, fold_seed):
+    """Pooled held-out squared error per penalty, each fold solved on its own
+    training rows by np.linalg.solve."""
+    n, p = feats.shape
+    errors = np.zeros(len(penalties))
+    for idx in cv_fold_indices(n, n_folds, fold_seed):
+        train = np.ones(n, dtype=bool)
+        train[idx] = False
+        f_tr, y_tr = feats[train], y[train]
+        for i, lam in enumerate(penalties):
+            coefs = np.linalg.solve(f_tr.T @ f_tr + lam * np.eye(p), f_tr.T @ y_tr)
+            errors[i] += np.sum((y[idx] - feats[idx] @ coefs) ** 2)
+    return errors / n
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    fold=st.sampled_from([ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1]),
+    degree=st.integers(0, 6),
+    noise=st.floats(0.05, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cv_sweep_picks_the_reference_penalty(fold, degree, noise, seed):
+    rng = np.random.default_rng(seed)
+    n = 5 * fold  # five folds of exactly `fold` held-out rows
+    x = rng.uniform(-1, 1, n)
+    feats = legendre_eval(x, degree)
+    y = feats @ rng.normal(0, 1, degree + 1) + noise * rng.standard_normal(n)
+    grid = (1e-2, 1.0, 30.0, 1e3, 3e4, 1e6)
+    ref = _reference_cv_errors(feats, y, grid, 5, seed)
+    gram, rhs = feats.T @ feats, feats.T @ y
+    assert np.allclose(regression._cv_errors(feats, y, gram, rhs, grid, 5, seed), ref, rtol=1e-9, atol=0)
+    chosen = grid.index(ridge_cv(x, y, degree, penalty_grid=grid, fold_seed=seed).penalty)
+    # the reference's winner, or, where the reference itself ties to 1e-9, one of its tied penalties
+    near = np.flatnonzero(ref <= ref.min() * (1 + 1e-9))
+    if len(near) == 1:
+        assert chosen == near[0]
+    else:
+        assert chosen in near
+
+
+def test_all_zero_targets_tie_to_the_largest_penalty_across_blocks():
+    n = 5 * ROW_BLOCK + 3  # every fold spans two blocks
+    x = np.random.default_rng(21).uniform(-1, 1, n)
+    grid = (1e-6, 1.0, 50.0)
+    assert ridge_cv(x, np.zeros(n), degree=3, penalty_grid=grid, fold_seed=1).penalty == 50.0
+    assert flexible_fit(x, np.zeros(n), penalty_grid=grid, seed=1).penalty == 50.0
+
+
+def test_ridge_cv_singular_at_penalty_zero_raises():
+    x = np.zeros(40)  # constant inputs make higher columns collinear in every fold
+    with pytest.raises(IllConditionedError):
+        ridge_cv(x, np.ones(40), degree=2, penalty_grid=(0.0, 1.0))
+    assert ridge_cv(x, np.ones(40), degree=2, penalty_grid=(1e-3, 1.0)).penalty in (1e-3, 1.0)
+
+
 def test_ridge_cv_singleton_grid_equals_ridge_fit():
     rng = np.random.default_rng(3)
     x = rng.uniform(-1, 1, 25)
@@ -153,7 +212,7 @@ def _no_sweep(*args):
 
 @pytest.mark.parametrize("grid, message", [((), "nonempty"), ((1.0, -0.5, 2.0), "nonnegative")])
 def test_ridge_cv_rejects_bad_grid_up_front(monkeypatch, grid, message):
-    monkeypatch.setattr(regression, "_gram_penalty_sweep", _no_sweep)
+    monkeypatch.setattr(regression, "_fold_penalty_sweep", _no_sweep)
     rng = np.random.default_rng(5)
     with pytest.raises(ValueError, match=message):
         ridge_cv(rng.uniform(-1, 1, 40), rng.normal(0, 1, 40), degree=2, penalty_grid=grid)
@@ -217,7 +276,7 @@ def test_flexible_fit_needs_50_points():
 
 @pytest.mark.parametrize("grid, message", [((), "nonempty"), ((1.0, -0.5, 2.0), "nonnegative")])
 def test_flexible_fit_rejects_bad_grid_up_front(monkeypatch, grid, message):
-    monkeypatch.setattr(regression, "_gram_penalty_sweep", _no_sweep)
+    monkeypatch.setattr(regression, "_fold_penalty_sweep", _no_sweep)
     rng = np.random.default_rng(6)
     with pytest.raises(ValueError, match=message):
         flexible_fit(rng.uniform(-1, 1, 200), rng.normal(0, 1, 200), penalty_grid=grid)
