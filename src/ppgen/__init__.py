@@ -11,7 +11,6 @@ from .domain import (
     TARGET,
     TRIAL,
     CompositeSample,
-    DecompositionReport,
     EstimateRecord,
     GlmLogitParams,
     GlmOutcomeParams,
@@ -26,12 +25,9 @@ from .dgp import (
     draw_target,
     draw_trial,
     generate_os,
-    generate_trial_target,
     glm_logit_prob,
     glm_outcome,
-    kernel_eval,
     noise_predictor,
-    participation_prob,
     sample_gp,
     world_from_spec,
 )
@@ -62,11 +58,8 @@ from .estimators import (
 )
 from .analysis import (
     OracleResult,
-    RiskReport,
     Spectrum,
-    decompose_mse,
     empirical_excess_risk,
-    lemma2_bounds,
     prop1_formula,
     spectrum,
     true_mu,

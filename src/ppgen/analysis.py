@@ -1,30 +1,18 @@
-"""Ground-truth oracles and Monte Carlo analysis.
+"""Ground-truth oracles, the observational predictor and the theory's closed forms.
 
 The oracles integrate the realized world functions (not the ideal GP law) by
-tensor Gauss-Legendre quadrature, with node-doubling error estimates.  The
-Monte Carlo decomposition fixes a world and a large target sample and redraws
-only the trial sample, which is the large-target regime the MSE
-approximations are stated in.
+tensor Gauss-Legendre quadrature, with node-doubling error estimates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
-from .domain import CompositeSample, DecompositionReport, GenerationError, ScenarioSpec, derive_seed
-from .dgp import (
-    World,
-    draw_target,
-    draw_trial,
-    generate_os,
-    noise_predictor,
-    os_arm_arrays,
-    world_from_spec,
-)
+from .dgp import World, generate_os, noise_predictor, os_arm_arrays
 from .regression import flexible_fit, legendre_eval, ridge_cv
 
 
@@ -137,7 +125,7 @@ def tilted_participation(world: World, n1: int, n0: int, order: int = 64) -> Cal
     return p_of_x
 
 
-# -- Monte Carlo MSE decomposition -------------------------------------------
+# -- the observational predictor ---------------------------------------------
 
 
 def os_predictor(world: World, n_os: int, seed_of: Callable[[str], int],
@@ -159,52 +147,7 @@ def os_predictor(world: World, n_os: int, seed_of: Callable[[str], int],
     return ridge_cv(x, y, degree=5, fold_seed=seed_of("fpred"))
 
 
-def decompose_mse(
-    spec: ScenarioSpec,
-    estimator: Callable[[CompositeSample, object], float],
-    n_replications: int,
-    seed_tag: object = "decomp",
-) -> DecompositionReport:
-    """Bias / variance / MSE of an estimator over trial redraws on one world.
-
-    The world, the target sample, and the predictor are fixed; each
-    replication redraws the trial sample only.  ``estimator`` receives the
-    composite sample and the predictor and returns a point estimate.  A
-    replication that raises ValueError (PositivityError, IllConditionedError
-    and numpy's LinAlgError included) or GenerationError is excluded and
-    counted; any other exception propagates.  Fewer than two successful
-    replications leave the variance undefined and raise ValueError.
-    """
-    if n_replications < 2:
-        raise ValueError("need at least 2 replications")
-    seed_of = partial(derive_seed, spec.master_seed, seed_tag)
-    world = world_from_spec(spec, seed_tag)
-    target = draw_target(world, spec.n0, seed_of("target"))
-    # the noise function's seed part is "noise-predictor" here, "noisef" in the grid
-    predictor = os_predictor(
-        world, spec.n_os, lambda part: seed_of("noise-predictor" if part == "noisef" else part),
-        spec.predictor_kind,
-    )
-    mu = true_mu(world, a=1).mu_a
-    estimates = []
-    failures = 0
-    for rep in range(n_replications):
-        trial = draw_trial(world, spec.n1, seed_of("trial", rep))
-        sample = CompositeSample.concat(trial, target)
-        try:
-            estimates.append(estimator(sample, predictor))
-        except (ValueError, GenerationError):
-            failures += 1
-    est = np.asarray(estimates)
-    r = est.shape[0]
-    if r < 2:
-        raise ValueError(f"only {r} of {n_replications} replications succeeded; need at least 2")
-    bias = float(np.mean(est) - mu)
-    variance = float(np.var(est, ddof=1))
-    mse = float(np.mean((est - mu) ** 2))
-    # Exact finite-sample identity, kept as a construction-time sanity check.
-    assert abs(mse - bias**2 - variance * (r - 1) / r) < 1e-12 * max(1.0, mse)
-    return DecompositionReport(bias, variance, mse, r, failures)
+# -- categorical MSE formula -------------------------------------------------
 
 
 def prop1_formula(target_props, group_vars, group_counts) -> float:
@@ -219,7 +162,7 @@ def prop1_formula(target_props, group_vars, group_counts) -> float:
     return float(np.sum(p**2 * v / n))
 
 
-# -- Legendre spectra and risk bounds ----------------------------------------
+# -- Legendre spectra and excess risk ----------------------------------------
 
 
 @dataclass(frozen=True)
@@ -247,38 +190,3 @@ def empirical_excess_risk(fit, truth: Callable[[np.ndarray], np.ndarray], xs) ->
     if xs.shape[0] == 0:
         raise ValueError("need at least one evaluation point")
     return float(np.mean((fit.predict(xs) - np.asarray(truth(xs), dtype=float)) ** 2))
-
-
-@dataclass(frozen=True)
-class RiskReport:
-    """An empirical excess risk next to its oracle upper bound."""
-
-    empirical_risk: float
-    bound: float
-
-    def __post_init__(self):
-        if self.bound < 0 or (not np.isnan(self.empirical_risk) and self.empirical_risk < 0):
-            raise ValueError("risks must be nonnegative")
-
-
-def lemma2_bounds(
-    sigma2: float,
-    d_prime: int,
-    n1: int,
-    spectrum_g: Spectrum,
-    spectrum_b: Spectrum,
-    risk_g: float = np.nan,
-    risk_b: float = np.nan,
-) -> tuple[RiskReport, RiskReport]:
-    """Oracle excess-risk bounds sigma^2 d'/n1 + tail mass, for both fits.
-
-    Only the ordering of the two bounds is meaningful for our cross-validated
-    fits; the constants assume an oracle-chosen penalty.
-    """
-    if d_prime >= spectrum_g.coeffs.shape[0] or d_prime >= spectrum_b.coeffs.shape[0]:
-        raise ValueError("d_prime must be below the spectrum length")
-    stat = sigma2 * d_prime / n1
-    return (
-        RiskReport(risk_g, stat + spectrum_g.tail_mass(d_prime)),
-        RiskReport(risk_b, stat + spectrum_b.tail_mass(d_prime)),
-    )

@@ -42,7 +42,7 @@ from .estimators import (
     trial_fit,
 )
 from .grid import grid_kernels
-from .regression import CallablePredictor, ConstantPredictor, TablePredictor, legendre_eval
+from .regression import CallablePredictor, ConstantPredictor, legendre_eval
 
 
 @dataclass(frozen=True)
@@ -306,15 +306,14 @@ def dr_robustness_check(
         trial = draw_trial(world, n1, derive_seed(seed, "dr", "trial", rep))
         target_cohort = draw_target(world, n0, derive_seed(seed, "dr", "target", rep))
         sample = CompositeSample.concat(trial, target_cohort)
-        # the truth at every point of the sample, computed once; the estimators
-        # evaluate their fits only on the target and on the trial arm, so it is
-        # looked up once on each and served to all six cases by array identity
+        # the estimators evaluate their fits only on the target and on the trial
+        # arm, and the weights the participation only on the trial arm: each is
+        # computed once and served to all six cases by array identity
         x0, (x1, _) = sample.target_x(), sample.trial_arm_arrays(cfg.a)
-        truth = TablePredictor(sample.x, true_outcome_function(world, 1, sample.x))
-        truth_on = {id(x0): truth.predict(x0), id(x1): truth.predict(x1)}
+        truth_on = {id(x): true_outcome_function(world, 1, x) for x in (x0, x1)}
         g_hat = CallablePredictor(lambda x: truth_on[id(x)])
-        # the weights read the participation only on the trial arm: tabled once for three cases
-        nuis_good = NuisanceSet(p_hat_marginal=n1 / (n1 + n0), p_hat=TablePredictor(x1, q(x1)))
+        q_on = {id(x1): q(x1)}
+        nuis_good = NuisanceSet(p_hat_marginal=n1 / (n1 + n0), p_hat=CallablePredictor(lambda x: q_on[id(x)]))
         f = CallablePredictor(lambda x: g_hat.predict(x) + 0.3 + 0.5 * x)  # distorted but fixed
         target = Target(x0, f)  # the target and f on it, shared by all six cases
         # each DR estimator with its exact regression component, corrupted or kept

@@ -52,6 +52,7 @@ _GRID_FLAGS = ("combo", "estimators", "degrees", "max-failures")
 SELECTIONS = {"figure3": _GRID_FLAGS, "biasvar": _GRID_FLAGS, "ipwdr": _GRID_FLAGS,
               "noise-robustness": _GRID_FLAGS, "table2": (), "checks": ("check",),
               "export-world": ("degrees",)}
+FORMATS = ("csv", "json", "both")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -59,7 +60,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", type=float, default=None, help="count multiplier in (0, 1]")
     parser.add_argument("--seed", type=int, default=None, help="master seed (env PPGEN_SEED fallback)")
     parser.add_argument("--out", type=Path, default=None, help="output directory")
-    parser.add_argument("--format", choices=("csv", "json", "both"), default=None, help="output format")
+    parser.add_argument("--format", choices=FORMATS, default=None, help="output format")
     parser.add_argument("--workers", type=int, default=None, help="process pool size")
     parser.add_argument(
         "--combo",
@@ -115,11 +116,15 @@ class RunConfig:
         self.seed = int(pick("seed", env_seed if env_seed is not None else DEFAULT_SEED))
         self.out = Path(pick("out", "ppgen-out"))
         self.format = pick("format", "both")
+        if self.format not in FORMATS:
+            raise SystemExit(f"--format must be one of {', '.join(FORMATS)}, not {self.format!r}")
         self.workers = int(pick("workers", os.cpu_count() or 1))
         if self.workers < 1:
             raise SystemExit("--workers must be at least 1")
         self.combos = pick("combo", None)
         self.estimators = _names("estimators", pick("estimators", None), ESTIMATORS)
+        if self.command == "noise-robustness" and self.estimators and not {"om", "aom"} <= set(self.estimators):
+            raise SystemExit("--estimators: noise-robustness compares aom with om, so it needs both")
         deg = pick("degrees", None)
         if isinstance(deg, str):
             deg = _checked("degrees", lambda parts: [int(d) for d in parts], deg.split(","))
@@ -265,10 +270,7 @@ def _noise_robustness_report(result: GridResult, degrees) -> dict:
     combos = sorted({r["combo_id"] for r in result.combo_rows})
     lines, entries = [], []
     for cid in combos:
-        try:
-            gap, se = result.rmse_gap(cid, "aom", "om", degrees)
-        except ValueError:
-            continue
+        gap, se = result.rmse_gap(cid, "aom", "om", degrees)
         # a single run per scenario leaves the SE, and so the comparison, undefined
         within = abs(gap) <= 2 * se if math.isfinite(se) else None
         entries.append({"combo_id": cid, "gap": gap, "se": se, "within_2se": within})

@@ -42,18 +42,6 @@ from .domain import (
 PROB_CLIP = (0.1, 0.9)  # positivity floor/ceiling for GP-drawn probabilities
 
 
-def kernel_eval(params: KernelParams, p: tuple[float, float], q: tuple[float, float]) -> float:
-    """Composite linear + squared-exponential kernel between two (x, u) points."""
-    x, u = p
-    xq, uq = q
-    exponent = 0.0
-    if params.l_x is not None:
-        exponent += (x - xq) ** 2 / (2.0 * params.l_x**2)
-    if params.l_u is not None:
-        exponent += (u - uq) ** 2 / (2.0 * params.l_u**2)
-    return params.alpha_x * x * xq + params.alpha_u * u * uq + float(np.exp(-exponent))
-
-
 @dataclass(frozen=True)
 class GridFunction:
     """A function on [-1,1]^2 stored as lattice values with bilinear interpolation."""
@@ -205,6 +193,7 @@ class World:
         return glm_outcome(fom, x, u)
 
     def participation_prob(self, x, u) -> np.ndarray:
+        """P(S=1 | x, u): the median of sigmoid(L_PS), 0.1 and 0.9 for GP worlds."""
         if self.kind == "gp":
             return _clipped_expit(self.ps_logit(x, u))
         return glm_logit_prob(self.ps_logit, x, u)
@@ -220,11 +209,6 @@ def _clipped_expit(logit: np.ndarray) -> np.ndarray:
     a fresh array from a GridFunction."""
     expit(logit, out=logit)
     return np.clip(logit, *PROB_CLIP, out=logit)
-
-
-def participation_prob(world: World, x, u) -> np.ndarray:
-    """P(S=1 | x, u): the median of sigmoid(L_PS), 0.1 and 0.9 for GP worlds."""
-    return world.participation_prob(x, u)
 
 
 def gp_world(fom_params: tuple, ps_params: KernelParams, pa_params: KernelParams,
@@ -295,13 +279,6 @@ def draw_target(world: World, n0: int, seed: int) -> CompositeSample:
     rng = np.random.default_rng(seed)
     x, u = _draw_conditional(world, n0, TARGET, rng)
     return CompositeSample.cohort(TARGET, x, u)
-
-
-def generate_trial_target(world: World, n1: int, n0: int, seed: int) -> CompositeSample:
-    """A composite sample with exactly n1 trial and n0 target records."""
-    trial = draw_trial(world, n1, derive_seed(seed, "trial"))
-    target = draw_target(world, n0, derive_seed(seed, "target"))
-    return CompositeSample.concat(trial, target)
 
 
 def generate_os(world: World, n_os: int, seed: int) -> CompositeSample:

@@ -307,21 +307,6 @@ class EstimateRecord:
             raise ValueError("point estimate must be finite")
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Monte Carlo bias / variance / MSE summary for one estimator on one world."""
-
-    bias: float
-    variance: float
-    mse: float
-    n_replications: int
-    n_failures: int = 0
-
-    def __post_init__(self):
-        if self.variance < 0 or self.mse < 0:
-            raise ValueError("variance and mse must be nonnegative")
-
-
 # -- CSV serialization -------------------------------------------------------
 
 

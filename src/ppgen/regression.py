@@ -434,26 +434,3 @@ class CallablePredictor:
 
     def predict(self, x) -> np.ndarray:
         return np.asarray(self.fn(np.atleast_1d(np.asarray(x, dtype=float))), dtype=float)
-
-
-class TablePredictor:
-    """A function's stored values at the points it was evaluated on.
-
-    ``predict`` looks every point up exactly and raises ValueError for a
-    point the table was not built on: it never interpolates.
-    """
-
-    def __init__(self, x, values):
-        x, values = np.asarray(x, dtype=float), np.asarray(values, dtype=float)
-        if x.ndim != 1 or x.shape != values.shape or x.shape[0] == 0:
-            raise ValueError("a table needs at least one point and one value per point")
-        order = np.argsort(x, kind="stable")
-        self.points, self.values = x[order], values[order]
-
-    def predict(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        i = np.minimum(np.searchsorted(self.points, x), self.points.shape[0] - 1)
-        missing = int(np.count_nonzero(self.points[i] != x))
-        if missing:
-            raise ValueError(f"{missing} of {x.shape[0]} points are not in the table")
-        return self.values[i]

@@ -2,11 +2,8 @@ import numpy as np
 import pytest
 
 from ppgen.analysis import (
-    Spectrum,
-    decompose_mse,
     empirical_excess_risk,
     gauss_legendre_nodes,
-    lemma2_bounds,
     prop1_formula,
     spectrum,
     tilted_participation,
@@ -15,7 +12,7 @@ from ppgen.analysis import (
     true_outcome_function,
 )
 from ppgen.dgp import GridFunction, World
-from ppgen.domain import KernelParams, PositivityError, ScenarioSpec
+from ppgen.domain import KernelParams
 from ppgen.regression import CallablePredictor, legendre_eval, ridge_fit
 
 SE_ONLY = KernelParams(0.0, 0.0, 0.5, None)
@@ -84,90 +81,6 @@ def test_tilted_participation_tilts_toward_trial_count():
     assert np.all((q_even(xs) > 0) & (q_even(xs) < 1))
 
 
-# -- Monte Carlo decomposition ------------------------------------------------------
-
-
-def _tiny_spec(seed=5):
-    return ScenarioSpec(
-        dgp_kind="gp",
-        fom_params=(KernelParams(1.0, 1.0, 0.5, None), KernelParams(1.0, 1.0, 0.5, None)),
-        ps_params=KernelParams(10.0, 0.0, 1.0, None),
-        pa_params=KernelParams(1.0, 0.0, 1.0, None),
-        n1=60,
-        n0=500,
-        n_os=200,
-        noise_sigma=0.0,
-        predictor_kind="iid_noise",  # cheap; the estimators below ignore it
-        master_seed=seed,
-    )
-
-
-def test_decompose_constant_estimator():
-    spec = _tiny_spec()
-    from ppgen.dgp import world_from_spec
-
-    mu = true_mu(world_from_spec(spec, "decomp"), a=1).mu_a
-    report = decompose_mse(spec, lambda sample, f: 2.5, n_replications=10)
-    assert report.variance == 0.0
-    assert report.bias == pytest.approx(2.5 - mu, abs=1e-12)
-    assert report.mse == pytest.approx(report.bias**2, abs=1e-12)
-
-
-def test_decompose_oracle_estimator():
-    spec = _tiny_spec()
-    from ppgen.dgp import world_from_spec
-
-    mu = true_mu(world_from_spec(spec, "decomp"), a=1).mu_a
-    report = decompose_mse(spec, lambda sample, f: mu, n_replications=5)
-    assert report.bias == pytest.approx(0.0, abs=1e-12)
-    assert report.variance == pytest.approx(0.0, abs=1e-24)
-    assert report.mse == pytest.approx(0.0, abs=1e-24)
-
-
-def test_decompose_counts_failures():
-    spec = _tiny_spec()
-
-    def flaky(sample, f, state={"n": 0}):
-        state["n"] += 1
-        if state["n"] % 3 == 0:
-            raise PositivityError("boom")
-        return 1.0
-
-    report = decompose_mse(spec, flaky, n_replications=9)
-    assert report.n_failures == 3
-    assert report.n_replications == 6
-
-
-def test_decompose_propagates_unexpected_errors():
-    def buggy(sample, f):
-        raise TypeError("a bug, not a failed replication")
-
-    with pytest.raises(TypeError):
-        decompose_mse(_tiny_spec(), buggy, n_replications=3)
-
-
-@pytest.mark.parametrize("n_ok", [0, 1])
-def test_decompose_needs_two_successes(n_ok):
-    def mostly_failing(sample, f, state={"n": 0}):
-        state["n"] += 1
-        if state["n"] > n_ok:
-            raise ValueError("failed replication")
-        return 1.0
-
-    with pytest.raises(ValueError, match="replications succeeded"):
-        decompose_mse(_tiny_spec(), mostly_failing, n_replications=4)
-
-
-def test_decompose_identity_om():
-    from ppgen.estimators import EstimatorConfig, estimate_om
-
-    spec = _tiny_spec(seed=8)
-    cfg = EstimatorConfig(degree=1, a=1, fold_seed=1)
-    report = decompose_mse(spec, lambda s, f: estimate_om(s, cfg).point_estimate, 20)
-    r = report.n_replications
-    assert abs(report.mse - report.bias**2 - report.variance * (r - 1) / r) < 1e-12
-
-
 # -- categorical MSE formula ---------------------------------------------------------
 
 
@@ -226,7 +139,7 @@ def test_spectrum_mass_bounded_by_norm():
     assert np.sum(spec.coeffs**2) <= norm_sq + 1e-9
 
 
-# -- excess risk and oracle bounds -------------------------------------------------------
+# -- excess risk -----------------------------------------------------------------------
 
 
 def test_excess_risk_zero_for_exact_fit():
@@ -252,32 +165,3 @@ def test_excess_risk_decreases_with_sample_size():
             fit = ridge_fit(x, y, degree=1, penalty=1e-8)
             risks[n].append(empirical_excess_risk(fit, truth, x))
     assert np.mean(risks[2_000]) < np.mean(risks[200])
-
-
-def test_lemma2_bounds_identical_spectra():
-    spec = spectrum(lambda x: np.sin(4 * x), d_max=10)
-    rg, rb = lemma2_bounds(0.5, 3, 200, spec, spec)
-    assert rg.bound == rb.bound
-
-
-def test_lemma2_bounds_ordering_by_construction():
-    full = Spectrum(np.array([0.5, 0.4, 0.3, 0.5, 0.5]))  # heavy tail above degree 2
-    light = Spectrum(np.array([0.5, 0.4, 0.3, 0.0, 0.0]))
-    rg, rb = lemma2_bounds(1.0, 2, 100, full, light)
-    assert rb.bound == pytest.approx(1.0 * 2 / 100)
-    assert rb.bound < rg.bound
-
-
-def test_lemma2_bounds_favorable_regime():
-    # the bias function has less tail mass than the outcome function
-    g = spectrum(lambda x: np.sin(6 * x), d_max=12)
-    b = spectrum(lambda x: 0.1 * x, d_max=12)
-    rg, rb = lemma2_bounds(0.25, 3, 200, g, b)
-    assert b.tail_mass(3) < g.tail_mass(3)
-    assert rb.bound < rg.bound
-
-
-def test_lemma2_bounds_dimension_check():
-    spec = spectrum(lambda x: x, d_max=3)
-    with pytest.raises(ValueError):
-        lemma2_bounds(0.5, 5, 100, spec, spec)

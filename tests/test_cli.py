@@ -202,3 +202,38 @@ def test_commands_reject_selection_flags_they_ignore(tmp_path, monkeypatch):
     for command, flag, value in cases:
         with pytest.raises(SystemExit, match=f"{flag}: {command} does not use this flag"):
             main([command, flag, value, "--scale", "0.01", "--out", str(tmp_path)])
+
+
+def test_noise_robustness_needs_aom_and_om(tmp_path, monkeypatch):
+    import pytest
+
+    from ppgen import cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the grid ran")
+
+    monkeypatch.setattr(cli, "benchmark_grid", no_run)
+    monkeypatch.setattr(cli, "run_scenario_grid", no_run)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"estimators": "abc,aom"}))
+    for flags in (["--estimators", "om"], ["--estimators", "aom,abc"], ["--config", str(config)]):
+        with pytest.raises(SystemExit, match="--estimators: .*aom.*om"):
+            main(["noise-robustness", *flags, "--scale", "0.01", "--combo", "n1=200,lx=0.5,conf=mid",
+                  "--out", str(tmp_path)])
+    assert not list(tmp_path.glob("noise_robustness.*"))
+
+
+def test_config_file_format_is_validated(tmp_path, monkeypatch):
+    import pytest
+
+    from ppgen import cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli, "run_checks", no_run)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"format": "xml"}))
+    with pytest.raises(SystemExit, match="--format .*csv, json, both.*'xml'"):
+        main(["checks", "--config", str(config), "--check", "orthonormality", "--out", str(tmp_path)])
+    assert not list(tmp_path.glob("checks.*"))

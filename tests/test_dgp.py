@@ -12,21 +12,20 @@ from ppgen.dgp import (
     draw_target,
     draw_trial,
     generate_os,
-    generate_trial_target,
     glm_logit_prob,
     glm_outcome,
-    kernel_eval,
     noise_predictor,
-    participation_prob,
     sample_gp,
     world_from_spec,
 )
 from ppgen.domain import (
     OS,
+    CompositeSample,
     GlmLogitParams,
     GlmOutcomeParams,
     KernelParams,
     ScenarioSpec,
+    derive_seed,
 )
 
 SE_ONLY = KernelParams(0.0, 0.0, 0.5, None)
@@ -47,6 +46,19 @@ def flat_world(fom1=2.0, fom0=0.0, ps_logit=0.0, pa_logit=0.0, noise=0.0):
 
 
 # -- kernel ---------------------------------------------------------------------
+
+
+def kernel_eval(params: KernelParams, p: tuple[float, float], q: tuple[float, float]) -> float:
+    """Composite linear + squared-exponential kernel between two (x, u) points:
+    the reference covariance that sample_gp's draws are checked against."""
+    x, u = p
+    xq, uq = q
+    exponent = 0.0
+    if params.l_x is not None:
+        exponent += (x - xq) ** 2 / (2.0 * params.l_x**2)
+    if params.l_u is not None:
+        exponent += (u - uq) ** 2 / (2.0 * params.l_u**2)
+    return params.alpha_x * x * xq + params.alpha_u * u * uq + float(np.exp(-exponent))
 
 
 def test_kernel_zero_distance():
@@ -106,9 +118,9 @@ def test_grid_function_interpolation():
 
 
 def test_participation_prob_examples():
-    assert participation_prob(flat_world(ps_logit=0.0), 0.0, 0.0)[0] == pytest.approx(0.5)
-    assert participation_prob(flat_world(ps_logit=10.0), 0.0, 0.0)[0] == pytest.approx(0.9)
-    assert participation_prob(flat_world(ps_logit=-2.1972), 0.0, 0.0)[0] == pytest.approx(0.1, abs=1e-4)
+    assert flat_world(ps_logit=0.0).participation_prob(0.0, 0.0)[0] == pytest.approx(0.5)
+    assert flat_world(ps_logit=10.0).participation_prob(0.0, 0.0)[0] == pytest.approx(0.9)
+    assert flat_world(ps_logit=-2.1972).participation_prob(0.0, 0.0)[0] == pytest.approx(0.1, abs=1e-4)
 
 
 def test_participation_prob_always_clipped():
@@ -135,14 +147,21 @@ def _gp_spec(n1=200, n0=500, n_os=500, seed=5):
     )
 
 
+def trial_target(world, n1, n0, seed):
+    """A composite sample of exactly n1 trial and n0 target records."""
+    return CompositeSample.concat(
+        draw_trial(world, n1, derive_seed(seed, "trial")), draw_target(world, n0, derive_seed(seed, "target"))
+    )
+
+
 def test_exact_cohort_sizes():
     world = world_from_spec(_gp_spec(), "sizes")
-    sample = generate_trial_target(world, 200, 20_000, seed=1)
+    sample = trial_target(world, 200, 20_000, seed=1)
     assert (sample.n1, sample.n0) == (200, 20_000)
 
 
 def test_constant_world_outcomes():
-    sample = generate_trial_target(flat_world(fom1=2.0), 50, 10, seed=2)
+    sample = trial_target(flat_world(fom1=2.0), 50, 10, seed=2)
     treated = (sample.s_array() == 1) & (sample.a_array() == 1)
     for y in sample.y_array()[treated]:
         assert y == pytest.approx(2.0, abs=1e-12)
@@ -315,8 +334,8 @@ def test_pipeline_determinism():
     spec = _gp_spec(seed=77)
     world_a = world_from_spec(spec, "det")
     world_b = world_from_spec(spec, "det")
-    sample_a = generate_trial_target(world_a, spec.n1, spec.n0, seed=spec.master_seed)
-    sample_b = generate_trial_target(world_b, spec.n1, spec.n0, seed=spec.master_seed)
+    sample_a = trial_target(world_a, spec.n1, spec.n0, seed=spec.master_seed)
+    sample_b = trial_target(world_b, spec.n1, spec.n0, seed=spec.master_seed)
     assert sample_a == sample_b
     os_a = generate_os(world_a, spec.n_os, seed=spec.master_seed)
     os_b = generate_os(world_b, spec.n_os, seed=spec.master_seed)

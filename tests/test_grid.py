@@ -55,6 +55,17 @@ def test_variance_is_undefined_from_one_run():
     assert np.isfinite(two.combo_rows[0]["variance"])
 
 
+def test_scenario_rows_decompose_the_mse():
+    result = run_scenario_grid(small_grid(predictor_kind="iid_noise")[:1], estimators=("om",), degrees=(1,),
+                               n_scenarios=1, n_runs=6)
+    row = result.scenario_rows[-1]
+    est = np.asarray(row["estimates"])
+    assert row["bias"] == pytest.approx(np.mean(est) - row["mu"], abs=1e-12)
+    # mse = bias^2 + variance * (r - 1) / r exactly, with the ddof=1 variance
+    r = est.shape[0]
+    assert abs(row["rmse"] ** 2 - row["bias"] ** 2 - row["variance"] * (r - 1) / r) < 1e-12 * max(1.0, row["rmse"] ** 2)
+
+
 def test_grid_runs_weighting_estimators():
     from ppgen.grid import ALL_ESTIMATORS
 

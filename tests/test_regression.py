@@ -9,7 +9,6 @@ from ppgen.regression import (
     CallablePredictor,
     ConstantPredictor,
     IllConditionedError,
-    TablePredictor,
     cv_fold_indices,
     flexible_fit,
     legendre_eval,
@@ -332,16 +331,3 @@ def test_predictor_helpers():
     assert np.array_equal(c.predict([0.0, 1.0]), [2.5, 2.5])
     f = CallablePredictor(lambda x: 2 * x)
     assert np.array_equal(f.predict([0.5]), [1.0])
-
-
-def test_table_predictor_is_an_exact_lookup():
-    x = np.array([0.5, -0.25, 0.75, -0.25, 0.0])
-    table = TablePredictor(x, 10 * x)
-    assert table.predict([0.75, -0.25, 0.5, 0.0]).tolist() == [7.5, -2.5, 5.0, 0.0]
-    assert table.predict(0.5).tolist() == [5.0]
-    for outside in ([0.1], [0.75, np.nextafter(0.75, 1.0)], [-1.0], [1.0], [np.nan]):
-        with pytest.raises(ValueError, match="not in the table"):
-            table.predict(outside)
-    for bad in ((x, x[:-1]), ([], [])):
-        with pytest.raises(ValueError):
-            TablePredictor(*bad)
