@@ -35,6 +35,8 @@ from .grid import (
     DEFAULT_DEGREES,
     ESTIMATORS,
     GP_ESTIMATORS,
+    TABLE2_N1,
+    TABLE2_RUNS,
     GridResult,
     benchmark_grid,
     check_degrees,
@@ -55,12 +57,18 @@ SELECTIONS = {"figure3": _GRID_FLAGS, "biasvar": _GRID_FLAGS, "ipwdr": _GRID_FLA
 FORMATS = ("csv", "json", "both")
 
 
+def _format(value: str) -> str:
+    if value not in FORMATS:
+        raise argparse.ArgumentTypeError(f"must be one of {', '.join(FORMATS)}, not {value!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="JSON config file; flags override it")
     parser.add_argument("--scale", type=float, default=None, help="count multiplier in (0, 1]")
     parser.add_argument("--seed", type=int, default=None, help="master seed (env PPGEN_SEED fallback)")
     parser.add_argument("--out", type=Path, default=None, help="output directory")
-    parser.add_argument("--format", choices=FORMATS, default=None, help="output format")
+    parser.add_argument("--format", type=_format, default=None, metavar="{csv,json,both}", help="output format")
     parser.add_argument("--workers", type=int, default=None, help="process pool size")
     parser.add_argument(
         "--combo",
@@ -75,8 +83,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-failures", type=int, default=None, help="failed replications tolerated")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ppgen", description=__doc__)
+def build_parser(**kwargs) -> argparse.ArgumentParser:
+    """The command line's parser; ``kwargs`` go to it and to each command's."""
+    parser = argparse.ArgumentParser(prog="ppgen", description=__doc__, **kwargs)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in [
         ("figure3", "RMSE of OM / OS-OM / ABC / AOM over the 12-combo grid"),
@@ -87,50 +96,68 @@ def build_parser() -> argparse.ArgumentParser:
         ("checks", "run the theory checks and report PASS/FAIL"),
         ("export-world", "write one world's lattice and fitted curves as CSV"),
     ]:
-        _add_common(sub.add_parser(name, help=help_text))
+        _add_common(sub.add_parser(name, help=help_text, **kwargs))
     return parser
 
 
+def _check_selections(command: str, args: argparse.Namespace, source: str = "") -> None:
+    for flag in ("combo", "estimators", "degrees", "check", "max-failures"):
+        if getattr(args, flag.replace("-", "_")) is not None and flag not in SELECTIONS[command]:
+            raise SystemExit(f"{source}--{flag}: {command} does not use this flag")
+
+
+def _parse_entries(command: str, source: str, entries: dict) -> dict:
+    """``entries`` (flag name -> value) parsed as ``command``'s flags: each is
+    one ``--name=value`` (a list stands for its comma-separated value, or for
+    one ``--combo`` per item).  A bad name or value exits naming ``source``."""
+    if "config" in entries:
+        raise SystemExit(f"{source}: a config file cannot name another")
+    tokens = []
+    for key, value in entries.items():
+        for item in (value if key == "combo" and isinstance(value, list) else [value]):
+            tokens.append(f"--{key}={','.join(map(str, item)) if isinstance(item, list) else item}")
+    try:
+        args, unknown = build_parser(allow_abbrev=False, exit_on_error=False).parse_known_args([command, *tokens])
+    except argparse.ArgumentError as exc:
+        raise SystemExit(f"{source}: {exc.argument_name} {exc.message}") from None
+    if unknown:
+        raise SystemExit(f"{source}: unrecognized arguments: {' '.join(unknown)}")
+    _check_selections(command, args, f"{source}: ")
+    return {name: value for name, value in vars(args).items() if value is not None}
+
+
 class RunConfig:
-    """Merged view of defaults, the config file and explicit flags."""
+    """Merged view of the defaults, PPGEN_SEED, the config file and explicit
+    flags, each winning over the ones before it.  Each is parsed by the
+    command's own parser, so a bad value exits naming where it came from."""
 
     def __init__(self, args: argparse.Namespace):
-        file_cfg = {}
-        if args.config:
-            file_cfg = json.loads(Path(args.config).read_text())
-
-        def pick(name, default):
-            flag = getattr(args, name.replace("-", "_"), None)
-            if flag is not None:
-                return flag
-            return file_cfg.get(name, default)
-
         self.command = args.command
-        for flag in ("combo", "estimators", "degrees", "check", "max-failures"):
-            if getattr(args, flag.replace("-", "_")) is not None and flag not in SELECTIONS[self.command]:
-                raise SystemExit(f"--{flag}: {self.command} does not use this flag")
-        self.scale = float(pick("scale", 1.0))
+        _check_selections(self.command, args)
+        values = {
+            "scale": 1.0, "out": Path("ppgen-out"), "format": "both", "workers": os.cpu_count() or 1,
+            **(_parse_entries(self.command, f"--config {args.config}", json.loads(args.config.read_text()))
+               if args.config else {}),
+            **{name: value for name, value in vars(args).items() if value is not None},
+        }
+        if "seed" not in values and "PPGEN_SEED" in os.environ:
+            values.update(_parse_entries(self.command, "PPGEN_SEED", {"seed": os.environ["PPGEN_SEED"]}))
+        self.scale = values["scale"]
         if not 0.0 < self.scale <= 1.0:
             raise SystemExit("--scale must lie in (0, 1]")
-        env_seed = os.environ.get("PPGEN_SEED")
-        self.seed = int(pick("seed", env_seed if env_seed is not None else DEFAULT_SEED))
-        self.out = Path(pick("out", "ppgen-out"))
-        self.format = pick("format", "both")
-        if self.format not in FORMATS:
-            raise SystemExit(f"--format must be one of {', '.join(FORMATS)}, not {self.format!r}")
-        self.workers = int(pick("workers", os.cpu_count() or 1))
+        self.seed, self.out, self.format = values.get("seed", DEFAULT_SEED), values["out"], values["format"]
+        self.workers = values["workers"]
         if self.workers < 1:
             raise SystemExit("--workers must be at least 1")
-        self.combos = pick("combo", None)
-        self.estimators = _names("estimators", pick("estimators", None), ESTIMATORS)
+        self.combos = values.get("combo")
+        self.estimators = _names("estimators", values.get("estimators"), ESTIMATORS)
         if self.command == "noise-robustness" and self.estimators and not {"om", "aom"} <= set(self.estimators):
             raise SystemExit("--estimators: noise-robustness compares aom with om, so it needs both")
-        deg = pick("degrees", None)
-        if isinstance(deg, str):
-            deg = _checked("degrees", lambda parts: [int(d) for d in parts], deg.split(","))
-        self.degrees = _checked("degrees", check_degrees, deg) if deg else DEFAULT_DEGREES
-        self.checks = _names("check", pick("check", None), CHECKS)
-        self.max_failures = int(pick("max-failures", 0))
+        deg = values.get("degrees")
+        self.degrees = DEFAULT_DEGREES if deg is None else _checked(
+            "degrees", lambda text: check_degrees([int(d) for d in text.split(",")]), deg)
+        self.checks = _names("check", values.get("check"), CHECKS)
+        self.max_failures = values.get("max_failures", 0)
 
     def scaled(self, n: int) -> int:
         return max(1, math.ceil(n * self.scale))
@@ -165,15 +192,9 @@ def _parse_combo_filter(text: str) -> dict:
 def _filter_grid(grid, combo_filters):
     if not combo_filters:
         return grid
-    keep = []
-    for spec in grid:
-        cid = combo_id(spec)
-        fields = _parse_combo_filter(cid)
-        for flt in combo_filters:
-            wanted = _parse_combo_filter(flt)
-            if all(fields.get(k) == v for k, v in wanted.items()):
-                keep.append(spec)
-                break
+    wanted = [_parse_combo_filter(flt) for flt in combo_filters]
+    keep = [spec for spec in grid if any(
+        all(_parse_combo_filter(combo_id(spec)).get(k) == v for k, v in w.items()) for w in wanted)]
     if not keep:
         raise SystemExit(f"no combos match {combo_filters}")
     return keep
@@ -282,15 +303,15 @@ def _noise_robustness_report(result: GridResult, degrees) -> dict:
 def cmd_table2(cfg: RunConfig) -> int:
     started = time.time()
     n_ground_truths = cfg.scaled(100)
-    print(f"table2: 6 rows x {n_ground_truths} ground truths x 100 runs, workers {cfg.workers}", flush=True)
-    result = run_table2(cfg.seed, n_ground_truths=n_ground_truths, n_runs=100, workers=cfg.workers)
+    print(f"table2: 6 rows x {n_ground_truths} ground truths x {TABLE2_RUNS} runs, workers {cfg.workers}", flush=True)
+    result = run_table2(cfg.seed, n_ground_truths=n_ground_truths, n_runs=TABLE2_RUNS, workers=cfg.workers)
     payload = {
         "command": "table2",
         "master_seed": cfg.seed,
         "scale": cfg.scale,
         "n_ground_truths": n_ground_truths,
-        "n_runs": 100,
-        "n1": 200,  # the linear-model benchmark runs a fixed 200-patient trial
+        "n_runs": TABLE2_RUNS,
+        "n1": TABLE2_N1,
         **_cost(cfg, started),
         "rows": result.table_rows,
     }

@@ -1,4 +1,4 @@
-"""Scenario-grid Monte Carlo runner.
+"""Monte Carlo runners: the scenario grid and the Table-2 GLM study.
 
 One *combo* is a grid cell (trial size, outcome-complexity length-scale,
 confounding setting); one *scenario* is a world sampled for that cell; one
@@ -12,11 +12,12 @@ surface across confounding settings) get bit-identical draws.  This pairs the
 cells, which both stabilizes head-to-head comparisons and makes results
 independent of how work is split across processes.
 
-The target sample and the OS predictor are fixed within a world, so a task
-builds one ``Target`` per world: the predictor's values on the target and
-each fit's design on it are computed once per world, however many runs,
-estimators and degrees read them.  Through a run-scoped ``_MemoPredictor``
-the predictor is evaluated on each run's trial arm once per run.
+Both studies redraw trials on a fixed world through one loop, ``_run_trials``.
+The target sample and the OS predictor are fixed within a world, so each world
+gets one ``Target``: the predictor's values on the target and each fit's
+design on it are computed once, however many runs, estimators and degrees
+read them; a run-scoped ``_MemoPredictor`` evaluates the predictor on each
+run's trial arm once.
 """
 
 from __future__ import annotations
@@ -202,6 +203,38 @@ class _MemoPredictor:
         return values
 
 
+def _prologue(world: World, n0: int, n_os: int, seed_of, predictor_kind: str = "learned") -> tuple:
+    """What every run on ``world`` shares: the target cohort, the OS predictor
+    ``f``, their ``Target`` and the true mean ``mu``."""
+    target_cohort = draw_target(world, n0, seed_of("target"))
+    f = os_predictor(world, n_os, seed_of, predictor_kind)
+    return target_cohort, f, Target(target_cohort.x, f), true_mu(world, a=1).mu_a
+
+
+def _run_trials(world: World, prologue: tuple, n1: int, n_runs: int, keyed: list[tuple[str, int]],
+                penalty_grid: tuple[float, ...], run_seed) -> dict[tuple[str, int], np.ndarray]:
+    """The estimates of each (estimator, degree) in ``keyed`` on ``n_runs``
+    fresh trials of size ``n1``, run-aligned; ``run_seed(part, run)`` seeds
+    run ``run``'s ``"trial"`` draw and ``"folds"`` split.  A named domain error
+    (ValueError, GenerationError) leaves that run NaN; any other propagates."""
+    target_cohort, f, target, _ = prologue
+    nuisance_degrees = dict.fromkeys(deg for name, deg in keyed if ESTIMATORS[name].nuisances)
+    estimates = {k: np.full(n_runs, np.nan) for k in keyed}
+    for run in range(n_runs):
+        sample = CompositeSample.concat(draw_trial(world, n1, run_seed("trial", run)), target_cohort)
+        fold_seed = run_seed("folds", run)
+        predictor = _MemoPredictor(f)
+        nuisances = {deg: fit_nuisances(sample, deg) for deg in nuisance_degrees}
+        for name, deg in keyed:
+            cfg = EstimatorConfig(degree=max(deg, 0), a=1, penalty_grid=penalty_grid, fold_seed=fold_seed)
+            try:
+                record = ESTIMATORS[name].estimate(sample, predictor, nuisances.get(deg), cfg, target)
+                estimates[(name, deg)][run] = record.point_estimate
+            except (ValueError, GenerationError):
+                pass  # a named domain failure: left as NaN
+    return estimates
+
+
 @dataclass(frozen=True)
 class _ScenarioTask:
     """One world shared by every combo that differs only in trial size."""
@@ -222,40 +255,16 @@ def _run_scenario_task(task: _ScenarioTask) -> list[dict]:
         return derive_seed(seed, *parts, task.scenario)
 
     world = gp_world(spec.fom_params, spec.ps_params, spec.pa_params, spec.noise_sigma, seed_of)
-    target_cohort = draw_target(world, spec.n0, seed_of("target"))
-    f = os_predictor(world, spec.n_os, seed_of, spec.predictor_kind)
-    target = Target(target_cohort.x, f)
-    mu = true_mu(world, a=1).mu_a
+    prologue = _prologue(world, spec.n0, spec.n_os, seed_of, spec.predictor_kind)
+    mu = prologue[-1]
     # os-om first (sorted is stable), then estimators x degrees in the given order
-    keyed = [
-        (name, deg)
-        for name in sorted(task.estimators, key=lambda n: ESTIMATORS[n].per_degree)
-        for deg in _estimator_degrees(name, task.degrees)
-    ]
-    needs_nuisance = any(ESTIMATORS[name].nuisances for name in task.estimators)
+    keyed = [(name, deg) for name in sorted(task.estimators, key=lambda n: ESTIMATORS[n].per_degree)
+             for deg in _estimator_degrees(name, task.degrees)]
     rows: list[dict] = []
     for n1 in task.n1_values:
-        estimates: dict[tuple[str, int], np.ndarray] = {
-            k: np.full(task.n_runs, np.nan) for k in keyed
-        }
-        for run in range(task.n_runs):
-            trial = draw_trial(world, n1, derive_seed(seed, "trial", n1, task.scenario, run))
-            sample = CompositeSample.concat(trial, target_cohort)
-            fold_seed = derive_seed(seed, "folds", n1, task.scenario, run)
-            predictor = _MemoPredictor(f)
-            nuis_by_degree = {}
-            if needs_nuisance:
-                for deg in task.degrees:
-                    nuis_by_degree[deg] = fit_nuisances(sample, deg)
-            for name, deg in keyed:
-                cfg = EstimatorConfig(degree=max(deg, 0), a=1, fold_seed=fold_seed)
-                try:
-                    record = ESTIMATORS[name].estimate(sample, predictor, nuis_by_degree.get(deg), cfg, target)
-                    estimates[(name, deg)][run] = record.point_estimate
-                except (ValueError, GenerationError):
-                    pass  # a named domain failure: left as NaN and counted below
-        for name, deg in keyed:
-            est = estimates[(name, deg)]
+        estimates = _run_trials(world, prologue, n1, task.n_runs, keyed, EstimatorConfig.penalty_grid,
+                                lambda part, run: derive_seed(seed, part, n1, task.scenario, run))
+        for (name, deg), est in estimates.items():
             ok = est[~np.isnan(est)]
             if ok.size:
                 rmse = float(np.sqrt(np.mean((ok - mu) ** 2)))
@@ -263,20 +272,11 @@ def _run_scenario_task(task: _ScenarioTask) -> list[dict]:
                 var = float(np.var(ok, ddof=1)) if ok.size > 1 else math.nan  # undefined from one run
             else:
                 rmse = bias = var = math.nan
-            rows.append(
-                {
-                    "scenario": task.scenario,
-                    "n1": n1,
-                    "estimator": name,
-                    "degree": deg,
-                    "rmse": rmse,
-                    "bias": bias,
-                    "variance": var,
-                    "n_failures": int(np.isnan(est).sum()),
-                    "mu": mu,
-                    "estimates": est.tolist(),  # run-aligned, NaN where failed
-                }
-            )
+            rows.append({
+                "scenario": task.scenario, "n1": n1, "estimator": name, "degree": deg, "rmse": rmse, "bias": bias,
+                "variance": var, "n_failures": int(np.isnan(est).sum()), "mu": mu,
+                "estimates": est.tolist(),  # run-aligned, NaN where failed
+            })
     return rows
 
 
@@ -445,6 +445,8 @@ TABLE2_ROWS = (
 )
 
 TABLE2_N1 = 200  # fixed trial size of the linear-model benchmark; recorded in output metadata
+TABLE2_N0, TABLE2_N_OS = 20_000, 50_000  # its target and OS cohorts
+TABLE2_RUNS = 100  # trial runs per ground truth
 TABLE2_ORDERS = (1, 5)
 TABLE2_ESTIMATORS = ("abc", "om")
 # Fixed near-zero penalty: the linear-model study fits plain polynomial least
@@ -496,45 +498,22 @@ class _Table2Task:
     ground_truth: int
     n_runs: int
     master_seed: int
-    n0: int = 20_000
-    n_os: int = 50_000
 
 
-def _run_table2_task(task: _Table2Task) -> list[dict]:
+def _run_table2_task(task: _Table2Task) -> dict[tuple[str, int], float]:
     row, g, seed = task.row, task.ground_truth, task.master_seed
 
     def seed_of(part, *rest):
         return derive_seed(seed, "table2-" + part, row["row_id"], g, *rest)
 
     world = _sample_glm_world(row, seed, g)
-    target_cohort = draw_target(world, task.n0, seed_of("target"))
-    f = os_predictor(world, task.n_os, seed_of)
-    target = Target(target_cohort.x, f)
-    mu = true_mu(world, a=1).mu_a
-    sq_errors: dict[tuple[str, int], list[float]] = defaultdict(list)
-    for run in range(task.n_runs):
-        trial = draw_trial(world, TABLE2_N1, seed_of("trial", run))
-        sample = CompositeSample.concat(trial, target_cohort)
-        fold_seed = seed_of("folds", run)
-        predictor = _MemoPredictor(f)
-        for order in TABLE2_ORDERS:
-            cfg = EstimatorConfig(
-                degree=order, a=1, penalty_grid=(TABLE2_PENALTY,), fold_seed=fold_seed
-            )
-            for name in ("om", "abc"):
-                estimate = ESTIMATORS[name].estimate(sample, predictor, None, cfg, target).point_estimate
-                sq_errors[(name, order)].append((estimate - mu) ** 2)
-    return [
-        {
-            "row_id": row["row_id"],
-            "ground_truth": g,
-            "estimator": name,
-            "order": order,
-            "mse": float(np.mean(sq_errors[(name, order)])),
-        }
-        for name in TABLE2_ESTIMATORS
-        for order in TABLE2_ORDERS
-    ]
+    prologue = _prologue(world, TABLE2_N0, TABLE2_N_OS, seed_of)
+    mu = prologue[-1]
+    keyed = [(name, order) for order in TABLE2_ORDERS for name in ("om", "abc")]
+    estimates = _run_trials(world, prologue, TABLE2_N1, task.n_runs, keyed, (TABLE2_PENALTY,), seed_of)
+    # Each (estimator, order)'s MSE, NaN if a named failure left a run NaN.  It
+    # squares Python floats (C pow), which can differ from numpy's x*x in the last bit.
+    return {key: float(np.mean([(e - mu) ** 2 for e in est.tolist()])) for key, est in estimates.items()}
 
 
 TABLE2_COLUMNS = ("row_id", "gamma", "sigma", "beta_scale", "lambda_scale", "estimator", "order", "mse")
@@ -542,7 +521,6 @@ TABLE2_COLUMNS = ("row_id", "gamma", "sigma", "beta_scale", "lambda_scale", "est
 
 @dataclass(frozen=True)
 class Table2Result:
-    ground_truth_rows: list[dict]
     table_rows: list[dict]
     master_seed: int
 
@@ -553,7 +531,7 @@ class Table2Result:
 def run_table2(
     master_seed: int,
     n_ground_truths: int = 100,
-    n_runs: int = 100,
+    n_runs: int = TABLE2_RUNS,
     workers: int = 1,
     rows: Sequence[dict] = TABLE2_ROWS,
 ) -> Table2Result:
@@ -563,14 +541,14 @@ def run_table2(
         for row in rows
         for g in range(n_ground_truths)
     ]
-    gt_rows = [row for rows_ in _map(_run_table2_task, tasks, workers) for row in rows_]
     mse: dict[tuple, list[float]] = defaultdict(list)
-    for r in gt_rows:
-        mse[(r["row_id"], r["estimator"], r["order"])].append(r["mse"])
+    for task, by_key in zip(tasks, _map(_run_table2_task, tasks, workers)):
+        for (name, order), value in by_key.items():
+            mse[(task.row["row_id"], name, order)].append(value)
     table_rows = [
         {**row, "estimator": name, "order": order, "mse": float(np.mean(mse[(row["row_id"], name, order)]))}
         for row in rows
         for name in TABLE2_ESTIMATORS
         for order in TABLE2_ORDERS
     ]
-    return Table2Result(gt_rows, table_rows, master_seed)
+    return Table2Result(table_rows, master_seed)

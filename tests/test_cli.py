@@ -1,4 +1,7 @@
 import json
+import re
+
+import pytest
 
 from ppgen.cli import main
 
@@ -237,3 +240,69 @@ def test_config_file_format_is_validated(tmp_path, monkeypatch):
     with pytest.raises(SystemExit, match="--format .*csv, json, both.*'xml'"):
         main(["checks", "--config", str(config), "--check", "orthonormality", "--out", str(tmp_path)])
     assert not list(tmp_path.glob("checks.*"))
+
+
+def _no_checks(monkeypatch):
+    from ppgen import cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli, "run_checks", no_run)
+
+
+CONFIG_ERRORS = [
+    ({"seed": 1.5}, "--seed invalid int value: '1.5'"),
+    ({"sede": 3}, "unrecognized arguments: --sede=3"),
+    ({"sca": 0.5}, "unrecognized arguments: --sca=0.5"),  # keys are whole flag names
+    ({"estimators": "om"}, "--estimators: checks does not use this flag"),
+    ({"workers": "two"}, "--workers invalid int value: 'two'"),
+    ({"scale": "half"}, "--scale invalid float value: 'half'"),
+    ({"config": "other.json"}, "a config file cannot name another"),
+]
+
+
+@pytest.mark.parametrize("entries, message", CONFIG_ERRORS, ids=[next(iter(e)) for e, _ in CONFIG_ERRORS])
+def test_config_file_entries_are_parsed_like_flags(tmp_path, monkeypatch, entries, message):
+    _no_checks(monkeypatch)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(entries))
+    with pytest.raises(SystemExit, match=re.escape(f"--config {config}: {message}")):
+        main(["checks", "--config", str(config), "--check", "orthonormality", "--out", str(tmp_path)])
+    assert not list(tmp_path.glob("checks.*"))
+
+
+def test_env_seed_and_config_lists_are_parsed_like_flags(tmp_path, monkeypatch):
+    from ppgen import cli
+
+    monkeypatch.setenv("PPGEN_SEED", "5")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 6, "scale": 0.05, "check": ["orthonormality", "prop1"]}))
+    # the file beats the environment, and a list stands for the flag's values
+    assert main(["checks", "--config", str(config), "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "checks.json").read_text())
+    assert payload["master_seed"] == 6
+    assert [r["name"] for r in payload["results"]] == ["orthonormality", "prop1"]
+    # each item of a combo list is one filter
+    seen = {}
+
+    class Captured(Exception):
+        pass
+
+    def capture(grid, **kwargs):
+        seen.update(combos=[cli.combo_id(spec) for spec in grid], **kwargs)
+        raise Captured
+
+    monkeypatch.setattr(cli, "run_scenario_grid", capture)
+    config.write_text(json.dumps({"combo": ["n1=200,lx=0.5,conf=mid", "n1=1000,lx=0.2,conf=none"],
+                                  "estimators": ["om", "abc"], "degrees": [3, 1]}))
+    with pytest.raises(Captured):
+        main(["figure3", "--config", str(config), "--out", str(tmp_path)])
+    assert seen["combos"] == ["n1=200;lx=0.5;conf=mid", "n1=1000;lx=0.2;conf=none"]
+    assert (seen["estimators"], seen["degrees"]) == (("om", "abc"), (3, 1))
+    # an explicit seed makes a bad PPGEN_SEED irrelevant; without one it stops the run
+    monkeypatch.setenv("PPGEN_SEED", "abc")
+    assert _checks_payload(tmp_path, "--seed", "4")["master_seed"] == 4
+    _no_checks(monkeypatch)
+    with pytest.raises(SystemExit, match=re.escape("PPGEN_SEED: --seed invalid int value: 'abc'")):
+        main(["checks", "--check", "orthonormality", "--out", str(tmp_path)])

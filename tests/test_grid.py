@@ -129,6 +129,23 @@ def test_grid_propagates_unexpected_errors(monkeypatch):
                           degrees=(1,), n_scenarios=1, n_runs=1, workers=1)
 
 
+def test_table2_leaves_named_failures_nan(monkeypatch):
+    from ppgen import grid
+
+    monkeypatch.setattr(grid, "estimate_om", _failing_om(PositivityError("no support")))
+    result = run_table2(master_seed=5, n_ground_truths=1, n_runs=2, workers=1, rows=TABLE2_ROWS[:1])
+    mse = {(r["estimator"], r["order"]): r["mse"] for r in result.table_rows}
+    assert all(np.isnan(mse[("om", order)]) and np.isfinite(mse[("abc", order)]) for order in (1, 5))
+
+
+def test_table2_propagates_unexpected_errors(monkeypatch):
+    from ppgen import grid
+
+    monkeypatch.setattr(grid, "estimate_om", _failing_om(TypeError("a bug")))
+    with pytest.raises(TypeError):
+        run_table2(master_seed=5, n_ground_truths=1, n_runs=1, workers=1, rows=TABLE2_ROWS[:1])
+
+
 def test_grid_deterministic_across_workers():
     grid = small_grid(seed=13)
     a = run_scenario_grid(grid, degrees=(1, 3), n_scenarios=2, n_runs=2, workers=1)
