@@ -1,8 +1,8 @@
 """Command-line driver for the experiment grids and theory checks.
 
-Subcommands: figure3 | biasvar | ipwdr | table2 | noise-robustness | checks |
-export-world.  Every run is deterministic given --seed (or the PPGEN_SEED
-environment variable) and emits CSV and/or JSON into --out.
+The subcommands are the entries of ``COMMANDS``.  Every run is deterministic
+given --seed (or the PPGEN_SEED environment variable) and emits CSV and/or
+JSON into --out.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import sys
 import time
 from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
@@ -47,13 +48,6 @@ from .grid import (
 )
 
 DEFAULT_SEED = 1729
-
-# The selection flags each command reads; giving one to a command that would
-# ignore it is an error.
-_GRID_FLAGS = ("combo", "estimators", "degrees", "max-failures")
-SELECTIONS = {"figure3": _GRID_FLAGS, "biasvar": _GRID_FLAGS, "ipwdr": _GRID_FLAGS,
-              "noise-robustness": _GRID_FLAGS, "table2": (), "checks": ("check",),
-              "export-world": ("degrees",)}
 FORMATS = ("csv", "json", "both")
 
 
@@ -87,22 +81,14 @@ def build_parser(**kwargs) -> argparse.ArgumentParser:
     """The command line's parser; ``kwargs`` go to it and to each command's."""
     parser = argparse.ArgumentParser(prog="ppgen", description=__doc__, **kwargs)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("figure3", "RMSE of OM / OS-OM / ABC / AOM over the 12-combo grid"),
-        ("biasvar", "squared bias and variance over the 12-combo grid"),
-        ("ipwdr", "the grid with IPW and doubly-robust estimators included"),
-        ("table2", "the linear-model benchmark rows"),
-        ("noise-robustness", "the grid with the i.i.d.-noise predictor"),
-        ("checks", "run the theory checks and report PASS/FAIL"),
-        ("export-world", "write one world's lattice and fitted curves as CSV"),
-    ]:
-        _add_common(sub.add_parser(name, help=help_text, **kwargs))
+    for name, command in COMMANDS.items():
+        _add_common(sub.add_parser(name, help=command.help, **kwargs))
     return parser
 
 
 def _check_selections(command: str, args: argparse.Namespace, source: str = "") -> None:
     for flag in ("combo", "estimators", "degrees", "check", "max-failures"):
-        if getattr(args, flag.replace("-", "_")) is not None and flag not in SELECTIONS[command]:
+        if getattr(args, flag.replace("-", "_")) is not None and flag not in COMMANDS[command].flags:
             raise SystemExit(f"{source}--{flag}: {command} does not use this flag")
 
 
@@ -110,6 +96,8 @@ def _parse_entries(command: str, source: str, entries: dict) -> dict:
     """``entries`` (flag name -> value) parsed as ``command``'s flags: each is
     one ``--name=value`` (a list stands for its comma-separated value, or for
     one ``--combo`` per item).  A bad name or value exits naming ``source``."""
+    if not isinstance(entries, dict):
+        raise SystemExit(f"{source}: expected a JSON object of flag names and values")
     if "config" in entries:
         raise SystemExit(f"{source}: a config file cannot name another")
     tokens = []
@@ -132,12 +120,15 @@ class RunConfig:
     command's own parser, so a bad value exits naming where it came from."""
 
     def __init__(self, args: argparse.Namespace):
-        self.command = args.command
+        self.command, self.stem = args.command, args.command.replace("-", "_")  # stem: the files' name
         _check_selections(self.command, args)
+        try:
+            entries = json.loads(args.config.read_text()) if args.config else {}
+        except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+            raise SystemExit(f"--config {args.config}: {exc}") from None
         values = {
             "scale": 1.0, "out": Path("ppgen-out"), "format": "both", "workers": os.cpu_count() or 1,
-            **(_parse_entries(self.command, f"--config {args.config}", json.loads(args.config.read_text()))
-               if args.config else {}),
+            **(_parse_entries(self.command, f"--config {args.config}", entries) if args.config else {}),
             **{name: value for name, value in vars(args).items() if value is not None},
         }
         if "seed" not in values and "PPGEN_SEED" in os.environ:
@@ -231,34 +222,33 @@ def _cost(cfg: RunConfig, started: float) -> dict:
     return {"runtime_seconds": round(time.time() - started, 3), "peak_rss_mb": peak}
 
 
-def _write_json(cfg: RunConfig, path: Path, payload: dict) -> None:
-    """Strict JSON with the run's ``environment``: an undefined value (NaN, an
-    infinity) is written as null."""
-    payload = {**payload, "environment": _environment(cfg.workers)}
-    # json reads its own NaN/Infinity tokens back through parse_constant
-    strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
-    path.write_text(json.dumps(strict, indent=2, allow_nan=False) + "\n")
-
-
-def _write_outputs(cfg: RunConfig, stem: str, text: str, payload: dict) -> None:
+def _write_outputs(cfg: RunConfig, csvs: dict[str, str], payload: dict) -> None:
+    """The run's CSVs (file name -> text) and its JSON payload, as ``--format``
+    asks.  The payload is strict JSON with the run's ``environment``: an
+    undefined value (NaN, an infinity) is written as null."""
     cfg.out.mkdir(parents=True, exist_ok=True)
-    if cfg.format in ("csv", "both"):
-        (cfg.out / f"{stem}.csv").write_text(text)
+    written = list(csvs) if cfg.format in ("csv", "both") else []
+    for name in written:
+        (cfg.out / name).write_text(csvs[name])
     if cfg.format in ("json", "both"):
-        _write_json(cfg, cfg.out / f"{stem}.json", payload)
+        written.append(f"{cfg.stem}.json")
+        # json reads its own NaN/Infinity tokens back through parse_constant
+        strict = json.loads(json.dumps({**payload, "environment": _environment(cfg.workers)}),
+                            parse_constant=lambda _: None)
+        (cfg.out / written[-1]).write_text(json.dumps(strict, indent=2, allow_nan=False) + "\n")
+    print(f"{cfg.command}: wrote {', '.join(written)} to {cfg.out}")
 
 
-def _grid_command(cfg: RunConfig, stem: str, estimators, predictor_kind: str = "learned") -> int:
-    started = time.time()
+Outputs = tuple[dict[str, str], dict, int]  # CSV texts by file name, JSON payload fields, exit code
+
+
+def _grid_command(cfg: RunConfig, estimators, predictor_kind: str = "learned") -> Outputs:
     n_scenarios = cfg.scaled(100)
     n_runs = cfg.scaled(100)
     grid = _filter_grid(benchmark_grid(cfg.seed, predictor_kind=predictor_kind), cfg.combos)
     estimators = cfg.estimators or estimators
-    print(
-        f"{stem}: {len(grid)} combos x {n_scenarios} scenarios x {n_runs} runs, "
-        f"estimators {','.join(estimators)}, workers {cfg.workers}",
-        flush=True,
-    )
+    print(f"{cfg.command}: {len(grid)} combos x {n_scenarios} scenarios x {n_runs} runs, "
+          f"estimators {','.join(estimators)}, workers {cfg.workers}", flush=True)
     result = run_scenario_grid(
         grid,
         estimators=estimators,
@@ -267,23 +257,14 @@ def _grid_command(cfg: RunConfig, stem: str, estimators, predictor_kind: str = "
         n_runs=n_runs,
         workers=cfg.workers,
     )
-    payload = {
-        "command": stem,
-        "master_seed": cfg.seed,
-        "scale": cfg.scale,
-        "n_scenarios": n_scenarios,
-        "n_runs": n_runs,
-        **_cost(cfg, started),
-        "rows": result.combo_rows,
-    }
+    fields = {"n_scenarios": n_scenarios, "n_runs": n_runs, "rows": result.combo_rows}
     if predictor_kind == "iid_noise":
-        payload["robustness_report"] = _noise_robustness_report(result, cfg.degrees)
-        for line in payload["robustness_report"]["lines"]:
+        fields["robustness_report"] = _noise_robustness_report(result, cfg.degrees)
+        for line in fields["robustness_report"]["lines"]:
             print(line)
-    _write_outputs(cfg, stem, result.combo_csv_text(), payload)
     failures = sum(r["n_failures"] for r in result.combo_rows)
-    print(f"{stem}: wrote {cfg.out}/{stem}.* ({failures} failed replications)")
-    return 0 if failures <= cfg.max_failures else 1
+    print(f"{cfg.command}: {failures} failed replications")
+    return {f"{cfg.stem}.csv": result.combo_csv_text()}, fields, 0 if failures <= cfg.max_failures else 1
 
 
 def _noise_robustness_report(result: GridResult, degrees) -> dict:
@@ -300,47 +281,26 @@ def _noise_robustness_report(result: GridResult, degrees) -> dict:
     return {"lines": lines, "entries": entries}
 
 
-def cmd_table2(cfg: RunConfig) -> int:
-    started = time.time()
+def cmd_table2(cfg: RunConfig) -> Outputs:
     n_ground_truths = cfg.scaled(100)
     print(f"table2: 6 rows x {n_ground_truths} ground truths x {TABLE2_RUNS} runs, workers {cfg.workers}", flush=True)
     result = run_table2(cfg.seed, n_ground_truths=n_ground_truths, n_runs=TABLE2_RUNS, workers=cfg.workers)
-    payload = {
-        "command": "table2",
-        "master_seed": cfg.seed,
-        "scale": cfg.scale,
-        "n_ground_truths": n_ground_truths,
-        "n_runs": TABLE2_RUNS,
-        "n1": TABLE2_N1,
-        **_cost(cfg, started),
-        "rows": result.table_rows,
-    }
-    _write_outputs(cfg, "table2", result.csv_text(), payload)
-    print(f"table2: wrote {cfg.out}/table2.*")
-    return 0
+    fields = {"n_ground_truths": n_ground_truths, "n_runs": TABLE2_RUNS, "n1": TABLE2_N1, "rows": result.table_rows}
+    return {"table2.csv": result.csv_text()}, fields, 0
 
 
-def cmd_checks(cfg: RunConfig) -> int:
-    started = time.time()
+def cmd_checks(cfg: RunConfig) -> Outputs:
     results = run_checks(cfg.checks or None, seed=cfg.seed, scale=cfg.scale)
     for res in results:
         print(res.line())
-    payload = {
-        "command": "checks",
-        "master_seed": cfg.seed,
-        "scale": cfg.scale,
-        **_cost(cfg, started),
-        "results": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
-    }
-    _write_outputs(cfg, "checks", csv_text(("name", "passed", "detail"), payload["results"]), payload)
-    return 0 if all(r.passed for r in results) else 1
+    rows = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+    code = 0 if all(r.passed for r in results) else 1
+    return {"checks.csv": csv_text(("name", "passed", "detail"), rows)}, {"results": rows}, code
 
 
-def cmd_export_world(cfg: RunConfig) -> int:
-    started = time.time()
+def cmd_export_world(cfg: RunConfig) -> Outputs:
     seed_of = partial(derive_seed, cfg.seed, "export")
     world = gp_world(*grid_kernels(0.2, "mid"), 0.0, seed_of)
-    table = world_lattice_table(world)
     f = os_predictor(world, 50_000, seed_of)
     trial = draw_trial(world, 200, seed_of("trial"))
     x1, y1 = trial.trial_arm_arrays(1)
@@ -349,33 +309,45 @@ def cmd_export_world(cfg: RunConfig) -> int:
     g_fit, b_fit = (trial_fit(kind, x1, y1, f, fit_cfg) for kind in ("om", "abc"))
     xs = np.linspace(-1.0, 1.0, 201)
     fits = {"x": xs, "f1": f.predict(xs), "g_hat": g_fit.predict(xs), "b_hat": b_fit.predict(xs)}
-
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    for name, columns in (("world_grid.csv", table), ("world_fits.csv", fits)):
-        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
-        (cfg.out / name).write_text(csv_text(list(columns), rows))
-    if cfg.format in ("json", "both"):
-        payload = {"command": "export-world", "master_seed": cfg.seed, "degree": degree, **_cost(cfg, started)}
-        _write_json(cfg, cfg.out / "export_world.json", payload)
-    print(f"export-world: wrote {cfg.out}/world_grid.csv and world_fits.csv")
-    return 0
+    csvs = {name: csv_text(list(columns), [dict(zip(columns, row)) for row in zip(*columns.values())])
+            for name, columns in (("world_grid.csv", world_lattice_table(world)), ("world_fits.csv", fits))}
+    return csvs, {"degree": degree}, 0
 
 
+class Command(NamedTuple):
+    """One subcommand: its help line, the selection flags it reads (giving it
+    another is an error) and ``run(cfg)``, which returns its ``Outputs``."""
+
+    help: str
+    flags: tuple[str, ...]
+    run: Callable[[RunConfig], Outputs]
+
+
+_GRID_FLAGS = ("combo", "estimators", "degrees", "max-failures")
 COMMANDS = {
-    "figure3": lambda cfg: _grid_command(cfg, "figure3", GP_ESTIMATORS),
-    "biasvar": lambda cfg: _grid_command(cfg, "biasvar", GP_ESTIMATORS),
-    "ipwdr": lambda cfg: _grid_command(cfg, "ipwdr", ALL_ESTIMATORS),
-    "table2": cmd_table2,
-    "noise-robustness": lambda cfg: _grid_command(cfg, "noise_robustness", GP_ESTIMATORS, "iid_noise"),
-    "checks": cmd_checks,
-    "export-world": cmd_export_world,
+    "figure3": Command("RMSE of OM / OS-OM / ABC / AOM over the 12-combo grid", _GRID_FLAGS,
+                       partial(_grid_command, estimators=GP_ESTIMATORS)),
+    "biasvar": Command("squared bias and variance over the 12-combo grid", _GRID_FLAGS,
+                       partial(_grid_command, estimators=GP_ESTIMATORS)),
+    "ipwdr": Command("the grid with IPW and doubly-robust estimators included", _GRID_FLAGS,
+                     partial(_grid_command, estimators=ALL_ESTIMATORS)),
+    "table2": Command("the linear-model benchmark rows", (), cmd_table2),
+    "noise-robustness": Command("the grid with the i.i.d.-noise predictor", _GRID_FLAGS,
+                                partial(_grid_command, estimators=GP_ESTIMATORS, predictor_kind="iid_noise")),
+    "checks": Command("run the theory checks and report PASS/FAIL", ("check",), cmd_checks),
+    "export-world": Command("write one world's lattice and fitted curves as CSV", ("degrees",), cmd_export_world),
 }
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = RunConfig(args)
-    return COMMANDS[cfg.command](cfg)
+    """Run one command, write its outputs (also when it fails a gate) and
+    return its exit code."""
+    cfg = RunConfig(build_parser().parse_args(argv))
+    started = time.time()
+    csvs, fields, code = COMMANDS[cfg.command].run(cfg)
+    payload = {"command": cfg.command, "master_seed": cfg.seed, "scale": cfg.scale, **fields, **_cost(cfg, started)}
+    _write_outputs(cfg, csvs, payload)
+    return code
 
 
 if __name__ == "__main__":

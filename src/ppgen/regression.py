@@ -294,10 +294,10 @@ def _row_blocks(n: int):
 
 
 def _median_bandwidth(x: np.ndarray, rng: np.random.Generator) -> float:
+    """The median pairwise distance of (a 1000-point subsample of) ``x``, taken
+    row by row so that no n x n distance matrix is formed."""
     sub = x if x.shape[0] <= 1000 else rng.choice(x, size=1000, replace=False)
-    dists = np.abs(sub[:, None] - sub[None, :])
-    med = float(np.median(dists[np.triu_indices(sub.shape[0], k=1)]))
-    return med
+    return float(np.median(np.concatenate([np.abs(sub[i + 1:] - sub[i]) for i in range(sub.shape[0] - 1)])))
 
 
 def flexible_fit(

@@ -306,3 +306,65 @@ def test_env_seed_and_config_lists_are_parsed_like_flags(tmp_path, monkeypatch):
     _no_checks(monkeypatch)
     with pytest.raises(SystemExit, match=re.escape("PPGEN_SEED: --seed invalid int value: 'abc'")):
         main(["checks", "--check", "orthonormality", "--out", str(tmp_path)])
+
+
+CONFIG_FILE_ERRORS = [
+    (None, "No such file or directory"),  # no file at all
+    ("{bad", "Expecting property name"),
+    ("[1]", "expected a JSON object of flag names and values"),
+]
+
+
+@pytest.mark.parametrize("text, message", CONFIG_FILE_ERRORS, ids=["missing", "malformed", "not-an-object"])
+def test_unreadable_config_file_exits_naming_it(tmp_path, monkeypatch, text, message):
+    _no_checks(monkeypatch)
+    config = tmp_path / "config.json"
+    if text is not None:
+        config.write_text(text)
+    with pytest.raises(SystemExit, match=re.escape(f"--config {config}: ") + f".*{message}"):
+        main(["checks", "--config", str(config), "--check", "orthonormality", "--out", str(tmp_path)])
+    assert not list(tmp_path.glob("checks.*"))
+
+
+# command -> the CSVs it writes; its JSON is the command's name with - replaced by _
+CSV_OUTPUTS = {
+    "figure3": ["figure3.csv"], "biasvar": ["biasvar.csv"], "ipwdr": ["ipwdr.csv"],
+    "noise-robustness": ["noise_robustness.csv"], "table2": ["table2.csv"], "checks": ["checks.csv"],
+    "export-world": ["world_fits.csv", "world_grid.csv"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", sorted(CSV_OUTPUTS))
+def test_format_selects_the_files_every_command_writes(tmp_path, monkeypatch, command, fmt):
+    from types import SimpleNamespace
+
+    from ppgen import cli
+
+    # the grids, table2 and the checks are stubbed; export-world runs for real
+    grid = SimpleNamespace(combo_rows=[], combo_csv_text=lambda: "combo_id\n")
+    monkeypatch.setattr(cli, "run_scenario_grid", lambda *args, **kwargs: grid)
+    table = SimpleNamespace(table_rows=[], csv_text=lambda: "row_id\n")
+    monkeypatch.setattr(cli, "run_table2", lambda *args, **kwargs: table)
+    monkeypatch.setattr(cli, "run_checks", lambda *args, **kwargs: [])
+    assert main([command, "--format", fmt, "--scale", "0.01", "--seed", "7", "--out", str(tmp_path)]) == 0
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == (CSV_OUTPUTS[command] if fmt == "csv" else [f"{command.replace('-', '_')}.json"])
+
+
+def test_a_failed_gate_exits_1_after_writing_its_outputs(tmp_path, monkeypatch):
+    from types import SimpleNamespace
+
+    from ppgen import cli
+    from ppgen.checks import CheckResult
+
+    monkeypatch.setattr(cli, "run_checks", lambda *args, **kwargs: [CheckResult("prop1", False, "off")])
+    assert main(["checks", "--out", str(tmp_path)]) == 1
+    assert json.loads((tmp_path / "checks.json").read_text())["results"][0]["passed"] is False
+    assert (tmp_path / "checks.csv").read_text().splitlines()[1] == "prop1,0,off"
+    grid = SimpleNamespace(combo_rows=[{"n_failures": 2}, {"n_failures": 1}], combo_csv_text=lambda: "combo_id\n")
+    monkeypatch.setattr(cli, "run_scenario_grid", lambda *args, **kwargs: grid)
+    for max_failures, code in (("2", 1), ("3", 0)):
+        (tmp_path / "figure3.json").unlink(missing_ok=True)
+        assert main(["figure3", "--max-failures", max_failures, "--scale", "0.01", "--out", str(tmp_path)]) == code
+        assert json.loads((tmp_path / "figure3.json").read_text())["rows"] == grid.combo_rows

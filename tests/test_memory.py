@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 
-from ppgen.regression import flexible_fit
+from ppgen.regression import _median_bandwidth, flexible_fit
 
 MIB = 2**20
 N_ROWS = 20_000
@@ -46,3 +46,9 @@ def test_predict_on_20k_rows_peaks_under_8_mib():
     assert fit.frequencies.shape[0] == 500
     x = np.random.default_rng(5).uniform(-1, 1, N_ROWS)
     assert _peak_bytes(fit.predict, x) <= 8 * MIB
+
+
+def test_median_bandwidth_at_1000_points_peaks_under_10_mib():
+    # the 1000 x 1000 distance matrix alone would take 7.6 MiB, its upper-triangle indices 7.6 more
+    x = np.random.default_rng(6).uniform(-1, 1, 1000)
+    assert _peak_bytes(_median_bandwidth, x, np.random.default_rng(7)) <= 10 * MIB

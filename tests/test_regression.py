@@ -281,6 +281,23 @@ def test_flexible_fit_rejects_bad_grid_up_front(monkeypatch, grid, message):
         flexible_fit(rng.uniform(-1, 1, 200), rng.normal(0, 1, 200), penalty_grid=grid)
 
 
+def _median_bandwidth_reference(x, rng):
+    """The full-distance-matrix form that ``_median_bandwidth`` replaced."""
+    sub = x if x.shape[0] <= 1000 else rng.choice(x, size=1000, replace=False)
+    dists = np.abs(sub[:, None] - sub[None, :])
+    return float(np.median(dists[np.triu_indices(sub.shape[0], k=1)]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 50, 999, 1000, 1001, 2500])
+def test_median_bandwidth_matches_the_distance_matrix(n):
+    rng = np.random.default_rng(n)
+    for x in (rng.uniform(-1, 1, n), rng.normal(0, 3, n), np.round(rng.uniform(-1, 1, n), 1),
+              rng.integers(0, 4, n).astype(float)):  # continuous draws, and draws with many ties
+        seed = int(rng.integers(2**32))
+        got = regression._median_bandwidth(x, np.random.default_rng(seed))
+        assert got == _median_bandwidth_reference(x, np.random.default_rng(seed))
+
+
 # -- logistic fit ---------------------------------------------------------------
 
 
