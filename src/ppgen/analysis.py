@@ -15,6 +15,10 @@ import numpy as np
 from .dgp import World, generate_os, noise_predictor, os_arm_arrays
 from .regression import flexible_fit, legendre_eval, ridge_cv
 
+# Gauss-Legendre nodes per axis of the oracles' quadrature; true_mu bounds its
+# error against twice as many.
+ORACLE_ORDER = 64
+
 
 @cache
 def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -27,7 +31,6 @@ def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class OracleResult:
     mu_a: float
-    method: str  # "quadrature" | "monte_carlo"
     error_bound: float
 
 
@@ -40,11 +43,11 @@ def _target_weighted_integral(world: World, a: int, order: int) -> float:
     return float(np.sum(w2 * density * fom) / np.sum(w2 * density))
 
 
-def true_mu(world: World, a: int = 1, order: int = 64) -> OracleResult:
+def true_mu(world: World, a: int = 1) -> OracleResult:
     """True mean potential outcome in the target population, by quadrature."""
-    coarse = _target_weighted_integral(world, a, order)
-    fine = _target_weighted_integral(world, a, 2 * order)
-    return OracleResult(fine, "quadrature", abs(fine - coarse))
+    coarse = _target_weighted_integral(world, a, ORACLE_ORDER)
+    fine = _target_weighted_integral(world, a, 2 * ORACLE_ORDER)
+    return OracleResult(fine, abs(fine - coarse))
 
 
 def true_mu_monte_carlo(world: World, a: int = 1, n_draws: int = 1_000_000, seed: int = 0) -> OracleResult:
@@ -58,11 +61,11 @@ def true_mu_monte_carlo(world: World, a: int = 1, n_draws: int = 1_000_000, seed
     # Standard error of the ratio estimator by the delta method.
     resid = w * (values - mu)
     se = float(np.std(resid, ddof=1) / (np.mean(w) * np.sqrt(n_draws)))
-    return OracleResult(mu, "monte_carlo", se)
+    return OracleResult(mu, se)
 
 
 # Points per block of the quadrature oracle.  Each (points x nodes) temporary
-# of a block is 1024 x 64 doubles, 512 KiB, so a block's work stays in cache
+# of a block is 1024 x ORACLE_ORDER doubles, 512 KiB, so a block's work stays in cache
 # instead of streaming every (points x nodes) array through main memory.
 ORACLE_BLOCK = 1024
 
@@ -80,7 +83,7 @@ def _by_blocks(row_fn: Callable[[np.ndarray], np.ndarray], xs) -> np.ndarray:
     return out
 
 
-def true_outcome_function(world: World, a: int, xs: np.ndarray, order: int = 64) -> np.ndarray:
+def true_outcome_function(world: World, a: int, xs: np.ndarray) -> np.ndarray:
     """E[Y | X=x, S=1, A=a]: the trial-population conditional mean at each x.
 
     The hidden covariate is integrated against its conditional density given
@@ -88,7 +91,7 @@ def true_outcome_function(world: World, a: int, xs: np.ndarray, order: int = 64)
     probability at (x, u).  The points are evaluated in blocks of
     ORACLE_BLOCK against all nodes at once.
     """
-    nodes, weights = gauss_legendre_nodes(order)
+    nodes, weights = gauss_legendre_nodes(ORACLE_ORDER)
 
     def block(x: np.ndarray) -> np.ndarray:
         xg = x[:, None]
@@ -99,7 +102,7 @@ def true_outcome_function(world: World, a: int, xs: np.ndarray, order: int = 64)
     return _by_blocks(block, xs)
 
 
-def tilted_participation(world: World, n1: int, n0: int, order: int = 64) -> Callable[[np.ndarray], np.ndarray]:
+def tilted_participation(world: World, n1: int, n0: int) -> Callable[[np.ndarray], np.ndarray]:
     """P(S=1 | X) in a composite sample drawn with exact counts n1, n0.
 
     Conditioning the two cohorts on their sizes reweights the marginal
@@ -107,7 +110,7 @@ def tilted_participation(world: World, n1: int, n0: int, order: int = 64) -> Cal
     weighting estimators are consistent with *this* propensity, not the raw
     one, so the oracle-weight checks must use it.
     """
-    nodes, weights = gauss_legendre_nodes(order)
+    nodes, weights = gauss_legendre_nodes(ORACLE_ORDER)
     p_grid = world.participation_prob(nodes[:, None], nodes[None, :])
     w2 = weights[:, None] * weights[None, :]
     p_marg = float(np.sum(w2 * p_grid) / np.sum(w2))
@@ -176,9 +179,9 @@ class Spectrum:
         return float(np.sum(self.coeffs[d_prime + 1 :] ** 2))
 
 
-def spectrum(f: Callable[[np.ndarray], np.ndarray], d_max: int, order: int = 128) -> Spectrum:
-    """Legendre coefficients <f, phi_k> for k = 0..d_max, by quadrature."""
-    nodes, weights = gauss_legendre_nodes(order)
+def spectrum(f: Callable[[np.ndarray], np.ndarray], d_max: int) -> Spectrum:
+    """Legendre coefficients <f, phi_k> for k = 0..d_max, by 128-node quadrature."""
+    nodes, weights = gauss_legendre_nodes(128)
     values = np.asarray(f(nodes), dtype=float)
     basis = legendre_eval(nodes, d_max)
     return Spectrum(basis.T @ (weights * values))

@@ -58,8 +58,9 @@ class CheckResult:
 # -- orthonormality -----------------------------------------------------------
 
 
-def orthonormality_check(max_degree: int = 8, tol: float = 1e-10, basis=legendre_eval) -> CheckResult:
-    """Quadrature Gram matrix of the basis must be the identity to 1e-10."""
+def orthonormality_check(basis=legendre_eval) -> CheckResult:
+    """Quadrature Gram matrix of the basis up to degree 8 must be the identity to 1e-10."""
+    max_degree, tol = 8, 1e-10
     nodes, weights = gauss_legendre_nodes(64)
     feats = basis(nodes, max_degree)
     gram = feats.T @ (weights[:, None] * feats)
@@ -88,17 +89,16 @@ def _categorical_sample(rng, props, means, sds, counts, n0) -> CompositeSample:
     return CompositeSample.concat(trial, CompositeSample.cohort(TARGET, x0, np.zeros(n0)))
 
 
-def prop1_check(
-    seed: int = 0, n_replications: int = 10_000, n0: int = 20_000, rel_tol: float = 0.10
-) -> CheckResult:
-    """Monte Carlo MSE of the categorical outcome model vs the closed formula.
+def prop1_check(seed: int = 0, n_replications: int = 10_000) -> CheckResult:
+    """Monte Carlo MSE of the categorical outcome model vs the closed formula,
+    with target proportions from 20,000 draws, to a relative 0.10.
 
     The replication loop draws the group means and target proportions from
     their exact sampling distributions and applies the same point-estimate
     kernel as estimate_om_categorical; a handful of full object-level
     replications are cross-checked against the kernel to tie the two paths.
     """
-    g = _PROP1_GROUPS
+    g, n0, rel_tol = _PROP1_GROUPS, 20_000, 0.10
     rng = np.random.default_rng(derive_seed(seed, "prop1"))
     mu = float(np.dot(g["props"], g["means"]))
     formula = prop1_formula(g["props"], g["sds"] ** 2, g["counts"])
@@ -134,20 +134,19 @@ def prop1_check(
 
 # -- MSE structure of the regression estimators --------------------------------
 
+# The trial size and fit degree of the theorem and lemma2 checks.
+_N1, _DEGREE = 200, 3
+
 
 def _check_world(master_seed: int, lx: float = 0.5, conf: str = "mid") -> World:
-    return gp_world(
-        *grid_kernels(lx, conf), 0.0, lambda part, *arm: derive_seed(master_seed, "check-" + part, *arm)
-    )
+    return gp_world(*grid_kernels(lx, conf), lambda part, *arm: derive_seed(master_seed, "check-" + part, *arm))
 
 
 def theorem_structural_check(
     which: str,
     seed: int = 0,
     n_refits: int = 500,
-    n1: int = 200,
     n0: int = 20_000,
-    degree: int = 3,
     n_os: int = 50_000,
 ) -> CheckResult:
     """Simulated MSE vs integrated-bias^2 + refit variance, within 4 MC SEs.
@@ -175,10 +174,10 @@ def theorem_structural_check(
     m = np.empty(n_refits)
     pointwise_sum = np.zeros(target_x.shape[0])
     for r in range(n_refits):
-        trial = draw_trial(world, n1, seed_of("trial", r))
+        trial = draw_trial(world, _N1, seed_of("trial", r))
         x1, y1 = trial.trial_arm_arrays(1)
-        fit = trial_fit(which, x1, y1, f, EstimatorConfig(degree, fold_seed=seed_of("folds", r)))
-        pred = target.design(which, degree) @ fit.coefficients
+        fit = trial_fit(which, x1, y1, f, EstimatorConfig(_DEGREE, fold_seed=seed_of("folds", r)))
+        pred = target.design(which, _DEGREE) @ fit.coefficients
         if which == "abc":
             pred = target.f - pred
         m[r] = float(np.mean(pred))
@@ -215,17 +214,10 @@ def theorem_structural_check(
 # -- excess-risk ordering --------------------------------------------------------
 
 
-def lemma2_check(
-    seed: int = 0,
-    n_worlds: int = 100,
-    n1: int = 200,
-    degree: int = 3,
-    n_os: int = 20_000,
-    n_features: int = 250,
-    d_max: int = 16,
-) -> CheckResult:
-    """Where the bias function has less spectral tail than the outcome
-    function, its fit must have lower mean empirical excess risk."""
+def lemma2_check(seed: int = 0, n_worlds: int = 100, n_os: int = 20_000, n_features: int = 250) -> CheckResult:
+    """Where the bias function has less spectral tail (in the first 17
+    Legendre coefficients) than the outcome function, its fit must have lower
+    mean empirical excess risk."""
     risks_g, risks_b = [], []
     for w in range(n_worlds):
         world_seed = derive_seed(seed, "lemma2", w)
@@ -238,13 +230,13 @@ def lemma2_check(
         def b_fn(x):
             return f.predict(x) - g_fn(x)
 
-        spec_g = spectrum(g_fn, d_max)
-        spec_b = spectrum(b_fn, d_max)
-        if spec_b.tail_mass(degree) >= spec_g.tail_mass(degree):
+        spec_g = spectrum(g_fn, 16)
+        spec_b = spectrum(b_fn, 16)
+        if spec_b.tail_mass(_DEGREE) >= spec_g.tail_mass(_DEGREE):
             continue
-        trial = draw_trial(world, n1, derive_seed(world_seed, "trial"))
+        trial = draw_trial(world, _N1, derive_seed(world_seed, "trial"))
         x1, y1 = trial.trial_arm_arrays(1)
-        cfg = EstimatorConfig(degree, fold_seed=derive_seed(world_seed, "folds"))
+        cfg = EstimatorConfig(_DEGREE, fold_seed=derive_seed(world_seed, "folds"))
         g_fit, b_fit = (trial_fit(kind, x1, y1, f, cfg) for kind in ("om", "abc"))
         risks_g.append(empirical_excess_risk(g_fit, g_fn, x1))
         risks_b.append(empirical_excess_risk(b_fit, b_fn, x1))

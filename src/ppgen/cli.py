@@ -149,6 +149,10 @@ class RunConfig:
             "degrees", lambda text: check_degrees([int(d) for d in text.split(",")]), deg)
         self.checks = _names("check", values.get("check"), CHECKS)
         self.max_failures = values.get("max_failures", 0)
+        try:  # before any work, so that an --out that cannot be a directory costs none
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise SystemExit(f"--out {self.out}: {exc}") from None
 
     def scaled(self, n: int) -> int:
         return max(1, math.ceil(n * self.scale))
@@ -226,7 +230,6 @@ def _write_outputs(cfg: RunConfig, csvs: dict[str, str], payload: dict) -> None:
     """The run's CSVs (file name -> text) and its JSON payload, as ``--format``
     asks.  The payload is strict JSON with the run's ``environment``: an
     undefined value (NaN, an infinity) is written as null."""
-    cfg.out.mkdir(parents=True, exist_ok=True)
     written = list(csvs) if cfg.format in ("csv", "both") else []
     for name in written:
         (cfg.out / name).write_text(csvs[name])
@@ -300,7 +303,7 @@ def cmd_checks(cfg: RunConfig) -> Outputs:
 
 def cmd_export_world(cfg: RunConfig) -> Outputs:
     seed_of = partial(derive_seed, cfg.seed, "export")
-    world = gp_world(*grid_kernels(0.2, "mid"), 0.0, seed_of)
+    world = gp_world(*grid_kernels(0.2, "mid"), seed_of)
     f = os_predictor(world, 50_000, seed_of)
     trial = draw_trial(world, 200, seed_of("trial"))
     x1, y1 = trial.trial_arm_arrays(1)

@@ -29,6 +29,7 @@ from scipy.special import expit, ndtri
 from .domain import (
     OS,
     TARGET,
+    TREATMENT_PROB,
     TRIAL,
     CompositeSample,
     GenerationError,
@@ -212,39 +213,33 @@ def _clipped_expit(logit: np.ndarray) -> np.ndarray:
 
 
 def gp_world(fom_params: tuple, ps_params: KernelParams, pa_params: KernelParams,
-             noise_sigma: float, seed_of: Callable[..., int]) -> World:
-    """Draw a GP world from its kernels; ``seed_of(part, *arm)`` seeds each
-    surface, called as ("fom", 0), ("fom", 1), ("ps",) and ("pa",)."""
+             seed_of: Callable[..., int]) -> World:
+    """Draw a noise-free GP world from its kernels; ``seed_of(part, *arm)``
+    seeds each surface, called as ("fom", 0), ("fom", 1), ("ps",) and ("pa",)."""
     fom = tuple(sample_gp(fom_params[a], seed=seed_of("fom", a)) for a in (0, 1))
     ps = sample_gp(ps_params, seed=seed_of("ps"))
     pa = sample_gp(pa_params, seed=seed_of("pa"))
-    return World("gp", fom, ps, pa, noise_sigma)
+    return World("gp", fom, ps, pa, 0.0)
 
 
 def world_from_spec(spec: ScenarioSpec, seed_tag: object = "world") -> World:
-    """Realize a world from a scenario specification, deterministically.
-
-    GP surfaces are drawn with seeds derived from (master_seed, seed_tag,
-    component); GLM worlds are already fully parameterized.
-    """
-    if spec.dgp_kind == "glm":
-        return World("glm", spec.fom_params, spec.ps_params, spec.pa_params, spec.noise_sigma)
+    """Realize a spec's world, its surfaces drawn with seeds derived from
+    (master_seed, seed_tag, component)."""
     seed_of = partial(derive_seed, spec.master_seed, seed_tag)
-    return gp_world(spec.fom_params, spec.ps_params, spec.pa_params, spec.noise_sigma, seed_of)
+    return gp_world(spec.fom_params, spec.ps_params, spec.pa_params, seed_of)
 
 
 # -- cohort sampling ---------------------------------------------------------
 
 
-def _draw_conditional(
-    world: World, n: int, s_value: int, rng: np.random.Generator, max_batches: int = 10_000
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n (x, u) pairs from P(x, u | S=s) by rejection on uniform draws."""
+def _draw_conditional(world: World, n: int, s_value: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw n (x, u) pairs from P(x, u | S=s) by rejection on uniform draws,
+    in at most 10,000 batches."""
     xs: list[np.ndarray] = []
     us: list[np.ndarray] = []
     got = 0
     batch = max(4096, 2 * n)
-    for _ in range(max_batches):
+    for _ in range(10_000):
         x = rng.uniform(-1.0, 1.0, batch)
         u = rng.uniform(-1.0, 1.0, batch)
         p = world.participation_prob(x, u)
@@ -261,12 +256,12 @@ def _draw_conditional(
 
 
 def draw_trial(world: World, n1: int, seed: int) -> CompositeSample:
-    """Trial cohort: P(x,u | S=1) covariates, Bernoulli(1/2) treatment, noisy outcome."""
+    """Trial cohort: P(x,u | S=1) covariates, Bernoulli(TREATMENT_PROB) treatment, noisy outcome."""
     if n1 < 1:
         raise ValueError("n1 must be positive")
     rng = np.random.default_rng(seed)
     x, u = _draw_conditional(world, n1, TRIAL, rng)
-    a = (rng.random(n1) < 0.5).astype(np.int64)
+    a = (rng.random(n1) < TREATMENT_PROB).astype(np.int64)
     eps = rng.standard_normal(n1) * world.noise_sigma
     y = np.where(a == 1, world.outcome(1, x, u), world.outcome(0, x, u)) + eps
     return CompositeSample.cohort(TRIAL, x, u, a, y)
@@ -340,9 +335,9 @@ def noise_predictor(seed: int) -> NoisePredictor:
 # -- world export ------------------------------------------------------------
 
 
-def world_lattice_table(world: World, grid_size: int = 101) -> dict[str, np.ndarray]:
-    """Flattened lattice columns (x, u, fom0, fom1, ps, pa) for external plotting."""
-    g = np.linspace(-1.0, 1.0, grid_size)
+def world_lattice_table(world: World) -> dict[str, np.ndarray]:
+    """Flattened 101 x 101 lattice columns (x, u, fom0, fom1, ps, pa) for external plotting."""
+    g = np.linspace(-1.0, 1.0, 101)
     xg, ug = np.meshgrid(g, g, indexing="ij")
     x, u = xg.ravel(), ug.ravel()
     return {

@@ -33,6 +33,10 @@ OS = 2
 _LABELS = (TARGET, TRIAL, OS)
 _COLUMNS = ("x", "u", "s", "a", "y")  # CompositeSample fields and CSV header
 
+# The trial's randomization probability: draw_trial treats each patient with
+# it, and the inverse-odds weights divide by it.
+TREATMENT_PROB = 0.5
+
 
 class PositivityError(ValueError):
     """A covariate group present in the target has no trial support."""
@@ -265,28 +269,22 @@ class GlmLogitParams:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Everything needed to rebuild one synthetic world and its samples."""
+    """Everything needed to rebuild one noise-free GP world and its samples."""
 
-    dgp_kind: str  # "gp" | "glm"
-    fom_params: tuple  # (arm-0 params, arm-1 params)
-    ps_params: KernelParams | GlmLogitParams
-    pa_params: KernelParams | GlmLogitParams
+    fom_params: tuple[KernelParams, KernelParams]  # (arm 0, arm 1)
+    ps_params: KernelParams
+    pa_params: KernelParams
     n1: int
     n0: int
     n_os: int
-    noise_sigma: float
     predictor_kind: str = "learned"  # "learned" | "iid_noise"
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.dgp_kind not in ("gp", "glm"):
-            raise ValueError(f"unknown dgp kind {self.dgp_kind!r}")
         if self.predictor_kind not in ("learned", "iid_noise"):
             raise ValueError(f"unknown predictor kind {self.predictor_kind!r}")
         if min(self.n1, self.n0, self.n_os) < 1:
             raise ValueError("sample sizes must be positive")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
 
 
 # -- result records ----------------------------------------------------------
@@ -296,10 +294,7 @@ class ScenarioSpec:
 class EstimateRecord:
     """A single point estimate of the target-population mean potential outcome."""
 
-    estimator_name: str
-    degree: int
     point_estimate: float
-    a: int
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -333,16 +328,25 @@ def csv_text(columns: Sequence[str], rows: Iterable[Mapping]) -> str:
 
 
 def read_observations_csv(path: str | Path) -> list[Observation]:
-    """Read records written by :func:`write_sample_csv`."""
+    """Read records written by :func:`write_sample_csv`; a malformed file
+    raises ValueError naming it (and, for a bad row, the line)."""
     out: list[Observation] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file; expected the CSV header {','.join(_COLUMNS)}")
         if tuple(header) != _COLUMNS:
-            raise ValueError(f"unexpected CSV header {header}")
-        for x, u, s, a, y in reader:
-            u, a, y = float(u) if u else math.nan, int(a) if a else None, float(y) if y else None
-            out.append(Observation(float(x), u, int(s), a, y))
+            raise ValueError(f"{path}: unexpected CSV header {header}")
+        for row in reader:
+            try:
+                if len(row) != len(_COLUMNS):
+                    raise ValueError(f"expected {len(_COLUMNS)} cells, got {len(row)}")
+                x, u, s, a, y = row
+                u, a, y = float(u) if u else math.nan, int(a) if a else None, float(y) if y else None
+                out.append(Observation(float(x), u, int(s), a, y))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     return out
 
 

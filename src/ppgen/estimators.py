@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domain import TRIAL, CompositeSample, EstimateRecord, PositivityError
+from .domain import TREATMENT_PROB, TRIAL, CompositeSample, EstimateRecord, PositivityError
 from .regression import DEFAULT_PENALTY_GRID, RidgeFit, _augment, _design, logistic_fit, ridge_cv
 
 
@@ -32,7 +32,6 @@ class EstimatorConfig:
     degree: int
     a: int = 1
     penalty_grid: tuple[float, ...] = tuple(DEFAULT_PENALTY_GRID)
-    n_folds: int = 5
     fold_seed: int = 0
 
     def __post_init__(self):
@@ -42,30 +41,27 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class NuisanceSet:
-    """Trial-participation and treatment-assignment nuisances for weighting.
+    """Trial-participation nuisances for weighting; the treatment side is the
+    known randomization probability ``TREATMENT_PROB``, not an estimate.
 
-    ``pi_a`` is the known randomization probability, not an estimate.
     ``p_hat`` must expose predict(x) -> P(S=1 | x) over the composite
     (trial + target) sample.
     """
 
     p_hat_marginal: float
     p_hat: object
-    pi_a: float = 0.5
 
     def __post_init__(self):
         if not 0.0 < self.p_hat_marginal < 1.0:
             raise ValueError("marginal participation probability must lie in (0,1)")
 
 
-def fit_nuisances(
-    sample: CompositeSample, degree: int, penalty: float = 1e-6
-) -> NuisanceSet:
-    """Fit P(S=1|X) by penalized logistic regression on the composite sample."""
+def fit_nuisances(sample: CompositeSample, degree: int) -> NuisanceSet:
+    """Fit P(S=1|X) by logistic regression, penalized at 1e-6, on the composite sample."""
     arr_s = sample.s_array()
     keep = arr_s != 2  # trial + target records only
     labels = (arr_s[keep] == TRIAL).astype(float)
-    fit = logistic_fit(sample.x_array()[keep], labels, degree, penalty)
+    fit = logistic_fit(sample.x_array()[keep], labels, degree, 1e-6)
     return NuisanceSet(p_hat_marginal=sample.n1 / (sample.n1 + sample.n0), p_hat=fit)
 
 
@@ -125,7 +121,6 @@ def trial_fit(kind: str, x, y, f_a, cfg: EstimatorConfig) -> RidgeFit:
         _response(kind, x, y, f_a),
         cfg.degree,
         penalty_grid=cfg.penalty_grid,
-        n_folds=cfg.n_folds,
         fold_seed=cfg.fold_seed,
         extra_column=f_a if kind == "aom" else None,
     )
@@ -151,7 +146,7 @@ def _regression_estimate(
     pred = target.design(kind, fit.degree) @ fit.coefficients
     if kind == "abc":
         pred = target.f - pred
-    return EstimateRecord(kind, cfg.degree, float(np.mean(pred)), cfg.a)
+    return EstimateRecord(float(np.mean(pred)))
 
 
 def estimate_om(sample: CompositeSample, cfg: EstimatorConfig, *, target: Target | None = None) -> EstimateRecord:
@@ -196,16 +191,14 @@ def estimate_om_categorical(sample: CompositeSample, a: int) -> EstimateRecord:
         if arm.shape[0] == 0:
             raise PositivityError(f"target group {k} has no trial-arm records")
         means[i] = np.mean(arm)
-    est = categorical_point_estimate(props, means)
-    return EstimateRecord("om-categorical", 0, est, a)
+    return EstimateRecord(categorical_point_estimate(props, means))
 
 
 def estimate_os_om(sample: CompositeSample, f_a, *, target: Target | None = None) -> EstimateRecord:
     """Average the observational predictor over the target sample; no trial data."""
     if sample.n0 < 1:
         raise ValueError("no target records")
-    est = float(np.mean(_target_of(sample, f_a, target).f))
-    return EstimateRecord("os-om", -1, est, 1)
+    return EstimateRecord(float(np.mean(_target_of(sample, f_a, target).f)))
 
 
 # -- weighting-based estimators ----------------------------------------------
@@ -221,7 +214,7 @@ def _weight_pieces(sample: CompositeSample, nuis: NuisanceSet, a: int):
     warnings = ()
     if x1.size and ((p_x <= 1e-3) | (p_x >= 1 - 1e-3)).any():
         warnings = ("extreme participation probabilities in inverse-odds weights",)
-    weights = (1.0 - p_x) / (p_x * nuis.pi_a)
+    weights = (1.0 - p_x) / (p_x * TREATMENT_PROB)
     norm = 1.0 / ((sample.n1 + sample.n0) * (1.0 - nuis.p_hat_marginal))
     return x1, y1, weights, norm, warnings
 
@@ -231,13 +224,11 @@ def estimate_ipw(sample: CompositeSample, nuis: NuisanceSet, a: int = 1) -> Esti
     _, y1, weights, norm, warns = _weight_pieces(sample, nuis, a)
     if not y1.size:
         raise ValueError("empty trial arm")
-    est = norm * float(np.sum(weights * y1))
-    return EstimateRecord("ipw", -1, est, a, warnings=warns)
+    return EstimateRecord(norm * float(np.sum(weights * y1)), warnings=warns)
 
 
 def _dr_estimate(
-    kind: str, name: str, sample: CompositeSample, f_a, nuis: NuisanceSet, cfg: EstimatorConfig, fit,
-    target: Target | None,
+    kind: str, sample: CompositeSample, f_a, nuis: NuisanceSet, cfg: EstimatorConfig, fit, target: Target | None
 ) -> EstimateRecord:
     """``norm * (sum fit(x0) + sum w * (response - fit(x1)))`` of variant ``kind``
     (its own trial fit when ``fit`` is None); ABC subtracts it from mean f(x0).
@@ -253,7 +244,7 @@ def _dr_estimate(
     est = norm * (float(np.sum(fit_x0)) + float(np.sum(weights * resid)))
     if kind == "abc":
         est = float(np.mean(target.f)) - est
-    return EstimateRecord(name, cfg.degree, est, cfg.a, warnings=warns)
+    return EstimateRecord(est, warnings=warns)
 
 
 def estimate_dr_baseline(
@@ -269,7 +260,7 @@ def estimate_dr_baseline(
     ``outcome_fit`` overrides the internally fitted trial-arm regression
     (used for the robustness checks with deliberately corrupted fits).
     """
-    return _dr_estimate("om", "dr", sample, None, nuis, cfg, outcome_fit, target)
+    return _dr_estimate("om", sample, None, nuis, cfg, outcome_fit, target)
 
 
 def estimate_dr_abc(
@@ -289,7 +280,7 @@ def estimate_dr_abc(
     when both regression components are zero, recovering the identification
     target in both limits.
     """
-    return _dr_estimate("abc", "dr-abc", sample, f_a, nuis, cfg, bias_fit, target)
+    return _dr_estimate("abc", sample, f_a, nuis, cfg, bias_fit, target)
 
 
 def estimate_dr_aom(
@@ -302,4 +293,4 @@ def estimate_dr_aom(
     target: Target | None = None,
 ) -> EstimateRecord:
     """Doubly-robust augmented outcome model (DR-PA)."""
-    return _dr_estimate("aom", "dr-pa", sample, f_a, nuis, cfg, augmented_fit, target)
+    return _dr_estimate("aom", sample, f_a, nuis, cfg, augmented_fit, target)

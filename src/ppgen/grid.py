@@ -138,14 +138,12 @@ def benchmark_grid(
                 fom, ps, pa = grid_kernels(lx, conf)
                 grid.append(
                     ScenarioSpec(
-                        dgp_kind="gp",
                         fom_params=fom,
                         ps_params=ps,
                         pa_params=pa,
                         n1=n1,
                         n0=n0,
                         n_os=n_os,
-                        noise_sigma=0.0,
                         predictor_kind=predictor_kind,
                         master_seed=master_seed,
                     )
@@ -254,7 +252,7 @@ def _run_scenario_task(task: _ScenarioTask) -> list[dict]:
     def seed_of(*parts):
         return derive_seed(seed, *parts, task.scenario)
 
-    world = gp_world(spec.fom_params, spec.ps_params, spec.pa_params, spec.noise_sigma, seed_of)
+    world = gp_world(spec.fom_params, spec.ps_params, spec.pa_params, seed_of)
     prologue = _prologue(world, spec.n0, spec.n_os, seed_of, spec.predictor_kind)
     mu = prologue[-1]
     # os-om first (sorted is stable), then estimators x degrees in the given order
@@ -365,13 +363,11 @@ def run_scenario_grid(
     """Run every combo of the grid and aggregate RMSE / bias^2 / variance.
 
     All templates must share a master seed.  Deterministic for a fixed seed
-    regardless of ``workers``.  Unknown estimator names, invalid degrees and
-    non-GP specs raise ValueError before any world is built.
+    regardless of ``workers``.  Unknown estimator names and invalid degrees
+    raise ValueError before any world is built.
     """
     if not grid:
         raise ValueError("empty grid")
-    if any(spec.dgp_kind != "gp" for spec in grid):
-        raise ValueError("the scenario grid runs GP worlds only; GLM worlds run in run_table2")
     estimators, degrees = check_names("estimators", estimators, ESTIMATORS), check_degrees(degrees)
     seeds = {spec.master_seed for spec in grid}
     if len(seeds) != 1:

@@ -20,6 +20,7 @@ import scipy.linalg
 from scipy.special import expit
 
 DEFAULT_PENALTY_GRID = tuple(np.logspace(-6, 2, 10))
+N_FOLDS = 5  # folds of every cross-validated fit
 # Rows per block when the CV sweep gathers held-out rows and when the random
 # features are evaluated for prediction: a 1024 x 500 block is 4 MiB.  Block
 # boundaries at multiples of BLAS's row groups keep predictions bit-identical
@@ -111,16 +112,13 @@ def _augment(feats: np.ndarray, column: np.ndarray) -> np.ndarray:
     return np.column_stack([feats, column])
 
 
-def ridge_fit(
-    inputs, targets, degree: int, penalty: float, extra_column: object | None = None
-) -> RidgeFit:
+def ridge_fit(inputs, targets, degree: int, penalty: float) -> RidgeFit:
     """Penalized least squares of ``targets`` on Legendre features of ``inputs``."""
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)
     if x.shape[0] != y.shape[0] or x.shape[0] == 0:
         raise ValueError("inputs and targets must have the same nonzero length")
-    coefs = ridge_solve(_design(x, degree, extra_column), y, penalty)
-    return RidgeFit(degree, coefs, penalty, extra_column)
+    return RidgeFit(degree, ridge_solve(legendre_eval(x, degree), y, penalty), penalty)
 
 
 def cv_fold_indices(n: int, n_folds: int, fold_seed: int) -> list[np.ndarray]:
@@ -134,11 +132,10 @@ def ridge_cv(
     targets,
     degree: int,
     penalty_grid: Sequence[float] = DEFAULT_PENALTY_GRID,
-    n_folds: int = 5,
     fold_seed: int = 0,
     extra_column: object | None = None,
 ) -> RidgeFit:
-    """Ridge fit with the penalty chosen by k-fold cross-validation.
+    """Ridge fit with the penalty chosen by ``N_FOLDS``-fold cross-validation.
 
     Held-out squared error is pooled over all points (each is held out
     exactly once); exact ties go to the larger penalty.  The winner is
@@ -148,9 +145,9 @@ def ridge_cv(
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)
     penalties = _penalties(penalty_grid)
-    if x.shape[0] < n_folds or n_folds < 2:
-        raise ValueError("need at least n_folds samples and n_folds >= 2")
-    coefs, penalty = _cv_ridge(_design(x, degree, extra_column), y, penalties, n_folds, fold_seed)
+    if x.shape[0] < N_FOLDS:
+        raise ValueError(f"need at least {N_FOLDS} samples, one per fold")
+    coefs, penalty = _cv_ridge(_design(x, degree, extra_column), y, penalties, N_FOLDS, fold_seed)
     return RidgeFit(degree, coefs, penalty, extra_column)
 
 
@@ -306,7 +303,6 @@ def flexible_fit(
     n_features: int = 500,
     penalty_grid: Sequence[float] = DEFAULT_PENALTY_GRID,
     seed: int = 0,
-    n_folds: int = 5,
 ) -> RandomFeatureFit:
     """Fit the flexible predictor: random cosine features + cross-validated ridge.
 
@@ -336,7 +332,7 @@ def flexible_fit(
     phases = rng.uniform(0.0, 2.0 * np.pi, n_features)
     fold_seed = int(rng.integers(2**63))
     y_mean = float(np.mean(y))
-    coefs, penalty = _cv_ridge(_cosine_features(x, freqs, phases), y - y_mean, penalties, n_folds, fold_seed)
+    coefs, penalty = _cv_ridge(_cosine_features(x, freqs, phases), y - y_mean, penalties, N_FOLDS, fold_seed)
     return RandomFeatureFit(freqs, phases, coefs, y_mean, bandwidth, penalty, seed)
 
 
@@ -355,20 +351,14 @@ class LogisticFit:
         return np.clip(expit(logits), 1e-12, 1 - 1e-12)
 
 
-def logistic_fit(
-    inputs,
-    labels,
-    degree: int,
-    ridge_penalty: float,
-    max_iter: int = 100,
-    grad_tol: float = 1e-8,
-) -> LogisticFit:
+def logistic_fit(inputs, labels, degree: int, ridge_penalty: float) -> LogisticFit:
     """Maximize the penalized Bernoulli log-likelihood by damped Newton steps.
 
     Both classes must be present.  Convergence means the gradient max-norm
-    dropped below ``grad_tol``; otherwise the last iterate is returned with
-    ``converged=False``.
+    dropped below ``grad_tol`` = 1e-8 within 100 steps; otherwise the last iterate
+    is returned with ``converged=False``.
     """
+    grad_tol = 1e-8
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(labels, dtype=float)
     if len(np.unique(y)) < 2:
@@ -387,7 +377,7 @@ def logistic_fit(
 
     obj, logits = objective(coefs)
     converged = False
-    for _ in range(max_iter):
+    for _ in range(100):
         probs = expit(logits)
         grad = feats.T @ (probs - y) + ridge_penalty * coefs
         if np.max(np.abs(grad)) < grad_tol:

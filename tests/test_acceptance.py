@@ -241,14 +241,12 @@ def test_criterion_7_numerical_invariants(workers):
     # full-pipeline determinism across parallelism degrees
     mini = [
         ScenarioSpec(
-            dgp_kind="gp",
             fom_params=(KernelParams(1.0, 1.0, 0.5, None), KernelParams(1.0, 1.0, 0.2, None)),
             ps_params=KernelParams(10.0, 0.0, 1.0, None),
             pa_params=KernelParams(1.0, 0.0, 1.0, 0.5),
             n1=n1,
             n0=400,
             n_os=2_000,
-            noise_sigma=0.0,
             master_seed=99,
         )
         for n1 in (60, 120)

@@ -368,3 +368,20 @@ def test_a_failed_gate_exits_1_after_writing_its_outputs(tmp_path, monkeypatch):
         (tmp_path / "figure3.json").unlink(missing_ok=True)
         assert main(["figure3", "--max-failures", max_failures, "--scale", "0.01", "--out", str(tmp_path)]) == code
         assert json.loads((tmp_path / "figure3.json").read_text())["rows"] == grid.combo_rows
+
+
+@pytest.mark.parametrize("below, reason", [(False, "File exists"), (True, "Not a directory")],
+                         ids=["a-file", "below-a-file"])
+def test_an_out_that_cannot_be_a_directory_exits_before_the_run(tmp_path, monkeypatch, below, reason):
+    from ppgen import cli
+
+    def no_run(cfg):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setitem(cli.COMMANDS, "checks", cli.COMMANDS["checks"]._replace(run=no_run))
+    blocker = tmp_path / "F"
+    blocker.write_text("kept")
+    out = blocker / "sub" if below else blocker
+    with pytest.raises(SystemExit, match=re.escape(f"--out {out}: ") + f".*{reason}"):
+        main(["checks", "--check", "orthonormality", "--out", str(out)])
+    assert blocker.read_text() == "kept"

@@ -20,6 +20,7 @@ from ppgen.dgp import (
 )
 from ppgen.domain import (
     OS,
+    TREATMENT_PROB,
     CompositeSample,
     GlmLogitParams,
     GlmOutcomeParams,
@@ -135,14 +136,12 @@ def test_participation_prob_always_clipped():
 
 def _gp_spec(n1=200, n0=500, n_os=500, seed=5):
     return ScenarioSpec(
-        dgp_kind="gp",
         fom_params=(KernelParams(1.0, 1.0, 0.5, None), KernelParams(1.0, 1.0, 0.5, None)),
         ps_params=KernelParams(10.0, 0.0, 1.0, None),
         pa_params=KernelParams(1.0, 0.0, 1.0, 0.5),
         n1=n1,
         n0=n0,
         n_os=n_os,
-        noise_sigma=0.0,
         master_seed=seed,
     )
 
@@ -172,6 +171,14 @@ def test_trial_treatment_fraction_clt_band():
     trial = draw_trial(world, 10_000, seed=3)
     frac = np.mean(trial.a_array())
     assert abs(frac - 0.5) < 3 * np.sqrt(0.25 / 10_000)
+
+
+def test_trial_treats_at_the_probability_the_weights_divide_by():
+    # the inverse-odds weights divide by TREATMENT_PROB; draw_trial must randomize at it
+    world = world_from_spec(_gp_spec(), "randomization")
+    n1 = 40_000
+    share = np.mean(draw_trial(world, n1, seed=12).a)
+    assert abs(share - TREATMENT_PROB) < 4 * math.sqrt(TREATMENT_PROB * (1 - TREATMENT_PROB) / n1)
 
 
 def test_noise_free_consistency():
@@ -205,14 +212,12 @@ def test_os_treatment_independent_of_u_without_confounding():
     world = world_from_spec(_gp_spec(), "no-conf")  # pa has alpha_u=0... override below
     spec = _gp_spec()
     spec = ScenarioSpec(
-        dgp_kind="gp",
         fom_params=spec.fom_params,
         ps_params=spec.ps_params,
         pa_params=KernelParams(1.0, 0.0, 1.0, None),  # no u dependence at all
         n1=200,
         n0=500,
         n_os=50_000,
-        noise_sigma=0.0,
         master_seed=5,
     )
     world = world_from_spec(spec, "no-conf")

@@ -1,4 +1,5 @@
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -195,6 +196,28 @@ def test_csv_text_unchanged(tmp_path):
     ]
 
 
+MALFORMED_CSV = [
+    ("", "empty file"),
+    ("x,u,s,a,y\n0.1,0.2,1,1,1.5\n0.3,0.4\n", "line 3: expected 5 cells, got 2"),
+    ("x,u,s,a,y\n0.1,0.2,1,1,1.5,9\n", "line 2: expected 5 cells, got 6"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_CSV, ids=["empty", "short-row", "long-row"])
+def test_read_sample_csv_names_a_malformed_file(tmp_path, text, message):
+    path = tmp_path / "sample.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}") + ".*" + re.escape(message)):
+        read_sample_csv(path)
+
+
+def test_read_sample_csv_header_only_is_an_empty_sample(tmp_path):
+    path = tmp_path / "sample.csv"
+    path.write_text("x,u,s,a,y\n")
+    sample = read_sample_csv(path)
+    assert len(sample) == 0 and sample.n1 == sample.n0 == 0
+
+
 def test_public_view_strips_u():
     sample = make_sample()
     pub = sample.public()
@@ -223,12 +246,10 @@ def test_kernel_params_validation():
 
 def test_scenario_spec_validation():
     kp = KernelParams(1.0, 1.0, 0.5, None)
-    spec = ScenarioSpec("gp", (kp, kp), kp, kp, 10, 10, 10, 0.0)
+    spec = ScenarioSpec((kp, kp), kp, kp, 10, 10, 10)
     assert spec.predictor_kind == "learned"
     with pytest.raises(ValueError):
-        ScenarioSpec("gp", (kp, kp), kp, kp, 0, 10, 10, 0.0)
-    with pytest.raises(ValueError):
-        ScenarioSpec("gp", (kp, kp), kp, kp, 10, 10, 10, -0.1)
+        ScenarioSpec((kp, kp), kp, kp, 0, 10, 10)
 
 
 def test_derive_seed_stable():

@@ -45,14 +45,12 @@ def tiny_cfg(degree, penalty=1e-8, fold_seed=0):
 
 def seeded_world(seed=21, lx=0.5, alpha_u_pa=0.0, l_u_pa=None):
     spec = ScenarioSpec(
-        dgp_kind="gp",
         fom_params=(KernelParams(1.0, 1.0, 0.5, None), KernelParams(1.0, 1.0, lx, None)),
         ps_params=KernelParams(10.0, 0.0, 1.0, None),
         pa_params=KernelParams(1.0, alpha_u_pa, 1.0, l_u_pa),
         n1=200,
         n0=2_000,
         n_os=2_000,
-        noise_sigma=0.0,
         master_seed=seed,
     )
     return world_from_spec(spec, "estimator-tests")

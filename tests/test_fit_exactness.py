@@ -164,11 +164,10 @@ class _Counting:
 def _grid_specs():
     return [
         ScenarioSpec(
-            dgp_kind="gp",
             fom_params=(KernelParams(1.0, 1.0, 0.5, None), KernelParams(1.0, 1.0, 0.5, None)),
             ps_params=KernelParams(10.0, 0.0, 1.0, None),
             pa_params=KernelParams(1.0, 0.0, 1.0, None),
-            n1=n1, n0=400, n_os=2_000, noise_sigma=0.0, predictor_kind="learned", master_seed=11,
+            n1=n1, n0=400, n_os=2_000, predictor_kind="learned", master_seed=11,
         )
         for n1 in (60, 120)
     ]

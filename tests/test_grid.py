@@ -16,14 +16,12 @@ def small_grid(seed=11, predictor_kind="learned"):
     """A single-cell grid with small samples, for fast structural tests."""
     return [
         ScenarioSpec(
-            dgp_kind="gp",
             fom_params=(KernelParams(1.0, 1.0, 0.5, None), KernelParams(1.0, 1.0, 0.5, None)),
             ps_params=KernelParams(10.0, 0.0, 1.0, None),
             pa_params=KernelParams(1.0, 0.0, 1.0, None),
             n1=n1,
             n0=400,
             n_os=2_000,
-            noise_sigma=0.0,
             predictor_kind=predictor_kind,
             master_seed=seed,
         )
@@ -195,23 +193,6 @@ def test_unknown_estimator_rejected_before_any_world(monkeypatch):
         run_scenario_grid(small_grid()[:1], estimators=("om", "omm"), n_scenarios=1, n_runs=1)
     with pytest.raises(ValueError, match="degrees"):
         run_scenario_grid(small_grid()[:1], degrees=(-1,), n_scenarios=1, n_runs=1)
-
-
-def test_glm_spec_rejected_before_any_world(monkeypatch):
-    from dataclasses import replace
-
-    from ppgen import grid
-
-    world = grid._sample_glm_world(TABLE2_ROWS[0], 11, 0)
-    glm = replace(small_grid()[0], dgp_kind="glm", fom_params=world.fom,
-                  ps_params=world.ps_logit, pa_params=world.pa_logit)
-
-    def no_world(*args):
-        raise AssertionError("a world was built")
-
-    monkeypatch.setattr(grid, "gp_world", no_world)
-    with pytest.raises(ValueError, match="GP worlds only"):
-        run_scenario_grid([glm], n_scenarios=1, n_runs=1)
 
 
 def test_grid_requires_shared_master_seed():

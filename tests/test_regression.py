@@ -202,7 +202,7 @@ def test_ridge_cv_singleton_grid_equals_ridge_fit():
 
 def test_ridge_cv_too_few_samples():
     with pytest.raises(ValueError):
-        ridge_cv([0.1, 0.2, 0.3], [1, 2, 3], degree=1, penalty_grid=(1.0,), n_folds=5)
+        ridge_cv([0.1, 0.2, 0.3], [1, 2, 3], degree=1, penalty_grid=(1.0,))
 
 
 def _no_sweep(*args):
