@@ -255,6 +255,17 @@ def _draw_conditional(world: World, n: int, s_value: int, rng: np.random.Generat
     raise GenerationError(f"rejection sampling did not reach {n} draws for s={s_value}")
 
 
+def _arm_outcomes(world: World, a: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Each record's outcome under its own treatment; each arm's surface is
+    evaluated on that arm's records only (the surfaces are pointwise, so a
+    record's value does not depend on which others are evaluated with it)."""
+    y = np.empty(x.shape[0])
+    for arm in (0, 1):
+        rows = a == arm
+        y[rows] = world.outcome(arm, x[rows], u[rows])
+    return y
+
+
 def draw_trial(world: World, n1: int, seed: int) -> CompositeSample:
     """Trial cohort: P(x,u | S=1) covariates, Bernoulli(TREATMENT_PROB) treatment, noisy outcome."""
     if n1 < 1:
@@ -263,7 +274,7 @@ def draw_trial(world: World, n1: int, seed: int) -> CompositeSample:
     x, u = _draw_conditional(world, n1, TRIAL, rng)
     a = (rng.random(n1) < TREATMENT_PROB).astype(np.int64)
     eps = rng.standard_normal(n1) * world.noise_sigma
-    y = np.where(a == 1, world.outcome(1, x, u), world.outcome(0, x, u)) + eps
+    y = _arm_outcomes(world, a, x, u) + eps
     return CompositeSample.cohort(TRIAL, x, u, a, y)
 
 
@@ -286,7 +297,7 @@ def generate_os(world: World, n_os: int, seed: int) -> CompositeSample:
     pa = world.treatment_prob(x, u)
     a = (rng.random(n_os) < pa).astype(np.int64)
     eps = rng.standard_normal(n_os) * world.noise_sigma
-    y = np.where(a == 1, world.outcome(1, x, u), world.outcome(0, x, u)) + eps
+    y = _arm_outcomes(world, a, x, u) + eps
     return CompositeSample.cohort(OS, x, u, a, y)
 
 

@@ -136,8 +136,13 @@ class CompositeSample:
 
     @staticmethod
     def concat(*parts: "CompositeSample") -> "CompositeSample":
-        """The rows of ``parts``, in order."""
-        return CompositeSample(*(np.concatenate([getattr(p, c) for p in parts]) for c in _COLUMNS))
+        """The rows of ``parts``, in order, not checked again: every part was
+        checked when it was built, and the checks are row by row."""
+        out = object.__new__(CompositeSample)
+        for c in _COLUMNS:
+            object.__setattr__(out, c, np.concatenate([getattr(p, c) for p in parts]))
+        object.__setattr__(out, "_arms", {})
+        return out
 
     @staticmethod
     def from_records(records: Iterable[Observation]) -> "CompositeSample":
@@ -188,6 +193,16 @@ class CompositeSample:
         if a not in self._arms:
             self._arms[a] = self._trial_arm(a)
         return self._arms[a]
+
+    @cached_property
+    def participation(self) -> tuple[np.ndarray, np.ndarray]:
+        """Covariates of the trial and target records, in order, and their
+        trial labels (1.0 on trial rows, 0.0 on target rows), computed on
+        first use and shared read-only by every caller."""
+        keep = self.s != OS
+        x, labels = self.x[keep], (self.s[keep] == TRIAL).astype(float)
+        x.flags.writeable = labels.flags.writeable = False
+        return x, labels
 
     def _trial_arm(self, a: int) -> tuple[np.ndarray, np.ndarray]:
         mask = (self.s == TRIAL) & (self.a == a)

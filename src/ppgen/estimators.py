@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domain import TREATMENT_PROB, TRIAL, CompositeSample, EstimateRecord, PositivityError
+from .domain import TREATMENT_PROB, CompositeSample, EstimateRecord, PositivityError
 from .regression import DEFAULT_PENALTY_GRID, RidgeFit, _augment, _design, logistic_fit, ridge_cv
 
 
@@ -57,11 +57,9 @@ class NuisanceSet:
 
 
 def fit_nuisances(sample: CompositeSample, degree: int) -> NuisanceSet:
-    """Fit P(S=1|X) by logistic regression, penalized at 1e-6, on the composite sample."""
-    arr_s = sample.s_array()
-    keep = arr_s != 2  # trial + target records only
-    labels = (arr_s[keep] == TRIAL).astype(float)
-    fit = logistic_fit(sample.x_array()[keep], labels, degree, 1e-6)
+    """Fit P(S=1|X) by logistic regression, penalized at 1e-6, on the trial
+    and target records of the composite sample."""
+    fit = logistic_fit(*sample.participation, degree, 1e-6)
     return NuisanceSet(p_hat_marginal=sample.n1 / (sample.n1 + sample.n0), p_hat=fit)
 
 

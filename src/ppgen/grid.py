@@ -209,27 +209,42 @@ def _prologue(world: World, n0: int, n_os: int, seed_of, predictor_kind: str = "
     return target_cohort, f, Target(target_cohort.x, f), true_mu(world, a=1).mu_a
 
 
+def _unless_failed(fn, *args):
+    """``fn(*args)``, or None if it fails with a named domain error
+    (ValueError, which LinAlgError, PositivityError and IllConditionedError
+    are, or GenerationError)."""
+    try:
+        return fn(*args)
+    except (ValueError, GenerationError):
+        return None
+
+
 def _run_trials(world: World, prologue: tuple, n1: int, n_runs: int, keyed: list[tuple[str, int]],
                 penalty_grid: tuple[float, ...], run_seed) -> dict[tuple[str, int], np.ndarray]:
     """The estimates of each (estimator, degree) in ``keyed`` on ``n_runs``
     fresh trials of size ``n1``, run-aligned; ``run_seed(part, run)`` seeds
     run ``run``'s ``"trial"`` draw and ``"folds"`` split.  A named domain error
-    (ValueError, GenerationError) leaves that run NaN; any other propagates."""
+    leaves NaN what it stops: a failed draw the whole run, a failed nuisance
+    fit the weighting estimators at its degree, a failed estimate itself.
+    Any other error propagates."""
     target_cohort, f, target, _ = prologue
     nuisance_degrees = dict.fromkeys(deg for name, deg in keyed if ESTIMATORS[name].nuisances)
     estimates = {k: np.full(n_runs, np.nan) for k in keyed}
     for run in range(n_runs):
-        sample = CompositeSample.concat(draw_trial(world, n1, run_seed("trial", run)), target_cohort)
+        trial = _unless_failed(draw_trial, world, n1, run_seed("trial", run))
+        if trial is None:
+            continue
+        sample = CompositeSample.concat(trial, target_cohort)
         fold_seed = run_seed("folds", run)
         predictor = _MemoPredictor(f)
-        nuisances = {deg: fit_nuisances(sample, deg) for deg in nuisance_degrees}
+        nuisances = {deg: _unless_failed(fit_nuisances, sample, deg) for deg in nuisance_degrees}
         for name, deg in keyed:
+            if ESTIMATORS[name].nuisances and nuisances[deg] is None:
+                continue
             cfg = EstimatorConfig(degree=max(deg, 0), a=1, penalty_grid=penalty_grid, fold_seed=fold_seed)
-            try:
-                record = ESTIMATORS[name].estimate(sample, predictor, nuisances.get(deg), cfg, target)
+            record = _unless_failed(ESTIMATORS[name].estimate, sample, predictor, nuisances.get(deg), cfg, target)
+            if record is not None:
                 estimates[(name, deg)][run] = record.point_estimate
-            except (ValueError, GenerationError):
-                pass  # a named domain failure: left as NaN
     return estimates
 
 

@@ -13,6 +13,7 @@ deterministic given their explicit seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -38,26 +39,34 @@ def legendre_eval(x, degree: int) -> np.ndarray:
     phi_k(x) = sqrt((2k+1)/2) * P_k(x), so that the phi_k are orthonormal
     under the plain (unweighted) inner product on [-1, 1].  Scalar input
     yields shape (degree+1,); an array of shape (n,) yields (n, degree+1).
-    Inputs may exceed [-1, 1] by at most 1e-12 and are clamped.
+    Inputs may exceed [-1, 1] by at most 1e-12 and are clamped.  The
+    recurrence P_{k+1} = ((2k+1) x P_k - k P_{k-1}) / (k+1) runs in place in
+    three rotating vectors; a degree's columns lead every higher degree's.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    if np.any(np.abs(x) > 1 + 1e-12):
-        raise ValueError("inputs must lie in [-1, 1]")
-    x = np.clip(x, -1.0, 1.0)
+    if x.size:
+        lo, hi = x.min(), x.max()
+        if lo < -1 - 1e-12 or hi > 1 + 1e-12:
+            raise ValueError("inputs must lie in [-1, 1]")
+        if lo < -1.0 or hi > 1.0:
+            x = np.clip(x, -1.0, 1.0)
     out = np.empty((x.shape[0], degree + 1))
-    p_prev = np.ones_like(x)
-    out[:, 0] = p_prev * np.sqrt(0.5)
+    out[:, 0] = np.sqrt(0.5)
     if degree >= 1:
-        p_cur = x.copy()
-        out[:, 1] = p_cur * np.sqrt(1.5)
+        np.multiply(x, np.sqrt(1.5), out=out[:, 1])
+        prev, cur, nxt = np.ones_like(x), x.copy(), np.empty_like(x)
         for k in range(1, degree):
-            p_next = ((2 * k + 1) * x * p_cur - k * p_prev) / (k + 1)
-            out[:, k + 1] = p_next * np.sqrt((2 * k + 3) / 2)
-            p_prev, p_cur = p_cur, p_next
+            np.multiply(x, 2 * k + 1, out=nxt)
+            nxt *= cur
+            prev *= k
+            nxt -= prev
+            nxt /= k + 1
+            np.multiply(nxt, np.sqrt((2 * k + 3) / 2), out=out[:, k + 1])
+            prev, cur, nxt = cur, nxt, prev
     return out[0] if scalar else out
 
 
@@ -78,7 +87,24 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray, penalty: float) -> np.ndarray
             raise IllConditionedError(
                 "normal equations are singular at penalty 0; use a positive penalty"
             )
-    return scipy.linalg.solve(gram + penalty * np.eye(p), rhs, assume_a="pos")
+    return _solve_pos(gram + penalty * np.eye(p), rhs)
+
+
+def _solve_pos(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.solve(a, b, assume_a="pos")`` bit for bit (LAPACK posv on
+    the upper triangle; a 1 x 1 system as b / a) without its condition
+    estimate and warning: ValueError on non-finite input, LinAlgError (a
+    ValueError) if ``a`` is not positive definite."""
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if a.shape[0] == 1:
+        if a[0, 0] == 0.0:
+            raise np.linalg.LinAlgError("A singular matrix detected.")
+        return b / a[0]
+    _, x, info = scipy.linalg.lapack.dposv(a, b)
+    if info > 0:
+        raise np.linalg.LinAlgError("the matrix is not positive definite")
+    return x
 
 
 @dataclass(frozen=True)
@@ -122,9 +148,17 @@ def ridge_fit(inputs, targets, degree: int, penalty: float) -> RidgeFit:
 
 
 def cv_fold_indices(n: int, n_folds: int, fold_seed: int) -> list[np.ndarray]:
-    """Contiguous folds of a seeded permutation of range(n)."""
+    """Contiguous folds of a seeded permutation of range(n), read-only."""
+    return list(_fold_split(n, n_folds, fold_seed))
+
+
+@lru_cache(maxsize=1)
+def _fold_split(n: int, n_folds: int, fold_seed: int) -> tuple[np.ndarray, ...]:
+    """The folds of ``cv_fold_indices``, kept for the next call: every trial
+    fit of a run shares the arm size and the fold seed."""
     perm = np.random.default_rng(fold_seed).permutation(n)
-    return np.array_split(perm, n_folds)
+    perm.flags.writeable = False
+    return tuple(np.array_split(perm, n_folds))
 
 
 def ridge_cv(
@@ -186,33 +220,38 @@ def _cv_errors(
 
     Every fold's training Gram and right-hand side are the full ones minus the
     products of its held-out rows; one stacked eigendecomposition solves all
-    folds at all penalties; a second pass scores the held-out rows.  Both
-    passes gather the held-out rows ``ROW_BLOCK`` at a time into one buffer,
-    so no fold's rows are ever copied whole.
+    folds at all penalties; a second pass scores the held-out rows.  When
+    every fold fits in one ``ROW_BLOCK``, each is gathered once for both
+    passes; otherwise each pass gathers the held-out rows ``ROW_BLOCK`` at a
+    time into one buffer, so no fold's rows are ever copied whole.
     """
-    folds = cv_fold_indices(feats.shape[0], n_folds, fold_seed)
-    coefs = _fold_penalty_sweep(*_training_grams(feats, y, folds, gram_all, rhs_all), penalties)
+    folds = _fold_split(feats.shape[0], n_folds, fold_seed)
+    gathered = None
+    if folds[0].shape[0] <= ROW_BLOCK:  # array_split puts the largest folds first
+        gathered = [(k, feats[idx], y[idx]) for k, idx in enumerate(folds)]
+    grams = _training_grams(gathered or _held_out_blocks(feats, y, folds), len(folds), gram_all, rhs_all)
+    coefs = _fold_penalty_sweep(*grams, penalties)
     sse = np.zeros(len(penalties))
-    for k, rows, y_rows in _held_out_blocks(feats, y, folds):
+    for k, rows, y_rows in gathered or _held_out_blocks(feats, y, folds):
         resid = y_rows[:, None] - rows @ coefs[k].T
         sse += np.sum(resid**2, axis=0)
     return sse / feats.shape[0]
 
 
 def _training_grams(
-    feats: np.ndarray, y: np.ndarray, folds: list[np.ndarray], gram_all: np.ndarray, rhs_all: np.ndarray
+    blocks, n_folds: int, gram_all: np.ndarray, rhs_all: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every fold's training Gram and right-hand side, stacked: the full ones
-    minus the products of the fold's held-out blocks."""
-    grams = np.repeat(gram_all[None], len(folds), axis=0)
-    rhs = np.repeat(rhs_all[None], len(folds), axis=0)
-    for k, rows, y_rows in _held_out_blocks(feats, y, folds):
+    minus the products of the fold's held-out ``blocks``."""
+    grams = np.repeat(gram_all[None], n_folds, axis=0)
+    rhs = np.repeat(rhs_all[None], n_folds, axis=0)
+    for k, rows, y_rows in blocks:
         grams[k] -= rows.T @ rows
         rhs[k] -= rows.T @ y_rows
     return grams, rhs
 
 
-def _held_out_blocks(feats: np.ndarray, y: np.ndarray, folds: list[np.ndarray]):
+def _held_out_blocks(feats: np.ndarray, y: np.ndarray, folds: Sequence[np.ndarray]):
     """(fold number, held-out rows, their targets) for each block of at most
     ``ROW_BLOCK`` rows of each fold.  The rows are gathered into one buffer
     and hold only until the next block."""
@@ -385,7 +424,7 @@ def logistic_fit(inputs, labels, degree: int, ridge_penalty: float) -> LogisticF
             break
         w = probs * (1.0 - probs)
         hess = np.multiply(feats, w[:, None], out=weighted).T @ feats + ridge_penalty * np.eye(p_dim)
-        step = scipy.linalg.solve(hess, grad, assume_a="pos")
+        step = _solve_pos(hess, grad)
         # Halve the step until the objective decreases (up to float resolution;
         # near the optimum the true decrease falls below machine precision).
         scale = 1.0

@@ -157,6 +157,40 @@ def test_concat_keeps_row_order():
     assert (both.n1, both.n0, len(both)) == (2, 1, 3)
 
 
+@settings(max_examples=40, deadline=None)
+@given(sizes=st.lists(st.tuples(st.sampled_from([TARGET, TRIAL, OS]), st.integers(0, 6)), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_concat_of_checked_parts_equals_the_checked_construction(sizes, seed):
+    rng = np.random.default_rng(seed)
+    parts = []
+    for s, n in sizes:
+        x, u = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+        if s == TARGET:
+            parts.append(CompositeSample.cohort(s, x, u))
+        else:
+            parts.append(CompositeSample.cohort(s, x, u, rng.integers(0, 2, n), rng.normal(0, 1, n)))
+    for part in parts:
+        part.trial_arm_arrays(1)  # fill each part's per-arm cache
+    stacked = CompositeSample.concat(*parts)
+    checked = CompositeSample(*(np.concatenate([getattr(p, c) for p in parts]) for c in "xusay"))
+    assert stacked == checked
+    for c in "xusay":
+        assert getattr(stacked, c).dtype == getattr(checked, c).dtype
+    assert stacked._arms == {} and all(stacked._arms is not p._arms for p in parts)
+    assert [a.tolist() for a in stacked.trial_arm_arrays(1)] == [a.tolist() for a in checked.trial_arm_arrays(1)]
+    assert (stacked.n1, stacked.n0) == (checked.n1, checked.n0)
+
+
+def test_participation_is_the_trial_and_target_rows_with_trial_labels():
+    trial = CompositeSample.cohort(TRIAL, [0.1, 0.2], [0.0, 0.0], [1, 0], [1.0, 2.0])
+    os_rows = CompositeSample.cohort(OS, [0.5], [0.0], [1], [3.0])
+    target = CompositeSample.cohort(TARGET, [0.3], [0.5])
+    sample = CompositeSample.concat(trial, os_rows, target)
+    x, labels = sample.participation
+    assert x.tolist() == [0.1, 0.2, 0.3] and labels.tolist() == [1.0, 1.0, 0.0]
+    assert sample.participation[0] is x and not x.flags.writeable and not labels.flags.writeable
+
+
 def test_observation_invariants():
     with pytest.raises(ValueError):
         Observation(0.0, 0.0, TARGET, 1, 1.0)  # target records carry no a/y

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,66 @@ def test_grid_propagates_unexpected_errors(monkeypatch):
     with pytest.raises(TypeError):
         run_scenario_grid(small_grid(predictor_kind="iid_noise")[:1], estimators=("om",),
                           degrees=(1,), n_scenarios=1, n_runs=1, workers=1)
+
+
+def _two_run_grid():
+    from ppgen import grid
+
+    return run_scenario_grid(small_grid(predictor_kind="iid_noise")[:1], estimators=grid.ALL_ESTIMATORS,
+                             degrees=(1, 3), n_scenarios=1, n_runs=2, workers=1)
+
+
+def test_a_failed_nuisance_fit_leaves_its_degree_of_the_weighting_estimators_nan(monkeypatch):
+    from ppgen import grid
+
+    fit = grid.fit_nuisances
+
+    def failing_at_3(exc):
+        def fit_nuisances(sample, degree):
+            if degree == 3:
+                raise exc
+            return fit(sample, degree)
+
+        return fit_nuisances
+
+    clean = _two_run_grid()
+    monkeypatch.setattr(grid, "fit_nuisances", failing_at_3(np.linalg.LinAlgError("not positive definite")))
+    failed = _two_run_grid()
+    stopped = 0
+    for before, after in zip(clean.scenario_rows + clean.combo_rows, failed.scenario_rows + failed.combo_rows):
+        if grid.ESTIMATORS[after["estimator"]].nuisances and after["degree"] == 3:  # ipw, dr, dr-abc, dr-pa
+            assert after["n_failures"] == 2 and np.isnan(after["rmse"])
+            stopped += 1
+        else:
+            assert json.dumps(after) == json.dumps(before)
+    assert stopped == 2 * 4  # scenario and combo rows of the four weighting estimators
+    assert sum(r["n_failures"] for r in failed.combo_rows) == sum(
+        int(np.isnan(r["estimates"]).sum()) for r in failed.scenario_rows) == 4 * 2
+
+    monkeypatch.setattr(grid, "fit_nuisances", failing_at_3(RuntimeError("a bug")))
+    with pytest.raises(RuntimeError):
+        _two_run_grid()
+
+
+def test_a_failed_trial_draw_leaves_its_run_nan(monkeypatch):
+    from ppgen import grid
+    from ppgen.domain import GenerationError
+
+    draw = grid.draw_trial
+    seeds = []
+
+    def draw_trial(world, n1, seed):
+        seeds.append(seed)
+        if len(seeds) == 2:  # the second run
+            raise GenerationError("rejection sampling ran out")
+        return draw(world, n1, seed)
+
+    clean = _two_run_grid()
+    monkeypatch.setattr(grid, "draw_trial", draw_trial)
+    failed = _two_run_grid()
+    for before, after in zip(clean.scenario_rows, failed.scenario_rows):  # os-om included: the run has no sample
+        assert np.isnan(after["estimates"][1]) and after["n_failures"] == 1
+        assert after["estimates"][0] == before["estimates"][0]
 
 
 def test_table2_leaves_named_failures_nan(monkeypatch):

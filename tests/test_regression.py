@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppgen import regression
@@ -48,8 +49,63 @@ def test_legendre_orthonormality_quadrature():
 
 def test_legendre_clamps_tiny_overshoot():
     assert np.allclose(legendre_eval(1.0 + 1e-13, 3), legendre_eval(1.0, 3))
-    with pytest.raises(ValueError):
-        legendre_eval(1.1, 3)
+    for bad in (1.1, 1.0 + 2e-12, -1.0 - 2e-12, [0.0, 1.5]):
+        with pytest.raises(ValueError):
+            legendre_eval(bad, 3)
+
+
+def _legendre_reference(x, degree):
+    """The recurrence as it was written before it ran in place: a fresh array
+    per operation, the same operations in the same order."""
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    if np.any(np.abs(x) > 1 + 1e-12):
+        raise ValueError("inputs must lie in [-1, 1]")
+    x = np.clip(x, -1.0, 1.0)
+    out = np.empty((x.shape[0], degree + 1))
+    p_prev = np.ones_like(x)
+    out[:, 0] = p_prev * np.sqrt(0.5)
+    if degree >= 1:
+        p_cur = x.copy()
+        out[:, 1] = p_cur * np.sqrt(1.5)
+        for k in range(1, degree):
+            p_next = ((2 * k + 1) * x * p_cur - k * p_prev) / (k + 1)
+            out[:, k + 1] = p_next * np.sqrt((2 * k + 3) / 2)
+            p_prev, p_cur = p_cur, p_next
+    return out[0] if scalar else out
+
+
+EDGES = (1.0, -1.0, 1.0 + 1e-12, -1.0 - 1e-12, 0.0, -0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    degree=st.integers(0, 16),
+    x=st.one_of(
+        st.floats(-1.0 - 1e-12, 1.0 + 1e-12),  # a scalar
+        st.sampled_from(EDGES),
+        st.lists(st.one_of(st.floats(-1.0 - 1e-12, 1.0 + 1e-12), st.sampled_from(EDGES)), max_size=40),
+    ),
+)
+@example(degree=16, x=[])
+@example(degree=16, x=[0.3])
+@example(degree=16, x=1.0 + 1e-12)
+@example(degree=16, x=list(EDGES))
+def test_legendre_eval_is_the_reference_recurrence_byte_for_byte(degree, x):
+    x = x if isinstance(x, float) else np.asarray(x, dtype=float)  # lists cover n = 0 and n = 1
+    got, want = legendre_eval(x, degree), _legendre_reference(x, degree)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert got.flags.c_contiguous
+
+
+@settings(max_examples=30, deadline=None)
+@given(degree=st.integers(0, 16), n=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+def test_legendre_eval_leading_columns_are_the_lower_degrees(degree, n, seed):
+    x = np.random.default_rng(seed).uniform(-1, 1, n)
+    full = legendre_eval(x, degree)
+    for k in range(degree + 1):
+        assert full[:, :k + 1].tobytes() == legendre_eval(x, k).tobytes()
 
 
 # -- ridge --------------------------------------------------------------------
@@ -70,6 +126,44 @@ def test_ridge_infinite_shrinkage():
     x = rng.uniform(-1, 1, 50)
     fit = ridge_fit(x, rng.normal(0, 1, 50), degree=3, penalty=1e12)
     assert np.max(np.abs(fit.coefficients)) < 1e-6
+
+
+def _spd_system(rng, p):
+    f = rng.standard_normal((p + int(rng.integers(1, 200)), p))
+    if rng.random() < 0.5:  # a Gram plus a penalty, exactly symmetric
+        a = f.T @ f + 10.0 ** float(rng.integers(-6, 3)) * np.eye(p)
+    else:  # a Newton Hessian's weighted product, which need not be exactly symmetric
+        a = (f * rng.random(f.shape[0])[:, None]).T @ f + 1e-6 * np.eye(p)
+    return a, f.T @ rng.standard_normal(f.shape[0])
+
+
+def test_direct_solve_is_scipys_positive_definite_solve_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for p in [*range(1, 10)] * 40 + [500]:
+        a, b = _spd_system(rng, p)
+        want = scipy.linalg.solve(a, b, assume_a="pos")
+        assert regression._solve_pos(a, b).tobytes() == want.tobytes(), p
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["matrix", "rhs"])
+def test_direct_solve_rejects_non_finite_input(bad, where):
+    a, b = _spd_system(np.random.default_rng(1), 4)
+    if where == "matrix":
+        a[1, 0] = bad  # below the diagonal, which posv does not read
+    else:
+        b[1] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        regression._solve_pos(a, b)
+
+
+def test_direct_solve_rejects_a_matrix_that_is_not_positive_definite():
+    for a in (np.array([[1.0, 2.0], [2.0, 1.0]]), -np.eye(3), np.zeros((1, 1))):
+        for solve in (regression._solve_pos, lambda a, b: scipy.linalg.solve(a, b, assume_a="pos")):
+            with pytest.raises(np.linalg.LinAlgError):
+                solve(a, np.ones(a.shape[0]))
+    with pytest.raises(IllConditionedError):  # penalty 0 on a singular Gram is refused before any solve
+        regression._solve_gram(np.ones((3, 3)), np.ones(3), 0.0)
 
 
 def test_ridge_zero_penalty_singular_raises():
