@@ -8,6 +8,8 @@ JSON into --out.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import importlib
 import json
 import math
 import os
@@ -198,10 +200,32 @@ def _filter_grid(grid, combo_filters):
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+# The extension module that links each library's bundled OpenBLAS, and the
+# suffix of that OpenBLAS's exported names (numpy's has 64-bit integers).
+_OPENBLAS = {"numpy": ("numpy.linalg._umath_linalg", "64_"), "scipy": ("scipy.linalg._fblas", "")}
+
+
+def _openblas(module: str, suffix: str) -> dict:
+    """The effective thread count and the kernel core name of the OpenBLAS
+    that the extension ``module`` links, read through ctypes, or
+    "unavailable" where that library does not export them."""
+    try:
+        lib = ctypes.CDLL(importlib.import_module(module).__file__)
+        threads = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+        corename = getattr(lib, f"scipy_openblas_get_corename{suffix}")
+    except (ImportError, OSError, AttributeError):
+        return {"threads": "unavailable", "core": "unavailable"}
+    threads.argtypes, threads.restype = [], ctypes.c_int
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return {"threads": threads(), "core": corename().decode()}
+
+
 def _environment(workers: int) -> dict:
     """What a run's speed and last bits depend on: cores, workers, the BLAS
-    thread variables as set (None when unset) and the library versions.  The
-    OS predictor's fit sums in BLAS, so its last bits follow the thread count."""
+    thread variables as set (None when unset), the library versions, and the
+    thread count and kernel each library's OpenBLAS actually runs.  The OS
+    predictor's fit sums in BLAS, so its last bits follow the thread count
+    and the kernel."""
     return {
         "cpu_count": os.cpu_count(),
         "workers": workers,
@@ -209,6 +233,7 @@ def _environment(workers: int) -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
+        **{f"{lib}_openblas": _openblas(*where) for lib, where in _OPENBLAS.items()},
     }
 
 

@@ -27,6 +27,7 @@ N_FOLDS = 5  # folds of every cross-validated fit
 # boundaries at multiples of BLAS's row groups keep predictions bit-identical
 # to one product over all rows.
 ROW_BLOCK = 1024
+EIGH_BYTES = 2**20  # fold Grams per eigh call of the CV sweep: all trial-side folds, one OS fold
 
 
 class IllConditionedError(ValueError):
@@ -218,49 +219,42 @@ def _cv_errors(
 ) -> np.ndarray:
     """Pooled held-out squared error per penalty.
 
-    Every fold's training Gram and right-hand side are the full ones minus the
-    products of its held-out rows; one stacked eigendecomposition solves all
-    folds at all penalties; a second pass scores the held-out rows.  When
-    every fold fits in one ``ROW_BLOCK``, each is gathered once for both
-    passes; otherwise each pass gathers the held-out rows ``ROW_BLOCK`` at a
-    time into one buffer, so no fold's rows are ever copied whole.
+    The folds go in order, as many at a time as keep their Grams within
+    ``EIGH_BYTES``.  A fold's training Gram and right-hand side are the full
+    ones minus the products of its held-out rows, ``ROW_BLOCK`` at a time; one
+    stacked eigendecomposition solves the folds at every penalty, and a second
+    pass over the same blocks scores them before the next folds start.
     """
     folds = _fold_split(feats.shape[0], n_folds, fold_seed)
-    gathered = None
-    if folds[0].shape[0] <= ROW_BLOCK:  # array_split puts the largest folds first
-        gathered = [(k, feats[idx], y[idx]) for k, idx in enumerate(folds)]
-    grams = _training_grams(gathered or _held_out_blocks(feats, y, folds), len(folds), gram_all, rhs_all)
-    coefs = _fold_penalty_sweep(*grams, penalties)
+    step = min(n_folds, max(1, EIGH_BYTES // gram_all.nbytes))
+    grams, rhs = np.empty((step, *gram_all.shape)), np.empty((step, rhs_all.shape[0]))
     sse = np.zeros(len(penalties))
-    for k, rows, y_rows in gathered or _held_out_blocks(feats, y, folds):
-        resid = y_rows[:, None] - rows @ coefs[k].T
-        sse += np.sum(resid**2, axis=0)
+    for first in range(0, len(folds), step):
+        group = folds[first:first + step]
+        grams[:], rhs[:] = gram_all, rhs_all
+        for k, idx in enumerate(group):
+            for rows, y_rows in _held_out_blocks(feats, y, idx):
+                grams[k] -= rows.T @ rows
+                rhs[k] -= rows.T @ y_rows
+        del rows, y_rows  # no block of rows outlives its pass
+        coefs = _fold_penalty_sweep(grams[:len(group)], rhs[:len(group)], penalties)
+        for k, idx in enumerate(group):
+            for rows, y_rows in _held_out_blocks(feats, y, idx):
+                resid = y_rows[:, None] - rows @ coefs[k].T
+                sse += np.add.reduce(np.square(resid, out=resid), axis=0)
+        del rows, y_rows
     return sse / feats.shape[0]
 
 
-def _training_grams(
-    blocks, n_folds: int, gram_all: np.ndarray, rhs_all: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every fold's training Gram and right-hand side, stacked: the full ones
-    minus the products of the fold's held-out ``blocks``."""
-    grams = np.repeat(gram_all[None], n_folds, axis=0)
-    rhs = np.repeat(rhs_all[None], n_folds, axis=0)
-    for k, rows, y_rows in blocks:
-        grams[k] -= rows.T @ rows
-        rhs[k] -= rows.T @ y_rows
-    return grams, rhs
-
-
-def _held_out_blocks(feats: np.ndarray, y: np.ndarray, folds: Sequence[np.ndarray]):
-    """(fold number, held-out rows, their targets) for each block of at most
-    ``ROW_BLOCK`` rows of each fold.  The rows are gathered into one buffer
-    and hold only until the next block."""
-    buf = np.empty((min(ROW_BLOCK, max(idx.shape[0] for idx in folds)), feats.shape[1]))
-    for k, idx in enumerate(folds):
-        for start in range(0, idx.shape[0], ROW_BLOCK):
-            part = idx[start:start + ROW_BLOCK]
-            # mode="clip" lets take write straight into out= (the indices are in range)
-            yield k, np.take(feats, part, axis=0, out=buf[:part.shape[0]], mode="clip"), y[part]
+def _held_out_blocks(feats: np.ndarray, y: np.ndarray, idx: np.ndarray):
+    """The held-out rows of fold ``idx`` and their targets, ``ROW_BLOCK`` rows
+    at a time; every block after the first is gathered into the first's array."""
+    rows = None
+    for start in range(0, idx.shape[0], ROW_BLOCK):
+        part = idx[start:start + ROW_BLOCK]
+        # mode="clip": the indices are in range, so take can write straight into out=
+        rows = feats.take(part, axis=0, out=None if rows is None else rows[:part.shape[0]], mode="clip")
+        yield rows, y[part]
 
 
 def _fold_penalty_sweep(grams: np.ndarray, rhs: np.ndarray, penalties: Sequence[float]) -> np.ndarray:
@@ -268,7 +262,7 @@ def _fold_penalty_sweep(grams: np.ndarray, rhs: np.ndarray, penalties: Sequence[
     features), from one stacked eigendecomposition of the folds' Grams."""
     vals, vecs = np.linalg.eigh(grams)
     lams = np.asarray(penalties, dtype=float)
-    if np.any(lams == 0.0) and np.any(vals[:, 0] <= vals[:, -1] * 1e-12):
+    if 0.0 in penalties and np.any(vals[:, 0] <= vals[:, -1] * 1e-12):
         raise IllConditionedError(
             "normal equations are singular at penalty 0; use a positive penalty"
         )
@@ -405,25 +399,31 @@ def logistic_fit(inputs, labels, degree: int, ridge_penalty: float) -> LogisticF
     feats = legendre_eval(x, degree)
     p_dim = feats.shape[1]
     coefs = np.zeros(p_dim)
-    weighted = np.empty_like(feats)  # feats * w[:, None], one buffer for every Newton step
+    # row-sized buffers for every Newton step: logits, a candidate's logits, two work vectors
+    logits, new_logits, work, resid = (np.empty(feats.shape[0]) for _ in range(4))
+    weighted = np.empty_like(feats)  # the Hessian's weighted design
 
-    def objective(c):
-        """The penalized objective at ``c``, and the logits it was computed from."""
-        logits = feats @ c
+    def objective(c, out):
+        """The penalized objective at ``c``; the logits it was computed from go to ``out``."""
+        np.matmul(feats, c, out=out)
         # log(1 + exp(logits)) - y*logits, computed stably
-        nll = np.sum(np.logaddexp(0.0, logits) - y * logits)
-        return nll + 0.5 * ridge_penalty * float(c @ c), logits
+        losses = np.subtract(np.logaddexp(0.0, out, out=work), np.multiply(y, out, out=resid), out=work)
+        return np.sum(losses) + 0.5 * ridge_penalty * float(c @ c)
 
-    obj, logits = objective(coefs)
+    def gradient(c, logits):
+        """The gradient at ``c`` from its ``logits``; ``work`` keeps the probabilities."""
+        probs = expit(logits, out=work)
+        return feats.T @ np.subtract(probs, y, out=resid) + ridge_penalty * c
+
+    obj = objective(coefs, logits)
     converged = False
     for _ in range(100):
-        probs = expit(logits)
-        grad = feats.T @ (probs - y) + ridge_penalty * coefs
+        grad = gradient(coefs, logits)
         if np.max(np.abs(grad)) < grad_tol:
             converged = True
             break
-        w = probs * (1.0 - probs)
-        hess = np.multiply(feats, w[:, None], out=weighted).T @ feats + ridge_penalty * np.eye(p_dim)
+        w = np.multiply(work, np.subtract(1.0, work, out=resid), out=resid)  # p(1 - p)
+        hess = np.einsum("ij,i->ij", feats, w, out=weighted).T @ feats + ridge_penalty * np.eye(p_dim)
         step = _solve_pos(hess, grad)
         # Halve the step until the objective decreases (up to float resolution;
         # near the optimum the true decrease falls below machine precision).
@@ -431,17 +431,16 @@ def logistic_fit(inputs, labels, degree: int, ridge_penalty: float) -> LogisticF
         slack = 1e-12 * (1.0 + abs(obj))
         for _ in range(30):
             new_coefs = coefs - scale * step
-            new_obj, new_logits = objective(new_coefs)
+            new_obj = objective(new_coefs, new_logits)
             if new_obj < obj + slack:
                 break
             scale *= 0.5
         else:
             break  # no acceptable step; stop with the current iterate
-        coefs, obj, logits = new_coefs, new_obj, new_logits
+        coefs, obj = new_coefs, new_obj
+        logits, new_logits = new_logits, logits
     else:
-        probs = expit(logits)
-        grad = feats.T @ (probs - y) + ridge_penalty * coefs
-        converged = bool(np.max(np.abs(grad)) < grad_tol)
+        converged = bool(np.max(np.abs(gradient(coefs, logits))) < grad_tol)
     return LogisticFit(degree, coefs, ridge_penalty, converged)
 
 

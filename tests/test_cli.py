@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from ppgen import cli
 from ppgen.cli import main
 
 
@@ -33,6 +34,24 @@ def test_environment_reports_unset_blas_variables_as_null(tmp_path, monkeypatch)
 def _checks_payload(tmp_path, *flags) -> dict:
     assert main(["checks", "--check", "orthonormality", *flags, "--out", str(tmp_path)]) == 0
     return json.loads((tmp_path / "checks.json").read_text())
+
+
+def test_environment_reports_each_librarys_openblas_threads_and_kernel(tmp_path):
+    env = _checks_payload(tmp_path)["environment"]
+    for lib in ("numpy", "scipy"):
+        record = env[f"{lib}_openblas"]
+        assert set(record) == {"threads", "core"}
+        if record["threads"] == "unavailable":  # a wheel without the OpenBLAS getters
+            assert record["core"] == "unavailable"
+        else:
+            assert isinstance(record["threads"], int) and record["threads"] >= 1
+            assert isinstance(record["core"], str) and record["core"]
+
+
+def test_an_openblas_without_the_getters_reads_unavailable():
+    # a linked OpenBLAS asked for names it does not export, and a module that is no shared library
+    for module, suffix in (("scipy.linalg._fblas", "_absent"), ("json", "")):
+        assert cli._openblas(module, suffix) == {"threads": "unavailable", "core": "unavailable"}
 
 
 def test_peak_rss_is_the_process_peak_next_to_the_runtime(tmp_path):

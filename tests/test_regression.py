@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from ppgen import regression
 from ppgen.regression import (
@@ -270,6 +271,53 @@ def test_cv_sweep_picks_the_reference_penalty(fold, degree, noise, seed):
         assert chosen in near
 
 
+def _stacked_cv_errors(feats, y, gram_all, rhs_all, penalties, n_folds, fold_seed):
+    """The sweep that decomposed every fold's training Gram in one stacked
+    ``eigh``: the Grams are formed first (held-out rows subtracted
+    ``ROW_BLOCK`` at a time, fold by fold), all folds are solved at once, and
+    a second pass scores them."""
+    folds = cv_fold_indices(feats.shape[0], n_folds, fold_seed)
+    blocks = [(k, feats[idx[s:s + ROW_BLOCK]], y[idx[s:s + ROW_BLOCK]])
+              for k, idx in enumerate(folds) for s in range(0, idx.shape[0], ROW_BLOCK)]
+    grams = np.repeat(gram_all[None], n_folds, axis=0)
+    rhs = np.repeat(rhs_all[None], n_folds, axis=0)
+    for k, rows, y_rows in blocks:
+        grams[k] -= rows.T @ rows
+        rhs[k] -= rows.T @ y_rows
+    vals, vecs = np.linalg.eigh(grams)
+    lams = np.asarray(penalties, dtype=float)
+    proj = np.matmul(rhs[:, None, :], vecs)
+    coefs = (proj / (vals[:, None, :] + lams[None, :, None])) @ vecs.transpose(0, 2, 1)
+    sse = np.zeros(len(penalties))
+    for k, rows, y_rows in blocks:
+        resid = y_rows[:, None] - rows @ coefs[k].T
+        sse += np.sum(resid**2, axis=0)
+    return sse / feats.shape[0]
+
+
+@settings(max_examples=16, deadline=None)
+@given(
+    fold=st.sampled_from([ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 7]),
+    width=st.sampled_from([*range(1, 10), 200, 500]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(fold=3 * ROW_BLOCK + 7, width=500, seed=0)  # the OS predictor's shape: one fold per eigh
+@example(fold=ROW_BLOCK + 1, width=200, seed=1)  # three folds in the first eigh, two in the second
+def test_cv_errors_are_the_stacked_sweeps_bit_for_bit(fold, width, seed):
+    rng = np.random.default_rng(seed)
+    n = 5 * fold  # five folds of exactly `fold` held-out rows
+    x = rng.uniform(-1, 1, n)
+    if width <= 9:
+        feats = legendre_eval(x, width - 1)
+    else:  # random cosine features, as the OS predictor fits them
+        feats = regression._cosine_features(x, rng.standard_normal(width) * 3, rng.uniform(0, 2 * np.pi, width))
+    y = np.sin(3 * x) + rng.normal(0, 0.5, n)
+    gram, rhs = feats.T @ feats, feats.T @ y
+    grid = regression.DEFAULT_PENALTY_GRID
+    got = regression._cv_errors(feats, y, gram, rhs, grid, 5, seed)
+    assert got.tobytes() == _stacked_cv_errors(feats, y, gram, rhs, grid, 5, seed).tobytes()
+
+
 def test_all_zero_targets_tie_to_the_largest_penalty_across_blocks():
     n = 5 * ROW_BLOCK + 3  # every fold spans two blocks
     x = np.random.default_rng(21).uniform(-1, 1, n)
@@ -430,6 +478,98 @@ def test_logistic_gradient_small_at_convergence():
     probs = 1 / (1 + np.exp(-feats @ fit.coefficients))
     grad = feats.T @ (probs - labels) + 1e-4 * fit.coefficients
     assert np.max(np.abs(grad)) < 1e-6
+
+
+def _reference_logistic_fit(x, y, degree, ridge_penalty):
+    """The Newton loop that allocated its row-sized temporaries afresh in
+    every step: (coefficients, converged, Newton steps taken)."""
+    feats = legendre_eval(x, degree)
+    p_dim = feats.shape[1]
+    coefs = np.zeros(p_dim)
+
+    def objective(c):
+        logits = feats @ c
+        nll = np.sum(np.logaddexp(0.0, logits) - y * logits)
+        return nll + 0.5 * ridge_penalty * float(c @ c), logits
+
+    obj, logits = objective(coefs)
+    converged, steps = False, 0
+    for _ in range(100):
+        probs = expit(logits)
+        grad = feats.T @ (probs - y) + ridge_penalty * coefs
+        if np.max(np.abs(grad)) < 1e-8:
+            converged = True
+            break
+        w = probs * (1.0 - probs)
+        hess = (feats * w[:, None]).T @ feats + ridge_penalty * np.eye(p_dim)
+        step = regression._solve_pos(hess, grad)
+        steps += 1
+        scale = 1.0
+        slack = 1e-12 * (1.0 + abs(obj))
+        for _ in range(30):
+            new_coefs = coefs - scale * step
+            new_obj, new_logits = objective(new_coefs)
+            if new_obj < obj + slack:
+                break
+            scale *= 0.5
+        else:
+            break
+        coefs, obj, logits = new_coefs, new_obj, new_logits
+    else:
+        probs = expit(logits)
+        grad = feats.T @ (probs - y) + ridge_penalty * coefs
+        converged = bool(np.max(np.abs(grad)) < 1e-8)
+    return coefs, converged, steps
+
+
+def _newton_outcome(fit):
+    """(coefficient bytes, converged, Newton steps) of ``fit()``, or the type
+    of the error it raised; ``fit`` returns (fit, steps) or (coefficients,
+    converged, steps)."""
+    try:
+        with np.errstate(all="ignore"):  # labels outside [0, 1] drive the logits to overflow
+            out = fit()
+    except ValueError as err:  # LinAlgError included
+        return type(err)
+    if len(out) == 2:
+        out = (out[0].coefficients, out[0].converged, out[1])
+    return out[0].tobytes(), out[1], out[2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 3000),
+    degree=st.integers(0, 7),
+    penalty=st.sampled_from([0.0, 1e-12, 1e-8, 1e-4, 0.5, 10.0]),
+    labels=st.sampled_from(["logistic", "separated", "zero or two"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=21_000, degree=7, penalty=1e-4, labels="logistic", seed=1)  # a nuisance fit's size
+@example(n=378, degree=5, penalty=1e-8, labels="zero or two", seed=0)  # 100 steps, not converged
+@example(n=190, degree=4, penalty=1e-12, labels="zero or two", seed=0)  # no acceptable step
+@example(n=300, degree=2, penalty=0.0, labels="zero or two", seed=0)  # a singular Hessian
+def test_logistic_fit_is_the_reference_newton_loop_bit_for_bit(n, degree, penalty, labels, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, n)
+    x[:2] = (-0.5, 0.5)
+    if labels == "logistic":
+        y = (rng.random(n) < 1 / (1 + np.exp(-2 * x))).astype(float)
+        y[:2] = (0.0, 1.0)
+    elif labels == "separated":
+        y = (x > 0).astype(float)
+    else:  # no finite optimum without a penalty; the loop may stop unconverged
+        y = 2.0 * (rng.random(n) < 0.5)
+        y[:2] = (0.0, 2.0)
+    steps = []
+    solve = regression._solve_pos
+
+    def counted_fit():
+        with pytest.MonkeyPatch.context() as mp:  # one solve per Newton step
+            mp.setattr(regression, "_solve_pos", lambda a, b: steps.append(1) or solve(a, b))
+            return logistic_fit(x, y, degree, penalty), len(steps)
+
+    got = _newton_outcome(counted_fit)
+    assert got == _newton_outcome(lambda: _reference_logistic_fit(x, y, degree, penalty))
 
 
 def test_logistic_one_class_rejected():
