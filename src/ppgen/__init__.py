@@ -15,19 +15,18 @@ from .domain import (
     GlmLogitParams,
     GlmOutcomeParams,
     KernelParams,
-    Observation,
     ScenarioSpec,
     derive_seed,
 )
 from .dgp import (
     GridFunction,
+    NoisePredictor,
     World,
     draw_target,
     draw_trial,
     generate_os,
     glm_logit_prob,
     glm_outcome,
-    noise_predictor,
     sample_gp,
     world_from_spec,
 )
@@ -43,7 +42,6 @@ from .regression import (
 )
 from .estimators import (
     EstimatorConfig,
-    NuisanceSet,
     Target,
     estimate_abc,
     estimate_aom,

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dgp import World, generate_os, noise_predictor, os_arm_arrays
+from .dgp import NoisePredictor, World, generate_os, os_arm_arrays
 from .regression import flexible_fit, legendre_eval, ridge_cv
 
 # Gauss-Legendre nodes per axis of the oracles' quadrature; true_mu bounds its
@@ -142,7 +142,7 @@ def os_predictor(world: World, n_os: int, seed_of: Callable[[str], int],
     (the cohort), "fpred" (the fit) and "noisef" (the noise function).
     """
     if predictor_kind == "iid_noise":
-        return noise_predictor(seed_of("noisef"))
+        return NoisePredictor(seed_of("noisef"))
     os_cohort = generate_os(world, n_os, seed_of("os"))
     x, y = os_arm_arrays(os_cohort, a=1)
     if world.kind == "gp":

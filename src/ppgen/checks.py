@@ -32,7 +32,6 @@ from .dgp import World, draw_target, draw_trial, gp_world
 from .domain import TARGET, TRIAL, CompositeSample, check_names, derive_seed
 from .estimators import (
     EstimatorConfig,
-    NuisanceSet,
     Target,
     categorical_point_estimate,
     estimate_dr_abc,
@@ -290,7 +289,7 @@ def dr_robustness_check(
     mu = true_mu(world, a=1).mu_a
     b_fn = CallablePredictor(lambda x: 0.3 + 0.5 * x)  # the exact bias of f below
     q = tilted_participation(world, n1, n0)
-    nuis_bad = NuisanceSet(p_hat_marginal=n1 / (n1 + n0), p_hat=ConstantPredictor(0.5))
+    p_bad = ConstantPredictor(0.5)
     plus_one = lambda fn: CallablePredictor(lambda x: fn.predict(x) + 1.0)
     cfg = EstimatorConfig(degree=3, a=1)
     estimates = defaultdict(list)
@@ -305,18 +304,18 @@ def dr_robustness_check(
         truth_on = {id(x): true_outcome_function(world, 1, x) for x in (x0, x1)}
         g_hat = CallablePredictor(lambda x: truth_on[id(x)])
         q_on = {id(x1): q(x1)}
-        nuis_good = NuisanceSet(p_hat_marginal=n1 / (n1 + n0), p_hat=CallablePredictor(lambda x: q_on[id(x)]))
+        p_good = CallablePredictor(lambda x: q_on[id(x)])
         f = CallablePredictor(lambda x: g_hat.predict(x) + 0.3 + 0.5 * x)  # distorted but fixed
         target = Target(x0, f)  # the target and f on it, shared by all six cases
         # each DR estimator with its exact regression component, corrupted or kept
         trio = (
-            ("dr", lambda nuis, fit: estimate_dr_baseline(sample, nuis, cfg, outcome_fit=fit, target=target), g_hat),
-            ("dr-abc", lambda nuis, fit: estimate_dr_abc(sample, f, nuis, cfg, bias_fit=fit, target=target), b_fn),
-            ("dr-pa", lambda nuis, fit: estimate_dr_aom(sample, f, nuis, cfg, augmented_fit=fit, target=target), g_hat),
+            ("dr", lambda p, fit: estimate_dr_baseline(sample, p, cfg, outcome_fit=fit, target=target), g_hat),
+            ("dr-abc", lambda p, fit: estimate_dr_abc(sample, f, p, cfg, bias_fit=fit, target=target), b_fn),
+            ("dr-pa", lambda p, fit: estimate_dr_aom(sample, f, p, cfg, augmented_fit=fit, target=target), g_hat),
         )
         for name, estimate, exact in trio:
-            estimates[name, "bad-outcome"].append(estimate(nuis_good, plus_one(exact)).point_estimate)
-            estimates[name, "bad-weights"].append(estimate(nuis_bad, exact).point_estimate)
+            estimates[name, "bad-outcome"].append(estimate(p_good, plus_one(exact)).point_estimate)
+            estimates[name, "bad-weights"].append(estimate(p_bad, exact).point_estimate)
     details = []
     passed = True
     for key, vals in estimates.items():

@@ -220,12 +220,23 @@ def _openblas(module: str, suffix: str) -> dict:
     return {"threads": threads(), "core": corename().decode()}
 
 
+def _numpy_cpu() -> dict | str:
+    """numpy's baseline CPU targets and the dispatched targets this CPU runs,
+    or "unavailable" where numpy does not export them."""
+    try:
+        umath = importlib.import_module("numpy._core._multiarray_umath")
+        return {"baseline": list(umath.__cpu_baseline__),
+                "dispatched": [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]}
+    except (ImportError, AttributeError):
+        return "unavailable"
+
+
 def _environment(workers: int) -> dict:
     """What a run's speed and last bits depend on: cores, workers, the BLAS
-    thread variables as set (None when unset), the library versions, and the
-    thread count and kernel each library's OpenBLAS actually runs.  The OS
-    predictor's fit sums in BLAS, so its last bits follow the thread count
-    and the kernel."""
+    thread variables as set (None when unset), the library versions, the
+    thread count and kernel each library's OpenBLAS actually runs, and the
+    CPU targets numpy dispatches to.  The OS predictor's fit sums in BLAS, so
+    its last bits follow the thread count and the kernels."""
     return {
         "cpu_count": os.cpu_count(),
         "workers": workers,
@@ -234,6 +245,7 @@ def _environment(workers: int) -> dict:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         **{f"{lib}_openblas": _openblas(*where) for lib, where in _OPENBLAS.items()},
+        "numpy_cpu": _numpy_cpu(),
     }
 
 

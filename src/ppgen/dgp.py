@@ -47,10 +47,11 @@ PROB_CLIP = (0.1, 0.9)  # positivity floor/ceiling for GP-drawn probabilities
 class GridFunction:
     """A function on [-1,1]^2 stored as lattice values with bilinear interpolation."""
 
-    grid_size: int
     values: np.ndarray  # shape (G, G); values[i, j] = f(x_i, u_j)
-    params: KernelParams
-    seed: int
+
+    @property
+    def grid_size(self) -> int:
+        return self.values.shape[0]
 
     def __call__(self, x, u) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -129,7 +130,7 @@ def sample_gp(params: KernelParams, grid_size: int = 101, seed: int = 0) -> Grid
         np.sqrt(params.alpha_x) * a * lattice[:, None]
         + np.sqrt(params.alpha_u) * b * lattice[None, :]
     )
-    return GridFunction(grid_size, linear + se_part, params, seed)
+    return GridFunction(linear + se_part)
 
 
 def _glm_poly(x: np.ndarray, coefs: tuple[float, ...]) -> np.ndarray:
@@ -337,10 +338,6 @@ class NoisePredictor:
         mixed = _splitmix64(quantized ^ seed_key)
         uniform = (np.right_shift(mixed, np.uint64(11)).astype(np.float64) + 0.5) / 2**53
         return ndtri(uniform)
-
-
-def noise_predictor(seed: int) -> NoisePredictor:
-    return NoisePredictor(seed)
 
 
 # -- world export ------------------------------------------------------------

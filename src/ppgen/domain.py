@@ -8,8 +8,7 @@ samples and :meth:`CompositeSample.concat` stacks them.  The hidden covariate
 drives confounding in the synthetic worlds; estimator code must never read
 it, so it is exposed only through the oracle-flagged accessors below
 (``hidden_u_array``, ``include_hidden=`` in the CSV writer) and can be
-blanked wholesale with :meth:`CompositeSample.public`.  :class:`Observation`
-is a single record, used only to read and write CSV files.
+blanked wholesale with :meth:`CompositeSample.public`.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ TARGET = 0
 TRIAL = 1
 OS = 2
 
-_LABELS = (TARGET, TRIAL, OS)
 _COLUMNS = ("x", "u", "s", "a", "y")  # CompositeSample fields and CSV header
 
 # The trial's randomization probability: draw_trial treats each patient with
@@ -73,31 +71,12 @@ def check_names(what: str, names: Sequence[str], valid: Iterable[str]) -> tuple[
     return tuple(names)
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One composite-sample record (x, s, s*a, s*y) plus the hidden covariate."""
-
-    x: float
-    u: float
-    s: int
-    a: int | None = None
-    y: float | None = None
-
-    def __post_init__(self):
-        if self.s not in _LABELS:
-            raise ValueError(f"unknown population label {self.s}")
-        has_a, has_y = self.a is not None, self.y is not None
-        if has_a != has_y:
-            raise ValueError("treatment and outcome must be both present or both absent")
-        if (self.s == TARGET) == has_a:
-            raise ValueError("treatment/outcome present iff the record is not a target record")
-
-
 @dataclass(frozen=True, eq=False)
 class CompositeSample:
     """Equal-length record columns with trial/target counts derived from ``s``.
 
-    ``a`` is -1 and ``y`` NaN exactly on target rows.  ``n1``/``n0`` count
+    ``a`` is -1 and ``y`` NaN exactly on target rows; elsewhere ``a`` is 0 or
+    1 and ``y`` finite, and ``x`` is finite everywhere.  ``n1``/``n0`` count
     trial and target rows; observational rows may be carried alongside but
     do not enter either count.  A sample is read, never modified: the counts
     and each trial arm are computed on first use and kept.
@@ -122,9 +101,16 @@ class CompositeSample:
             raise ValueError("columns must have equal lengths")
         if not ((self.s == TARGET) | (self.s == TRIAL) | (self.s == OS)).all():
             raise ValueError(f"unknown population label in {np.unique(self.s)}")
+        if not np.isfinite(self.x).all():
+            raise ValueError("column x must be finite")
         has_a = self.a != -1
         if not (np.array_equal(has_a, ~np.isnan(self.y)) and np.array_equal(has_a, self.s != TARGET)):
             raise ValueError("treatment and outcome must be present exactly on non-target records")
+        # a is -1 and y NaN on target rows alone, so these two read the other rows
+        if ((self.a < -1) | (self.a > 1)).any():
+            raise ValueError("column a must be 0 or 1 on trial and observational records")
+        if np.isinf(self.y).any():
+            raise ValueError("column y must be finite on trial and observational records")
         object.__setattr__(self, "_arms", {})
 
     @staticmethod
@@ -145,10 +131,12 @@ class CompositeSample:
         return out
 
     @staticmethod
-    def from_records(records: Iterable[Observation]) -> "CompositeSample":
-        rows = [(r.x, r.u, r.s, -1 if r.a is None else r.a, math.nan if r.y is None else r.y) for r in records]
-        x, u, s, a, y = np.array(rows, dtype=float).reshape(-1, len(_COLUMNS)).T
-        return CompositeSample(x, u, s.astype(np.int64), a.astype(np.int64), y)
+    def from_records(rows: Iterable[tuple]) -> "CompositeSample":
+        """A sample from ``(x, u, s, a, y)`` rows, with a = -1 and y = NaN on target rows.
+        Each column keeps its values' type, so a label that is not an integer is rejected."""
+        rows = list(rows)
+        columns = np.array(rows, dtype=object).reshape(len(rows), len(_COLUMNS)).T
+        return CompositeSample(*(np.array(column.tolist()) for column in columns))
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -342,29 +330,6 @@ def csv_text(columns: Sequence[str], rows: Iterable[Mapping]) -> str:
     return buf.getvalue()
 
 
-def read_observations_csv(path: str | Path) -> list[Observation]:
-    """Read records written by :func:`write_sample_csv`; a malformed file
-    raises ValueError naming it (and, for a bad row, the line)."""
-    out: list[Observation] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file; expected the CSV header {','.join(_COLUMNS)}")
-        if tuple(header) != _COLUMNS:
-            raise ValueError(f"{path}: unexpected CSV header {header}")
-        for row in reader:
-            try:
-                if len(row) != len(_COLUMNS):
-                    raise ValueError(f"expected {len(_COLUMNS)} cells, got {len(row)}")
-                x, u, s, a, y = row
-                u, a, y = float(u) if u else math.nan, int(a) if a else None, float(y) if y else None
-                out.append(Observation(float(x), u, int(s), a, y))
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
-    return out
-
-
 def write_sample_csv(sample: CompositeSample, path: str | Path, include_hidden: bool = False) -> None:
     """Write a sample as CSV (columns x,u,s,a,y; empty cells for absent fields).
 
@@ -380,4 +345,26 @@ def write_sample_csv(sample: CompositeSample, path: str | Path, include_hidden: 
 
 
 def read_sample_csv(path: str | Path) -> CompositeSample:
-    return CompositeSample.from_records(read_observations_csv(path))
+    """Read a sample written by :func:`write_sample_csv`.  A malformed file
+    raises ValueError naming it and, for a row that does not parse, the line."""
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file; expected the CSV header {','.join(_COLUMNS)}")
+        if tuple(header) != _COLUMNS:
+            raise ValueError(f"{path}: unexpected CSV header {header}")
+        for row in reader:
+            try:
+                if len(row) != len(_COLUMNS):
+                    raise ValueError(f"expected {len(_COLUMNS)} cells, got {len(row)}")
+                x, u, s, a, y = row
+                rows.append((float(x), float(u) if u else math.nan, int(s), int(a) if a else -1,
+                             float(y) if y else math.nan))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+    try:
+        return CompositeSample.from_records(rows)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .domain import TREATMENT_PROB, CompositeSample, EstimateRecord, PositivityError
-from .regression import DEFAULT_PENALTY_GRID, RidgeFit, _augment, _design, logistic_fit, ridge_cv
+from .regression import DEFAULT_PENALTY_GRID, LogisticFit, RidgeFit, _augment, _design, logistic_fit, ridge_cv
 
 
 @dataclass(frozen=True)
@@ -39,28 +39,12 @@ class EstimatorConfig:
             raise ValueError("degree must be nonnegative")
 
 
-@dataclass(frozen=True)
-class NuisanceSet:
-    """Trial-participation nuisances for weighting; the treatment side is the
-    known randomization probability ``TREATMENT_PROB``, not an estimate.
-
-    ``p_hat`` must expose predict(x) -> P(S=1 | x) over the composite
-    (trial + target) sample.
-    """
-
-    p_hat_marginal: float
-    p_hat: object
-
-    def __post_init__(self):
-        if not 0.0 < self.p_hat_marginal < 1.0:
-            raise ValueError("marginal participation probability must lie in (0,1)")
-
-
-def fit_nuisances(sample: CompositeSample, degree: int) -> NuisanceSet:
-    """Fit P(S=1|X) by logistic regression, penalized at 1e-6, on the trial
-    and target records of the composite sample."""
-    fit = logistic_fit(*sample.participation, degree, 1e-6)
-    return NuisanceSet(p_hat_marginal=sample.n1 / (sample.n1 + sample.n0), p_hat=fit)
+def fit_nuisances(sample: CompositeSample, degree: int) -> LogisticFit:
+    """The participation model P(S=1|X) that the weighting estimators take:
+    logistic regression, penalized at 1e-6, on the trial and target records
+    of the composite sample.  The treatment side is the known randomization
+    probability ``TREATMENT_PROB``, not an estimate."""
+    return logistic_fit(*sample.participation, degree, 1e-6)
 
 
 class Target:
@@ -202,31 +186,35 @@ def estimate_os_om(sample: CompositeSample, f_a, *, target: Target | None = None
 # -- weighting-based estimators ----------------------------------------------
 
 
-def _weight_pieces(sample: CompositeSample, nuis: NuisanceSet, a: int):
+def _weight_pieces(sample: CompositeSample, p_hat, a: int):
     """Shared scaffolding for the weighted estimators: the trial-arm covariates
-    and outcomes, the inverse-odds weights on the trial arm, the 1/(n(1-p))
-    normalizer over the n trial and target records, and any extreme-weight
-    warnings."""
+    and outcomes, the inverse-odds weights of participation model ``p_hat``
+    (any ``predict(x) -> P(S=1 | x)``) on the trial arm, the 1/(n(1-p))
+    normalizer over the n trial and target records with p = n1/n their trial
+    share, and any extreme-weight warnings."""
+    if sample.n0 < 1:
+        raise ValueError("no target records")
     x1, y1 = sample.trial_arm_arrays(a)
-    p_x = np.asarray(nuis.p_hat.predict(x1), dtype=float)
+    p_x = np.asarray(p_hat.predict(x1), dtype=float)
     warnings = ()
     if x1.size and ((p_x <= 1e-3) | (p_x >= 1 - 1e-3)).any():
         warnings = ("extreme participation probabilities in inverse-odds weights",)
     weights = (1.0 - p_x) / (p_x * TREATMENT_PROB)
-    norm = 1.0 / ((sample.n1 + sample.n0) * (1.0 - nuis.p_hat_marginal))
+    share = sample.n1 / (sample.n1 + sample.n0)
+    norm = 1.0 / ((sample.n1 + sample.n0) * (1.0 - share))
     return x1, y1, weights, norm, warnings
 
 
-def estimate_ipw(sample: CompositeSample, nuis: NuisanceSet, a: int = 1) -> EstimateRecord:
+def estimate_ipw(sample: CompositeSample, p_hat, a: int = 1) -> EstimateRecord:
     """Inverse-odds weighting of trial-arm outcomes."""
-    _, y1, weights, norm, warns = _weight_pieces(sample, nuis, a)
+    _, y1, weights, norm, warns = _weight_pieces(sample, p_hat, a)
     if not y1.size:
         raise ValueError("empty trial arm")
     return EstimateRecord(norm * float(np.sum(weights * y1)), warnings=warns)
 
 
 def _dr_estimate(
-    kind: str, sample: CompositeSample, f_a, nuis: NuisanceSet, cfg: EstimatorConfig, fit, target: Target | None
+    kind: str, sample: CompositeSample, f_a, p_hat, cfg: EstimatorConfig, fit, target: Target | None
 ) -> EstimateRecord:
     """``norm * (sum fit(x0) + sum w * (response - fit(x1)))`` of variant ``kind``
     (its own trial fit when ``fit`` is None); ABC subtracts it from mean f(x0).
@@ -237,7 +225,7 @@ def _dr_estimate(
         fit_x0 = target.design(kind, fit.degree) @ fit.coefficients
     else:
         fit_x0 = fit.predict(target.x)
-    x1, y1, weights, norm, warns = _weight_pieces(sample, nuis, cfg.a)
+    x1, y1, weights, norm, warns = _weight_pieces(sample, p_hat, cfg.a)
     resid = _response(kind, x1, y1, f_a) - fit.predict(x1)
     est = norm * (float(np.sum(fit_x0)) + float(np.sum(weights * resid)))
     if kind == "abc":
@@ -247,7 +235,7 @@ def _dr_estimate(
 
 def estimate_dr_baseline(
     sample: CompositeSample,
-    nuis: NuisanceSet,
+    p_hat,
     cfg: EstimatorConfig,
     outcome_fit=None,
     *,
@@ -258,13 +246,13 @@ def estimate_dr_baseline(
     ``outcome_fit`` overrides the internally fitted trial-arm regression
     (used for the robustness checks with deliberately corrupted fits).
     """
-    return _dr_estimate("om", sample, None, nuis, cfg, outcome_fit, target)
+    return _dr_estimate("om", sample, None, p_hat, cfg, outcome_fit, target)
 
 
 def estimate_dr_abc(
     sample: CompositeSample,
     f_a,
-    nuis: NuisanceSet,
+    p_hat,
     cfg: EstimatorConfig,
     bias_fit=None,
     *,
@@ -278,17 +266,17 @@ def estimate_dr_abc(
     when both regression components are zero, recovering the identification
     target in both limits.
     """
-    return _dr_estimate("abc", sample, f_a, nuis, cfg, bias_fit, target)
+    return _dr_estimate("abc", sample, f_a, p_hat, cfg, bias_fit, target)
 
 
 def estimate_dr_aom(
     sample: CompositeSample,
     f_a,
-    nuis: NuisanceSet,
+    p_hat,
     cfg: EstimatorConfig,
     augmented_fit=None,
     *,
     target: Target | None = None,
 ) -> EstimateRecord:
     """Doubly-robust augmented outcome model (DR-PA)."""
-    return _dr_estimate("aom", sample, f_a, nuis, cfg, augmented_fit, target)
+    return _dr_estimate("aom", sample, f_a, p_hat, cfg, augmented_fit, target)

@@ -51,10 +51,10 @@ from .estimators import (
 
 @dataclass(frozen=True)
 class Estimator:
-    """One estimator and what it needs: ``estimate(sample, f, nuisances, cfg,
+    """One estimator and what it needs: ``estimate(sample, f, p_hat, cfg,
     target)`` gets the OS predictor, the world's ``Target`` and, if
-    ``nuisances``, the nuisances fitted at ``cfg.degree``; one that is not
-    ``per_degree`` runs once, as degree -1."""
+    ``nuisances``, the participation model fitted at ``cfg.degree``; one that
+    is not ``per_degree`` runs once, as degree -1."""
 
     estimate: Callable
     per_degree: bool = True
@@ -64,14 +64,14 @@ class Estimator:
 # Each entry looks its estimate function up when called, so replacing the
 # module-level name (in a test, or to trace it) reaches every caller.
 ESTIMATORS = {
-    "om": Estimator(lambda s, f, nuis, cfg, t: estimate_om(s, cfg, target=t)),
-    "os-om": Estimator(lambda s, f, nuis, cfg, t: estimate_os_om(s, f, target=t), per_degree=False),
-    "abc": Estimator(lambda s, f, nuis, cfg, t: estimate_abc(s, f, cfg, target=t)),
-    "aom": Estimator(lambda s, f, nuis, cfg, t: estimate_aom(s, f, cfg, target=t)),
-    "ipw": Estimator(lambda s, f, nuis, cfg, t: estimate_ipw(s, nuis, cfg.a), nuisances=True),
-    "dr": Estimator(lambda s, f, nuis, cfg, t: estimate_dr_baseline(s, nuis, cfg, target=t), nuisances=True),
-    "dr-abc": Estimator(lambda s, f, nuis, cfg, t: estimate_dr_abc(s, f, nuis, cfg, target=t), nuisances=True),
-    "dr-pa": Estimator(lambda s, f, nuis, cfg, t: estimate_dr_aom(s, f, nuis, cfg, target=t), nuisances=True),
+    "om": Estimator(lambda s, f, p, cfg, t: estimate_om(s, cfg, target=t)),
+    "os-om": Estimator(lambda s, f, p, cfg, t: estimate_os_om(s, f, target=t), per_degree=False),
+    "abc": Estimator(lambda s, f, p, cfg, t: estimate_abc(s, f, cfg, target=t)),
+    "aom": Estimator(lambda s, f, p, cfg, t: estimate_aom(s, f, cfg, target=t)),
+    "ipw": Estimator(lambda s, f, p, cfg, t: estimate_ipw(s, p, cfg.a), nuisances=True),
+    "dr": Estimator(lambda s, f, p, cfg, t: estimate_dr_baseline(s, p, cfg, target=t), nuisances=True),
+    "dr-abc": Estimator(lambda s, f, p, cfg, t: estimate_dr_abc(s, f, p, cfg, target=t), nuisances=True),
+    "dr-pa": Estimator(lambda s, f, p, cfg, t: estimate_dr_aom(s, f, p, cfg, target=t), nuisances=True),
 }
 GP_ESTIMATORS = tuple(name for name, e in ESTIMATORS.items() if not e.nuisances)
 ALL_ESTIMATORS = tuple(ESTIMATORS)
@@ -275,6 +275,7 @@ def _run_scenario_task(task: _ScenarioTask) -> list[dict]:
              for deg in _estimator_degrees(name, task.degrees)]
     rows: list[dict] = []
     for n1 in task.n1_values:
+        combo = _combo_fields(replace(spec, n1=n1))
         estimates = _run_trials(world, prologue, n1, task.n_runs, keyed, EstimatorConfig.penalty_grid,
                                 lambda part, run: derive_seed(seed, part, n1, task.scenario, run))
         for (name, deg), est in estimates.items():
@@ -289,6 +290,7 @@ def _run_scenario_task(task: _ScenarioTask) -> list[dict]:
                 "scenario": task.scenario, "n1": n1, "estimator": name, "degree": deg, "rmse": rmse, "bias": bias,
                 "variance": var, "n_failures": int(np.isnan(est).sum()), "mu": mu,
                 "estimates": est.tolist(),  # run-aligned, NaN where failed
+                **combo,
             })
     return rows
 
@@ -407,13 +409,7 @@ def run_scenario_grid(
         for key, n1s in groups.items()
         for i in range(n_scenarios)
     ]
-    results = _map(_run_scenario_task, tasks, workers)
-
-    scenario_rows: list[dict] = []
-    for task, rows in zip(tasks, results):
-        spec = task.template
-        for row in rows:
-            scenario_rows.append({**row, **_combo_fields(replace(spec, n1=row["n1"]))})
+    scenario_rows = [row for rows in _map(_run_scenario_task, tasks, workers) for row in rows]
     scenario_rows.sort(key=lambda r: (r["combo_id"], r["estimator"], r["degree"], r["scenario"]))
 
     seen: dict[tuple, list[dict]] = defaultdict(list)
@@ -533,7 +529,6 @@ TABLE2_COLUMNS = ("row_id", "gamma", "sigma", "beta_scale", "lambda_scale", "est
 @dataclass(frozen=True)
 class Table2Result:
     table_rows: list[dict]
-    master_seed: int
 
     def csv_text(self) -> str:
         return csv_text(TABLE2_COLUMNS, self.table_rows)
@@ -562,4 +557,4 @@ def run_table2(
         for name in TABLE2_ESTIMATORS
         for order in TABLE2_ORDERS
     ]
-    return Table2Result(table_rows, master_seed)
+    return Table2Result(table_rows)

@@ -51,7 +51,7 @@ def legendre_eval(x, degree: int) -> np.ndarray:
     x = np.atleast_1d(x)
     if x.size:
         lo, hi = x.min(), x.max()
-        if lo < -1 - 1e-12 or hi > 1 + 1e-12:
+        if not (lo >= -1 - 1e-12 and hi <= 1 + 1e-12):  # a NaN fails both
             raise ValueError("inputs must lie in [-1, 1]")
         if lo < -1.0 or hi > 1.0:
             x = np.clip(x, -1.0, 1.0)
@@ -69,15 +69,6 @@ def legendre_eval(x, degree: int) -> np.ndarray:
             np.multiply(nxt, np.sqrt((2 * k + 3) / 2), out=out[:, k + 1])
             prev, cur, nxt = cur, nxt, prev
     return out[0] if scalar else out
-
-
-def ridge_solve(features: np.ndarray, targets: np.ndarray, penalty: float) -> np.ndarray:
-    """Solve (F'F + penalty I) c = F'y.  Raises if penalty=0 and F'F is singular."""
-    if penalty < 0:
-        raise ValueError("penalty must be nonnegative")
-    gram = features.T @ features
-    rhs = features.T @ targets
-    return _solve_gram(gram, rhs, penalty)
 
 
 def _solve_gram(gram: np.ndarray, rhs: np.ndarray, penalty: float) -> np.ndarray:
@@ -122,11 +113,8 @@ class RidgeFit:
     penalty: float
     extra_column: object | None = None  # Predictor appended as a final feature
 
-    def features(self, x) -> np.ndarray:
-        return _design(np.atleast_1d(np.asarray(x, dtype=float)), self.degree, self.extra_column)
-
     def predict(self, x) -> np.ndarray:
-        return self.features(x) @ self.coefficients
+        return _design(np.atleast_1d(np.asarray(x, dtype=float)), self.degree, self.extra_column) @ self.coefficients
 
 
 def _design(x: np.ndarray, degree: int, extra: object | None) -> np.ndarray:
@@ -140,12 +128,14 @@ def _augment(feats: np.ndarray, column: np.ndarray) -> np.ndarray:
 
 
 def ridge_fit(inputs, targets, degree: int, penalty: float) -> RidgeFit:
-    """Penalized least squares of ``targets`` on Legendre features of ``inputs``."""
+    """Penalized least squares of ``targets`` on Legendre features F of ``inputs``:
+    (F'F + penalty I) c = F'y, which raises if penalty=0 and F'F is singular."""
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)
     if x.shape[0] != y.shape[0] or x.shape[0] == 0:
         raise ValueError("inputs and targets must have the same nonzero length")
-    return RidgeFit(degree, ridge_solve(legendre_eval(x, degree), y, penalty), penalty)
+    feats = legendre_eval(x, degree)
+    return RidgeFit(degree, _solve_gram(feats.T @ feats, feats.T @ y, _penalties([penalty])[0]), penalty)
 
 
 def cv_fold_indices(n: int, n_folds: int, fold_seed: int) -> list[np.ndarray]:
@@ -294,9 +284,7 @@ class RandomFeatureFit:
     phases: np.ndarray
     coefficients: np.ndarray
     intercept: float
-    bandwidth: float
     penalty: float
-    seed: int
 
     def predict(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -352,21 +340,13 @@ def flexible_fit(
     rng = np.random.default_rng(seed)
     bandwidth = _median_bandwidth(x, rng)
     if bandwidth == 0.0:  # degenerate: a single distinct input value
-        return RandomFeatureFit(
-            frequencies=np.empty(0),
-            phases=np.empty(0),
-            coefficients=np.empty(0),
-            intercept=float(np.mean(y)),
-            bandwidth=1.0,
-            penalty=0.0,
-            seed=seed,
-        )
+        return RandomFeatureFit(np.empty(0), np.empty(0), np.empty(0), float(np.mean(y)), 0.0)
     freqs = rng.standard_normal(n_features) / bandwidth
     phases = rng.uniform(0.0, 2.0 * np.pi, n_features)
     fold_seed = int(rng.integers(2**63))
     y_mean = float(np.mean(y))
     coefs, penalty = _cv_ridge(_cosine_features(x, freqs, phases), y - y_mean, penalties, N_FOLDS, fold_seed)
-    return RandomFeatureFit(freqs, phases, coefs, y_mean, bandwidth, penalty, seed)
+    return RandomFeatureFit(freqs, phases, coefs, y_mean, penalty)
 
 
 @dataclass(frozen=True)
@@ -375,7 +355,6 @@ class LogisticFit:
 
     degree: int
     coefficients: np.ndarray
-    penalty: float
     converged: bool
 
     def predict(self, x) -> np.ndarray:
@@ -441,7 +420,7 @@ def logistic_fit(inputs, labels, degree: int, ridge_penalty: float) -> LogisticF
         logits, new_logits = new_logits, logits
     else:
         converged = bool(np.max(np.abs(gradient(coefs, logits))) < grad_tol)
-    return LogisticFit(degree, coefs, ridge_penalty, converged)
+    return LogisticFit(degree, coefs, converged)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from ppgen.checks import (
 from ppgen.domain import CompositeSample, KernelParams, ScenarioSpec, TARGET, TRIAL
 from ppgen.estimators import (
     EstimatorConfig,
-    NuisanceSet,
     estimate_abc,
     estimate_dr_abc,
     estimate_dr_aom,
@@ -212,7 +211,7 @@ def test_criterion_7_numerical_invariants(workers):
         problems.append("ABC(f=0) != OM bit-for-bit")
 
     # DR reduction identities to 1e-10
-    nuis = NuisanceSet(p_hat_marginal=100 / 600, p_hat=ConstantPredictor(0.3))
+    nuis = ConstantPredictor(0.3)
     zero = ConstantPredictor(0.0)
     ipw = estimate_ipw(sample, nuis, a=1).point_estimate
     for name, value in [
@@ -226,7 +225,7 @@ def test_criterion_7_numerical_invariants(workers):
     om_same_fit = float(np.mean(g_fit.predict(x0)))
     dr_no_weights = estimate_dr_baseline(
         sample,
-        NuisanceSet(p_hat_marginal=100 / 600, p_hat=ConstantPredictor(1 - 1e-12)),
+        ConstantPredictor(1 - 1e-12),
         cfg,
         outcome_fit=g_fit,
     ).point_estimate

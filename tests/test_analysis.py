@@ -12,10 +12,7 @@ from ppgen.analysis import (
     true_outcome_function,
 )
 from ppgen.dgp import GridFunction, World
-from ppgen.domain import KernelParams
 from ppgen.regression import CallablePredictor, legendre_eval, ridge_fit
-
-SE_ONLY = KernelParams(0.0, 0.0, 0.5, None)
 
 
 def lattice_world(fom1_fn, ps_logit_fn, grid_size=201):
@@ -23,9 +20,9 @@ def lattice_world(fom1_fn, ps_logit_fn, grid_size=201):
     xg, ug = np.meshgrid(g, g, indexing="ij")
 
     def grid_of(fn):
-        return GridFunction(grid_size, fn(xg, ug), SE_ONLY, 0)
+        return GridFunction(fn(xg, ug))
 
-    zero = GridFunction(grid_size, np.zeros((grid_size, grid_size)), SE_ONLY, 0)
+    zero = GridFunction(np.zeros((grid_size, grid_size)))
     return World("gp", (zero, grid_of(fom1_fn)), grid_of(ps_logit_fn), zero, 0.0)
 
 

@@ -1,5 +1,7 @@
 import json
 import re
+import sys
+import types
 
 import pytest
 
@@ -52,6 +54,19 @@ def test_an_openblas_without_the_getters_reads_unavailable():
     # a linked OpenBLAS asked for names it does not export, and a module that is no shared library
     for module, suffix in (("scipy.linalg._fblas", "_absent"), ("json", "")):
         assert cli._openblas(module, suffix) == {"threads": "unavailable", "core": "unavailable"}
+
+
+def test_environment_reports_numpys_dispatched_cpu_targets(tmp_path):
+    record = _checks_payload(tmp_path)["environment"]["numpy_cpu"]
+    assert set(record) == {"baseline", "dispatched"}
+    umath = sys.modules["numpy._core._multiarray_umath"]
+    assert record["baseline"] == list(umath.__cpu_baseline__)
+    assert all(t in umath.__cpu_dispatch__ and umath.__cpu_features__[t] for t in record["dispatched"])
+
+
+def test_a_numpy_without_the_dispatch_record_reads_unavailable(monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy._core._multiarray_umath", types.ModuleType("stub"))
+    assert cli._numpy_cpu() == "unavailable"
 
 
 def test_peak_rss_is_the_process_peak_next_to_the_runtime(tmp_path):

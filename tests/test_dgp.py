@@ -7,6 +7,7 @@ from scipy.stats import chi2_contingency
 
 from ppgen.dgp import (
     GridFunction,
+    NoisePredictor,
     World,
     _glm_poly,
     draw_target,
@@ -14,7 +15,6 @@ from ppgen.dgp import (
     generate_os,
     glm_logit_prob,
     glm_outcome,
-    noise_predictor,
     sample_gp,
     world_from_spec,
 )
@@ -33,7 +33,7 @@ SE_ONLY = KernelParams(0.0, 0.0, 0.5, None)
 
 
 def constant_grid(value, grid_size=21):
-    return GridFunction(grid_size, np.full((grid_size, grid_size), float(value)), SE_ONLY, 0)
+    return GridFunction(np.full((grid_size, grid_size), float(value)))
 
 
 def flat_world(fom1=2.0, fom0=0.0, ps_logit=0.0, pa_logit=0.0, noise=0.0):
@@ -110,7 +110,7 @@ def test_sample_gp_grid_size_bounds():
 def test_grid_function_interpolation():
     g = np.linspace(-1, 1, 21)
     values = g[:, None] * 2 + 0.5 * g[None, :]  # bilinear surface: interp is exact
-    fn = GridFunction(21, values, SE_ONLY, 0)
+    fn = GridFunction(values)
     assert fn(g[3], g[7])[0] == pytest.approx(values[3, 7])
     assert fn(0.05, -0.13)[0] == pytest.approx(2 * 0.05 + 0.5 * -0.13)
 
@@ -308,7 +308,7 @@ def test_glm_logit_prob_scale_sharpens():
 
 
 def test_noise_predictor_is_a_function():
-    f = noise_predictor(seed=13)
+    f = NoisePredictor(seed=13)
     x = np.array([0.123456789, -0.5, 0.123456789])
     vals = f.predict(x)
     assert vals[0] == vals[2]
@@ -316,7 +316,7 @@ def test_noise_predictor_is_a_function():
 
 
 def test_noise_predictor_moments():
-    f = noise_predictor(seed=14)
+    f = NoisePredictor(seed=14)
     x = np.linspace(-1, 1, 10_000)
     vals = f.predict(x)
     assert abs(vals.mean()) < 3 / np.sqrt(10_000)
@@ -324,7 +324,7 @@ def test_noise_predictor_moments():
 
 
 def test_noise_predictor_uncorrelated_with_smooth_functions():
-    f = noise_predictor(seed=15)
+    f = NoisePredictor(seed=15)
     x = np.linspace(-1, 1, 10_000)
     vals = f.predict(x)
     for g in (np.sin(3 * x), x**2, np.exp(x)):

@@ -14,7 +14,6 @@ from ppgen.domain import (
     TRIAL,
     CompositeSample,
     KernelParams,
-    Observation,
     ScenarioSpec,
     derive_seed,
     read_sample_csv,
@@ -24,9 +23,9 @@ from ppgen.domain import (
 
 def make_sample():
     records = [
-        Observation(0.1, 0.2, TRIAL, 1, 1.5),
-        Observation(-0.5, 0.0, TARGET),
-        Observation(0.9, -0.3, TRIAL, 0, -0.2),
+        (0.1, 0.2, TRIAL, 1, 1.5),
+        (-0.5, 0.0, TARGET, -1, math.nan),
+        (0.9, -0.3, TRIAL, 0, -0.2),
     ]
     return CompositeSample.from_records(records)
 
@@ -42,16 +41,16 @@ def test_partition_by_s_and_a():
 
 def test_partition_counts_match():
     records = [
-        Observation(0.0, 0.0, TARGET),
-        Observation(0.3, 0.0, TARGET),
-        Observation(0.1, 0.2, TRIAL, 1, 1.0),
+        (0.0, 0.0, TARGET, -1, math.nan),
+        (0.3, 0.0, TARGET, -1, math.nan),
+        (0.1, 0.2, TRIAL, 1, 1.0),
     ]
     sample = CompositeSample.from_records(records)
     assert len(sample.target_x()) == 2 == sample.n0
 
 
 def test_partition_empty_result_allowed():
-    records = [Observation(0.1, 0.2, TRIAL, 0, 1.0), Observation(0.0, 0.0, TARGET)]
+    records = [(0.1, 0.2, TRIAL, 0, 1.0), (0.0, 0.0, TARGET, -1, math.nan)]
     sample = CompositeSample.from_records(records)
     x, y = sample.trial_arm_arrays(1)
     assert x.shape == y.shape == (0,)
@@ -61,8 +60,8 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def sample_columns(draw):
-    """Random valid columns: any labels, arms and finite values."""
+def sample_columns(draw, values=_finite):
+    """Random valid columns: any labels, arms and finite ``values``."""
     n = draw(st.integers(0, 40))
 
     def column(elements):
@@ -70,7 +69,7 @@ def sample_columns(draw):
 
     s = column(st.sampled_from([TARGET, TRIAL, OS])).astype(np.int64)
     arm = column(st.sampled_from([0, 1])).astype(np.int64)
-    x, u, y = (column(_finite).astype(float) for _ in range(3))
+    x, u, y = (column(values).astype(float) for _ in range(3))
     target = s == TARGET
     return x, u, s, np.where(target, -1, arm), np.where(target, np.nan, y)
 
@@ -127,6 +126,10 @@ def test_columnar_sample_rejects_invalid_columns(columns, data):
     with pytest.raises(ValueError):  # labels are integers
         CompositeSample(x, u, s.astype(float), a, y)
     i = data.draw(st.integers(0, n - 1))
+    bad_x = x.copy()
+    bad_x[i] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    with pytest.raises(ValueError, match="column x must be finite"):
+        CompositeSample(bad_x, u, s, a, y)
     bad_label = s.copy()
     bad_label[i] = data.draw(st.sampled_from([-1, 3, 7]))
     with pytest.raises(ValueError):
@@ -145,6 +148,30 @@ def test_columnar_sample_rejects_invalid_columns(columns, data):
             a2[i], y2[i] = bad_a, bad_y
             with pytest.raises(ValueError):
                 CompositeSample(x, u, s, a2, y2)
+        # a treatment outside {0, 1}, or an infinite outcome
+        for bad_a, bad_y, column in ((2, y[i], "a"), (-2, y[i], "a"), (a[i], np.inf, "y"), (a[i], -np.inf, "y")):
+            a2, y2 = a.copy(), y.copy()
+            a2[i], y2[i] = bad_a, bad_y
+            with pytest.raises(ValueError, match=f"column {column} must be"):
+                CompositeSample(x, u, s, a2, y2)
+
+
+# floats whose text form is easy to get wrong: signed zeros, subnormals and the largest double
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1.5e-308, 1.7976931348623157e308])
+
+
+@given(sample_columns(st.one_of(_finite, _EDGE_FLOATS)), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_sample_csv_round_trip_keeps_every_bit(columns, include_hidden):
+    x, u, s, a, y = columns
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sample.csv"
+        write_sample_csv(CompositeSample(x, u, s, a, y), path, include_hidden=include_hidden)
+        back = read_sample_csv(path)
+    want = (x, u if include_hidden else np.full(x.shape[0], np.nan), s, a, y)
+    for name, column in zip("xusay", want):
+        got = getattr(back, name)
+        assert got.dtype == column.dtype and got.tobytes() == column.tobytes(), name
 
 
 def test_concat_keeps_row_order():
@@ -193,11 +220,14 @@ def test_participation_is_the_trial_and_target_rows_with_trial_labels():
 
 def test_observation_invariants():
     with pytest.raises(ValueError):
-        Observation(0.0, 0.0, TARGET, 1, 1.0)  # target records carry no a/y
+        CompositeSample.from_records([(0.0, 0.0, TARGET, 1, 1.0)])  # target records carry no a/y
     with pytest.raises(ValueError):
-        Observation(0.0, 0.0, TRIAL)  # trial records need both
+        CompositeSample.from_records([(0.0, 0.0, TRIAL, -1, math.nan)])  # trial records need both
     with pytest.raises(ValueError):
-        Observation(0.0, 0.0, TRIAL, 1, None)  # a and y travel together
+        CompositeSample.from_records([(0.0, 0.0, TRIAL, 1, math.nan)])  # a and y travel together
+    for label, arm in ((1.5, 1), (TRIAL, 0.5)):  # labels and treatments are integers, not truncated to one
+        with pytest.raises(ValueError, match="must hold integers"):
+            CompositeSample.from_records([(0.1, 0.0, label, arm, 2.0)])
 
 
 def test_csv_round_trip_with_hidden(tmp_path):
@@ -234,10 +264,14 @@ MALFORMED_CSV = [
     ("", "empty file"),
     ("x,u,s,a,y\n0.1,0.2,1,1,1.5\n0.3,0.4\n", "line 3: expected 5 cells, got 2"),
     ("x,u,s,a,y\n0.1,0.2,1,1,1.5,9\n", "line 2: expected 5 cells, got 6"),
+    ("x,u,s,a,y\n0.1,0.2,1,2,1.5\n", "column a must be 0 or 1"),
+    ("x,u,s,a,y\nnan,0.2,0,,\n", "column x must be finite"),
+    ("x,u,s,a,y\n0.1,0.2,2,1,inf\n", "column y must be finite"),
 ]
 
 
-@pytest.mark.parametrize("text, message", MALFORMED_CSV, ids=["empty", "short-row", "long-row"])
+@pytest.mark.parametrize("text, message", MALFORMED_CSV,
+                         ids=["empty", "short-row", "long-row", "treatment-2", "nan-x", "infinite-y"])
 def test_read_sample_csv_names_a_malformed_file(tmp_path, text, message):
     path = tmp_path / "sample.csv"
     path.write_text(text)
@@ -262,9 +296,9 @@ def test_public_view_strips_u():
 
 def test_os_records_not_counted():
     records = [
-        Observation(0.1, 0.2, TRIAL, 1, 1.0),
-        Observation(0.0, 0.0, TARGET),
-        Observation(0.5, 0.5, OS, 1, 2.0),
+        (0.1, 0.2, TRIAL, 1, 1.0),
+        (0.0, 0.0, TARGET, -1, math.nan),
+        (0.5, 0.5, OS, 1, 2.0),
     ]
     sample = CompositeSample.from_records(records)
     assert (sample.n1, sample.n0) == (1, 1)

@@ -16,7 +16,6 @@ from ppgen.domain import (
 )
 from ppgen.estimators import (
     EstimatorConfig,
-    NuisanceSet,
     estimate_abc,
     estimate_aom,
     estimate_dr_abc,
@@ -28,7 +27,7 @@ from ppgen.estimators import (
     estimate_os_om,
     fit_nuisances,
 )
-from ppgen.regression import CallablePredictor, ConstantPredictor
+from ppgen.regression import CallablePredictor, ConstantPredictor, LogisticFit
 
 
 def build_sample(x1, y1, x0, a=1):
@@ -242,7 +241,7 @@ def test_aom_constant_predictor_equals_om():
 
 
 def test_aom_noise_predictor_tracks_om():
-    from ppgen.dgp import noise_predictor
+    from ppgen.dgp import NoisePredictor
 
     world = seeded_world(seed=31)
     target = draw_target(world, 2_000, seed=1)
@@ -253,7 +252,7 @@ def test_aom_noise_predictor_tracks_om():
         sample = CompositeSample.concat(trial, target)
         cfg = EstimatorConfig(degree=3, a=1, fold_seed=rep)
         om = estimate_om(sample, cfg).point_estimate
-        aom = estimate_aom(sample, noise_predictor(7), cfg).point_estimate
+        aom = estimate_aom(sample, NoisePredictor(7), cfg).point_estimate
         oms.append(om)
         diffs.append(aom - om)
     rmse_om = np.sqrt(np.mean((np.asarray(oms) - mu) ** 2))
@@ -272,14 +271,14 @@ def test_ipw_constant_participation_reduces_to_scaled_arm_mean():
     x0 = rng.uniform(-1, 1, 150)
     sample = build_sample(x1, y1, x0)
     p_m = 50 / 200
-    nuis = NuisanceSet(p_hat_marginal=p_m, p_hat=ConstantPredictor(p_m))
+    nuis = ConstantPredictor(p_m)
     rec = estimate_ipw(sample, nuis, a=1)
     assert rec.point_estimate == pytest.approx(2 * np.sum(y1) / 50, abs=1e-10)
 
 
 def test_ipw_single_record_unit_weight():
     sample = build_sample([0.3], [4.2], [0.1])
-    nuis = NuisanceSet(p_hat_marginal=0.5, p_hat=ConstantPredictor(2.0 / 3.0))
+    nuis = ConstantPredictor(2.0 / 3.0)
     rec = estimate_ipw(sample, nuis, a=1)
     assert rec.point_estimate == pytest.approx(4.2, abs=1e-12)
 
@@ -297,7 +296,7 @@ def test_ipw_consistent_on_homogeneous_world():
 
 def test_ipw_extreme_weight_warning():
     sample = build_sample([0.3], [4.2], [0.1])
-    nuis = NuisanceSet(p_hat_marginal=0.5, p_hat=ConstantPredictor(1e-4))
+    nuis = ConstantPredictor(1e-4)
     rec = estimate_ipw(sample, nuis, a=1)
     assert rec.warnings
 
@@ -308,7 +307,7 @@ def test_dr_zero_outcome_fit_is_ipw():
     y1 = rng.normal(0, 1, 60)
     x0 = rng.uniform(-1, 1, 240)
     sample = build_sample(x1, y1, x0)
-    nuis = NuisanceSet(p_hat_marginal=0.2, p_hat=ConstantPredictor(0.3))
+    nuis = ConstantPredictor(0.3)
     ipw = estimate_ipw(sample, nuis, a=1)
     dr = estimate_dr_baseline(sample, nuis, tiny_cfg(3), outcome_fit=ConstantPredictor(0.0))
     assert dr.point_estimate == pytest.approx(ipw.point_estimate, abs=1e-12)
@@ -320,7 +319,7 @@ def test_dr_exact_fit_noise_free_equals_om_average():
     x0 = rng.uniform(-1, 1, 300)
     g = CallablePredictor(lambda x: 0.7 * x + 0.1)
     sample = build_sample(x1, g.predict(x1), x0)  # residuals identically zero
-    nuis = NuisanceSet(p_hat_marginal=70 / 370, p_hat=ConstantPredictor(0.4))
+    nuis = ConstantPredictor(0.4)
     dr = estimate_dr_baseline(sample, nuis, tiny_cfg(1), outcome_fit=g)
     assert dr.point_estimate == pytest.approx(float(np.mean(g.predict(x0))), rel=1e-10)
 
@@ -331,7 +330,7 @@ def test_dr_abc_reductions():
     y1 = rng.normal(0, 1, 60)
     x0 = rng.uniform(-1, 1, 200)
     sample = build_sample(x1, y1, x0)
-    nuis = NuisanceSet(p_hat_marginal=60 / 260, p_hat=ConstantPredictor(0.35))
+    nuis = ConstantPredictor(0.35)
     zero = ConstantPredictor(0.0)
     # regression components zeroed -> IPW
     ipw = estimate_ipw(sample, nuis, a=1)
@@ -352,7 +351,7 @@ def test_dr_aom_reductions():
     y1 = rng.normal(0, 1, 60)
     x0 = rng.uniform(-1, 1, 200)
     sample = build_sample(x1, y1, x0)
-    nuis = NuisanceSet(p_hat_marginal=60 / 260, p_hat=ConstantPredictor(0.35))
+    nuis = ConstantPredictor(0.35)
     ipw = estimate_ipw(sample, nuis, a=1)
     dr_pa = estimate_dr_aom(sample, ConstantPredictor(0.0), nuis, tiny_cfg(2),
                             augmented_fit=ConstantPredictor(0.0))
@@ -367,8 +366,8 @@ def test_dr_double_robustness_small():
     g = CallablePredictor(lambda x: true_outcome_function(world, 1, x))
     g_wrong = CallablePredictor(lambda x: true_outcome_function(world, 1, x) + 1.0)
     q = tilted_participation(world, 5_000, 15_000)
-    nuis_good = NuisanceSet(p_hat_marginal=0.25, p_hat=CallablePredictor(q))
-    nuis_bad = NuisanceSet(p_hat_marginal=0.25, p_hat=ConstantPredictor(0.5))
+    nuis_good = CallablePredictor(q)
+    nuis_bad = ConstantPredictor(0.5)
     ests_bad_outcome, ests_bad_weights = [], []
     for rep in range(12):
         trial = draw_trial(world, 5_000, seed=derive_seed("dr-small", "t", rep))
@@ -435,10 +434,20 @@ def test_estimators_blind_to_hidden_covariate():
     assert estimate_ipw(sample, nuis, 1).point_estimate == estimate_ipw(pub, nuis_pub, 1).point_estimate
 
 
-def test_nuisance_set_marginal_exact():
+def test_fit_nuisances_is_the_participation_model():
     world = seeded_world(seed=71)
     sample = CompositeSample.concat(draw_trial(world, 120, seed=6), draw_target(world, 480, seed=7))
-    nuis = fit_nuisances(sample, degree=2)
-    assert nuis.p_hat_marginal == 120 / 600
-    p = nuis.p_hat.predict(np.linspace(-1, 1, 50))
+    p_hat = fit_nuisances(sample, degree=2)
+    assert isinstance(p_hat, LogisticFit) and p_hat.degree == 2
+    p = p_hat.predict(np.linspace(-1, 1, 50))
     assert np.all((p > 0) & (p < 1))
+
+
+def test_weighting_estimators_need_target_records():
+    # the weights' normalizer divides by the target share n0 / (n1 + n0)
+    sample = CompositeSample.cohort(TRIAL, [0.1, 0.2], [0.0, 0.0], [1, 1], [1.0, 2.0])
+    for estimate in (lambda: estimate_ipw(sample, ConstantPredictor(0.5), a=1),
+                     lambda: estimate_dr_baseline(sample, ConstantPredictor(0.5), tiny_cfg(0),
+                                                  outcome_fit=ConstantPredictor(0.0))):
+        with pytest.raises(ValueError, match="no target records"):
+            estimate()

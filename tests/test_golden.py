@@ -65,6 +65,15 @@ GOLDEN = Path(__file__).parent / "golden"
 ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 COMMON = ["--seed", "7", "--scale", "0.01", "--workers", "1"]
 COMBO = ["--combo", "lx=0.5,conf=mid"]
+# What the goldens' last bits were written under, as the JSON ``environment``
+# reports it: OpenBLAS's SkylakeX kernels at one thread in numpy and scipy, and
+# numpy's CPU targets on that AVX-512 machine.  A byte comparison that fails
+# prints it beside the environment of the run that failed.
+GOLDEN_ENVIRONMENT = {
+    "numpy_openblas": {"threads": 1, "core": "SkylakeX"},
+    "scipy_openblas": {"threads": 1, "core": "SkylakeX"},
+    "numpy_cpu": {"baseline": ["X86_V2"], "dispatched": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"]},
+}
 
 # command -> (arguments, {file written: golden file})
 RUNS = {
@@ -102,19 +111,23 @@ def _run_cli(argv: list[str]) -> None:
 def test_golden_outputs(command, tmp_path):
     argv, files = RUNS[command]
     _run_cli([*argv, *COMMON, "--out", str(tmp_path)])
+    payloads = {path.name: json.loads(path.read_text(), parse_constant=_reject_constant)
+                for path in tmp_path.glob("*.json")}
+    assert payloads
+    run_env = next(iter(payloads.values()))["environment"]
+    differs = (f"differs from its golden; goldens written under {GOLDEN_ENVIRONMENT}, "
+               f"this run under { {key: run_env.get(key) for key in GOLDEN_ENVIRONMENT} }")
     for name, golden in files.items():
         got, want = (tmp_path / name).read_text(), (GOLDEN / golden).read_text()
         if name == "checks.csv":
             # quoted only where CSV needs it; the cells are unchanged
-            assert _cells(got) == _cells(want)
+            assert _cells(got) == _cells(want), f"{name} {differs}"
         else:
-            assert got == want, name
+            assert got == want, f"{name} {differs}"
     if command == "export-world":
         digest = hashlib.sha256((tmp_path / "world_grid.csv").read_bytes()).hexdigest()
-        assert f"{digest}  world_grid.csv" == (GOLDEN / "world_grid.csv.sha256").read_text().strip()
-    payloads = {path.name: json.loads(path.read_text(), parse_constant=_reject_constant)
-                for path in tmp_path.glob("*.json")}
-    assert payloads
+        assert f"{digest}  world_grid.csv" == (GOLDEN / "world_grid.csv.sha256").read_text().strip(), \
+            f"world_grid.csv {differs}"
     for payload in payloads.values():
         assert payload["runtime_seconds"] >= 0 and payload["peak_rss_mb"] > 0
         # the setting a run's speed and last bits depend on, as the command saw it

@@ -17,7 +17,6 @@ from ppgen.regression import (
     logistic_fit,
     ridge_cv,
     ridge_fit,
-    ridge_solve,
 )
 
 
@@ -50,7 +49,7 @@ def test_legendre_orthonormality_quadrature():
 
 def test_legendre_clamps_tiny_overshoot():
     assert np.allclose(legendre_eval(1.0 + 1e-13, 3), legendre_eval(1.0, 3))
-    for bad in (1.1, 1.0 + 2e-12, -1.0 - 2e-12, [0.0, 1.5]):
+    for bad in (1.1, 1.0 + 2e-12, -1.0 - 2e-12, [0.0, 1.5], np.nan, [0.2, np.nan], [np.nan, 2.0]):
         with pytest.raises(ValueError):
             legendre_eval(bad, 3)
 
@@ -118,8 +117,9 @@ def test_ridge_exact_interpolation():
 
 
 def test_ridge_single_feature_closed_form():
-    coefs = ridge_solve(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]), penalty=1.0)
-    assert coefs[0] == pytest.approx(5.0 / 6.0, abs=1e-12)
+    # degree 0: one feature phi_0 = sqrt(1/2), so c = phi_0 * sum(y) / (n * phi_0^2 + penalty)
+    coefs = ridge_fit([0.1, 0.2], [1.0, 2.0], degree=0, penalty=1.0).coefficients
+    assert coefs[0] == pytest.approx(np.sqrt(0.5) * 3.0 / 2.0, abs=1e-12)
 
 
 def test_ridge_infinite_shrinkage():
