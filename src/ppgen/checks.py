@@ -29,7 +29,7 @@ from .analysis import (
     true_outcome_function,
 )
 from .dgp import World, draw_target, draw_trial, gp_world
-from .domain import TARGET, TRIAL, CompositeSample, check_names, derive_seed
+from .domain import TRIAL, CompositeSample, check_names, derive_seed
 from .estimators import (
     EstimatorConfig,
     Target,
@@ -79,13 +79,13 @@ _PROP1_GROUPS = {
 }
 
 
-def _categorical_sample(rng, props, means, sds, counts, n0) -> CompositeSample:
+def _categorical_trial_and_target(rng, props, means, sds, counts, n0) -> tuple[CompositeSample, Target]:
+    """A categorical trial cohort and a target of ``n0`` records."""
     groups = np.arange(1.0, props.shape[0] + 1)
     y1 = np.concatenate([rng.normal(m, sd, c) for m, sd, c in zip(means, sds, counts)])
     x0 = groups[rng.choice(props.shape[0], size=n0, p=props)]
     n1 = y1.shape[0]
-    trial = CompositeSample.cohort(TRIAL, np.repeat(groups, counts), np.zeros(n1), np.ones(n1, int), y1)
-    return CompositeSample.concat(trial, CompositeSample.cohort(TARGET, x0, np.zeros(n0)))
+    return CompositeSample.cohort(TRIAL, np.repeat(groups, counts), np.zeros(n1), np.ones(n1, int), y1), Target(x0)
 
 
 def prop1_check(seed: int = 0, n_replications: int = 10_000) -> CheckResult:
@@ -113,13 +113,12 @@ def prop1_check(seed: int = 0, n_replications: int = 10_000) -> CheckResult:
 
     # Object-level bridge: the estimator agrees with the kernel exactly.
     for _ in range(3):
-        sample = _categorical_sample(rng, g["props"], g["means"], g["sds"], g["counts"], 2_000)
-        x1, y1 = sample.trial_arm_arrays(1)
-        x0 = sample.target_x()
-        groups = np.unique(x0)
-        props = np.array([np.mean(x0 == v) for v in groups])
+        trial, target = _categorical_trial_and_target(rng, g["props"], g["means"], g["sds"], g["counts"], 2_000)
+        x1, y1 = trial.trial_arm_arrays(1)
+        groups = np.unique(target.x)
+        props = np.array([np.mean(target.x == v) for v in groups])
         gmeans = np.array([np.mean(y1[x1 == v]) for v in groups])
-        direct = estimate_om_categorical(sample, a=1).point_estimate
+        direct = estimate_om_categorical(trial, a=1, target=target).point_estimate
         if abs(direct - categorical_point_estimate(props, gmeans)) > 1e-12:
             return CheckResult("prop1", False, "object-level estimator diverged from kernel")
 
@@ -295,12 +294,11 @@ def dr_robustness_check(
     estimates = defaultdict(list)
     for rep in range(n_replications):
         trial = draw_trial(world, n1, derive_seed(seed, "dr", "trial", rep))
-        target_cohort = draw_target(world, n0, derive_seed(seed, "dr", "target", rep))
-        sample = CompositeSample.concat(trial, target_cohort)
+        x0 = draw_target(world, n0, derive_seed(seed, "dr", "target", rep)).x
         # the estimators evaluate their fits only on the target and on the trial
         # arm, and the weights the participation only on the trial arm: each is
         # computed once and served to all six cases by array identity
-        x0, (x1, _) = sample.target_x(), sample.trial_arm_arrays(cfg.a)
+        x1, _ = trial.trial_arm_arrays(cfg.a)
         truth_on = {id(x): true_outcome_function(world, 1, x) for x in (x0, x1)}
         g_hat = CallablePredictor(lambda x: truth_on[id(x)])
         q_on = {id(x1): q(x1)}
@@ -309,9 +307,9 @@ def dr_robustness_check(
         target = Target(x0, f)  # the target and f on it, shared by all six cases
         # each DR estimator with its exact regression component, corrupted or kept
         trio = (
-            ("dr", lambda p, fit: estimate_dr_baseline(sample, p, cfg, outcome_fit=fit, target=target), g_hat),
-            ("dr-abc", lambda p, fit: estimate_dr_abc(sample, f, p, cfg, bias_fit=fit, target=target), b_fn),
-            ("dr-pa", lambda p, fit: estimate_dr_aom(sample, f, p, cfg, augmented_fit=fit, target=target), g_hat),
+            ("dr", lambda p, fit: estimate_dr_baseline(trial, p, cfg, outcome_fit=fit, target=target), g_hat),
+            ("dr-abc", lambda p, fit: estimate_dr_abc(trial, f, p, cfg, bias_fit=fit, target=target), b_fn),
+            ("dr-pa", lambda p, fit: estimate_dr_aom(trial, f, p, cfg, augmented_fit=fit, target=target), g_hat),
         )
         for name, estimate, exact in trio:
             estimates[name, "bad-outcome"].append(estimate(p_good, plus_one(exact)).point_estimate)

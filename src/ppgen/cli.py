@@ -250,7 +250,8 @@ def _environment(workers: int) -> dict:
 
 
 def _cost(cfg: RunConfig, started: float) -> dict:
-    """The run's wall time since ``started``, and ``peak_rss_mb``: the largest
+    """The run's elapsed time since ``started`` (a ``time.perf_counter()``
+    reading, which no clock adjustment moves), and ``peak_rss_mb``: the largest
     peak resident memory of one of its processes in MiB (``ru_maxrss`` of this
     process and, with ``--workers`` above 1, of its finished pool workers), or
     None where the ``resource`` module does not exist."""
@@ -260,7 +261,7 @@ def _cost(cfg: RunConfig, started: float) -> dict:
         # ru_maxrss is in bytes on macOS, in KiB elsewhere
         kib = max(resource.getrusage(w).ru_maxrss for w in who) / (1024 if sys.platform == "darwin" else 1)
         peak = round(kib / 1024, 1)
-    return {"runtime_seconds": round(time.time() - started, 3), "peak_rss_mb": peak}
+    return {"runtime_seconds": round(time.perf_counter() - started, 3), "peak_rss_mb": peak}
 
 
 def _write_outputs(cfg: RunConfig, csvs: dict[str, str], payload: dict) -> None:
@@ -383,7 +384,7 @@ def main(argv=None) -> int:
     """Run one command, write its outputs (also when it fails a gate) and
     return its exit code."""
     cfg = RunConfig(build_parser().parse_args(argv))
-    started = time.time()
+    started = time.perf_counter()
     csvs, fields, code = COMMANDS[cfg.command].run(cfg)
     payload = {"command": cfg.command, "master_seed": cfg.seed, "scale": cfg.scale, **fields, **_cost(cfg, started)}
     _write_outputs(cfg, csvs, payload)

@@ -4,11 +4,13 @@ A composite sample is a struct of columns, one row per record: the observed
 covariate ``x``, the hidden covariate ``u``, the population label ``s``, and
 the treatment ``a`` and outcome ``y`` of trial and observational rows (-1 and
 NaN on target rows, which carry neither).  Cohort draws return one-label
-samples and :meth:`CompositeSample.concat` stacks them.  The hidden covariate
-drives confounding in the synthetic worlds; estimator code must never read
-it, so it is exposed only through the oracle-flagged accessors below
-(``hidden_u_array``, ``include_hidden=`` in the CSV writer) and can be
-blanked wholesale with :meth:`CompositeSample.public`.
+samples and :meth:`CompositeSample.concat` stacks them.  The estimators read
+only the trial rows of a sample and take the target population as an
+``estimators.Target``.  The hidden covariate drives confounding in the
+synthetic worlds; estimator code must never read it, so it is exposed only
+through the oracle-flagged accessors below (``hidden_u_array``,
+``include_hidden=`` in the CSV writer) and can be blanked wholesale with
+:meth:`CompositeSample.public`.
 """
 
 from __future__ import annotations
@@ -122,13 +124,8 @@ class CompositeSample:
 
     @staticmethod
     def concat(*parts: "CompositeSample") -> "CompositeSample":
-        """The rows of ``parts``, in order, not checked again: every part was
-        checked when it was built, and the checks are row by row."""
-        out = object.__new__(CompositeSample)
-        for c in _COLUMNS:
-            object.__setattr__(out, c, np.concatenate([getattr(p, c) for p in parts]))
-        object.__setattr__(out, "_arms", {})
-        return out
+        """The rows of ``parts``, in order."""
+        return CompositeSample(*(np.concatenate([getattr(p, c) for p in parts]) for c in _COLUMNS))
 
     @staticmethod
     def from_records(rows: Iterable[tuple]) -> "CompositeSample":
@@ -181,16 +178,6 @@ class CompositeSample:
         if a not in self._arms:
             self._arms[a] = self._trial_arm(a)
         return self._arms[a]
-
-    @cached_property
-    def participation(self) -> tuple[np.ndarray, np.ndarray]:
-        """Covariates of the trial and target records, in order, and their
-        trial labels (1.0 on trial rows, 0.0 on target rows), computed on
-        first use and shared read-only by every caller."""
-        keep = self.s != OS
-        x, labels = self.x[keep], (self.s[keep] == TRIAL).astype(float)
-        x.flags.writeable = labels.flags.writeable = False
-        return x, labels
 
     def _trial_arm(self, a: int) -> tuple[np.ndarray, np.ndarray]:
         mask = (self.s == TRIAL) & (self.a == a)

@@ -8,10 +8,11 @@ and three doubly-robust combinations (DR, DR-ABC, DR-PA).
 Every estimator sees only observed covariates, treatments and outcomes; the
 hidden covariate never enters any code path here.
 
-The regression estimators and their DR versions read the target sample only
-through a ``Target``, which computes the OS predictor's values and each fit's
-design on it once.  A caller that estimates many times on one target sample
-passes one as ``target=``; without it, each estimate builds its own.
+Every estimator reads only the trial records of its sample, and the target
+population only through a required ``Target``: its covariates, the OS
+predictor's values on them and each fit's design on them, each computed once
+however many estimates read them.  n0 is the target's row count; a sample's
+own target rows, if any, are ignored.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domain import TREATMENT_PROB, CompositeSample, EstimateRecord, PositivityError
+from .domain import TREATMENT_PROB, TRIAL, CompositeSample, EstimateRecord, PositivityError
 from .regression import DEFAULT_PENALTY_GRID, LogisticFit, RidgeFit, _augment, _design, logistic_fit, ridge_cv
 
 
@@ -39,16 +40,9 @@ class EstimatorConfig:
             raise ValueError("degree must be nonnegative")
 
 
-def fit_nuisances(sample: CompositeSample, degree: int) -> LogisticFit:
-    """The participation model P(S=1|X) that the weighting estimators take:
-    logistic regression, penalized at 1e-6, on the trial and target records
-    of the composite sample.  The treatment side is the known randomization
-    probability ``TREATMENT_PROB``, not an estimate."""
-    return logistic_fit(*sample.participation, degree, 1e-6)
-
-
 class Target:
-    """The target sample as the estimators read it, for one world.
+    """The target sample as the estimators read it, for one world: their only
+    source of it, so n0 is ``len(x)``, which must be at least 1.
 
     ``x`` holds the target covariates, ``f`` the OS predictor's values on
     them, and ``design(kind, degree)`` the design of trial fit ``kind`` on
@@ -61,6 +55,8 @@ class Target:
 
     def __init__(self, x, predictor=None):
         self.x = np.atleast_1d(np.asarray(x, dtype=float))
+        if not self.x.size:
+            raise ValueError("no target records")
         self._predictor = predictor
         self._designs: dict[tuple[bool, int], np.ndarray] = {}
 
@@ -81,8 +77,15 @@ class Target:
         return self._designs[key]
 
 
-def _target_of(sample: CompositeSample, f_a, target: Target | None) -> Target:
-    return Target(sample.target_x(), f_a) if target is None else target
+def fit_nuisances(sample: CompositeSample, target: Target, degree: int) -> LogisticFit:
+    """The participation model P(S=1|X) that the weighting estimators take:
+    logistic regression, penalized at 1e-6, of the trial label on the trial
+    records' covariates (label 1) followed by the target's (label 0).  The
+    treatment side is the known randomization probability ``TREATMENT_PROB``,
+    not an estimate."""
+    x1 = sample.x[sample.s == TRIAL]
+    labels = np.concatenate([np.ones(x1.shape[0]), np.zeros(len(target.x))])
+    return logistic_fit(np.concatenate([x1, target.x]), labels, degree, 1e-6)
 
 
 def _response(kind: str, x, y, f_a):
@@ -114,29 +117,25 @@ def _sample_fit(kind: str, sample: CompositeSample, f_a, cfg: EstimatorConfig) -
         raise ValueError(
             f"trial arm a={cfg.a} has {x.shape[0]} records; need at least degree+2"
         )
-    if sample.n0 < 1:
-        raise ValueError("no target records")
     return trial_fit(kind, x, y, f_a, cfg)
 
 
-def _regression_estimate(
-    kind: str, sample: CompositeSample, f_a, cfg: EstimatorConfig, target: Target | None
-) -> EstimateRecord:
+def _regression_estimate(kind: str, sample: CompositeSample, f_a, cfg: EstimatorConfig,
+                         target: Target) -> EstimateRecord:
     """The target average of the trial fit; for ABC, of ``f`` minus the fitted bias."""
     fit = _sample_fit(kind, sample, f_a, cfg)
-    target = _target_of(sample, f_a, target)
     pred = target.design(kind, fit.degree) @ fit.coefficients
     if kind == "abc":
         pred = target.f - pred
     return EstimateRecord(float(np.mean(pred)))
 
 
-def estimate_om(sample: CompositeSample, cfg: EstimatorConfig, *, target: Target | None = None) -> EstimateRecord:
+def estimate_om(sample: CompositeSample, cfg: EstimatorConfig, *, target: Target) -> EstimateRecord:
     """Outcome model: fit the trial arm, average predictions over the target."""
     return _regression_estimate("om", sample, None, cfg, target)
 
 
-def estimate_abc(sample: CompositeSample, f_a, cfg: EstimatorConfig, *, target: Target | None = None) -> EstimateRecord:
+def estimate_abc(sample: CompositeSample, f_a, cfg: EstimatorConfig, *, target: Target) -> EstimateRecord:
     """Additive bias correction: subtract a trial-fitted bias of the predictor.
 
     Fits the prediction errors z_i = f(x_i) - y_i on the trial arm, then
@@ -145,7 +144,7 @@ def estimate_abc(sample: CompositeSample, f_a, cfg: EstimatorConfig, *, target: 
     return _regression_estimate("abc", sample, f_a, cfg, target)
 
 
-def estimate_aom(sample: CompositeSample, f_a, cfg: EstimatorConfig, *, target: Target | None = None) -> EstimateRecord:
+def estimate_aom(sample: CompositeSample, f_a, cfg: EstimatorConfig, *, target: Target) -> EstimateRecord:
     """Augmented outcome model: the predictor becomes an extra regressor."""
     return _regression_estimate("aom", sample, f_a, cfg, target)
 
@@ -155,14 +154,14 @@ def categorical_point_estimate(target_props: np.ndarray, group_means: np.ndarray
     return float(np.dot(target_props, group_means))
 
 
-def estimate_om_categorical(sample: CompositeSample, a: int) -> EstimateRecord:
+def estimate_om_categorical(sample: CompositeSample, a: int, *, target: Target) -> EstimateRecord:
     """Outcome model for categorical covariates: target-weighted group means.
 
     Groups are the distinct covariate values present in the target sample; a
     group with positive target proportion but no trial-arm record is a
     positivity failure.
     """
-    x0 = sample.target_x()
+    x0 = target.x
     x1, y1 = sample.trial_arm_arrays(a)
     groups = np.unique(x0)
     props = np.empty(groups.shape[0])
@@ -176,56 +175,50 @@ def estimate_om_categorical(sample: CompositeSample, a: int) -> EstimateRecord:
     return EstimateRecord(categorical_point_estimate(props, means))
 
 
-def estimate_os_om(sample: CompositeSample, f_a, *, target: Target | None = None) -> EstimateRecord:
+def estimate_os_om(target: Target) -> EstimateRecord:
     """Average the observational predictor over the target sample; no trial data."""
-    if sample.n0 < 1:
-        raise ValueError("no target records")
-    return EstimateRecord(float(np.mean(_target_of(sample, f_a, target).f)))
+    return EstimateRecord(float(np.mean(target.f)))
 
 
 # -- weighting-based estimators ----------------------------------------------
 
 
-def _weight_pieces(sample: CompositeSample, p_hat, a: int):
+def _weight_pieces(sample: CompositeSample, target: Target, p_hat, a: int):
     """Shared scaffolding for the weighted estimators: the trial-arm covariates
     and outcomes, the inverse-odds weights of participation model ``p_hat``
     (any ``predict(x) -> P(S=1 | x)``) on the trial arm, the 1/(n(1-p))
-    normalizer over the n trial and target records with p = n1/n their trial
-    share, and any extreme-weight warnings."""
-    if sample.n0 < 1:
-        raise ValueError("no target records")
+    normalizer over the n = n1 + n0 trial and target records with p = n1/n
+    their trial share, and any extreme-weight warnings."""
     x1, y1 = sample.trial_arm_arrays(a)
     p_x = np.asarray(p_hat.predict(x1), dtype=float)
     warnings = ()
     if x1.size and ((p_x <= 1e-3) | (p_x >= 1 - 1e-3)).any():
         warnings = ("extreme participation probabilities in inverse-odds weights",)
     weights = (1.0 - p_x) / (p_x * TREATMENT_PROB)
-    share = sample.n1 / (sample.n1 + sample.n0)
-    norm = 1.0 / ((sample.n1 + sample.n0) * (1.0 - share))
+    n = sample.n1 + len(target.x)
+    norm = 1.0 / (n * (1.0 - sample.n1 / n))
     return x1, y1, weights, norm, warnings
 
 
-def estimate_ipw(sample: CompositeSample, p_hat, a: int = 1) -> EstimateRecord:
+def estimate_ipw(sample: CompositeSample, p_hat, a: int = 1, *, target: Target) -> EstimateRecord:
     """Inverse-odds weighting of trial-arm outcomes."""
-    _, y1, weights, norm, warns = _weight_pieces(sample, p_hat, a)
+    _, y1, weights, norm, warns = _weight_pieces(sample, target, p_hat, a)
     if not y1.size:
         raise ValueError("empty trial arm")
     return EstimateRecord(norm * float(np.sum(weights * y1)), warnings=warns)
 
 
-def _dr_estimate(
-    kind: str, sample: CompositeSample, f_a, p_hat, cfg: EstimatorConfig, fit, target: Target | None
-) -> EstimateRecord:
+def _dr_estimate(kind: str, sample: CompositeSample, f_a, p_hat, cfg: EstimatorConfig, fit,
+                 target: Target) -> EstimateRecord:
     """``norm * (sum fit(x0) + sum w * (response - fit(x1)))`` of variant ``kind``
     (its own trial fit when ``fit`` is None); ABC subtracts it from mean f(x0).
     Only its own fit is read through the target's design; a given fit predicts."""
-    target = _target_of(sample, f_a, target)
     if fit is None:
         fit = _sample_fit(kind, sample, f_a, cfg)
         fit_x0 = target.design(kind, fit.degree) @ fit.coefficients
     else:
         fit_x0 = fit.predict(target.x)
-    x1, y1, weights, norm, warns = _weight_pieces(sample, p_hat, cfg.a)
+    x1, y1, weights, norm, warns = _weight_pieces(sample, target, p_hat, cfg.a)
     resid = _response(kind, x1, y1, f_a) - fit.predict(x1)
     est = norm * (float(np.sum(fit_x0)) + float(np.sum(weights * resid)))
     if kind == "abc":
@@ -239,7 +232,7 @@ def estimate_dr_baseline(
     cfg: EstimatorConfig,
     outcome_fit=None,
     *,
-    target: Target | None = None,
+    target: Target,
 ) -> EstimateRecord:
     """Doubly-robust baseline: outcome-model term plus weighted residuals.
 
@@ -256,7 +249,7 @@ def estimate_dr_abc(
     cfg: EstimatorConfig,
     bias_fit=None,
     *,
-    target: Target | None = None,
+    target: Target,
 ) -> EstimateRecord:
     """Doubly-robust additive bias correction.
 
@@ -276,7 +269,7 @@ def estimate_dr_aom(
     cfg: EstimatorConfig,
     augmented_fit=None,
     *,
-    target: Target | None = None,
+    target: Target,
 ) -> EstimateRecord:
     """Doubly-robust augmented outcome model (DR-PA)."""
     return _dr_estimate("aom", sample, f_a, p_hat, cfg, augmented_fit, target)

@@ -14,10 +14,11 @@ independent of how work is split across processes.
 
 Both studies redraw trials on a fixed world through one loop, ``_run_trials``.
 The target sample and the OS predictor are fixed within a world, so each world
-gets one ``Target``: the predictor's values on the target and each fit's
-design on it are computed once, however many runs, estimators and degrees
-read them; a run-scoped ``_MemoPredictor`` evaluates the predictor on each
-run's trial arm once.
+gets one ``Target``, which every run's estimates read beside that run's trial
+cohort: the predictor's values on the target and each fit's design on it are
+computed once, however many runs, estimators and degrees read them; a
+run-scoped ``_MemoPredictor`` evaluates the predictor on each run's trial arm
+once.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .analysis import os_predictor, true_mu
 from .dgp import World, draw_target, draw_trial, gp_world
-from .domain import CompositeSample, GenerationError, GlmLogitParams, GlmOutcomeParams, KernelParams, ScenarioSpec
+from .domain import GenerationError, GlmLogitParams, GlmOutcomeParams, KernelParams, ScenarioSpec
 from .domain import check_names, csv_text, derive_seed
 from .estimators import (
     EstimatorConfig,
@@ -51,10 +52,10 @@ from .estimators import (
 
 @dataclass(frozen=True)
 class Estimator:
-    """One estimator and what it needs: ``estimate(sample, f, p_hat, cfg,
-    target)`` gets the OS predictor, the world's ``Target`` and, if
-    ``nuisances``, the participation model fitted at ``cfg.degree``; one that
-    is not ``per_degree`` runs once, as degree -1."""
+    """One estimator and what it needs: ``estimate(trial, f, p_hat, cfg,
+    target)`` gets a run's trial cohort, the OS predictor, the world's
+    ``Target`` and, if ``nuisances``, the participation model fitted at
+    ``cfg.degree``; one that is not ``per_degree`` runs once, as degree -1."""
 
     estimate: Callable
     per_degree: bool = True
@@ -65,10 +66,10 @@ class Estimator:
 # module-level name (in a test, or to trace it) reaches every caller.
 ESTIMATORS = {
     "om": Estimator(lambda s, f, p, cfg, t: estimate_om(s, cfg, target=t)),
-    "os-om": Estimator(lambda s, f, p, cfg, t: estimate_os_om(s, f, target=t), per_degree=False),
+    "os-om": Estimator(lambda s, f, p, cfg, t: estimate_os_om(t), per_degree=False),
     "abc": Estimator(lambda s, f, p, cfg, t: estimate_abc(s, f, cfg, target=t)),
     "aom": Estimator(lambda s, f, p, cfg, t: estimate_aom(s, f, cfg, target=t)),
-    "ipw": Estimator(lambda s, f, p, cfg, t: estimate_ipw(s, p, cfg.a), nuisances=True),
+    "ipw": Estimator(lambda s, f, p, cfg, t: estimate_ipw(s, p, cfg.a, target=t), nuisances=True),
     "dr": Estimator(lambda s, f, p, cfg, t: estimate_dr_baseline(s, p, cfg, target=t), nuisances=True),
     "dr-abc": Estimator(lambda s, f, p, cfg, t: estimate_dr_abc(s, f, p, cfg, target=t), nuisances=True),
     "dr-pa": Estimator(lambda s, f, p, cfg, t: estimate_dr_aom(s, f, p, cfg, target=t), nuisances=True),
@@ -80,9 +81,10 @@ DEFAULT_DEGREES = (1, 3, 5, 7)
 
 def check_degrees(degrees: Sequence[int]) -> tuple[int, ...]:
     """``degrees`` as a tuple; ValueError unless they are distinct nonnegative
-    integers (-1 labels the estimators that are not fitted per degree)."""
+    integers, not bools (-1 labels the estimators that are not fitted per degree)."""
     degrees = tuple(degrees)
-    if not degrees or len(set(degrees)) < len(degrees) or any(not isinstance(d, int) or d < 0 for d in degrees):
+    if (not degrees or len(set(degrees)) < len(degrees)
+            or any(not isinstance(d, int) or isinstance(d, bool) or d < 0 for d in degrees)):
         raise ValueError(f"degrees must be distinct nonnegative integers, got {degrees}")
     return degrees
 
@@ -202,11 +204,11 @@ class _MemoPredictor:
 
 
 def _prologue(world: World, n0: int, n_os: int, seed_of, predictor_kind: str = "learned") -> tuple:
-    """What every run on ``world`` shares: the target cohort, the OS predictor
-    ``f``, their ``Target`` and the true mean ``mu``."""
+    """What every run on ``world`` shares: the OS predictor ``f``, the
+    ``Target`` of the target cohort and ``f``, and the true mean ``mu``."""
     target_cohort = draw_target(world, n0, seed_of("target"))
     f = os_predictor(world, n_os, seed_of, predictor_kind)
-    return target_cohort, f, Target(target_cohort.x, f), true_mu(world, a=1).mu_a
+    return f, Target(target_cohort.x, f), true_mu(world, a=1).mu_a
 
 
 def _unless_failed(fn, *args):
@@ -227,22 +229,21 @@ def _run_trials(world: World, prologue: tuple, n1: int, n_runs: int, keyed: list
     leaves NaN what it stops: a failed draw the whole run, a failed nuisance
     fit the weighting estimators at its degree, a failed estimate itself.
     Any other error propagates."""
-    target_cohort, f, target, _ = prologue
+    f, target, _ = prologue
     nuisance_degrees = dict.fromkeys(deg for name, deg in keyed if ESTIMATORS[name].nuisances)
     estimates = {k: np.full(n_runs, np.nan) for k in keyed}
     for run in range(n_runs):
         trial = _unless_failed(draw_trial, world, n1, run_seed("trial", run))
         if trial is None:
             continue
-        sample = CompositeSample.concat(trial, target_cohort)
         fold_seed = run_seed("folds", run)
         predictor = _MemoPredictor(f)
-        nuisances = {deg: _unless_failed(fit_nuisances, sample, deg) for deg in nuisance_degrees}
+        nuisances = {deg: _unless_failed(fit_nuisances, trial, target, deg) for deg in nuisance_degrees}
         for name, deg in keyed:
             if ESTIMATORS[name].nuisances and nuisances[deg] is None:
                 continue
             cfg = EstimatorConfig(degree=max(deg, 0), a=1, penalty_grid=penalty_grid, fold_seed=fold_seed)
-            record = _unless_failed(ESTIMATORS[name].estimate, sample, predictor, nuisances.get(deg), cfg, target)
+            record = _unless_failed(ESTIMATORS[name].estimate, trial, predictor, nuisances.get(deg), cfg, target)
             if record is not None:
                 estimates[(name, deg)][run] = record.point_estimate
     return estimates
@@ -380,11 +381,17 @@ def run_scenario_grid(
     """Run every combo of the grid and aggregate RMSE / bias^2 / variance.
 
     All templates must share a master seed.  Deterministic for a fixed seed
-    regardless of ``workers``.  Unknown estimator names and invalid degrees
-    raise ValueError before any world is built.
+    regardless of ``workers``.  Unknown estimator names, invalid degrees, a
+    combo listed twice and a non-positive ``n_scenarios`` or ``n_runs`` raise
+    ValueError before any world is built.
     """
     if not grid:
         raise ValueError("empty grid")
+    if n_scenarios < 1 or n_runs < 1:
+        raise ValueError(f"n_scenarios and n_runs must be positive, got {n_scenarios} and {n_runs}")
+    ids = [combo_id(spec) for spec in grid]
+    if len(set(ids)) < len(ids):
+        raise ValueError(f"the grid lists a combo more than once: {sorted({i for i in ids if ids.count(i) > 1})}")
     estimators, degrees = check_names("estimators", estimators, ESTIMATORS), check_degrees(degrees)
     seeds = {spec.master_seed for spec in grid}
     if len(seeds) != 1:
@@ -541,7 +548,11 @@ def run_table2(
     workers: int = 1,
     rows: Sequence[dict] = TABLE2_ROWS,
 ) -> Table2Result:
-    """The linear-model benchmark: mean MSE of ABC and OM at orders 1 and 5."""
+    """The linear-model benchmark: mean MSE of ABC and OM at orders 1 and 5.
+    A non-positive ``n_ground_truths`` or ``n_runs`` raises ValueError before
+    any world is built."""
+    if n_ground_truths < 1 or n_runs < 1:
+        raise ValueError(f"n_ground_truths and n_runs must be positive, got {n_ground_truths} and {n_runs}")
     tasks = [
         _Table2Task(row=row, ground_truth=g, n_runs=n_runs, master_seed=master_seed)
         for row in rows

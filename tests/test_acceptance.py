@@ -19,9 +19,10 @@ from ppgen.checks import (
     prop1_check,
     theorem_structural_check,
 )
-from ppgen.domain import CompositeSample, KernelParams, ScenarioSpec, TARGET, TRIAL
+from ppgen.domain import CompositeSample, KernelParams, ScenarioSpec, TRIAL
 from ppgen.estimators import (
     EstimatorConfig,
+    Target,
     estimate_abc,
     estimate_dr_abc,
     estimate_dr_aom,
@@ -202,22 +203,21 @@ def test_criterion_7_numerical_invariants(workers):
     x1 = rng.uniform(-1, 1, 100)
     y1 = np.sin(2 * x1) + rng.normal(0, 0.2, 100)
     x0 = rng.uniform(-1, 1, 500)
-    sample = CompositeSample.concat(
-        CompositeSample.cohort(TRIAL, x1, np.zeros(100), np.ones(100, dtype=np.int64), y1),
-        CompositeSample.cohort(TARGET, x0, np.zeros(500)),
-    )
+    sample = CompositeSample.cohort(TRIAL, x1, np.zeros(100), np.ones(100, dtype=np.int64), y1)
+    zero = ConstantPredictor(0.0)
+    target = Target(x0, zero)
     cfg = EstimatorConfig(degree=3, a=1, fold_seed=11)
-    if estimate_abc(sample, ConstantPredictor(0.0), cfg).point_estimate != estimate_om(sample, cfg).point_estimate:
+    if (estimate_abc(sample, zero, cfg, target=target).point_estimate
+            != estimate_om(sample, cfg, target=target).point_estimate):
         problems.append("ABC(f=0) != OM bit-for-bit")
 
     # DR reduction identities to 1e-10
     nuis = ConstantPredictor(0.3)
-    zero = ConstantPredictor(0.0)
-    ipw = estimate_ipw(sample, nuis, a=1).point_estimate
+    ipw = estimate_ipw(sample, nuis, a=1, target=target).point_estimate
     for name, value in [
-        ("dr", estimate_dr_baseline(sample, nuis, cfg, outcome_fit=zero).point_estimate),
-        ("dr-abc", estimate_dr_abc(sample, zero, nuis, cfg, bias_fit=zero).point_estimate),
-        ("dr-pa", estimate_dr_aom(sample, zero, nuis, cfg, augmented_fit=zero).point_estimate),
+        ("dr", estimate_dr_baseline(sample, nuis, cfg, outcome_fit=zero, target=target).point_estimate),
+        ("dr-abc", estimate_dr_abc(sample, zero, nuis, cfg, bias_fit=zero, target=target).point_estimate),
+        ("dr-pa", estimate_dr_aom(sample, zero, nuis, cfg, augmented_fit=zero, target=target).point_estimate),
     ]:
         if abs(value - ipw) > 1e-10 * max(1.0, abs(ipw)):
             problems.append(f"{name} with zero regression != IPW")
@@ -228,6 +228,7 @@ def test_criterion_7_numerical_invariants(workers):
         ConstantPredictor(1 - 1e-12),
         cfg,
         outcome_fit=g_fit,
+        target=target,
     ).point_estimate
     if abs(dr_no_weights - om_same_fit) > 1e-6:
         problems.append("DR with vanishing weights != regression average")

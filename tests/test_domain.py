@@ -208,16 +208,6 @@ def test_concat_of_checked_parts_equals_the_checked_construction(sizes, seed):
     assert (stacked.n1, stacked.n0) == (checked.n1, checked.n0)
 
 
-def test_participation_is_the_trial_and_target_rows_with_trial_labels():
-    trial = CompositeSample.cohort(TRIAL, [0.1, 0.2], [0.0, 0.0], [1, 0], [1.0, 2.0])
-    os_rows = CompositeSample.cohort(OS, [0.5], [0.0], [1], [3.0])
-    target = CompositeSample.cohort(TARGET, [0.3], [0.5])
-    sample = CompositeSample.concat(trial, os_rows, target)
-    x, labels = sample.participation
-    assert x.tolist() == [0.1, 0.2, 0.3] and labels.tolist() == [1.0, 1.0, 0.0]
-    assert sample.participation[0] is x and not x.flags.writeable and not labels.flags.writeable
-
-
 def test_observation_invariants():
     with pytest.raises(ValueError):
         CompositeSample.from_records([(0.0, 0.0, TARGET, 1, 1.0)])  # target records carry no a/y

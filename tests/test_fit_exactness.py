@@ -23,6 +23,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ import pytest
 from ppgen import estimators, grid, regression
 from ppgen.analysis import os_predictor
 from ppgen.dgp import draw_target, draw_trial, world_from_spec
-from ppgen.domain import CompositeSample, KernelParams, ScenarioSpec, derive_seed
+from ppgen.domain import KernelParams, ScenarioSpec, derive_seed
 from ppgen.estimators import EstimatorConfig, Target, fit_nuisances, trial_fit
 from ppgen.grid import benchmark_grid, run_scenario_grid
 
@@ -214,15 +215,14 @@ def test_target_design_reproduces_predict():
 
 def test_estimates_do_not_depend_on_sharing_the_target():
     f, target, trial = _world()
-    sample = CompositeSample.concat(trial, target)
     shared = Target(target.x, f)
-    nuisances = {d: fit_nuisances(sample, d) for d in grid.DEFAULT_DEGREES}
+    nuisances = {d: fit_nuisances(trial, shared, d) for d in grid.DEFAULT_DEGREES}
     for name, estimator in grid.ESTIMATORS.items():
         for degree in grid._estimator_degrees(name, grid.DEFAULT_DEGREES):
             cfg = EstimatorConfig(degree=max(degree, 0), fold_seed=FOLD_SEED)
             nuis = nuisances.get(degree)
-            alone, with_shared = (estimator.estimate(sample, f, nuis, cfg, t).point_estimate
-                                  for t in (None, shared))
+            alone, with_shared = (estimator.estimate(trial, f, nuis, cfg, t).point_estimate
+                                  for t in (Target(target.x, f), shared))
             assert alone.hex() == with_shared.hex(), (name, degree)
 
 
@@ -251,7 +251,9 @@ def test_grid_builds_each_target_design_once_per_world(monkeypatch):
     # per world, one Legendre design per degree (OM and ABC share it) and one AOM column per degree
     n_worlds = 2
     assert sorted(on_target) == sorted([("phi", 400, d) for d in (1, 3)] * n_worlds + [("f", 400)] * 2 * n_worlds)
-    monkeypatch.setattr(grid, "Target", lambda x, f: None)  # every estimate builds its own
+    for name, entry in list(grid.ESTIMATORS.items()):  # every estimate builds its own Target
+        fresh = lambda s, f, p, cfg, t, entry=entry: entry.estimate(s, f, p, cfg, Target(t.x, f))
+        monkeypatch.setitem(grid.ESTIMATORS, name, replace(entry, estimate=fresh))
     alone, rebuilt = run()
     assert json.dumps(shared) == json.dumps(alone)
     assert len(rebuilt) > len(on_target)

@@ -104,7 +104,7 @@ def test_trial_arm_is_masked_once_per_sample_and_arm(monkeypatch):
 
 
 def _failing_om(exc):
-    def estimate_om(sample, cfg, target=None):
+    def estimate_om(sample, cfg, *, target):
         raise exc
 
     return estimate_om
@@ -142,10 +142,10 @@ def test_a_failed_nuisance_fit_leaves_its_degree_of_the_weighting_estimators_nan
     fit = grid.fit_nuisances
 
     def failing_at_3(exc):
-        def fit_nuisances(sample, degree):
+        def fit_nuisances(sample, target, degree):
             if degree == 3:
                 raise exc
-            return fit(sample, degree)
+            return fit(sample, target, degree)
 
         return fit_nuisances
 
@@ -253,8 +253,42 @@ def test_unknown_estimator_rejected_before_any_world(monkeypatch):
     monkeypatch.setattr(grid, "gp_world", no_world)
     with pytest.raises(ValueError, match="omm.*valid: om, os-om"):
         run_scenario_grid(small_grid()[:1], estimators=("om", "omm"), n_scenarios=1, n_runs=1)
+    for degrees in ((-1,), (True,), (1, False)):  # a bool is an int, but no degree
+        with pytest.raises(ValueError, match="degrees"):
+            run_scenario_grid(small_grid()[:1], degrees=degrees, n_scenarios=1, n_runs=1)
     with pytest.raises(ValueError, match="degrees"):
-        run_scenario_grid(small_grid()[:1], degrees=(-1,), n_scenarios=1, n_runs=1)
+        grid.check_degrees((True,))
+
+
+@pytest.mark.parametrize("specs, sizes, message", [
+    (small_grid()[:1] * 2, {}, "combo more than once"),
+    (small_grid()[:2] + small_grid()[1:2], {}, "combo more than once"),
+    (small_grid()[:1], {"n_scenarios": 0}, "n_scenarios and n_runs must be positive"),
+    (small_grid()[:1], {"n_runs": 0}, "n_scenarios and n_runs must be positive"),
+    (small_grid()[:1], {"n_scenarios": -2}, "n_scenarios and n_runs must be positive"),
+], ids=["combo-twice", "later-combo-twice", "no-scenarios", "no-runs", "negative-scenarios"])
+def test_grids_that_would_corrupt_the_tables_rejected_before_any_world(monkeypatch, specs, sizes, message):
+    from ppgen import grid
+
+    def no_world(*args):
+        raise AssertionError("a world was built")
+
+    monkeypatch.setattr(grid, "gp_world", no_world)
+    with pytest.raises(ValueError, match=message):
+        run_scenario_grid(specs, **{"n_scenarios": 1, "n_runs": 1, **sizes})
+
+
+@pytest.mark.parametrize("sizes", [{"n_ground_truths": 0}, {"n_runs": 0}, {"n_ground_truths": -1}],
+                         ids=["no-ground-truths", "no-runs", "negative-ground-truths"])
+def test_table2_sizes_must_be_positive(monkeypatch, sizes):
+    from ppgen import grid
+
+    def no_world(*args):
+        raise AssertionError("a world was built")
+
+    monkeypatch.setattr(grid, "_sample_glm_world", no_world)
+    with pytest.raises(ValueError, match="n_ground_truths and n_runs must be positive"):
+        run_table2(master_seed=5, **{"n_ground_truths": 1, "n_runs": 1, **sizes}, rows=TABLE2_ROWS[:1])
 
 
 def test_grid_requires_shared_master_seed():
