@@ -64,22 +64,31 @@ def true_mu_monte_carlo(world: World, a: int = 1, n_draws: int = 1_000_000, seed
     return OracleResult(mu, se)
 
 
-# Points per block of the quadrature oracle.  Each (points x nodes) temporary
-# of a block is 1024 x ORACLE_ORDER doubles, 512 KiB, so a block's work stays in cache
+# Points per block of the quadrature oracle.  A block is evaluated into
+# (1024 x ORACLE_ORDER)-double buffers, 512 KiB each, so its work stays in cache
 # instead of streaming every (points x nodes) array through main memory.
 ORACLE_BLOCK = 1024
 
 
-def _by_blocks(row_fn: Callable[[np.ndarray], np.ndarray], xs) -> np.ndarray:
-    """``row_fn`` applied to ``xs`` in blocks of ORACLE_BLOCK points, into one output.
+def _by_blocks(row_fn: Callable[..., np.ndarray], xs, n_buffers: int) -> np.ndarray:
+    """``row_fn(x, *buffers)`` applied to ``xs`` in blocks of ORACLE_BLOCK points, into one output.
 
     ``row_fn`` maps a block of points to one value per point, each computed
     from its own point alone, so the output does not depend on the block size.
+    It may write into its ``n_buffers`` (points x ORACLE_ORDER) buffers, the
+    leading rows of buffers allocated once per call: fresh 512 KiB temporaries
+    per block would be returned to the kernel between blocks and fault their
+    pages in again.  The buffers are allocated before the output, which the
+    caller keeps, so that once freed they lie below it on the heap, where the
+    next call reuses their pages, rather than at its top, which is trimmed.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    out = np.empty(xs.shape[0])
-    for start in range(0, xs.shape[0], ORACLE_BLOCK):
-        out[start : start + ORACLE_BLOCK] = row_fn(xs[start : start + ORACLE_BLOCK])
+    n = xs.shape[0]
+    buffers = [np.empty((min(ORACLE_BLOCK, n), ORACLE_ORDER)) for _ in range(n_buffers)]
+    out = np.empty(n)
+    for start in range(0, n, ORACLE_BLOCK):
+        x = xs[start : start + ORACLE_BLOCK]
+        out[start : start + ORACLE_BLOCK] = row_fn(x, *(buf[: x.shape[0]] for buf in buffers))
     return out
 
 
@@ -93,13 +102,15 @@ def true_outcome_function(world: World, a: int, xs: np.ndarray) -> np.ndarray:
     """
     nodes, weights = gauss_legendre_nodes(ORACLE_ORDER)
 
-    def block(x: np.ndarray) -> np.ndarray:
+    def block(x: np.ndarray, ps: np.ndarray, fom: np.ndarray) -> np.ndarray:
         xg = x[:, None]
-        weighted_ps = weights[None, :] * world.participation_prob(xg, nodes[None, :])
-        fom = world.outcome(a, xg, nodes[None, :])
-        return np.sum(weighted_ps * fom, axis=1) / np.sum(weighted_ps, axis=1)
+        ps = world.participation_prob(xg, nodes[None, :], out=ps)
+        ps *= weights
+        fom = world.outcome(a, xg, nodes[None, :], out=fom)
+        fom *= ps
+        return np.sum(fom, axis=1) / np.sum(ps, axis=1)
 
-    return _by_blocks(block, xs)
+    return _by_blocks(block, xs, 2)
 
 
 def tilted_participation(world: World, n1: int, n0: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -115,12 +126,13 @@ def tilted_participation(world: World, n1: int, n0: int) -> Callable[[np.ndarray
     w2 = weights[:, None] * weights[None, :]
     p_marg = float(np.sum(w2 * p_grid) / np.sum(w2))
 
-    def marginal_block(x: np.ndarray) -> np.ndarray:
-        ps = world.participation_prob(x[:, None], nodes[None, :])
-        return np.sum(weights[None, :] * ps, axis=1) / np.sum(weights)
+    def marginal_block(x: np.ndarray, ps: np.ndarray) -> np.ndarray:
+        ps = world.participation_prob(x[:, None], nodes[None, :], out=ps)
+        ps *= weights
+        return np.sum(ps, axis=1) / np.sum(weights)
 
     def p_of_x(x: np.ndarray) -> np.ndarray:
-        p_x = _by_blocks(marginal_block, x)
+        p_x = _by_blocks(marginal_block, x, 1)
         lift1 = n1 / p_marg
         lift0 = n0 / (1.0 - p_marg)
         return lift1 * p_x / (lift1 * p_x + lift0 * (1.0 - p_x))

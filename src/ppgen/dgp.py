@@ -53,12 +53,17 @@ class GridFunction:
     def grid_size(self) -> int:
         return self.values.shape[0]
 
-    def __call__(self, x, u) -> np.ndarray:
+    def __call__(self, x, u, out: np.ndarray | None = None) -> np.ndarray:
+        """Bilinear values at (x, u) in their broadcast shape, written into and
+        returned as ``out`` when that is given, which must have the shape.
+        Coordinates outside [-1, 1] clamp to the edge; NaN raises ValueError."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         u = np.atleast_1d(np.asarray(u, dtype=float))
         g = self.grid_size - 1
         tx = np.clip((x + 1.0) * 0.5 * g, 0.0, g)
         tu = np.clip((u + 1.0) * 0.5 * g, 0.0, g)
+        if np.isnan(tx).any() or np.isnan(tu).any():
+            raise ValueError("GridFunction cannot evaluate at NaN")
         ix = np.minimum(tx.astype(np.int64), g - 1)
         iu = np.minimum(tu.astype(np.int64), g - 1)
         fx = tx - ix
@@ -70,25 +75,26 @@ class GridFunction:
             # each corner takes whole rows of one by the x index.
             rows, tables = ix[:, 0], (self.values[:, iu[0]], self.values[:, iu[0] + 1])
 
-            def corner(i, j, **out):
-                return tables[j].take(rows + i, axis=0, **out)
+            def corner(i, j, out):
+                return tables[j].take(rows + i, axis=0, out=out, mode="clip")
         else:
             # values[ix + i, iu + j] is the row-major lattice at k + i*G + j.
             k, flat = ix * self.grid_size + iu, self.values.ravel()
 
-            def corner(i, j, **out):
-                return flat[i * self.grid_size + j :].take(k, **out)
+            def corner(i, j, out):
+                return flat[i * self.grid_size + j :].take(k, out=out, mode="clip")
         # The four corner terms are formed and summed in place, in the order of
         # v00*gx*gu + v10*fx*gu + v01*gx*fu + v11*fx*fu, so both paths give the
-        # same values.  The first gather checks the indices; the others are in
-        # range with it and write into one buffer in "clip" mode, which numpy,
-        # unlike the default mode, does not buffer.
-        out = corner(0, 0)
+        # same values.  Without NaN every index is in range, so the gathers run
+        # in "clip" mode, which numpy, unlike the default mode, does not buffer
+        # when it writes into an ``out``; an ``out`` of another shape raises
+        # ValueError.
+        out = corner(0, 0, out)
         out *= gx
         out *= gu
         term = np.empty_like(out)
         for i, j, wx, wu in ((1, 0, fx, gu), (0, 1, gx, fu), (1, 1, fx, fu)):
-            corner(i, j, out=term, mode="clip")
+            corner(i, j, term)
             term *= wx
             term *= wu
             out += term
@@ -188,17 +194,20 @@ class World:
     pa_logit: object  # GridFunction | GlmLogitParams
     noise_sigma: float
 
-    def outcome(self, a: int, x, u) -> np.ndarray:
+    def outcome(self, a: int, x, u, out: np.ndarray | None = None) -> np.ndarray:
+        """Arm a's outcome surface at (x, u), written into ``out`` when given,
+        as GridFunction does."""
         fom = self.fom[a]
         if self.kind == "gp":
-            return fom(x, u)
-        return glm_outcome(fom, x, u)
+            return fom(x, u, out)
+        return _into(out, glm_outcome(fom, x, u))
 
-    def participation_prob(self, x, u) -> np.ndarray:
-        """P(S=1 | x, u): the median of sigmoid(L_PS), 0.1 and 0.9 for GP worlds."""
+    def participation_prob(self, x, u, out: np.ndarray | None = None) -> np.ndarray:
+        """P(S=1 | x, u): the median of sigmoid(L_PS), 0.1 and 0.9 for GP
+        worlds; written into ``out`` when given, as GridFunction does."""
         if self.kind == "gp":
-            return _clipped_expit(self.ps_logit(x, u))
-        return glm_logit_prob(self.ps_logit, x, u)
+            return _clipped_expit(self.ps_logit(x, u, out))
+        return _into(out, glm_logit_prob(self.ps_logit, x, u))
 
     def treatment_prob(self, x, u) -> np.ndarray:
         if self.kind == "gp":
@@ -206,9 +215,20 @@ class World:
         return glm_logit_prob(self.pa_logit, x, u)
 
 
+def _into(out: np.ndarray | None, values: np.ndarray) -> np.ndarray:
+    """``values``, or ``out`` holding a copy of them; ``out`` must have their
+    shape, so that it never receives a broadcast."""
+    if out is None:
+        return values
+    if out.shape != values.shape:
+        raise ValueError(f"out has shape {out.shape}, the values {values.shape}")
+    out[...] = values
+    return out
+
+
 def _clipped_expit(logit: np.ndarray) -> np.ndarray:
     """sigmoid(logit) clipped to PROB_CLIP, computed in place in ``logit``,
-    a fresh array from a GridFunction."""
+    the array a GridFunction wrote."""
     expit(logit, out=logit)
     return np.clip(logit, *PROB_CLIP, out=logit)
 

@@ -370,6 +370,14 @@ class GridResult:
         return ref - other, math.hypot(se_ref, se_other)
 
 
+def _reject_repeats(what: str, ids: list) -> None:
+    """ValueError naming the ids listed more than once: a repeated id would
+    come back as repeated table rows, each averaging all of its copies."""
+    repeated = sorted({i for i in ids if ids.count(i) > 1})
+    if repeated:
+        raise ValueError(f"{what} more than once: {repeated}")
+
+
 def run_scenario_grid(
     grid: Sequence[ScenarioSpec],
     estimators: Sequence[str] = GP_ESTIMATORS,
@@ -389,9 +397,7 @@ def run_scenario_grid(
         raise ValueError("empty grid")
     if n_scenarios < 1 or n_runs < 1:
         raise ValueError(f"n_scenarios and n_runs must be positive, got {n_scenarios} and {n_runs}")
-    ids = [combo_id(spec) for spec in grid]
-    if len(set(ids)) < len(ids):
-        raise ValueError(f"the grid lists a combo more than once: {sorted({i for i in ids if ids.count(i) > 1})}")
+    _reject_repeats("the grid lists a combo", [combo_id(spec) for spec in grid])
     estimators, degrees = check_names("estimators", estimators, ESTIMATORS), check_degrees(degrees)
     seeds = {spec.master_seed for spec in grid}
     if len(seeds) != 1:
@@ -549,10 +555,11 @@ def run_table2(
     rows: Sequence[dict] = TABLE2_ROWS,
 ) -> Table2Result:
     """The linear-model benchmark: mean MSE of ABC and OM at orders 1 and 5.
-    A non-positive ``n_ground_truths`` or ``n_runs`` raises ValueError before
-    any world is built."""
+    A non-positive ``n_ground_truths`` or ``n_runs`` and rows that repeat a
+    ``row_id`` raise ValueError before any world is built."""
     if n_ground_truths < 1 or n_runs < 1:
         raise ValueError(f"n_ground_truths and n_runs must be positive, got {n_ground_truths} and {n_runs}")
+    _reject_repeats("the rows list a row_id", [row["row_id"] for row in rows])
     tasks = [
         _Table2Task(row=row, ground_truth=g, n_runs=n_runs, master_seed=master_seed)
         for row in rows

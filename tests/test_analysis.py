@@ -78,6 +78,12 @@ def test_tilted_participation_tilts_toward_trial_count():
     assert np.all((q_even(xs) > 0) & (q_even(xs) < 1))
 
 
+def test_oracles_on_no_points_return_an_empty_array():
+    world = lattice_world(lambda x, u: u, lambda x, u: 2 * u)
+    for values in (true_outcome_function(world, 1, np.empty(0)), tilted_participation(world, 10, 30)(np.empty(0))):
+        assert values.shape == (0,) and values.dtype == np.float64
+
+
 # -- categorical MSE formula ---------------------------------------------------------
 
 

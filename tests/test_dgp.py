@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 from scipy.stats import chi2_contingency
 
@@ -28,6 +31,7 @@ from ppgen.domain import (
     ScenarioSpec,
     derive_seed,
 )
+from ppgen.grid import TABLE2_ROWS, _sample_glm_world
 
 SE_ONLY = KernelParams(0.0, 0.0, 0.5, None)
 
@@ -113,6 +117,81 @@ def test_grid_function_interpolation():
     fn = GridFunction(values)
     assert fn(g[3], g[7])[0] == pytest.approx(values[3, 7])
     assert fn(0.05, -0.13)[0] == pytest.approx(2 * 0.05 + 0.5 * -0.13)
+
+
+@pytest.mark.parametrize("with_out", [False, True], ids=["allocating", "into-out"])
+@pytest.mark.parametrize("outer", [False, True], ids=["paired", "outer-grid"])
+@pytest.mark.parametrize("bad", ["x", "u"])
+def test_grid_function_rejects_nan(bad, outer, with_out):
+    """NaN has no lattice cell, so it raises instead of reaching the index cast."""
+    x, u = np.array([0.1, 0.2, 0.3]), np.array([-0.5, 0.0, 0.5])
+    (x if bad == "x" else u)[1] = np.nan
+    if outer:
+        x, u = x[:, None], u[None, :]
+    out = np.empty(np.broadcast_shapes(x.shape, u.shape)) if with_out else None
+    with pytest.raises(ValueError, match="NaN"):
+        constant_grid(1.0)(x, u, out)
+
+
+def test_grid_function_clamps_infinite_coordinates_to_the_edge():
+    g = np.linspace(-1, 1, 21)
+    fn = GridFunction(g[:, None] * 2 + 0.5 * g[None, :])
+    inf = np.array([np.inf, -np.inf])
+    assert fn(inf, inf[::-1]).tobytes() == fn(np.array([1.0, -1.0]), np.array([-1.0, 1.0])).tobytes()
+
+
+# -- evaluation into a caller's array ----------------------------------------------
+
+
+@functools.cache
+def _out_worlds():
+    return {"gp": world_from_spec(_gp_spec(), "out-test"), "glm": _sample_glm_world(TABLE2_ROWS[1], 7, 0)}
+
+
+def _evaluations(world):
+    """Each evaluation that takes ``out``, as a function of (x, u, out)."""
+    evaluations = [world.participation_prob, functools.partial(world.outcome, 0), functools.partial(world.outcome, 1)]
+    if world.kind == "gp":
+        evaluations += [world.fom[1], world.ps_logit]
+    return evaluations
+
+
+_coords = st.floats(-1.5, 1.5, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["gp", "glm"]), st.booleans(), st.lists(_coords, min_size=1, max_size=20),
+       st.lists(_coords, min_size=1, max_size=20), st.integers(0, 3))
+def test_evaluation_into_out_returns_it_holding_the_allocating_bits(kind, outer, xs, us, spare):
+    """``out`` may be the leading rows of a larger buffer, as the oracle's
+    blocks pass it; the rows past it stay untouched."""
+    if outer:
+        x, u = np.array(xs)[:, None], np.array(us)[None, :]
+    else:
+        n = min(len(xs), len(us))
+        x, u = np.array(xs[:n]), np.array(us[:n])
+    shape = np.broadcast_shapes(x.shape, u.shape)
+    for evaluate in _evaluations(_out_worlds()[kind]):
+        want = evaluate(x, u)
+        buf = np.full((shape[0] + spare, *shape[1:]), np.nan)
+        out = buf[: shape[0]]
+        assert evaluate(x, u, out) is out
+        assert out.tobytes() == want.tobytes() and np.isnan(buf[shape[0]:]).all()
+
+
+@pytest.mark.parametrize("kind", ["gp", "glm"])
+@pytest.mark.parametrize("outer", [False, True], ids=["paired", "outer-grid"])
+def test_out_of_another_shape_raises_instead_of_broadcasting(kind, outer):
+    x, u = np.linspace(-0.9, 0.9, 3), np.linspace(-0.5, 0.5, 4)
+    if outer:
+        x, u = x[:, None], u[None, :]
+    else:
+        u = u[:3]
+    shape = np.broadcast_shapes(x.shape, u.shape)
+    for evaluate in _evaluations(_out_worlds()[kind]):
+        for wrong in ((2, *shape), (shape[0] + 1, *shape[1:]), shape[::-1] + (1,)):
+            with pytest.raises(ValueError):
+                evaluate(x, u, np.empty(wrong))
 
 
 # -- participation probability ----------------------------------------------------

@@ -291,6 +291,21 @@ def test_table2_sizes_must_be_positive(monkeypatch, sizes):
         run_table2(master_seed=5, **{"n_ground_truths": 1, "n_runs": 1, **sizes}, rows=TABLE2_ROWS[:1])
 
 
+@pytest.mark.parametrize("rows, repeated", [
+    (TABLE2_ROWS[:1] * 2, r"\[1\]"),
+    (TABLE2_ROWS[:3] + TABLE2_ROWS[2:3] + TABLE2_ROWS[:1], r"\[1, 3\]"),
+], ids=["row-twice", "two-rows-twice"])
+def test_table2_rows_that_repeat_a_row_id_rejected_before_any_world(monkeypatch, rows, repeated):
+    from ppgen import grid
+
+    def no_world(*args):
+        raise AssertionError("a world was built")
+
+    monkeypatch.setattr(grid, "_sample_glm_world", no_world)
+    with pytest.raises(ValueError, match="row_id more than once: " + repeated):
+        run_table2(master_seed=7, n_ground_truths=1, n_runs=2, rows=rows)
+
+
 def test_grid_requires_shared_master_seed():
     specs = small_grid(seed=1)[:1] + small_grid(seed=2)[:1]
     with pytest.raises(ValueError):
