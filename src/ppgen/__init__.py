@@ -12,8 +12,7 @@ from .domain import (
     TRIAL,
     CompositeSample,
     EstimateRecord,
-    GlmLogitParams,
-    GlmOutcomeParams,
+    GlmParams,
     KernelParams,
     ScenarioSpec,
     derive_seed,
@@ -38,7 +37,6 @@ from .regression import (
     legendre_eval,
     logistic_fit,
     ridge_cv,
-    ridge_fit,
 )
 from .estimators import (
     EstimatorConfig,

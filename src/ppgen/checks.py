@@ -38,6 +38,7 @@ from .estimators import (
     estimate_dr_aom,
     estimate_dr_baseline,
     estimate_om_categorical,
+    target_prediction,
     trial_fit,
 )
 from .grid import grid_kernels
@@ -173,11 +174,7 @@ def theorem_structural_check(
     pointwise_sum = np.zeros(target_x.shape[0])
     for r in range(n_refits):
         trial = draw_trial(world, _N1, seed_of("trial", r))
-        x1, y1 = trial.trial_arm_arrays(1)
-        fit = trial_fit(which, x1, y1, f, EstimatorConfig(_DEGREE, fold_seed=seed_of("folds", r)))
-        pred = target.design(which, _DEGREE) @ fit.coefficients
-        if which == "abc":
-            pred = target.f - pred
+        pred = target_prediction(which, trial, f, EstimatorConfig(_DEGREE, fold_seed=seed_of("folds", r)), target)
         m[r] = float(np.mean(pred))
         pointwise_sum += pred
 

@@ -33,8 +33,7 @@ from .domain import (
     TRIAL,
     CompositeSample,
     GenerationError,
-    GlmLogitParams,
-    GlmOutcomeParams,
+    GlmParams,
     KernelParams,
     ScenarioSpec,
     derive_seed,
@@ -164,24 +163,27 @@ def _plus_hidden(base: np.ndarray, gamma: float, x: np.ndarray, u: np.ndarray,
     return base + gamma * (_glm_poly(u, coefs_u) + _glm_poly(x * u, coefs_xu))
 
 
-def glm_outcome(params: GlmOutcomeParams, x, u) -> np.ndarray:
+def _glm_surface(params: GlmParams, x, u) -> np.ndarray:
+    """scale*(c0 + sum c_x x^j) + gamma*(u and xu terms), formed in place in
+    the x polynomial's array."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    base = _glm_poly(x, params.c_x)
+    base += params.c0
+    base *= params.scale
+    return _plus_hidden(base, params.gamma, x, u, params.c_u, params.c_xu)
+
+
+def glm_outcome(params: GlmParams, x, u) -> np.ndarray:
     """Degree-5 polynomial outcome surface with confounding multiplier gamma."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    base = params.beta0 + _glm_poly(x, params.beta_x)
-    return _plus_hidden(base, params.gamma, x, u, params.beta_u, params.beta_xu)
+    return _glm_surface(params, x, u)
 
 
-def glm_logit_prob(params: GlmLogitParams, x, u) -> np.ndarray:
-    """1 / (1 + exp(scale*(c0 + sum c_x x^j) + gamma*(u and xu terms))).
-
-    The linear predictor enters with a plus sign inside the exponential, so
-    larger values mean lower probability; no clipping is applied here.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    base = params.scale * (params.c0 + _glm_poly(x, params.c_x))
-    return expit(-_plus_hidden(base, params.gamma, x, u, params.c_u, params.c_xu))
+def glm_logit_prob(params: GlmParams, x, u) -> np.ndarray:
+    """1 / (1 + exp(surface)): the surface enters with a plus sign inside the
+    exponential, so larger values mean lower probability; no clipping is
+    applied here."""
+    return expit(-_glm_surface(params, x, u))
 
 
 @dataclass(frozen=True)
@@ -189,9 +191,9 @@ class World:
     """A fully realized data-generating process."""
 
     kind: str  # "gp" | "glm"
-    fom: tuple  # (arm 0, arm 1), each GridFunction | GlmOutcomeParams
-    ps_logit: object  # GridFunction | GlmLogitParams
-    pa_logit: object  # GridFunction | GlmLogitParams
+    fom: tuple  # (arm 0, arm 1), each GridFunction | GlmParams
+    ps_logit: object  # GridFunction | GlmParams
+    pa_logit: object  # GridFunction | GlmParams
     noise_sigma: float
 
     def outcome(self, a: int, x, u, out: np.ndarray | None = None) -> np.ndarray:

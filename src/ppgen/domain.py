@@ -66,11 +66,19 @@ def derive_seed(*parts) -> int:
 
 
 def check_names(what: str, names: Sequence[str], valid: Iterable[str]) -> tuple[str, ...]:
-    """``names`` as a tuple; ValueError listing the ``valid`` ``what`` if one is unknown."""
+    """``names`` as a tuple; ValueError if it is empty or, listing the
+    ``valid`` ``what``, if one is unknown."""
+    if not names:
+        raise ValueError(f"no {what} selected")
     unknown = [n for n in names if n not in valid]
     if unknown:
         raise ValueError(f"unknown {what} {unknown}; valid: {', '.join(valid)}")
     return tuple(names)
+
+
+def is_degree(degree) -> bool:
+    """Whether ``degree`` is a fit degree: an int, not a bool, and nonnegative."""
+    return isinstance(degree, int) and not isinstance(degree, bool) and degree >= 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,26 +227,10 @@ class KernelParams:
 
 
 @dataclass(frozen=True)
-class GlmOutcomeParams:
-    """Degree-5 polynomial outcome surface with confounding multiplier."""
-
-    beta0: float
-    beta_x: tuple[float, ...]
-    beta_u: tuple[float, ...]
-    beta_xu: tuple[float, ...]
-    gamma: float
-
-    def __post_init__(self):
-        for arr in (self.beta_x, self.beta_u, self.beta_xu):
-            if len(arr) != 5:
-                raise ValueError("coefficient arrays must have length 5")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
-
-
-@dataclass(frozen=True)
-class GlmLogitParams:
-    """Degree-5 polynomial logit for participation / treatment probabilities."""
+class GlmParams:
+    """Degree-5 polynomial surface ``scale*(c0 + sum c_x x^j) + gamma*(u and
+    xu terms)``: an outcome surface (at scale 1), or the logit of a
+    participation or treatment probability."""
 
     c0: float
     c_x: tuple[float, ...]

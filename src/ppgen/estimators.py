@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domain import TREATMENT_PROB, TRIAL, CompositeSample, EstimateRecord, PositivityError
+from .domain import TREATMENT_PROB, TRIAL, CompositeSample, EstimateRecord, PositivityError, is_degree
 from .regression import DEFAULT_PENALTY_GRID, LogisticFit, RidgeFit, _augment, _design, logistic_fit, ridge_cv
 
 
@@ -36,8 +36,8 @@ class EstimatorConfig:
     fold_seed: int = 0
 
     def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError("degree must be nonnegative")
+        if not is_degree(self.degree):
+            raise ValueError(f"degree must be a nonnegative integer, got {self.degree!r}")
 
 
 class Target:
@@ -120,14 +120,18 @@ def _sample_fit(kind: str, sample: CompositeSample, f_a, cfg: EstimatorConfig) -
     return trial_fit(kind, x, y, f_a, cfg)
 
 
-def _regression_estimate(kind: str, sample: CompositeSample, f_a, cfg: EstimatorConfig,
-                         target: Target) -> EstimateRecord:
-    """The target average of the trial fit; for ABC, of ``f`` minus the fitted bias."""
+def target_prediction(kind: str, sample: CompositeSample, f_a, cfg: EstimatorConfig,
+                      target: Target) -> np.ndarray:
+    """What OM, ABC and AOM average over the target: the trial fit of variant
+    ``kind`` on each target record; for ABC, ``f`` minus the fitted bias."""
     fit = _sample_fit(kind, sample, f_a, cfg)
     pred = target.design(kind, fit.degree) @ fit.coefficients
-    if kind == "abc":
-        pred = target.f - pred
-    return EstimateRecord(float(np.mean(pred)))
+    return target.f - pred if kind == "abc" else pred
+
+
+def _regression_estimate(kind: str, sample: CompositeSample, f_a, cfg: EstimatorConfig,
+                         target: Target) -> EstimateRecord:
+    return EstimateRecord(float(np.mean(target_prediction(kind, sample, f_a, cfg, target))))
 
 
 def estimate_om(sample: CompositeSample, cfg: EstimatorConfig, *, target: Target) -> EstimateRecord:

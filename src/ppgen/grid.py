@@ -33,8 +33,8 @@ import numpy as np
 
 from .analysis import os_predictor, true_mu
 from .dgp import World, draw_target, draw_trial, gp_world
-from .domain import GenerationError, GlmLogitParams, GlmOutcomeParams, KernelParams, ScenarioSpec
-from .domain import check_names, csv_text, derive_seed
+from .domain import GenerationError, GlmParams, KernelParams, ScenarioSpec
+from .domain import check_names, csv_text, derive_seed, is_degree
 from .estimators import (
     EstimatorConfig,
     Target,
@@ -83,8 +83,7 @@ def check_degrees(degrees: Sequence[int]) -> tuple[int, ...]:
     """``degrees`` as a tuple; ValueError unless they are distinct nonnegative
     integers, not bools (-1 labels the estimators that are not fitted per degree)."""
     degrees = tuple(degrees)
-    if (not degrees or len(set(degrees)) < len(degrees)
-            or any(not isinstance(d, int) or isinstance(d, bool) or d < 0 for d in degrees)):
+    if not degrees or len(set(degrees)) < len(degrees) or not all(map(is_degree, degrees)):
         raise ValueError(f"degrees must be distinct nonnegative integers, got {degrees}")
     return degrees
 
@@ -335,12 +334,17 @@ class GridResult:
         """
         if np.isscalar(degrees):
             degrees = (degrees,)
+        if not len(degrees):
+            raise ValueError(f"no degrees given for {combo}, {estimator}")
         per_degree = [
             (self.scenario_values(combo, estimator, d, "estimates"), self.scenario_values(combo, estimator, d, "mu"))
             for d in degrees
         ]
+        missing = [(combo, estimator, d) for d, (_, mu) in zip(degrees, per_degree) if not len(mu)]
+        if missing:
+            raise ValueError(f"no scenario rows for (combo, estimator, degree) {missing[0]}")
         n_scen = len(per_degree[0][1])
-        if n_scen == 0 or any(len(mu) != n_scen for _, mu in per_degree):
+        if any(len(mu) != n_scen for _, mu in per_degree):
             raise ValueError("mismatched scenario rows")
         means, var_terms = [], []
         for s in range(n_scen):
@@ -389,9 +393,9 @@ def run_scenario_grid(
     """Run every combo of the grid and aggregate RMSE / bias^2 / variance.
 
     All templates must share a master seed.  Deterministic for a fixed seed
-    regardless of ``workers``.  Unknown estimator names, invalid degrees, a
-    combo listed twice and a non-positive ``n_scenarios`` or ``n_runs`` raise
-    ValueError before any world is built.
+    regardless of ``workers``.  No or unknown estimator names, invalid
+    degrees, a combo listed twice and a non-positive ``n_scenarios`` or
+    ``n_runs`` raise ValueError before any world is built.
     """
     if not grid:
         raise ValueError("empty grid")
@@ -477,38 +481,20 @@ TABLE2_PENALTY = 1e-6
 
 def _sample_glm_world(row: dict, master_seed: int, ground_truth: int) -> World:
     rng = np.random.default_rng(derive_seed(master_seed, "table2-params", row["row_id"], ground_truth))
-    b = row["beta_scale"]
 
-    def outcome_params():
-        return GlmOutcomeParams(
-            beta0=float(rng.normal(0, b)),
-            beta_x=tuple(rng.normal(0, b, 5)),
-            beta_u=tuple(rng.normal(0, b, 5)),
-            beta_xu=tuple(rng.normal(0, b, 5)),
-            gamma=row["gamma"],
-        )
+    def glm_params(sd: float, gamma: float, scale: float = 1.0, hidden: bool = True) -> GlmParams:
+        c0, c_x = float(rng.normal(0, sd)), tuple(rng.normal(0, sd, 5))
+        c_u, c_xu = (tuple(rng.normal(0, sd, 5)), tuple(rng.normal(0, sd, 5))) if hidden else ((0.0,) * 5,) * 2
+        return GlmParams(c0, c_x, c_u, c_xu, gamma, scale)
 
-    fom1 = outcome_params()
-    fom0 = outcome_params()
+    fom1 = glm_params(row["beta_scale"], row["gamma"])
+    fom0 = glm_params(row["beta_scale"], row["gamma"])
     # Participation coefficients are drawn at sd 0.5 before the lambda
     # multiplier; unit-sd draws make the trial/target shift so strong that
     # the plain outcome model's error leaves the benchmark's reported range.
-    ps = GlmLogitParams(
-        c0=float(rng.normal(0, 0.5)),
-        c_x=tuple(rng.normal(0, 0.5, 5)),
-        c_u=(0.0,) * 5,
-        c_xu=(0.0,) * 5,
-        gamma=0.0,
-        scale=row["lambda_scale"],
-    )
-    pa = GlmLogitParams(
-        c0=float(rng.standard_normal()),
-        c_x=tuple(rng.standard_normal(5)),
-        c_u=tuple(rng.standard_normal(5)),
-        c_xu=tuple(rng.standard_normal(5)),
-        gamma=row["gamma"],
-        scale=1.0,
-    )
+    # Participation depends on x alone.
+    ps = glm_params(0.5, 0.0, row["lambda_scale"], hidden=False)
+    pa = glm_params(1.0, row["gamma"])
     return World("glm", (fom0, fom1), ps, pa, row["sigma"])
 
 
@@ -555,10 +541,12 @@ def run_table2(
     rows: Sequence[dict] = TABLE2_ROWS,
 ) -> Table2Result:
     """The linear-model benchmark: mean MSE of ABC and OM at orders 1 and 5.
-    A non-positive ``n_ground_truths`` or ``n_runs`` and rows that repeat a
-    ``row_id`` raise ValueError before any world is built."""
+    A non-positive ``n_ground_truths`` or ``n_runs``, no rows and rows that
+    repeat a ``row_id`` raise ValueError before any world is built."""
     if n_ground_truths < 1 or n_runs < 1:
         raise ValueError(f"n_ground_truths and n_runs must be positive, got {n_ground_truths} and {n_runs}")
+    if not rows:
+        raise ValueError("no table2 rows selected")
     _reject_repeats("the rows list a row_id", [row["row_id"] for row in rows])
     tasks = [
         _Table2Task(row=row, ground_truth=g, n_runs=n_runs, master_seed=master_seed)

@@ -127,17 +127,6 @@ def _augment(feats: np.ndarray, column: np.ndarray) -> np.ndarray:
     return np.column_stack([feats, column])
 
 
-def ridge_fit(inputs, targets, degree: int, penalty: float) -> RidgeFit:
-    """Penalized least squares of ``targets`` on Legendre features F of ``inputs``:
-    (F'F + penalty I) c = F'y, which raises if penalty=0 and F'F is singular."""
-    x = np.asarray(inputs, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    if x.shape[0] != y.shape[0] or x.shape[0] == 0:
-        raise ValueError("inputs and targets must have the same nonzero length")
-    feats = legendre_eval(x, degree)
-    return RidgeFit(degree, _solve_gram(feats.T @ feats, feats.T @ y, _penalties([penalty])[0]), penalty)
-
-
 def cv_fold_indices(n: int, n_folds: int, fold_seed: int) -> list[np.ndarray]:
     """Contiguous folds of a seeded permutation of range(n), read-only."""
     return list(_fold_split(n, n_folds, fold_seed))
@@ -162,15 +151,21 @@ def ridge_cv(
 ) -> RidgeFit:
     """Ridge fit with the penalty chosen by ``N_FOLDS``-fold cross-validation.
 
+    Penalized least squares of ``targets`` on the design F of ``inputs``:
+    (F'F + penalty I) c = F'y, which raises if penalty=0 and F'F is singular.
     Held-out squared error is pooled over all points (each is held out
     exactly once); exact ties go to the larger penalty.  The winner is
-    refit on all the data, so a one-element grid reproduces ridge_fit.
-    An empty grid or a negative penalty raises ValueError.
+    refit on all the data; a one-element grid makes no folds and is that
+    one solve.  Inputs and targets of different or zero length, too few
+    samples for the folds, an empty grid or a negative penalty raise
+    ValueError.
     """
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)
+    if x.shape[0] != y.shape[0] or x.shape[0] == 0:
+        raise ValueError("inputs and targets must have the same nonzero length")
     penalties = _penalties(penalty_grid)
-    if x.shape[0] < N_FOLDS:
+    if len(penalties) > 1 and x.shape[0] < N_FOLDS:
         raise ValueError(f"need at least {N_FOLDS} samples, one per fold")
     coefs, penalty = _cv_ridge(_design(x, degree, extra_column), y, penalties, N_FOLDS, fold_seed)
     return RidgeFit(degree, coefs, penalty, extra_column)

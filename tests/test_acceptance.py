@@ -31,7 +31,7 @@ from ppgen.estimators import (
     estimate_om,
 )
 from ppgen.grid import combo_id, benchmark_grid, run_scenario_grid, run_table2
-from ppgen.regression import ConstantPredictor, legendre_eval, ridge_fit
+from ppgen.regression import ConstantPredictor, legendre_eval, ridge_cv
 
 MASTER_SEED = 7
 CHECK_SEED = 3
@@ -184,7 +184,7 @@ def test_criterion_7_numerical_invariants(workers):
     rng = np.random.default_rng(0)
     x = rng.uniform(-1, 1, 50)
     y = rng.normal(0, 1, 50)
-    fit = ridge_fit(x, y, degree=3, penalty=0.3)
+    fit = ridge_cv(x, y, degree=3, penalty_grid=(0.3,))
     feats = legendre_eval(x, 3)
 
     def objective(c):
@@ -221,7 +221,7 @@ def test_criterion_7_numerical_invariants(workers):
     ]:
         if abs(value - ipw) > 1e-10 * max(1.0, abs(ipw)):
             problems.append(f"{name} with zero regression != IPW")
-    g_fit = ridge_fit(x1, y1, degree=3, penalty=1e-6)
+    g_fit = ridge_cv(x1, y1, degree=3, penalty_grid=(1e-6,))
     om_same_fit = float(np.mean(g_fit.predict(x0)))
     dr_no_weights = estimate_dr_baseline(
         sample,

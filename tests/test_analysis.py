@@ -12,7 +12,7 @@ from ppgen.analysis import (
     true_outcome_function,
 )
 from ppgen.dgp import GridFunction, World
-from ppgen.regression import CallablePredictor, legendre_eval, ridge_fit
+from ppgen.regression import CallablePredictor, legendre_eval, ridge_cv
 
 
 def lattice_world(fom1_fn, ps_logit_fn, grid_size=201):
@@ -165,6 +165,6 @@ def test_excess_risk_decreases_with_sample_size():
         for rep in range(50):
             x = rng.uniform(-1, 1, n)
             y = truth(x) + rng.normal(0, 0.5, n)
-            fit = ridge_fit(x, y, degree=1, penalty=1e-8)
+            fit = ridge_cv(x, y, degree=1, penalty_grid=(1e-8,))
             risks[n].append(empirical_excess_risk(fit, truth, x))
     assert np.mean(risks[2_000]) < np.mean(risks[200])

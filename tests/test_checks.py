@@ -33,6 +33,33 @@ def test_theorem_check_reduced_scale():
     assert res.passed, res.detail
 
 
+# the detail strings of theorem_structural_check(which, seed=9, n_refits=12,
+# n0=2_000, n_os=1_000) when the check formed its own target prediction
+_THEOREM_DETAILS = {
+    "om": "|mse - bias^2 - var| = 9.904e-04 vs 4*SE = 2.175e-02 (mse 9.6646e-03, bias^2 2.6131e-04, var 8.4129e-03)",
+    "abc": "|mse - bias^2 - var| = 2.878e-03 vs 4*SE = 1.222e-02 (mse 8.2160e-03, bias^2 1.9371e-03, var 3.4012e-03)",
+    "aom": "|mse - bias^2 - var| = 4.080e-03 vs 4*SE = 2.386e-01 (mse 1.0003e-01, bias^2 1.3646e-02, var 9.0467e-02)",
+}
+
+
+@pytest.mark.parametrize("which", sorted(_THEOREM_DETAILS))
+def test_theorem_check_reads_the_estimators_target_prediction(monkeypatch, which):
+    """The check averages what the estimator averages: one target_prediction per refit."""
+    from ppgen import checks
+
+    calls = []
+    prediction = checks.target_prediction
+
+    def counted(kind, *args):
+        calls.append(kind)
+        return prediction(kind, *args)
+
+    monkeypatch.setattr(checks, "target_prediction", counted)
+    res = theorem_structural_check(which, seed=9, n_refits=12, n0=2_000, n_os=1_000)
+    assert calls == [which] * 12
+    assert res.detail == _THEOREM_DETAILS[which]
+
+
 def test_theorem_check_rejects_unknown_estimator():
     with pytest.raises(ValueError):
         theorem_structural_check("ipw")

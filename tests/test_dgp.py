@@ -25,8 +25,7 @@ from ppgen.domain import (
     OS,
     TREATMENT_PROB,
     CompositeSample,
-    GlmLogitParams,
-    GlmOutcomeParams,
+    GlmParams,
     KernelParams,
     ScenarioSpec,
     derive_seed,
@@ -317,17 +316,17 @@ def test_target_records_carry_no_outcome():
 
 
 def test_glm_outcome_gamma_zero_ignores_u():
-    params = GlmOutcomeParams(0.3, (1, 0, 2, 0, 0), (5, 5, 5, 5, 5), (1, 1, 1, 1, 1), gamma=0.0)
+    params = GlmParams(0.3, (1, 0, 2, 0, 0), (5, 5, 5, 5, 5), (1, 1, 1, 1, 1), gamma=0.0)
     x = np.linspace(-1, 1, 11)
     for u in (-1.0, 0.0, 0.7):
         assert np.allclose(glm_outcome(params, x, np.full(11, u)), glm_outcome(params, x, np.zeros(11)))
 
 
 def _glm_outcome_full(params, x, u):
-    """The outcome surface with the hidden terms always evaluated, times gamma."""
+    """The surface with the hidden terms always evaluated, times gamma."""
     x, u = np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(u, dtype=float))
-    return (params.beta0 + _glm_poly(x, params.beta_x)
-            + params.gamma * (_glm_poly(u, params.beta_u) + _glm_poly(x * u, params.beta_xu)))
+    return (params.scale * (params.c0 + _glm_poly(x, params.c_x))
+            + params.gamma * (_glm_poly(u, params.c_u) + _glm_poly(x * u, params.c_xu)))
 
 
 def _glm_logit_prob_full(params, x, u):
@@ -341,42 +340,61 @@ def _glm_logit_prob_full(params, x, u):
 @pytest.mark.parametrize("seed", range(3))
 def test_glm_surfaces_equal_the_full_formula_bitwise(gamma, seed):
     """Skipping the hidden terms at gamma 0 changes no bit, and keeps the
-    broadcast shape of x and u."""
+    broadcast shape of x and u; an outcome is at scale 1, and the logit's
+    probability is expit of minus the outcome surface of the same parameters."""
     rng = np.random.default_rng(seed)
-    out = GlmOutcomeParams(float(rng.normal()), *(tuple(rng.normal(size=5)) for _ in range(3)), gamma=gamma)
-    logit = GlmLogitParams(float(rng.normal()), *(tuple(rng.normal(size=5)) for _ in range(3)), gamma=gamma,
-                           scale=float(rng.uniform(0.5, 2.0)))
+    coefs = (float(rng.normal()), *(tuple(rng.normal(size=5)) for _ in range(3)))
+    out = GlmParams(*coefs, gamma=gamma)
+    logit = GlmParams(*coefs, gamma=gamma, scale=float(rng.uniform(0.5, 2.0)))
     x, u = rng.uniform(-1.2, 1.2, 500), rng.uniform(-1.2, 1.2, 500)
     for xs, us in ((x, u), (x[:40, None], u[None, :30]), (x[None, :30], u[:40, None]), (x[0], u[0])):
         for fn, full, params in ((glm_outcome, _glm_outcome_full, out),
+                                 (glm_outcome, _glm_outcome_full, logit),
                                  (glm_logit_prob, _glm_logit_prob_full, logit)):
             got, want = fn(params, xs, us), full(params, xs, us)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for params in (out, logit):
+            assert glm_logit_prob(params, xs, us).tobytes() == expit(-glm_outcome(params, xs, us)).tobytes()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"c_x": (1.0,) * 4}, "length 5"),
+    ({"c_u": (1.0,) * 6}, "length 5"),
+    ({"c_xu": ()}, "length 5"),
+    ({"gamma": -0.1}, "gamma must be nonnegative"),
+    ({"scale": 0.0}, "scale must be positive"),
+    ({"scale": -1.0}, "scale must be positive"),
+    ({"scale": math.nan}, "scale must be positive"),
+])
+def test_glm_params_rejects_bad_coefficients_gamma_and_scale(change, message):
+    fields = {"c0": 0.1, "c_x": (0.0,) * 5, "c_u": (0.0,) * 5, "c_xu": (0.0,) * 5, "gamma": 0.5, **change}
+    with pytest.raises(ValueError, match=message):
+        GlmParams(**fields)
 
 
 def test_glm_outcome_zero_params():
-    params = GlmOutcomeParams(0.0, (0,) * 5, (0,) * 5, (0,) * 5, gamma=1.0)
+    params = GlmParams(0.0, (0,) * 5, (0,) * 5, (0,) * 5, gamma=1.0)
     assert glm_outcome(params, 0.3, -0.7)[0] == 0.0
 
 
 def test_glm_outcome_hand_value():
-    params = GlmOutcomeParams(1.0, (2, 0, 0, 0, 0), (0,) * 5, (0,) * 5, gamma=0.0)
+    params = GlmParams(1.0, (2, 0, 0, 0, 0), (0,) * 5, (0,) * 5, gamma=0.0)
     assert glm_outcome(params, 0.5, 0.0)[0] == pytest.approx(2.0)
 
 
 def test_glm_logit_prob_zero_coefficients():
-    params = GlmLogitParams(0.0, (0,) * 5, (0,) * 5, (0,) * 5, gamma=0.0, scale=1.0)
+    params = GlmParams(0.0, (0,) * 5, (0,) * 5, (0,) * 5, gamma=0.0, scale=1.0)
     assert glm_logit_prob(params, 0.3, 0.3)[0] == pytest.approx(0.5)
 
 
 def test_glm_logit_prob_plus_sign_convention():
-    params = GlmLogitParams(1.0, (0,) * 5, (0,) * 5, (0,) * 5, gamma=0.0, scale=1.0)
+    params = GlmParams(1.0, (0,) * 5, (0,) * 5, (0,) * 5, gamma=0.0, scale=1.0)
     assert glm_logit_prob(params, 0.0, 0.0)[0] == pytest.approx(1 / (1 + np.e))
 
 
 def test_glm_logit_prob_scale_sharpens():
-    params1 = GlmLogitParams(0.4, (0.5, -0.2, 0.1, 0.0, 0.3), (0,) * 5, (0,) * 5, 0.0, scale=1.0)
-    params2 = GlmLogitParams(0.4, (0.5, -0.2, 0.1, 0.0, 0.3), (0,) * 5, (0,) * 5, 0.0, scale=2.0)
+    params1 = GlmParams(0.4, (0.5, -0.2, 0.1, 0.0, 0.3), (0,) * 5, (0,) * 5, 0.0, scale=1.0)
+    params2 = GlmParams(0.4, (0.5, -0.2, 0.1, 0.0, 0.3), (0,) * 5, (0,) * 5, 0.0, scale=2.0)
     x = np.linspace(-1, 1, 41)
     p1 = glm_logit_prob(params1, x, np.zeros(41))
     p2 = glm_logit_prob(params2, x, np.zeros(41))

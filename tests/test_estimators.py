@@ -490,3 +490,13 @@ def test_estimates_ignore_the_samples_own_target_rows():
     composite = CompositeSample.concat(trial, CompositeSample.cohort(TARGET, [1.0] * 5, np.zeros(5)))
     assert (estimate_om_categorical(trial, 1, target=target).point_estimate
             == estimate_om_categorical(composite, 1, target=target).point_estimate == 0.25 + 0.75 * 4.0)
+
+
+@pytest.mark.parametrize("degree", [-1, True, False, 2.5, 3.0, "3", None])
+def test_estimator_config_degree_is_a_nonnegative_int(degree):
+    """The one degree rule that grid.check_degrees applies to each degree."""
+    with pytest.raises(ValueError, match="degree must be a nonnegative integer"):
+        EstimatorConfig(degree=degree)
+    with pytest.raises(ValueError, match="degrees must be distinct nonnegative integers"):
+        grid.check_degrees((1, degree))
+    assert EstimatorConfig(degree=0).degree == 0 and grid.check_degrees((0, 2)) == (0, 2)

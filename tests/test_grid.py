@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -242,6 +243,18 @@ def test_mean_rmse_and_gap():
     assert np.isfinite(value) and se > 0
     gap, gap_se = result.rmse_gap(cid, "om", "abc", (1, 3))
     assert np.isfinite(gap) and gap_se > 0
+    with pytest.raises(ValueError, match="no degrees"):
+        result.mean_rmse(cid, "om", ())
+    for combo, estimator, degrees, missing in [
+        ("no-such-combo", "om", (1,), ("no-such-combo", "om", 1)),
+        (cid, "ipw", (1, 3), (cid, "ipw", 1)),  # ipw was not run
+        (cid, "om", (1, 5), (cid, "om", 5)),
+    ]:
+        no_rows = re.escape(f"no scenario rows for (combo, estimator, degree) {missing}")
+        with pytest.raises(ValueError, match=no_rows):
+            result.mean_rmse(combo, estimator, degrees)
+        with pytest.raises(ValueError, match=no_rows):
+            result.rmse_gap(combo, estimator, "om", degrees)
 
 
 def test_unknown_estimator_rejected_before_any_world(monkeypatch):
@@ -253,7 +266,7 @@ def test_unknown_estimator_rejected_before_any_world(monkeypatch):
     monkeypatch.setattr(grid, "gp_world", no_world)
     with pytest.raises(ValueError, match="omm.*valid: om, os-om"):
         run_scenario_grid(small_grid()[:1], estimators=("om", "omm"), n_scenarios=1, n_runs=1)
-    for degrees in ((-1,), (True,), (1, False)):  # a bool is an int, but no degree
+    for degrees in ((-1,), (True,), (1, False), (2.5,)):  # a bool is an int, but no degree
         with pytest.raises(ValueError, match="degrees"):
             run_scenario_grid(small_grid()[:1], degrees=degrees, n_scenarios=1, n_runs=1)
     with pytest.raises(ValueError, match="degrees"):
@@ -276,6 +289,26 @@ def test_grids_that_would_corrupt_the_tables_rejected_before_any_world(monkeypat
     monkeypatch.setattr(grid, "gp_world", no_world)
     with pytest.raises(ValueError, match=message):
         run_scenario_grid(specs, **{"n_scenarios": 1, "n_runs": 1, **sizes})
+
+
+def _no_world(*args):
+    raise AssertionError("a world was built")
+
+
+def test_grid_without_estimators_rejected_before_any_world(monkeypatch):
+    from ppgen import grid
+
+    monkeypatch.setattr(grid, "gp_world", _no_world)
+    with pytest.raises(ValueError, match="no estimators selected"):
+        run_scenario_grid(small_grid()[:1], estimators=(), n_scenarios=1, n_runs=1)
+
+
+def test_table2_without_rows_rejected_before_any_world(monkeypatch):
+    from ppgen import grid
+
+    monkeypatch.setattr(grid, "_sample_glm_world", _no_world)
+    with pytest.raises(ValueError, match="no table2 rows selected"):
+        run_table2(master_seed=7, n_ground_truths=1, n_runs=2, rows=())
 
 
 @pytest.mark.parametrize("sizes", [{"n_ground_truths": 0}, {"n_runs": 0}, {"n_ground_truths": -1}],

@@ -9,7 +9,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def test_namespace_exports_exactly_these_names():
     assert sorted(ppgen.__all__) == [
-        "CompositeSample", "EstimateRecord", "EstimatorConfig", "GlmLogitParams", "GlmOutcomeParams",
+        "CompositeSample", "EstimateRecord", "EstimatorConfig", "GlmParams",
         "GridFunction", "KernelParams", "LogisticFit", "NoisePredictor", "OS", "OracleResult",
         "RandomFeatureFit", "RidgeFit", "ScenarioSpec", "Spectrum", "TARGET", "TRIAL", "Target", "World",
         "analysis", "benchmark_grid", "derive_seed", "dgp", "domain", "draw_target", "draw_trial",
@@ -17,7 +17,7 @@ def test_namespace_exports_exactly_these_names():
         "estimate_dr_baseline", "estimate_ipw", "estimate_om", "estimate_om_categorical", "estimate_os_om",
         "estimators", "fit_nuisances", "flexible_fit", "generate_os", "glm_logit_prob", "glm_outcome", "grid",
         "legendre_eval", "logistic_fit", "prop1_formula", "regression", "ridge_cv",
-        "ridge_fit", "run_scenario_grid", "run_table2", "sample_gp", "spectrum", "true_mu",
+        "run_scenario_grid", "run_table2", "sample_gp", "spectrum", "true_mu",
         "true_mu_monte_carlo", "true_outcome_function", "world_from_spec",
     ]
 

@@ -16,7 +16,6 @@ from ppgen.regression import (
     legendre_eval,
     logistic_fit,
     ridge_cv,
-    ridge_fit,
 )
 
 
@@ -112,20 +111,20 @@ def test_legendre_eval_leading_columns_are_the_lower_degrees(degree, n, seed):
 
 
 def test_ridge_exact_interpolation():
-    fit = ridge_fit([-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], degree=1, penalty=0.0)
+    fit = ridge_cv([-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], degree=1, penalty_grid=(0.0,))
     assert fit.predict(np.array([0.5]))[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_ridge_single_feature_closed_form():
     # degree 0: one feature phi_0 = sqrt(1/2), so c = phi_0 * sum(y) / (n * phi_0^2 + penalty)
-    coefs = ridge_fit([0.1, 0.2], [1.0, 2.0], degree=0, penalty=1.0).coefficients
+    coefs = ridge_cv([0.1, 0.2], [1.0, 2.0], degree=0, penalty_grid=(1.0,)).coefficients
     assert coefs[0] == pytest.approx(np.sqrt(0.5) * 3.0 / 2.0, abs=1e-12)
 
 
 def test_ridge_infinite_shrinkage():
     rng = np.random.default_rng(0)
     x = rng.uniform(-1, 1, 50)
-    fit = ridge_fit(x, rng.normal(0, 1, 50), degree=3, penalty=1e12)
+    fit = ridge_cv(x, rng.normal(0, 1, 50), degree=3, penalty_grid=(1e12,))
     assert np.max(np.abs(fit.coefficients)) < 1e-6
 
 
@@ -170,7 +169,7 @@ def test_direct_solve_rejects_a_matrix_that_is_not_positive_definite():
 def test_ridge_zero_penalty_singular_raises():
     x = np.zeros(10)  # constant inputs make higher columns collinear
     with pytest.raises(IllConditionedError):
-        ridge_fit(x, np.ones(10), degree=2, penalty=0.0)
+        ridge_cv(x, np.ones(10), degree=2, penalty_grid=(0.0,))
 
 
 def test_ridge_optimality_perturbation():
@@ -178,7 +177,7 @@ def test_ridge_optimality_perturbation():
     x = rng.uniform(-1, 1, 40)
     y = rng.normal(0, 1, 40)
     penalty = 0.7
-    fit = ridge_fit(x, y, degree=3, penalty=penalty)
+    fit = ridge_cv(x, y, degree=3, penalty_grid=(penalty,))
     feats = legendre_eval(x, 3)
 
     def objective(c):
@@ -333,18 +332,19 @@ def test_ridge_cv_singular_at_penalty_zero_raises():
     assert ridge_cv(x, np.ones(40), degree=2, penalty_grid=(1e-3, 1.0)).penalty in (1e-3, 1.0)
 
 
-def test_ridge_cv_singleton_grid_equals_ridge_fit():
-    rng = np.random.default_rng(3)
-    x = rng.uniform(-1, 1, 25)
-    y = rng.normal(0, 1, 25)
-    a = ridge_cv(x, y, degree=2, penalty_grid=(0.37,), fold_seed=1)
-    b = ridge_fit(x, y, degree=2, penalty=0.37)
-    assert np.array_equal(a.coefficients, b.coefficients)
-
-
 def test_ridge_cv_too_few_samples():
-    with pytest.raises(ValueError):
-        ridge_cv([0.1, 0.2, 0.3], [1, 2, 3], degree=1, penalty_grid=(1.0,))
+    """A grid of several penalties needs a sample per fold; one penalty makes no folds."""
+    with pytest.raises(ValueError, match="one per fold"):
+        ridge_cv([0.1, 0.2, 0.3], [1, 2, 3], degree=1, penalty_grid=(1.0, 2.0))
+    assert ridge_cv([0.1, 0.2, 0.3], [1, 2, 3], degree=1, penalty_grid=(1.0,)).penalty == 1.0
+
+
+@pytest.mark.parametrize("x, y", [([0.1, 0.2, 0.3], [1.0, 2.0]), ([0.1], [1.0, 2.0]), ([], [])],
+                         ids=["longer-inputs", "longer-targets", "empty"])
+@pytest.mark.parametrize("grid", [(1.0,), (1.0, 2.0)], ids=["one-penalty", "two-penalties"])
+def test_ridge_cv_rejects_mismatched_or_empty_inputs(x, y, grid):
+    with pytest.raises(ValueError, match="same nonzero length"):
+        ridge_cv(x, y, degree=1, penalty_grid=grid)
 
 
 def _no_sweep(*args):
@@ -361,7 +361,7 @@ def test_ridge_cv_rejects_bad_grid_up_front(monkeypatch, grid, message):
 
 def test_ridge_prediction_is_pure():
     rng = np.random.default_rng(4)
-    fit = ridge_fit(rng.uniform(-1, 1, 20), rng.normal(0, 1, 20), degree=2, penalty=0.1)
+    fit = ridge_cv(rng.uniform(-1, 1, 20), rng.normal(0, 1, 20), degree=2, penalty_grid=(0.1,))
     x = np.array([0.25, -0.75])
     assert np.array_equal(fit.predict(x), fit.predict(x))
 
