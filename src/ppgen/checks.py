@@ -42,7 +42,7 @@ from .estimators import (
     trial_fit,
 )
 from .grid import grid_kernels
-from .regression import CallablePredictor, ConstantPredictor, legendre_eval
+from .regression import legendre_eval
 
 
 @dataclass(frozen=True)
@@ -168,13 +168,15 @@ def theorem_structural_check(
     mu = true_mu(world, a=1).mu_a
     g_true = true_outcome_function(world, 1, target_x)
     f = os_predictor(world, n_os, seed_of) if which in ("abc", "aom") else None
-    target = Target(target_x, f)  # the fit's design on the target, built once rather than per refit
+    # the fit's design on the target, built once rather than per refit
+    target = Target(target_x, None if f is None else f.predict(target_x))
 
     m = np.empty(n_refits)
     pointwise_sum = np.zeros(target_x.shape[0])
     for r in range(n_refits):
         trial = draw_trial(world, _N1, seed_of("trial", r))
-        pred = target_prediction(which, trial, f, EstimatorConfig(_DEGREE, fold_seed=seed_of("folds", r)), target)
+        f1 = None if f is None else f.predict(trial.trial_arm_arrays(1)[0])
+        pred = target_prediction(which, trial, f1, EstimatorConfig(_DEGREE, fold_seed=seed_of("folds", r)), target)
         m[r] = float(np.mean(pred))
         pointwise_sum += pred
 
@@ -232,7 +234,7 @@ def lemma2_check(seed: int = 0, n_worlds: int = 100, n_os: int = 20_000, n_featu
         trial = draw_trial(world, _N1, derive_seed(world_seed, "trial"))
         x1, y1 = trial.trial_arm_arrays(1)
         cfg = EstimatorConfig(_DEGREE, fold_seed=derive_seed(world_seed, "folds"))
-        g_fit, b_fit = (trial_fit(kind, x1, y1, f, cfg) for kind in ("om", "abc"))
+        g_fit, b_fit = trial_fit("om", x1, y1, None, cfg), trial_fit("abc", x1, y1, f.predict(x1), cfg)
         risks_g.append(empirical_excess_risk(g_fit, g_fn, x1))
         risks_b.append(empirical_excess_risk(b_fit, b_fn, x1))
     if len(risks_g) < max(3, n_worlds // 10):
@@ -283,33 +285,36 @@ def dr_robustness_check(
         raise ValueError("need at least 2 replications for a standard error")
     world = _check_world(derive_seed(seed, "dr"), lx=0.5, conf="none")
     mu = true_mu(world, a=1).mu_a
-    b_fn = CallablePredictor(lambda x: 0.3 + 0.5 * x)  # the exact bias of f below
     q = tilted_participation(world, n1, n0)
-    p_bad = ConstantPredictor(0.5)
-    plus_one = lambda fn: CallablePredictor(lambda x: fn.predict(x) + 1.0)
     cfg = EstimatorConfig(degree=3, a=1)
     estimates = defaultdict(list)
     for rep in range(n_replications):
         trial = draw_trial(world, n1, derive_seed(seed, "dr", "trial", rep))
         x0 = draw_target(world, n0, derive_seed(seed, "dr", "target", rep)).x
-        # the estimators evaluate their fits only on the target and on the trial
-        # arm, and the weights the participation only on the trial arm: each is
-        # computed once and served to all six cases by array identity
         x1, _ = trial.trial_arm_arrays(cfg.a)
-        truth_on = {id(x): true_outcome_function(world, 1, x) for x in (x0, x1)}
-        g_hat = CallablePredictor(lambda x: truth_on[id(x)])
-        q_on = {id(x1): q(x1)}
-        p_good = CallablePredictor(lambda x: q_on[id(x)])
-        f = CallablePredictor(lambda x: g_hat.predict(x) + 0.3 + 0.5 * x)  # distorted but fixed
-        target = Target(x0, f)  # the target and f on it, shared by all six cases
-        # each DR estimator with its exact regression component, corrupted or kept
+        # the estimators read each function only on the trial arm and on the
+        # target, so each is evaluated there once and shared by the cases that
+        # read it: the truth g (on the target first: the check's page faults
+        # follow the order of its allocations), the distorted but fixed
+        # predictor f = g + b with bias b = 0.3 + 0.5 x, and the participation
+        g0 = true_outcome_function(world, 1, x0)
+        g1 = true_outcome_function(world, 1, x1)
+        f1, f0 = g1 + 0.3 + 0.5 * x1, g0 + 0.3 + 0.5 * x0
+        p_good, p_bad = q(x1), np.full(x1.shape[0], 0.5)
+        target = Target(x0, f0)
+        # each DR estimator with its exact regression component (on the arm, on
+        # the target), corrupted or kept; b is built only while its cases run
         trio = (
-            ("dr", lambda p, fit: estimate_dr_baseline(trial, p, cfg, outcome_fit=fit, target=target), g_hat),
-            ("dr-abc", lambda p, fit: estimate_dr_abc(trial, f, p, cfg, bias_fit=fit, target=target), b_fn),
-            ("dr-pa", lambda p, fit: estimate_dr_aom(trial, f, p, cfg, augmented_fit=fit, target=target), g_hat),
+            ("dr", lambda p, fit: estimate_dr_baseline(trial, p, cfg, outcome_fit=fit, target=target),
+             lambda: (g1, g0)),
+            ("dr-abc", lambda p, fit: estimate_dr_abc(trial, f1, p, cfg, bias_fit=fit, target=target),
+             lambda: (0.3 + 0.5 * x1, 0.3 + 0.5 * x0)),
+            ("dr-pa", lambda p, fit: estimate_dr_aom(trial, f1, p, cfg, augmented_fit=fit, target=target),
+             lambda: (g1, g0)),
         )
-        for name, estimate, exact in trio:
-            estimates[name, "bad-outcome"].append(estimate(p_good, plus_one(exact)).point_estimate)
+        for name, estimate, exact_values in trio:
+            exact = exact_values()
+            estimates[name, "bad-outcome"].append(estimate(p_good, tuple(v + 1.0 for v in exact)).point_estimate)
             estimates[name, "bad-weights"].append(estimate(p_bad, exact).point_estimate)
     details = []
     passed = True

@@ -347,7 +347,7 @@ def cmd_export_world(cfg: RunConfig) -> Outputs:
     x1, y1 = trial.trial_arm_arrays(1)
     degree = cfg.degrees[0]
     fit_cfg = EstimatorConfig(degree, fold_seed=seed_of("folds"))
-    g_fit, b_fit = (trial_fit(kind, x1, y1, f, fit_cfg) for kind in ("om", "abc"))
+    g_fit, b_fit = trial_fit("om", x1, y1, None, fit_cfg), trial_fit("abc", x1, y1, f.predict(x1), fit_cfg)
     xs = np.linspace(-1.0, 1.0, 201)
     fits = {"x": xs, "f1": f.predict(xs), "g_hat": g_fit.predict(xs), "b_hat": b_fit.predict(xs)}
     csvs = {name: csv_text(list(columns), [dict(zip(columns, row)) for row in zip(*columns.values())])

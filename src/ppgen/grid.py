@@ -13,12 +13,14 @@ cells, which both stabilizes head-to-head comparisons and makes results
 independent of how work is split across processes.
 
 Both studies redraw trials on a fixed world through one loop, ``_run_trials``.
-The target sample and the OS predictor are fixed within a world, so each world
-gets one ``Target``, which every run's estimates read beside that run's trial
-cohort: the predictor's values on the target and each fit's design on it are
-computed once, however many runs, estimators and degrees read them; a
-run-scoped ``_MemoPredictor`` evaluates the predictor on each run's trial arm
-once.
+The estimators take values, not predictors, and the loop evaluates each
+function once where they read it.  The target sample and the OS predictor f
+are fixed within a world, so each world gets one ``Target`` of the target
+covariates and f on them, which every run's estimates read beside that run's
+trial cohort: f's values on the target and each fit's design on it are
+computed once, however many runs, estimators and degrees read them.  Each
+run evaluates f once on its trial arm, and each participation model once on
+that arm.
 """
 
 from __future__ import annotations
@@ -52,9 +54,10 @@ from .estimators import (
 
 @dataclass(frozen=True)
 class Estimator:
-    """One estimator and what it needs: ``estimate(trial, f, p_hat, cfg,
-    target)`` gets a run's trial cohort, the OS predictor, the world's
-    ``Target`` and, if ``nuisances``, the participation model fitted at
+    """One estimator and what it needs: ``estimate(trial, f1, p1, cfg,
+    target)`` gets a run's trial cohort, the OS predictor's values ``f1`` on
+    its treated arm, the world's ``Target`` and, if ``nuisances``, the
+    values ``p1`` on that arm of the participation model fitted at
     ``cfg.degree``; one that is not ``per_degree`` runs once, as degree -1."""
 
     estimate: Callable
@@ -65,14 +68,14 @@ class Estimator:
 # Each entry looks its estimate function up when called, so replacing the
 # module-level name (in a test, or to trace it) reaches every caller.
 ESTIMATORS = {
-    "om": Estimator(lambda s, f, p, cfg, t: estimate_om(s, cfg, target=t)),
-    "os-om": Estimator(lambda s, f, p, cfg, t: estimate_os_om(t), per_degree=False),
-    "abc": Estimator(lambda s, f, p, cfg, t: estimate_abc(s, f, cfg, target=t)),
-    "aom": Estimator(lambda s, f, p, cfg, t: estimate_aom(s, f, cfg, target=t)),
-    "ipw": Estimator(lambda s, f, p, cfg, t: estimate_ipw(s, p, cfg.a, target=t), nuisances=True),
-    "dr": Estimator(lambda s, f, p, cfg, t: estimate_dr_baseline(s, p, cfg, target=t), nuisances=True),
-    "dr-abc": Estimator(lambda s, f, p, cfg, t: estimate_dr_abc(s, f, p, cfg, target=t), nuisances=True),
-    "dr-pa": Estimator(lambda s, f, p, cfg, t: estimate_dr_aom(s, f, p, cfg, target=t), nuisances=True),
+    "om": Estimator(lambda s, f1, p1, cfg, t: estimate_om(s, cfg, target=t)),
+    "os-om": Estimator(lambda s, f1, p1, cfg, t: estimate_os_om(t), per_degree=False),
+    "abc": Estimator(lambda s, f1, p1, cfg, t: estimate_abc(s, f1, cfg, target=t)),
+    "aom": Estimator(lambda s, f1, p1, cfg, t: estimate_aom(s, f1, cfg, target=t)),
+    "ipw": Estimator(lambda s, f1, p1, cfg, t: estimate_ipw(s, p1, cfg.a, target=t), nuisances=True),
+    "dr": Estimator(lambda s, f1, p1, cfg, t: estimate_dr_baseline(s, p1, cfg, target=t), nuisances=True),
+    "dr-abc": Estimator(lambda s, f1, p1, cfg, t: estimate_dr_abc(s, f1, p1, cfg, target=t), nuisances=True),
+    "dr-pa": Estimator(lambda s, f1, p1, cfg, t: estimate_dr_aom(s, f1, p1, cfg, target=t), nuisances=True),
 }
 GP_ESTIMATORS = tuple(name for name, e in ESTIMATORS.items() if not e.nuisances)
 ALL_ESTIMATORS = tuple(ESTIMATORS)
@@ -178,15 +181,10 @@ def _map(fn, tasks: list, workers: int) -> list:
 
 
 class _MemoPredictor:
-    """One run's view of the OS predictor: each distinct input is evaluated once.
-
-    The predictor is fixed within a run, and the estimators read it through
-    this view only on the run's trial arm (ABC's response, AOM's extra
-    column); they read it on the target through the world's ``Target``.  Each
-    input is evaluated by ``base`` on first sight and kept for the rest of the
-    run.  Lookup compares whole arrays exactly, so results are bit-identical
-    with and without the memo.
-    """
+    """A view of a predictor that evaluates each distinct input once, keyed by
+    exact array equality.  Nothing in ppgen builds one any more, since the
+    estimators take values; it stays defined because the benchmark's tracer
+    wraps it by name."""
 
     def __init__(self, base):
         self.base = base
@@ -204,10 +202,11 @@ class _MemoPredictor:
 
 def _prologue(world: World, n0: int, n_os: int, seed_of, predictor_kind: str = "learned") -> tuple:
     """What every run on ``world`` shares: the OS predictor ``f``, the
-    ``Target`` of the target cohort and ``f``, and the true mean ``mu``."""
-    target_cohort = draw_target(world, n0, seed_of("target"))
+    ``Target`` of the target cohort and ``f``'s values on it, and the true
+    mean ``mu``."""
+    x0 = draw_target(world, n0, seed_of("target")).x
     f = os_predictor(world, n_os, seed_of, predictor_kind)
-    return f, Target(target_cohort.x, f), true_mu(world, a=1).mu_a
+    return f, Target(x0, f.predict(x0)), true_mu(world, a=1).mu_a
 
 
 def _unless_failed(fn, *args):
@@ -236,13 +235,15 @@ def _run_trials(world: World, prologue: tuple, n1: int, n_runs: int, keyed: list
         if trial is None:
             continue
         fold_seed = run_seed("folds", run)
-        predictor = _MemoPredictor(f)
+        x1, _ = trial.trial_arm_arrays(1)
+        f1 = f.predict(x1)
         nuisances = {deg: _unless_failed(fit_nuisances, trial, target, deg) for deg in nuisance_degrees}
+        p1 = {deg: None if fit is None else fit.predict(x1) for deg, fit in nuisances.items()}
         for name, deg in keyed:
-            if ESTIMATORS[name].nuisances and nuisances[deg] is None:
+            if ESTIMATORS[name].nuisances and p1[deg] is None:
                 continue
             cfg = EstimatorConfig(degree=max(deg, 0), a=1, penalty_grid=penalty_grid, fold_seed=fold_seed)
-            record = _unless_failed(ESTIMATORS[name].estimate, trial, predictor, nuisances.get(deg), cfg, target)
+            record = _unless_failed(ESTIMATORS[name].estimate, trial, f1, p1.get(deg), cfg, target)
             if record is not None:
                 estimates[(name, deg)][run] = record.point_estimate
     return estimates

@@ -4,7 +4,8 @@ Everything the estimators fit lives here: the orthonormal Legendre basis,
 ridge regression on that basis (with 5-fold cross-validation over a penalty
 grid), a random-cosine-features regressor that plays the role of the flexible
 observational predictor, and penalized logistic regression for participation
-probabilities.
+probabilities.  Each takes arrays: a column appended to a ridge design is
+given as its values on the inputs, not as a function to evaluate.
 
 All fits penalize every coefficient, the constant term included, and are
 deterministic given their explicit seeds.
@@ -101,30 +102,30 @@ def _solve_pos(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RidgeFit:
-    """Ridge regression on the normalized Legendre basis.
-
-    ``extra_column`` optionally appends one raw regressor (a fitted
-    prediction column) after the polynomial features; it is the augmented
-    design used by the augmented outcome model.
-    """
+    """Ridge regression on the normalized Legendre basis.  A fit with an
+    ``extra_column`` has one coefficient more than the basis, for that
+    column, whose values ``predict`` does not have."""
 
     degree: int
     coefficients: np.ndarray
     penalty: float
-    extra_column: object | None = None  # Predictor appended as a final feature
 
     def predict(self, x) -> np.ndarray:
-        return _design(np.atleast_1d(np.asarray(x, dtype=float)), self.degree, self.extra_column) @ self.coefficients
-
-
-def _design(x: np.ndarray, degree: int, extra: object | None) -> np.ndarray:
-    feats = legendre_eval(x, degree)
-    return feats if extra is None else _augment(feats, extra.predict(x))
+        return legendre_eval(np.atleast_1d(np.asarray(x, dtype=float)), self.degree) @ self.coefficients
 
 
 def _augment(feats: np.ndarray, column: np.ndarray) -> np.ndarray:
     """The Legendre features with ``column`` appended as the last regressor."""
     return np.column_stack([feats, column])
+
+
+def per_row(values, n: int, what: str) -> np.ndarray:
+    """``values`` as a float array; ValueError unless it is 1-D with one value
+    for each of ``n`` rows."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (n,):
+        raise ValueError(f"{what} must hold one value per row, {n} in all; got shape {values.shape}")
+    return values
 
 
 def cv_fold_indices(n: int, n_folds: int, fold_seed: int) -> list[np.ndarray]:
@@ -147,7 +148,7 @@ def ridge_cv(
     degree: int,
     penalty_grid: Sequence[float] = DEFAULT_PENALTY_GRID,
     fold_seed: int = 0,
-    extra_column: object | None = None,
+    extra_column=None,
 ) -> RidgeFit:
     """Ridge fit with the penalty chosen by ``N_FOLDS``-fold cross-validation.
 
@@ -156,9 +157,11 @@ def ridge_cv(
     Held-out squared error is pooled over all points (each is held out
     exactly once); exact ties go to the larger penalty.  The winner is
     refit on all the data; a one-element grid makes no folds and is that
-    one solve.  Inputs and targets of different or zero length, too few
-    samples for the folds, an empty grid or a negative penalty raise
-    ValueError.
+    one solve.  F is the Legendre design, with ``extra_column`` (one value
+    per input) appended as the last regressor when given.  Inputs and
+    targets of different or zero length, an ``extra_column`` that does not
+    match the inputs, too few samples for the folds, an empty grid or a
+    negative penalty raise ValueError.
     """
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -167,8 +170,11 @@ def ridge_cv(
     penalties = _penalties(penalty_grid)
     if len(penalties) > 1 and x.shape[0] < N_FOLDS:
         raise ValueError(f"need at least {N_FOLDS} samples, one per fold")
-    coefs, penalty = _cv_ridge(_design(x, degree, extra_column), y, penalties, N_FOLDS, fold_seed)
-    return RidgeFit(degree, coefs, penalty, extra_column)
+    feats = legendre_eval(x, degree)
+    if extra_column is not None:
+        feats = _augment(feats, per_row(extra_column, x.shape[0], "extra_column"))
+    coefs, penalty = _cv_ridge(feats, y, penalties, N_FOLDS, fold_seed)
+    return RidgeFit(degree, coefs, penalty)
 
 
 def _penalties(penalty_grid: Sequence[float]) -> list[float]:
@@ -416,23 +422,3 @@ def logistic_fit(inputs, labels, degree: int, ridge_penalty: float) -> LogisticF
     else:
         converged = bool(np.max(np.abs(gradient(coefs, logits))) < grad_tol)
     return LogisticFit(degree, coefs, converged)
-
-
-@dataclass(frozen=True)
-class ConstantPredictor:
-    """A fixed constant as a predictor; handy as a zero or offset function."""
-
-    value: float
-
-    def predict(self, x) -> np.ndarray:
-        return np.full(np.atleast_1d(np.asarray(x, dtype=float)).shape[0], self.value)
-
-
-@dataclass(frozen=True)
-class CallablePredictor:
-    """Wrap a plain vectorized function as a predictor."""
-
-    fn: object
-
-    def predict(self, x) -> np.ndarray:
-        return np.asarray(self.fn(np.atleast_1d(np.asarray(x, dtype=float))), dtype=float)

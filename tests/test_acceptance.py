@@ -31,7 +31,7 @@ from ppgen.estimators import (
     estimate_om,
 )
 from ppgen.grid import combo_id, benchmark_grid, run_scenario_grid, run_table2
-from ppgen.regression import ConstantPredictor, legendre_eval, ridge_cv
+from ppgen.regression import legendre_eval, ridge_cv
 
 MASTER_SEED = 7
 CHECK_SEED = 3
@@ -204,20 +204,21 @@ def test_criterion_7_numerical_invariants(workers):
     y1 = np.sin(2 * x1) + rng.normal(0, 0.2, 100)
     x0 = rng.uniform(-1, 1, 500)
     sample = CompositeSample.cohort(TRIAL, x1, np.zeros(100), np.ones(100, dtype=np.int64), y1)
-    zero = ConstantPredictor(0.0)
-    target = Target(x0, zero)
+    zero1, zero0 = np.zeros(100), np.zeros(500)
+    target = Target(x0, zero0)
     cfg = EstimatorConfig(degree=3, a=1, fold_seed=11)
-    if (estimate_abc(sample, zero, cfg, target=target).point_estimate
+    if (estimate_abc(sample, zero1, cfg, target=target).point_estimate
             != estimate_om(sample, cfg, target=target).point_estimate):
         problems.append("ABC(f=0) != OM bit-for-bit")
 
     # DR reduction identities to 1e-10
-    nuis = ConstantPredictor(0.3)
+    nuis = np.full(100, 0.3)
+    zero = (zero1, zero0)
     ipw = estimate_ipw(sample, nuis, a=1, target=target).point_estimate
     for name, value in [
         ("dr", estimate_dr_baseline(sample, nuis, cfg, outcome_fit=zero, target=target).point_estimate),
-        ("dr-abc", estimate_dr_abc(sample, zero, nuis, cfg, bias_fit=zero, target=target).point_estimate),
-        ("dr-pa", estimate_dr_aom(sample, zero, nuis, cfg, augmented_fit=zero, target=target).point_estimate),
+        ("dr-abc", estimate_dr_abc(sample, zero1, nuis, cfg, bias_fit=zero, target=target).point_estimate),
+        ("dr-pa", estimate_dr_aom(sample, zero1, nuis, cfg, augmented_fit=zero, target=target).point_estimate),
     ]:
         if abs(value - ipw) > 1e-10 * max(1.0, abs(ipw)):
             problems.append(f"{name} with zero regression != IPW")
@@ -225,9 +226,9 @@ def test_criterion_7_numerical_invariants(workers):
     om_same_fit = float(np.mean(g_fit.predict(x0)))
     dr_no_weights = estimate_dr_baseline(
         sample,
-        ConstantPredictor(1 - 1e-12),
+        np.full(100, 1 - 1e-12),
         cfg,
-        outcome_fit=g_fit,
+        outcome_fit=(g_fit.predict(x1), g_fit.predict(x0)),
         target=target,
     ).point_estimate
     if abs(dr_no_weights - om_same_fit) > 1e-6:

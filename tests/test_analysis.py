@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from ppgen.analysis import (
     true_outcome_function,
 )
 from ppgen.dgp import GridFunction, World
-from ppgen.regression import CallablePredictor, legendre_eval, ridge_cv
+from ppgen.regression import legendre_eval, ridge_cv
 
 
 def lattice_world(fom1_fn, ps_logit_fn, grid_size=201):
@@ -147,13 +149,13 @@ def test_spectrum_mass_bounded_by_norm():
 
 def test_excess_risk_zero_for_exact_fit():
     truth = lambda x: 0.3 * x
-    fit = CallablePredictor(truth)
+    fit = SimpleNamespace(predict=truth)
     assert empirical_excess_risk(fit, truth, np.linspace(-1, 1, 20)) == 0.0
 
 
 def test_excess_risk_constant_offset():
     truth = lambda x: 0.3 * x
-    fit = CallablePredictor(lambda x: truth(x) + 0.1)
+    fit = SimpleNamespace(predict=lambda x: truth(x) + 0.1)
     assert empirical_excess_risk(fit, truth, np.linspace(-1, 1, 20)) == pytest.approx(0.01)
 
 

@@ -1,7 +1,10 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppgen import estimators, grid
 from ppgen.analysis import tilted_participation, true_mu
@@ -30,13 +33,20 @@ from ppgen.estimators import (
     estimate_os_om,
     fit_nuisances,
 )
-from ppgen.regression import CallablePredictor, ConstantPredictor, LogisticFit
+from ppgen.regression import DEFAULT_PENALTY_GRID, LogisticFit
 
 
 def build_sample(x1, y1, x0, f=None, a=1):
-    """A trial cohort of arm ``a`` and the ``Target`` of ``x0`` with predictor ``f``."""
+    """A trial cohort of arm ``a`` and the ``Target`` of ``x0`` with the values
+    of function ``f`` on it."""
     n1 = len(x1)
-    return CompositeSample.cohort(TRIAL, x1, np.zeros(n1), np.full(n1, a), y1), Target(x0, f)
+    sample = CompositeSample.cohort(TRIAL, x1, np.zeros(n1), np.full(n1, a), y1)
+    return sample, Target(x0, None if f is None else f(np.asarray(x0, dtype=float)))
+
+
+def const(value, x):
+    """A constant function's values on ``x``."""
+    return np.full(np.shape(x)[0], value)
 
 
 def tiny_cfg(degree, penalty=1e-8, fold_seed=0):
@@ -54,6 +64,27 @@ def seeded_world(seed=21, lx=0.5, alpha_u_pa=0.0, l_u_pa=None):
         master_seed=seed,
     )
     return world_from_spec(spec, "estimator-tests")
+
+
+# The identity tests below are properties of the estimators' arrays, drawn
+# over arm sizes, degrees, seeds and one-penalty and full grids.
+_identity_cases = st.fixed_dictionaries({
+    "n1": st.integers(8, 60),
+    "n0": st.integers(1, 200),
+    "degree": st.integers(0, 5),
+    "seed": st.integers(0, 2**32 - 1),
+    "penalty_grid": st.sampled_from([(1e-8,), (1e-3,), (1.0,), tuple(DEFAULT_PENALTY_GRID)]),
+})
+
+
+def _identity_draw(case):
+    """A trial arm, its sample and config, a target, and participation values on the arm."""
+    rng = np.random.default_rng(case["seed"])
+    x1, x0 = rng.uniform(-1, 1, case["n1"]), rng.uniform(-1, 1, case["n0"])
+    y1 = np.sin(3 * x1) + rng.normal(0, 0.5, case["n1"])
+    sample = CompositeSample.cohort(TRIAL, x1, np.zeros(case["n1"]), np.ones(case["n1"], int), y1)
+    cfg = EstimatorConfig(case["degree"], penalty_grid=case["penalty_grid"], fold_seed=case["seed"] % 1000)
+    return x1, y1, x0, sample, cfg, rng.uniform(0.05, 0.95, case["n1"])
 
 
 # -- outcome model ------------------------------------------------------------
@@ -120,63 +151,58 @@ def test_categorical_positivity_error():
 
 
 def test_os_om_constant_predictor():
-    rec = estimate_os_om(Target([0.2, 0.4, -0.6], ConstantPredictor(5.0)))
+    rec = estimate_os_om(Target([0.2, 0.4, -0.6], const(5.0, [0.2, 0.4, -0.6])))
     assert rec.point_estimate == 5.0
 
 
 def test_os_om_identity_predictor_matches_target_mean():
     rng = np.random.default_rng(3)
     x0 = rng.uniform(-1, 1, 5_000)
-    rec = estimate_os_om(Target(x0, CallablePredictor(lambda x: x)))
+    rec = estimate_os_om(Target(x0, x0))
     assert rec.point_estimate == pytest.approx(float(np.mean(x0)), abs=1e-12)
 
 
 def test_os_om_ignores_trial_records():
     rng = np.random.default_rng(4)
     x0 = rng.uniform(-1, 1, 100)
-    f = CallablePredictor(lambda x: x**2)
-    target = Target(x0, f)
+    target = Target(x0, x0**2)
     os_om = grid.ESTIMATORS["os-om"].estimate  # as the grid calls it, with each run's trial
-    a = os_om(build_sample([0.1], [1.0], x0)[0], f, None, tiny_cfg(0), target)
-    b = os_om(build_sample([0.9, -0.9], [7.0, -7.0], x0)[0], f, None, tiny_cfg(0), target)
+    a = os_om(build_sample([0.1], [1.0], x0)[0], np.array([0.01]), None, tiny_cfg(0), target)
+    b = os_om(build_sample([0.9, -0.9], [7.0, -7.0], x0)[0], np.array([0.81, 0.81]), None, tiny_cfg(0), target)
     assert a.point_estimate == b.point_estimate == float(np.mean(x0**2))
 
 
 # -- ABC --------------------------------------------------------------------------
 
 
-def test_abc_zero_bias_predictor():
-    rng = np.random.default_rng(5)
-    x1 = rng.uniform(-1, 1, 80)
-    x0 = rng.uniform(-1, 1, 300)
-    f = CallablePredictor(lambda x: 1.5 * x - 0.3)
-    sample, target = build_sample(x1, 1.5 * x1 - 0.3, x0, f)  # y = f exactly
-    abc = estimate_abc(sample, f, tiny_cfg(degree=3), target=target)
-    os_om = estimate_os_om(target)
-    assert abc.point_estimate == pytest.approx(os_om.point_estimate, abs=1e-8)
+@settings(max_examples=60, deadline=None)
+@given(_identity_cases)
+def test_abc_zero_bias_predictor(case):
+    """f exact on the arm has a fitted bias of exactly 0, so ABC is f's target mean."""
+    x1, y1, x0, sample, cfg, _ = _identity_draw(case)
+    f0 = np.cos(2 * x0)
+    abc = estimate_abc(sample, y1, cfg, target=Target(x0, f0))
+    assert abc.point_estimate == float(np.mean(f0))
 
 
-def test_abc_zero_predictor_equals_om_bitwise():
-    rng = np.random.default_rng(6)
-    x1 = rng.uniform(-1, 1, 120)
-    y1 = np.sin(2 * x1) + rng.normal(0, 0.2, 120)
-    x0 = rng.uniform(-1, 1, 400)
-    zero = ConstantPredictor(0.0)
-    sample, target = build_sample(x1, y1, x0, zero)
-    cfg = EstimatorConfig(degree=3, a=1, fold_seed=42)  # full grid and CV path
-    om = estimate_om(sample, cfg, target=target)
-    abc = estimate_abc(sample, zero, cfg, target=target)
-    assert abc.point_estimate == om.point_estimate  # bit-for-bit
+@settings(max_examples=60, deadline=None)
+@given(_identity_cases)
+def test_abc_zero_predictor_equals_om_bitwise(case):
+    """f = 0 makes ABC fit -y, the mirror image of OM's fit, through the CV sweep too."""
+    x1, _, x0, sample, cfg, _ = _identity_draw(case)
+    om = estimate_om(sample, cfg, target=Target(x0))
+    abc = estimate_abc(sample, np.zeros_like(x1), cfg, target=Target(x0, np.zeros_like(x0)))
+    assert abc.point_estimate.hex() == om.point_estimate.hex()
 
 
 def test_abc_constant_offset_predictor():
     rng = np.random.default_rng(7)
     x1 = rng.uniform(-1, 1, 200)
     g = lambda x: np.sin(2 * x)
-    f = CallablePredictor(lambda x: g(x) + 0.5)
+    f = lambda x: g(x) + 0.5
     x0 = rng.uniform(-1, 1, 2_000)
     sample, target = build_sample(x1, g(x1), x0, f)
-    abc = estimate_abc(sample, f, tiny_cfg(degree=0), target=target)
+    abc = estimate_abc(sample, f(x1), tiny_cfg(degree=0), target=target)
     assert abc.point_estimate == pytest.approx(float(np.mean(g(x0))), abs=2e-2)
 
 
@@ -185,15 +211,14 @@ def test_abc_equals_os_om_minus_mean_bias_fit():
     x1 = rng.uniform(-1, 1, 90)
     y1 = np.cos(x1) + rng.normal(0, 0.1, 90)
     x0 = rng.uniform(-1, 1, 500)
-    f = CallablePredictor(lambda x: x)
-    sample, target = build_sample(x1, y1, x0, f)
+    sample, target = build_sample(x1, y1, x0, lambda x: x)
     cfg = EstimatorConfig(degree=2, a=1, fold_seed=5)
-    abc = estimate_abc(sample, f, cfg, target=target)
+    abc = estimate_abc(sample, x1, cfg, target=target)
     # reconstruct the two pieces with the same fit
     from ppgen.regression import ridge_cv
 
-    bias_fit = ridge_cv(x1, f.predict(x1) - y1, 2, penalty_grid=cfg.penalty_grid, fold_seed=5)
-    expected = np.mean(f.predict(x0) - bias_fit.predict(x0))
+    bias_fit = ridge_cv(x1, x1 - y1, 2, penalty_grid=cfg.penalty_grid, fold_seed=5)
+    expected = np.mean(x0 - bias_fit.predict(x0))
     assert abc.point_estimate == pytest.approx(float(expected), abs=1e-12)
 
 
@@ -204,19 +229,19 @@ def test_trial_fit_variants_are_the_three_regressions():
     rng = np.random.default_rng(12)
     x1 = rng.uniform(-1, 1, 80)
     y1 = np.sin(2 * x1) + rng.normal(0, 0.1, 80)
-    f = CallablePredictor(lambda x: x**3)
+    f1 = x1**3
     cfg = EstimatorConfig(degree=2, fold_seed=3)
     expected = {
         "om": ridge_cv(x1, y1, 2, fold_seed=3),
-        "abc": ridge_cv(x1, f.predict(x1) - y1, 2, fold_seed=3),
-        "aom": ridge_cv(x1, y1, 2, fold_seed=3, extra_column=f),
+        "abc": ridge_cv(x1, f1 - y1, 2, fold_seed=3),
+        "aom": ridge_cv(x1, y1, 2, fold_seed=3, extra_column=f1),
     }
     for kind, want in expected.items():
-        got = trial_fit(kind, x1, y1, f, cfg)
+        got = trial_fit(kind, x1, y1, f1, cfg)
         assert got.penalty == want.penalty
         assert np.array_equal(got.coefficients, want.coefficients)
     with pytest.raises(ValueError, match="ipw"):
-        trial_fit("ipw", x1, y1, f, cfg)
+        trial_fit("ipw", x1, y1, f1, cfg)
 
 
 # -- AOM --------------------------------------------------------------------------
@@ -225,10 +250,10 @@ def test_trial_fit_variants_are_the_three_regressions():
 def test_aom_in_class_predictor():
     rng = np.random.default_rng(9)
     x1 = rng.uniform(-1, 1, 150)
-    f = CallablePredictor(lambda x: np.sin(4 * x))  # independent of polynomial columns
+    f = lambda x: np.sin(4 * x)  # independent of polynomial columns
     x0 = rng.uniform(-1, 1, 800)
-    sample, target = build_sample(x1, f.predict(x1), x0, f)  # y = f exactly
-    rec = estimate_aom(sample, f, tiny_cfg(degree=1, penalty=1e-10), target=target)
+    sample, target = build_sample(x1, f(x1), x0, f)  # y = f exactly
+    rec = estimate_aom(sample, f(x1), tiny_cfg(degree=1, penalty=1e-10), target=target)
     assert rec.point_estimate == pytest.approx(estimate_os_om(target).point_estimate, abs=1e-6)
 
 
@@ -237,9 +262,8 @@ def test_aom_constant_predictor_equals_om():
     x1 = rng.uniform(-1, 1, 100)
     y1 = x1**2 + rng.normal(0, 0.1, 100)
     x0 = rng.uniform(-1, 1, 400)
-    f = ConstantPredictor(2.0)
-    sample, target = build_sample(x1, y1, x0, f)
-    aom = estimate_aom(sample, f, tiny_cfg(degree=2), target=target)
+    sample, target = build_sample(x1, y1, x0, partial(const, 2.0))
+    aom = estimate_aom(sample, const(2.0, x1), tiny_cfg(degree=2), target=target)
     om = estimate_om(sample, tiny_cfg(degree=2), target=target)
     assert aom.point_estimate == pytest.approx(om.point_estimate, abs=1e-6)
 
@@ -249,14 +273,15 @@ def test_aom_noise_predictor_tracks_om():
 
     world = seeded_world(seed=31)
     f = NoisePredictor(7)
-    target = Target(draw_target(world, 2_000, seed=1).x, f)
+    x0 = draw_target(world, 2_000, seed=1).x
+    target = Target(x0, f.predict(x0))
     mu = true_mu(world, a=1).mu_a
     diffs, oms = [], []
     for rep in range(100):
         trial = draw_trial(world, 200, seed=derive_seed("aom-noise", rep))
         cfg = EstimatorConfig(degree=3, a=1, fold_seed=rep)
         om = estimate_om(trial, cfg, target=target).point_estimate
-        aom = estimate_aom(trial, f, cfg, target=target).point_estimate
+        aom = estimate_aom(trial, f.predict(trial.trial_arm_arrays(1)[0]), cfg, target=target).point_estimate
         oms.append(om)
         diffs.append(aom - om)
     rmse_om = np.sqrt(np.mean((np.asarray(oms) - mu) ** 2))
@@ -275,15 +300,13 @@ def test_ipw_constant_participation_reduces_to_scaled_arm_mean():
     x0 = rng.uniform(-1, 1, 150)
     sample, target = build_sample(x1, y1, x0)
     p_m = 50 / 200
-    nuis = ConstantPredictor(p_m)
-    rec = estimate_ipw(sample, nuis, a=1, target=target)
+    rec = estimate_ipw(sample, const(p_m, x1), a=1, target=target)
     assert rec.point_estimate == pytest.approx(2 * np.sum(y1) / 50, abs=1e-10)
 
 
 def test_ipw_single_record_unit_weight():
     sample, target = build_sample([0.3], [4.2], [0.1])
-    nuis = ConstantPredictor(2.0 / 3.0)
-    rec = estimate_ipw(sample, nuis, a=1, target=target)
+    rec = estimate_ipw(sample, [2.0 / 3.0], a=1, target=target)
     assert rec.point_estimate == pytest.approx(4.2, abs=1e-12)
 
 
@@ -294,59 +317,51 @@ def test_ipw_consistent_on_homogeneous_world():
     target = Target(draw_target(world, 25_000, seed=3).x)
     sample = replace(trial, y=np.full(len(trial), 3.0))
     nuis = fit_nuisances(sample, target, degree=3)
-    rec = estimate_ipw(sample, nuis, a=1, target=target)
+    rec = estimate_ipw(sample, nuis.predict(sample.trial_arm_arrays(1)[0]), a=1, target=target)
     assert rec.point_estimate == pytest.approx(3.0, abs=0.03)
 
 
 def test_ipw_extreme_weight_warning():
     sample, target = build_sample([0.3], [4.2], [0.1])
-    nuis = ConstantPredictor(1e-4)
-    rec = estimate_ipw(sample, nuis, a=1, target=target)
+    rec = estimate_ipw(sample, [1e-4], a=1, target=target)
     assert rec.warnings
 
 
-def test_dr_zero_outcome_fit_is_ipw():
-    rng = np.random.default_rng(12)
-    x1 = rng.uniform(-1, 1, 60)
-    y1 = rng.normal(0, 1, 60)
-    x0 = rng.uniform(-1, 1, 240)
-    sample, target = build_sample(x1, y1, x0)
-    nuis = ConstantPredictor(0.3)
-    ipw = estimate_ipw(sample, nuis, a=1, target=target)
-    dr = estimate_dr_baseline(sample, nuis, tiny_cfg(3), outcome_fit=ConstantPredictor(0.0), target=target)
-    assert dr.point_estimate == pytest.approx(ipw.point_estimate, abs=1e-12)
+@settings(max_examples=60, deadline=None)
+@given(_identity_cases)
+def test_dr_zero_outcome_fit_is_ipw(case):
+    """With zero regression components every DR form is IPW."""
+    x1, _, x0, sample, cfg, p1 = _identity_draw(case)
+    target = Target(x0, np.zeros_like(x0))  # f = 0, for DR-ABC
+    zero1, zero = np.zeros_like(x1), (np.zeros_like(x1), np.zeros_like(x0))
+    ipw = estimate_ipw(sample, p1, target=target).point_estimate
+    for dr in (estimate_dr_baseline(sample, p1, cfg, zero, target=target),
+               estimate_dr_abc(sample, zero1, p1, cfg, zero, target=target),
+               estimate_dr_aom(sample, zero1, p1, cfg, zero, target=target)):
+        assert dr.point_estimate == pytest.approx(ipw, rel=1e-12, abs=1e-12)
 
 
-def test_dr_exact_fit_noise_free_equals_om_average():
-    rng = np.random.default_rng(13)
-    x1 = rng.uniform(-1, 1, 70)
-    x0 = rng.uniform(-1, 1, 300)
-    g = CallablePredictor(lambda x: 0.7 * x + 0.1)
-    sample, target = build_sample(x1, g.predict(x1), x0)  # residuals identically zero
-    nuis = ConstantPredictor(0.4)
-    dr = estimate_dr_baseline(sample, nuis, tiny_cfg(1), outcome_fit=g, target=target)
-    assert dr.point_estimate == pytest.approx(float(np.mean(g.predict(x0))), rel=1e-10)
+@settings(max_examples=60, deadline=None)
+@given(_identity_cases)
+def test_dr_exact_fit_noise_free_equals_om_average(case):
+    """A fit exact on the arm leaves no residual to weight: DR is the fit's target mean."""
+    x1, y1, x0, sample, cfg, p1 = _identity_draw(case)
+    fit_x0 = np.sin(3 * x0) + 0.25
+    dr = estimate_dr_baseline(sample, p1, cfg, (y1, fit_x0), target=Target(x0))
+    assert dr.point_estimate == pytest.approx(float(np.mean(fit_x0)), rel=1e-10, abs=1e-10)
 
 
 def test_dr_abc_reductions():
+    # the IPW limit is test_dr_zero_outcome_fit_is_ipw; here the weighted
+    # residuals vanish (an exact bias fit of f with a known offset) -> ABC
     rng = np.random.default_rng(14)
     x1 = rng.uniform(-1, 1, 60)
-    y1 = rng.normal(0, 1, 60)
     x0 = rng.uniform(-1, 1, 200)
-    nuis = ConstantPredictor(0.35)
-    zero = ConstantPredictor(0.0)
-    sample, target = build_sample(x1, y1, x0, zero)
-    # regression components zeroed -> IPW
-    ipw = estimate_ipw(sample, nuis, a=1, target=target)
-    dr_abc = estimate_dr_abc(sample, zero, nuis, tiny_cfg(2), bias_fit=zero, target=target)
-    assert dr_abc.point_estimate == pytest.approx(ipw.point_estimate, abs=1e-12)
-    # weighted residuals zeroed (exact bias fit, f with known offset) -> ABC
-    f = CallablePredictor(lambda x: x + 0.25)
-    sample2, target2 = build_sample(x1, x1, x0, f)  # y = x so the bias of f is exactly 0.25
-    bias = ConstantPredictor(0.25)
-    dr_abc2 = estimate_dr_abc(sample2, f, nuis, tiny_cfg(0), bias_fit=bias, target=target2)
-    expected = np.mean(f.predict(x0)) - 0.25
-    assert dr_abc2.point_estimate == pytest.approx(float(expected), abs=1e-12)
+    f = lambda x: x + 0.25
+    sample, target = build_sample(x1, x1, x0, f)  # y = x so the bias of f is exactly 0.25
+    bias = (const(0.25, x1), const(0.25, x0))
+    dr_abc = estimate_dr_abc(sample, f(x1), const(0.35, x1), tiny_cfg(0), bias_fit=bias, target=target)
+    assert dr_abc.point_estimate == pytest.approx(float(np.mean(f(x0)) - 0.25), abs=1e-12)
 
 
 def test_dr_aom_reductions():
@@ -354,11 +369,11 @@ def test_dr_aom_reductions():
     x1 = rng.uniform(-1, 1, 60)
     y1 = rng.normal(0, 1, 60)
     x0 = rng.uniform(-1, 1, 200)
-    zero = ConstantPredictor(0.0)
-    sample, target = build_sample(x1, y1, x0, zero)
-    nuis = ConstantPredictor(0.35)
+    zero = (const(0.0, x1), const(0.0, x0))
+    sample, target = build_sample(x1, y1, x0, partial(const, 0.0))
+    nuis = const(0.35, x1)
     ipw = estimate_ipw(sample, nuis, a=1, target=target)
-    dr_pa = estimate_dr_aom(sample, zero, nuis, tiny_cfg(2), augmented_fit=zero, target=target)
+    dr_pa = estimate_dr_aom(sample, zero[0], nuis, tiny_cfg(2), augmented_fit=zero, target=target)
     assert dr_pa.point_estimate == pytest.approx(ipw.point_estimate, abs=1e-12)
 
 
@@ -367,20 +382,19 @@ def test_dr_double_robustness_small():
     mu = true_mu(world, a=1).mu_a
     from ppgen.analysis import true_outcome_function
 
-    g = CallablePredictor(lambda x: true_outcome_function(world, 1, x))
-    g_wrong = CallablePredictor(lambda x: true_outcome_function(world, 1, x) + 1.0)
     q = tilted_participation(world, 5_000, 15_000)
-    nuis_good = CallablePredictor(q)
-    nuis_bad = ConstantPredictor(0.5)
     ests_bad_outcome, ests_bad_weights = [], []
     for rep in range(12):
         trial = draw_trial(world, 5_000, seed=derive_seed("dr-small", "t", rep))
         target = Target(draw_target(world, 15_000, seed=derive_seed("dr-small", "c", rep)).x)
+        x1 = trial.trial_arm_arrays(1)[0]
+        g = tuple(true_outcome_function(world, 1, x) for x in (x1, target.x))
+        g_wrong = tuple(v + 1.0 for v in g)
         ests_bad_outcome.append(
-            estimate_dr_baseline(trial, nuis_good, tiny_cfg(3), outcome_fit=g_wrong, target=target).point_estimate
+            estimate_dr_baseline(trial, q(x1), tiny_cfg(3), outcome_fit=g_wrong, target=target).point_estimate
         )
         ests_bad_weights.append(
-            estimate_dr_baseline(trial, nuis_bad, tiny_cfg(3), outcome_fit=g, target=target).point_estimate
+            estimate_dr_baseline(trial, const(0.5, x1), tiny_cfg(3), outcome_fit=g, target=target).point_estimate
         )
     for ests in (ests_bad_outcome, ests_bad_weights):
         arr = np.asarray(ests)
@@ -396,15 +410,15 @@ def test_translation_equivariance():
     x1 = rng.uniform(-1, 1, 80)
     y1 = np.sin(2 * x1) + rng.normal(0, 0.1, 80)
     x0 = rng.uniform(-1, 1, 300)
-    f = CallablePredictor(lambda x: np.sin(2 * x))
+    f = lambda x: np.sin(2 * x)
     shift = 3.7
-    f_shift = CallablePredictor(lambda x: np.sin(2 * x) + shift)
+    f_shift = lambda x: np.sin(2 * x) + shift
     base, target = build_sample(x1, y1, x0, f)
     shifted, target_shift = build_sample(x1, y1 + shift, x0, f_shift)
     cfg = tiny_cfg(degree=3, penalty=1e-8, fold_seed=3)
     for estimate in (lambda s, g, t: estimate_om(s, cfg, target=t),
-                     lambda s, g, t: estimate_abc(s, g, cfg, target=t),
-                     lambda s, g, t: estimate_aom(s, g, cfg, target=t)):
+                     lambda s, g, t: estimate_abc(s, g(x1), cfg, target=t),
+                     lambda s, g, t: estimate_aom(s, g(x1), cfg, target=t)):
         moved = estimate(shifted, f_shift, target_shift).point_estimate - estimate(base, f, target).point_estimate
         assert moved == pytest.approx(shift, abs=1e-5)
 
@@ -414,13 +428,12 @@ def test_estimators_deterministic():
     x1 = rng.uniform(-1, 1, 90)
     y1 = rng.normal(0, 1, 90)
     x0 = rng.uniform(-1, 1, 200)
-    f = CallablePredictor(lambda x: x**3)
-    sample, target = build_sample(x1, y1, x0, f)
+    sample, target = build_sample(x1, y1, x0, lambda x: x**3)
     cfg = EstimatorConfig(degree=3, a=1, fold_seed=9)
     for fn in (
         lambda: estimate_om(sample, cfg, target=target).point_estimate,
-        lambda: estimate_abc(sample, f, cfg, target=target).point_estimate,
-        lambda: estimate_aom(sample, f, cfg, target=target).point_estimate,
+        lambda: estimate_abc(sample, x1**3, cfg, target=target).point_estimate,
+        lambda: estimate_aom(sample, x1**3, cfg, target=target).point_estimate,
     ):
         assert fn() == fn()
 
@@ -429,16 +442,17 @@ def test_estimators_blind_to_hidden_covariate():
     world = seeded_world(seed=61)
     sample = draw_trial(world, 300, seed=4)
     cfg = EstimatorConfig(degree=3, a=1, fold_seed=2)
-    f = CallablePredictor(lambda x: x)
-    target = Target(draw_target(world, 1_000, seed=5).x, f)  # a Target holds no hidden covariate
+    x0 = draw_target(world, 1_000, seed=5).x
+    target = Target(x0, x0)  # f is the identity; a Target holds no hidden covariate
     pub = sample.public()
+    x1, x1_pub = sample.trial_arm_arrays(1)[0], pub.trial_arm_arrays(1)[0]
     assert (estimate_om(sample, cfg, target=target).point_estimate
             == estimate_om(pub, cfg, target=target).point_estimate)
-    assert (estimate_abc(sample, f, cfg, target=target).point_estimate
-            == estimate_abc(pub, f, cfg, target=target).point_estimate)
+    assert (estimate_abc(sample, x1, cfg, target=target).point_estimate
+            == estimate_abc(pub, x1_pub, cfg, target=target).point_estimate)
     nuis, nuis_pub = fit_nuisances(sample, target, 3), fit_nuisances(pub, target, 3)
-    assert (estimate_ipw(sample, nuis, 1, target=target).point_estimate
-            == estimate_ipw(pub, nuis_pub, 1, target=target).point_estimate)
+    assert (estimate_ipw(sample, nuis.predict(x1), 1, target=target).point_estimate
+            == estimate_ipw(pub, nuis_pub.predict(x1_pub), 1, target=target).point_estimate)
 
 
 def test_fit_nuisances_is_the_participation_model():
@@ -454,7 +468,7 @@ def test_weighting_estimators_need_target_records():
     # every estimator reads n0 off its Target, which needs a record
     for x0 in ([], np.empty(0)):
         with pytest.raises(ValueError, match="no target records"):
-            Target(x0, ConstantPredictor(0.5))
+            Target(x0, x0)
 
 
 def test_fit_nuisances_stacks_trial_then_target_rows(monkeypatch):
@@ -475,16 +489,18 @@ def test_estimates_ignore_the_samples_own_target_rows():
     from the Target, and skips the sample's target and OS rows."""
     world = seeded_world(seed=81)
     trial = draw_trial(world, 300, seed=8)
-    f = CallablePredictor(lambda x: np.sin(3 * x))
-    target = Target(draw_target(world, 900, seed=9).x, f)
+    f = lambda x: np.sin(3 * x)
+    x0 = draw_target(world, 900, seed=9).x
+    target = Target(x0, f(x0))
     composite = CompositeSample.concat(trial, draw_target(world, 400, seed=10), generate_os(world, 200, seed=11))
     for name, estimator in grid.ESTIMATORS.items():
         for degree in grid._estimator_degrees(name, (1, 3)):
             cfg = EstimatorConfig(degree=max(degree, 0), fold_seed=5)
             values = []
             for sample in (trial, composite):
-                p_hat = fit_nuisances(sample, target, max(degree, 0)) if estimator.nuisances else None
-                values.append(estimator.estimate(sample, f, p_hat, cfg, target).point_estimate.hex())
+                x1 = sample.trial_arm_arrays(1)[0]
+                p1 = fit_nuisances(sample, target, max(degree, 0)).predict(x1) if estimator.nuisances else None
+                values.append(estimator.estimate(sample, f(x1), p1, cfg, target).point_estimate.hex())
             assert values[0] == values[1], (name, degree)
     trial, target = build_sample([1.0, 2.0, 2.0], [1.0, 3.0, 5.0], [1.0, 2.0, 2.0, 2.0])
     composite = CompositeSample.concat(trial, CompositeSample.cohort(TARGET, [1.0] * 5, np.zeros(5)))
@@ -500,3 +516,59 @@ def test_estimator_config_degree_is_a_nonnegative_int(degree):
     with pytest.raises(ValueError, match="degrees must be distinct nonnegative integers"):
         grid.check_degrees((1, degree))
     assert EstimatorConfig(degree=0).degree == 0 and grid.check_degrees((0, 2)) == (0, 2)
+
+
+@pytest.mark.parametrize("a", [2, -1, True, False, 1.0, "1", None])
+def test_estimator_config_arm_is_0_or_1(a):
+    with pytest.raises(ValueError, match="treatment arm a must be 0 or 1"):
+        EstimatorConfig(degree=1, a=a)
+    assert EstimatorConfig(degree=1, a=0).a == 0 and EstimatorConfig(degree=1, a=1).a == 1
+
+
+@pytest.mark.parametrize("penalty_grid, message", [((), "nonempty"), ([], "nonempty"),
+                                                   ((1.0, -0.5), "nonnegative"), ((-1e-9,), "nonnegative")])
+def test_estimator_config_rejects_a_grid_no_fit_could_use(penalty_grid, message):
+    with pytest.raises(ValueError, match=message):
+        EstimatorConfig(degree=1, penalty_grid=penalty_grid)
+    assert EstimatorConfig(degree=1, penalty_grid=(0.0,)).penalty_grid == (0.0,)
+
+
+# -- the values the estimators take: one per row -------------------------------
+
+_MISSHAPEN = {"short": lambda v: v[:-1], "long": lambda v: np.append(v, v[:1]), "2-d": lambda v: v[:, None]}
+
+
+@pytest.mark.parametrize("misshapen", _MISSHAPEN)
+def test_target_takes_one_value_of_f_per_row(misshapen):
+    x0 = np.linspace(-1, 1, 30)
+    with pytest.raises(ValueError, match="one value per row"):
+        Target(x0, _MISSHAPEN[misshapen](np.sin(x0)))
+
+
+# (estimator, the values that are misshapen); a given fit is (on the arm, on the target)
+_READS = [("abc", "f1"), ("aom", "f1"), ("ipw", "p1"), ("dr", "p1"), ("dr", "fit-arm"), ("dr", "fit-target")] + [
+    (name, arg) for name in ("dr-abc", "dr-pa") for arg in ("f1", "p1", "fit-arm", "fit-target")]
+
+
+@pytest.mark.parametrize("misshapen", _MISSHAPEN)
+@pytest.mark.parametrize("name, arg", _READS)
+def test_estimators_take_one_value_per_row(name, arg, misshapen):
+    rng = np.random.default_rng(18)
+    x1, x0 = rng.uniform(-1, 1, 20), rng.uniform(-1, 1, 30)
+    sample, target = build_sample(x1, rng.normal(0, 1, 20), x0, np.sin)
+    cfg = tiny_cfg(degree=2)
+    estimate = {
+        "abc": lambda f1, p1, fit: estimate_abc(sample, f1, cfg, target=target),
+        "aom": lambda f1, p1, fit: estimate_aom(sample, f1, cfg, target=target),
+        "ipw": lambda f1, p1, fit: estimate_ipw(sample, p1, cfg.a, target=target),
+        "dr": lambda f1, p1, fit: estimate_dr_baseline(sample, p1, cfg, fit, target=target),
+        "dr-abc": lambda f1, p1, fit: estimate_dr_abc(sample, f1, p1, cfg, fit, target=target),
+        "dr-pa": lambda f1, p1, fit: estimate_dr_aom(sample, f1, p1, cfg, fit, target=target),
+    }[name]
+    # f1 is read by the estimator's own trial fit, so a misshapen f1 is given no fit
+    values = {"f1": np.sin(x1), "p1": np.full(20, 0.4), "fit-arm": np.zeros(20), "fit-target": np.zeros(30)}
+    assert np.isfinite(estimate(values["f1"], values["p1"], (values["fit-arm"], values["fit-target"])).point_estimate)
+    values[arg] = _MISSHAPEN[misshapen](values[arg])
+    fit = None if arg == "f1" else (values["fit-arm"], values["fit-target"])
+    with pytest.raises(ValueError, match="one value per row"):
+        estimate(values["f1"], values["p1"], fit)

@@ -71,12 +71,12 @@ def flexible_fit_values() -> dict:
 def ridge_cv_values() -> dict:
     f, _, trial = _world()
     x1, y1 = trial.trial_arm_arrays(1)
+    f1 = f.predict(x1)
     fold_seed = FOLD_SEED
     out = {}
     for kind in ("om", "abc", "aom"):
         for degree in (1, 3, 5, 7):
-            fit = trial_fit(kind, x1, y1, None if kind == "om" else f,
-                            EstimatorConfig(degree=degree, fold_seed=fold_seed))
+            fit = trial_fit(kind, x1, y1, f1, EstimatorConfig(degree=degree, fold_seed=fold_seed))
             out[f"{kind}/{degree}"] = [float(fit.penalty).hex(), _digest(fit.coefficients)]
     return out
 
@@ -178,8 +178,7 @@ def test_grid_evaluates_the_predictor_once_per_input(monkeypatch):
     sizes = []
     real_predictor = grid.os_predictor
     monkeypatch.setattr(grid, "os_predictor", lambda *a, **k: _Counting(real_predictor(*a, **k), sizes))
-    result = run_scenario_grid(_grid_specs(), estimators=grid.ALL_ESTIMATORS, degrees=(1, 3),
-                               n_scenarios=2, n_runs=3)
+    run_scenario_grid(_grid_specs(), estimators=grid.ALL_ESTIMATORS, degrees=(1, 3), n_scenarios=2, n_runs=3)
     # one target evaluation per world, then one trial-arm evaluation per (n1, run)
     n_worlds, per_world = 2, 1 + 2 * 3
     assert len(sizes) == n_worlds * per_world
@@ -187,42 +186,32 @@ def test_grid_evaluates_the_predictor_once_per_input(monkeypatch):
         first, *arms = sizes[world * per_world:(world + 1) * per_world]
         assert first == 400 and all(0 < n <= 120 for n in arms)
 
-    class PassThrough:
-        def __init__(self, base):
-            self.base = base
-
-        def predict(self, x):
-            return self.base.predict(x)
-
-    monkeypatch.setattr(grid, "_MemoPredictor", PassThrough)
-    plain = run_scenario_grid(_grid_specs(), estimators=grid.ALL_ESTIMATORS, degrees=(1, 3),
-                              n_scenarios=2, n_runs=3)
-    assert json.dumps(result.scenario_rows) == json.dumps(plain.scenario_rows)
-    assert len(sizes) > n_worlds * per_world  # the pass-through evaluated inputs again
-
 
 def test_target_design_reproduces_predict():
     f, target, trial = _world()
     x1, y1 = trial.trial_arm_arrays(1)
-    shared = Target(target.x, f)
+    f0 = f.predict(target.x)
+    shared = Target(target.x, f0)
     for kind in ("om", "abc", "aom"):
         for degree in (1, 3, 5, 7):
-            fit = trial_fit(kind, x1, y1, None if kind == "om" else f,
-                            EstimatorConfig(degree=degree, fold_seed=FOLD_SEED))
-            want = fit.predict(target.x)
+            fit = trial_fit(kind, x1, y1, f.predict(x1), EstimatorConfig(degree=degree, fold_seed=FOLD_SEED))
+            # an AOM fit's design has f's values appended, which RidgeFit.predict cannot build
+            want = (np.column_stack([regression.legendre_eval(target.x, degree), f0]) @ fit.coefficients
+                    if kind == "aom" else fit.predict(target.x))
             assert _digest(shared.design(kind, degree) @ fit.coefficients) == _digest(want), (kind, degree)
 
 
 def test_estimates_do_not_depend_on_sharing_the_target():
     f, target, trial = _world()
-    shared = Target(target.x, f)
-    nuisances = {d: fit_nuisances(trial, shared, d) for d in grid.DEFAULT_DEGREES}
+    x1 = trial.trial_arm_arrays(1)[0]
+    f0, f1 = f.predict(target.x), f.predict(x1)
+    shared = Target(target.x, f0)
+    p1 = {d: fit_nuisances(trial, shared, d).predict(x1) for d in grid.DEFAULT_DEGREES}
     for name, estimator in grid.ESTIMATORS.items():
         for degree in grid._estimator_degrees(name, grid.DEFAULT_DEGREES):
             cfg = EstimatorConfig(degree=max(degree, 0), fold_seed=FOLD_SEED)
-            nuis = nuisances.get(degree)
-            alone, with_shared = (estimator.estimate(trial, f, nuis, cfg, t).point_estimate
-                                  for t in (Target(target.x, f), shared))
+            alone, with_shared = (estimator.estimate(trial, f1, p1.get(degree), cfg, t).point_estimate
+                                  for t in (Target(target.x, f0), shared))
             assert alone.hex() == with_shared.hex(), (name, degree)
 
 
@@ -252,7 +241,7 @@ def test_grid_builds_each_target_design_once_per_world(monkeypatch):
     n_worlds = 2
     assert sorted(on_target) == sorted([("phi", 400, d) for d in (1, 3)] * n_worlds + [("f", 400)] * 2 * n_worlds)
     for name, entry in list(grid.ESTIMATORS.items()):  # every estimate builds its own Target
-        fresh = lambda s, f, p, cfg, t, entry=entry: entry.estimate(s, f, p, cfg, Target(t.x, f))
+        fresh = lambda s, f1, p1, cfg, t, entry=entry: entry.estimate(s, f1, p1, cfg, Target(t.x, t.f))
         monkeypatch.setitem(grid.ESTIMATORS, name, replace(entry, estimate=fresh))
     alone, rebuilt = run()
     assert json.dumps(shared) == json.dumps(alone)

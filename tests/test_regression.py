@@ -8,8 +8,6 @@ from scipy.special import expit
 from ppgen import regression
 from ppgen.regression import (
     ROW_BLOCK,
-    CallablePredictor,
-    ConstantPredictor,
     IllConditionedError,
     cv_fold_indices,
     flexible_fit,
@@ -347,6 +345,24 @@ def test_ridge_cv_rejects_mismatched_or_empty_inputs(x, y, grid):
         ridge_cv(x, y, degree=1, penalty_grid=grid)
 
 
+@pytest.mark.parametrize("column", [np.zeros(19), np.zeros(21), np.zeros((20, 1)), 0.0],
+                         ids=["shorter", "longer", "2-d", "scalar"])
+@pytest.mark.parametrize("grid", [(1.0,), (1.0, 2.0)], ids=["one-penalty", "two-penalties"])
+def test_ridge_cv_rejects_an_extra_column_that_does_not_match_the_inputs(column, grid):
+    rng = np.random.default_rng(6)
+    with pytest.raises(ValueError, match="extra_column must hold one value per row"):
+        ridge_cv(rng.uniform(-1, 1, 20), rng.normal(0, 1, 20), degree=2, penalty_grid=grid, extra_column=column)
+
+
+def test_ridge_cv_appends_the_extra_column_as_the_last_regressor():
+    rng = np.random.default_rng(7)
+    x, column = rng.uniform(-1, 1, 30), rng.normal(0, 1, 30)
+    fit = ridge_cv(x, 2.0 * column, degree=1, penalty_grid=(1e-12,), extra_column=column)
+    assert fit.coefficients.shape == (3,)
+    assert fit.coefficients[-1] == pytest.approx(2.0, abs=1e-9)
+    assert np.allclose(fit.coefficients[:-1], 0.0, atol=1e-9)
+
+
 def _no_sweep(*args):
     raise AssertionError("the grid must be checked before any sweep")
 
@@ -575,10 +591,3 @@ def test_logistic_fit_is_the_reference_newton_loop_bit_for_bit(n, degree, penalt
 def test_logistic_one_class_rejected():
     with pytest.raises(ValueError):
         logistic_fit([0.1, 0.2], [1, 1], degree=0, ridge_penalty=0.1)
-
-
-def test_predictor_helpers():
-    c = ConstantPredictor(2.5)
-    assert np.array_equal(c.predict([0.0, 1.0]), [2.5, 2.5])
-    f = CallablePredictor(lambda x: 2 * x)
-    assert np.array_equal(f.predict([0.5]), [1.0])
