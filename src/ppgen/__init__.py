@@ -39,6 +39,7 @@ from .regression import (
     ridge_cv,
 )
 from .estimators import (
+    Arm,
     EstimatorConfig,
     Target,
     estimate_abc,

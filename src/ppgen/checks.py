@@ -29,8 +29,9 @@ from .analysis import (
     true_outcome_function,
 )
 from .dgp import World, draw_target, draw_trial, gp_world
-from .domain import TRIAL, CompositeSample, check_names, derive_seed
+from .domain import check_names, derive_seed
 from .estimators import (
+    Arm,
     EstimatorConfig,
     Target,
     categorical_point_estimate,
@@ -80,13 +81,12 @@ _PROP1_GROUPS = {
 }
 
 
-def _categorical_trial_and_target(rng, props, means, sds, counts, n0) -> tuple[CompositeSample, Target]:
-    """A categorical trial cohort and a target of ``n0`` records."""
+def _categorical_arm_and_target(rng, props, means, sds, counts, n0) -> tuple[Arm, Target]:
+    """A categorical trial arm and a target of ``n0`` records."""
     groups = np.arange(1.0, props.shape[0] + 1)
     y1 = np.concatenate([rng.normal(m, sd, c) for m, sd, c in zip(means, sds, counts)])
     x0 = groups[rng.choice(props.shape[0], size=n0, p=props)]
-    n1 = y1.shape[0]
-    return CompositeSample.cohort(TRIAL, np.repeat(groups, counts), np.zeros(n1), np.ones(n1, int), y1), Target(x0)
+    return Arm(np.repeat(groups, counts), y1), Target(x0)
 
 
 def prop1_check(seed: int = 0, n_replications: int = 10_000) -> CheckResult:
@@ -114,12 +114,11 @@ def prop1_check(seed: int = 0, n_replications: int = 10_000) -> CheckResult:
 
     # Object-level bridge: the estimator agrees with the kernel exactly.
     for _ in range(3):
-        trial, target = _categorical_trial_and_target(rng, g["props"], g["means"], g["sds"], g["counts"], 2_000)
-        x1, y1 = trial.trial_arm_arrays(1)
+        arm, target = _categorical_arm_and_target(rng, g["props"], g["means"], g["sds"], g["counts"], 2_000)
         groups = np.unique(target.x)
         props = np.array([np.mean(target.x == v) for v in groups])
-        gmeans = np.array([np.mean(y1[x1 == v]) for v in groups])
-        direct = estimate_om_categorical(trial, a=1, target=target).point_estimate
+        gmeans = np.array([np.mean(arm.y[arm.x == v]) for v in groups])
+        direct = estimate_om_categorical(arm, target=target).point_estimate
         if abs(direct - categorical_point_estimate(props, gmeans)) > 1e-12:
             return CheckResult("prop1", False, "object-level estimator diverged from kernel")
 
@@ -174,9 +173,9 @@ def theorem_structural_check(
     m = np.empty(n_refits)
     pointwise_sum = np.zeros(target_x.shape[0])
     for r in range(n_refits):
-        trial = draw_trial(world, _N1, seed_of("trial", r))
-        f1 = None if f is None else f.predict(trial.trial_arm_arrays(1)[0])
-        pred = target_prediction(which, trial, f1, EstimatorConfig(_DEGREE, fold_seed=seed_of("folds", r)), target)
+        x1, y1 = draw_trial(world, _N1, seed_of("trial", r)).trial_arm_arrays(1)
+        arm = Arm(x1, y1, None if f is None else f.predict(x1))
+        pred = target_prediction(which, arm, EstimatorConfig(_DEGREE, fold_seed=seed_of("folds", r)), target)
         m[r] = float(np.mean(pred))
         pointwise_sum += pred
 
@@ -231,10 +230,10 @@ def lemma2_check(seed: int = 0, n_worlds: int = 100, n_os: int = 20_000, n_featu
         spec_b = spectrum(b_fn, 16)
         if spec_b.tail_mass(_DEGREE) >= spec_g.tail_mass(_DEGREE):
             continue
-        trial = draw_trial(world, _N1, derive_seed(world_seed, "trial"))
-        x1, y1 = trial.trial_arm_arrays(1)
+        x1, y1 = draw_trial(world, _N1, derive_seed(world_seed, "trial")).trial_arm_arrays(1)
+        arm = Arm(x1, y1, f.predict(x1))
         cfg = EstimatorConfig(_DEGREE, fold_seed=derive_seed(world_seed, "folds"))
-        g_fit, b_fit = trial_fit("om", x1, y1, None, cfg), trial_fit("abc", x1, y1, f.predict(x1), cfg)
+        g_fit, b_fit = trial_fit("om", arm, cfg), trial_fit("abc", arm, cfg)
         risks_g.append(empirical_excess_risk(g_fit, g_fn, x1))
         risks_b.append(empirical_excess_risk(b_fit, b_fn, x1))
     if len(risks_g) < max(3, n_worlds // 10):
@@ -286,12 +285,12 @@ def dr_robustness_check(
     world = _check_world(derive_seed(seed, "dr"), lx=0.5, conf="none")
     mu = true_mu(world, a=1).mu_a
     q = tilted_participation(world, n1, n0)
-    cfg = EstimatorConfig(degree=3, a=1)
+    cfg = EstimatorConfig(degree=3)
     estimates = defaultdict(list)
     for rep in range(n_replications):
         trial = draw_trial(world, n1, derive_seed(seed, "dr", "trial", rep))
         x0 = draw_target(world, n0, derive_seed(seed, "dr", "target", rep)).x
-        x1, _ = trial.trial_arm_arrays(cfg.a)
+        x1, y1 = trial.trial_arm_arrays(1)
         # the estimators read each function only on the trial arm and on the
         # target, so each is evaluated there once and shared by the cases that
         # read it: the truth g (on the target first: the check's page faults
@@ -301,15 +300,15 @@ def dr_robustness_check(
         g1 = true_outcome_function(world, 1, x1)
         f1, f0 = g1 + 0.3 + 0.5 * x1, g0 + 0.3 + 0.5 * x0
         p_good, p_bad = q(x1), np.full(x1.shape[0], 0.5)
-        target = Target(x0, f0)
+        arm, target = Arm(x1, y1, f1), Target(x0, f0)
         # each DR estimator with its exact regression component (on the arm, on
         # the target), corrupted or kept; b is built only while its cases run
         trio = (
-            ("dr", lambda p, fit: estimate_dr_baseline(trial, p, cfg, outcome_fit=fit, target=target),
+            ("dr", lambda p, fit: estimate_dr_baseline(arm, p, cfg, outcome_fit=fit, target=target),
              lambda: (g1, g0)),
-            ("dr-abc", lambda p, fit: estimate_dr_abc(trial, f1, p, cfg, bias_fit=fit, target=target),
+            ("dr-abc", lambda p, fit: estimate_dr_abc(arm, p, cfg, bias_fit=fit, target=target),
              lambda: (0.3 + 0.5 * x1, 0.3 + 0.5 * x0)),
-            ("dr-pa", lambda p, fit: estimate_dr_aom(trial, f1, p, cfg, augmented_fit=fit, target=target),
+            ("dr-pa", lambda p, fit: estimate_dr_aom(arm, p, cfg, augmented_fit=fit, target=target),
              lambda: (g1, g0)),
         )
         for name, estimate, exact_values in trio:

@@ -32,7 +32,7 @@ from .analysis import os_predictor
 from .checks import CHECKS, run_checks
 from .dgp import draw_trial, gp_world, world_lattice_table
 from .domain import check_names, csv_text, derive_seed
-from .estimators import EstimatorConfig, trial_fit
+from .estimators import Arm, EstimatorConfig, trial_fit
 from .grid import (
     ALL_ESTIMATORS,
     DEFAULT_DEGREES,
@@ -343,11 +343,11 @@ def cmd_export_world(cfg: RunConfig) -> Outputs:
     seed_of = partial(derive_seed, cfg.seed, "export")
     world = gp_world(*grid_kernels(0.2, "mid"), seed_of)
     f = os_predictor(world, 50_000, seed_of)
-    trial = draw_trial(world, 200, seed_of("trial"))
-    x1, y1 = trial.trial_arm_arrays(1)
+    x1, y1 = draw_trial(world, 200, seed_of("trial")).trial_arm_arrays(1)
+    arm = Arm(x1, y1, f.predict(x1))
     degree = cfg.degrees[0]
     fit_cfg = EstimatorConfig(degree, fold_seed=seed_of("folds"))
-    g_fit, b_fit = trial_fit("om", x1, y1, None, fit_cfg), trial_fit("abc", x1, y1, f.predict(x1), fit_cfg)
+    g_fit, b_fit = trial_fit("om", arm, fit_cfg), trial_fit("abc", arm, fit_cfg)
     xs = np.linspace(-1.0, 1.0, 201)
     fits = {"x": xs, "f1": f.predict(xs), "g_hat": g_fit.predict(xs), "b_hat": b_fit.predict(xs)}
     csvs = {name: csv_text(list(columns), [dict(zip(columns, row)) for row in zip(*columns.values())])

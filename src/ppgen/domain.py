@@ -5,12 +5,12 @@ covariate ``x``, the hidden covariate ``u``, the population label ``s``, and
 the treatment ``a`` and outcome ``y`` of trial and observational rows (-1 and
 NaN on target rows, which carry neither).  Cohort draws return one-label
 samples and :meth:`CompositeSample.concat` stacks them.  The estimators read
-only the trial rows of a sample and take the target population as an
-``estimators.Target``.  The hidden covariate drives confounding in the
-synthetic worlds; estimator code must never read it, so it is exposed only
-through the oracle-flagged accessors below (``hidden_u_array``,
-``include_hidden=`` in the CSV writer) and can be blanked wholesale with
-:meth:`CompositeSample.public`.
+no sample: they take one trial arm, ``trial_arm_arrays(a)``, as an
+``estimators.Arm`` and the target population as an ``estimators.Target``.
+The hidden covariate drives confounding in the synthetic worlds; estimator
+code must never read it, so it is exposed only through the oracle-flagged
+accessors below (``hidden_u_array``, ``include_hidden=`` in the CSV writer)
+and can be blanked wholesale with :meth:`CompositeSample.public`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -83,13 +82,11 @@ def is_degree(degree) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class CompositeSample:
-    """Equal-length record columns with trial/target counts derived from ``s``.
+    """Equal-length record columns, one row per record of the population
+    labelled in ``s``.
 
     ``a`` is -1 and ``y`` NaN exactly on target rows; elsewhere ``a`` is 0 or
-    1 and ``y`` finite, and ``x`` is finite everywhere.  ``n1``/``n0`` count
-    trial and target rows; observational rows may be carried alongside but
-    do not enter either count.  A sample is read, never modified: the counts
-    and each trial arm are computed on first use and kept.
+    1 and ``y`` finite, and ``x`` is finite everywhere.
     """
 
     x: np.ndarray
@@ -121,7 +118,6 @@ class CompositeSample:
             raise ValueError("column a must be 0 or 1 on trial and observational records")
         if np.isinf(self.y).any():
             raise ValueError("column y must be finite on trial and observational records")
-        object.__setattr__(self, "_arms", {})
 
     @staticmethod
     def cohort(s: int, x, u, a=None, y=None) -> "CompositeSample":
@@ -152,16 +148,8 @@ class CompositeSample:
             return NotImplemented
         return all(np.array_equal(getattr(self, c), getattr(other, c), equal_nan=True) for c in _COLUMNS)
 
-    @cached_property
-    def n1(self) -> int:
-        return int(np.count_nonzero(self.s == TRIAL))
-
-    @cached_property
-    def n0(self) -> int:
-        return int(np.count_nonzero(self.s == TARGET))
-
     # -- array views ---------------------------------------------------
-    # Estimators consume these; none of them expose the hidden covariate.
+    # None of these expose the hidden covariate.
 
     def x_array(self) -> np.ndarray:
         return self.x
@@ -181,17 +169,12 @@ class CompositeSample:
         return self.x[self.s == TARGET]
 
     def trial_arm_arrays(self, a: int) -> tuple[np.ndarray, np.ndarray]:
-        """Covariates and outcomes of trial records with treatment ``a``,
-        masked once per arm and shared read-only by every caller."""
-        if a not in self._arms:
-            self._arms[a] = self._trial_arm(a)
-        return self._arms[a]
-
-    def _trial_arm(self, a: int) -> tuple[np.ndarray, np.ndarray]:
+        """Covariates and outcomes of trial records with treatment ``a``;
+        ValueError unless ``a`` is the int 0 or 1 (bools excluded)."""
+        if not (isinstance(a, int) and not isinstance(a, bool) and a in (0, 1)):
+            raise ValueError(f"treatment arm a must be 0 or 1, got {a!r}")
         mask = (self.s == TRIAL) & (self.a == a)
-        x, y = self.x[mask], self.y[mask]
-        x.flags.writeable = y.flags.writeable = False
-        return x, y
+        return self.x[mask], self.y[mask]
 
     def hidden_u_array(self) -> np.ndarray:
         """Oracle accessor: the hidden covariate of every record, in order."""

@@ -17,10 +17,11 @@ The estimators take values, not predictors, and the loop evaluates each
 function once where they read it.  The target sample and the OS predictor f
 are fixed within a world, so each world gets one ``Target`` of the target
 covariates and f on them, which every run's estimates read beside that run's
-trial cohort: f's values on the target and each fit's design on it are
+treated ``Arm``: f's values on the target and each fit's design on it are
 computed once, however many runs, estimators and degrees read them.  Each
-run evaluates f once on its trial arm, and each participation model once on
-that arm.
+run masks its treated arm once and evaluates f once on it, and each
+participation model once on that arm.  A world whose selected estimators
+read no f builds none.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .dgp import World, draw_target, draw_trial, gp_world
 from .domain import GenerationError, GlmParams, KernelParams, ScenarioSpec
 from .domain import check_names, csv_text, derive_seed, is_degree
 from .estimators import (
+    Arm,
     EstimatorConfig,
     Target,
     estimate_abc,
@@ -54,28 +56,30 @@ from .estimators import (
 
 @dataclass(frozen=True)
 class Estimator:
-    """One estimator and what it needs: ``estimate(trial, f1, p1, cfg,
-    target)`` gets a run's trial cohort, the OS predictor's values ``f1`` on
-    its treated arm, the world's ``Target`` and, if ``nuisances``, the
-    values ``p1`` on that arm of the participation model fitted at
-    ``cfg.degree``; one that is not ``per_degree`` runs once, as degree -1."""
+    """One estimator and what it needs: ``estimate(arm, p1, cfg, target)``
+    gets a run's treated ``Arm``, the world's ``Target`` and, if
+    ``nuisances``, the values ``p1`` on the arm of the participation model
+    fitted at ``cfg.degree``; ``reads_f`` says whether it reads the OS
+    predictor's values (``arm.f`` or ``target.f``), and one that is not
+    ``per_degree`` runs once, as degree -1."""
 
     estimate: Callable
     per_degree: bool = True
     nuisances: bool = False
+    reads_f: bool = False
 
 
 # Each entry looks its estimate function up when called, so replacing the
 # module-level name (in a test, or to trace it) reaches every caller.
 ESTIMATORS = {
-    "om": Estimator(lambda s, f1, p1, cfg, t: estimate_om(s, cfg, target=t)),
-    "os-om": Estimator(lambda s, f1, p1, cfg, t: estimate_os_om(t), per_degree=False),
-    "abc": Estimator(lambda s, f1, p1, cfg, t: estimate_abc(s, f1, cfg, target=t)),
-    "aom": Estimator(lambda s, f1, p1, cfg, t: estimate_aom(s, f1, cfg, target=t)),
-    "ipw": Estimator(lambda s, f1, p1, cfg, t: estimate_ipw(s, p1, cfg.a, target=t), nuisances=True),
-    "dr": Estimator(lambda s, f1, p1, cfg, t: estimate_dr_baseline(s, p1, cfg, target=t), nuisances=True),
-    "dr-abc": Estimator(lambda s, f1, p1, cfg, t: estimate_dr_abc(s, f1, p1, cfg, target=t), nuisances=True),
-    "dr-pa": Estimator(lambda s, f1, p1, cfg, t: estimate_dr_aom(s, f1, p1, cfg, target=t), nuisances=True),
+    "om": Estimator(lambda arm, p1, cfg, t: estimate_om(arm, cfg, target=t)),
+    "os-om": Estimator(lambda arm, p1, cfg, t: estimate_os_om(t), per_degree=False, reads_f=True),
+    "abc": Estimator(lambda arm, p1, cfg, t: estimate_abc(arm, cfg, target=t), reads_f=True),
+    "aom": Estimator(lambda arm, p1, cfg, t: estimate_aom(arm, cfg, target=t), reads_f=True),
+    "ipw": Estimator(lambda arm, p1, cfg, t: estimate_ipw(arm, p1, target=t), nuisances=True),
+    "dr": Estimator(lambda arm, p1, cfg, t: estimate_dr_baseline(arm, p1, cfg, target=t), nuisances=True),
+    "dr-abc": Estimator(lambda arm, p1, cfg, t: estimate_dr_abc(arm, p1, cfg, target=t), nuisances=True, reads_f=True),
+    "dr-pa": Estimator(lambda arm, p1, cfg, t: estimate_dr_aom(arm, p1, cfg, target=t), nuisances=True, reads_f=True),
 }
 GP_ESTIMATORS = tuple(name for name, e in ESTIMATORS.items() if not e.nuisances)
 ALL_ESTIMATORS = tuple(ESTIMATORS)
@@ -200,13 +204,14 @@ class _MemoPredictor:
         return values
 
 
-def _prologue(world: World, n0: int, n_os: int, seed_of, predictor_kind: str = "learned") -> tuple:
-    """What every run on ``world`` shares: the OS predictor ``f``, the
-    ``Target`` of the target cohort and ``f``'s values on it, and the true
-    mean ``mu``."""
+def _prologue(world: World, n0: int, n_os: int, seed_of, predictor_kind: str | None) -> tuple:
+    """What every run on ``world`` shares: the OS predictor ``f`` of
+    ``predictor_kind``, the ``Target`` of the target cohort and ``f``'s
+    values on it, and the true mean ``mu``.  A ``predictor_kind`` of None
+    builds no ``f``: it is None, and the ``Target`` holds no values of it."""
     x0 = draw_target(world, n0, seed_of("target")).x
-    f = os_predictor(world, n_os, seed_of, predictor_kind)
-    return f, Target(x0, f.predict(x0)), true_mu(world, a=1).mu_a
+    f = None if predictor_kind is None else os_predictor(world, n_os, seed_of, predictor_kind)
+    return f, Target(x0, None if f is None else f.predict(x0)), true_mu(world, a=1).mu_a
 
 
 def _unless_failed(fn, *args):
@@ -235,15 +240,15 @@ def _run_trials(world: World, prologue: tuple, n1: int, n_runs: int, keyed: list
         if trial is None:
             continue
         fold_seed = run_seed("folds", run)
-        x1, _ = trial.trial_arm_arrays(1)
-        f1 = f.predict(x1)
-        nuisances = {deg: _unless_failed(fit_nuisances, trial, target, deg) for deg in nuisance_degrees}
+        x1, y1 = trial.trial_arm_arrays(1)
+        arm = Arm(x1, y1, None if f is None else f.predict(x1))
+        nuisances = {deg: _unless_failed(fit_nuisances, trial.x, target, deg) for deg in nuisance_degrees}
         p1 = {deg: None if fit is None else fit.predict(x1) for deg, fit in nuisances.items()}
         for name, deg in keyed:
             if ESTIMATORS[name].nuisances and p1[deg] is None:
                 continue
-            cfg = EstimatorConfig(degree=max(deg, 0), a=1, penalty_grid=penalty_grid, fold_seed=fold_seed)
-            record = _unless_failed(ESTIMATORS[name].estimate, trial, f1, p1.get(deg), cfg, target)
+            cfg = EstimatorConfig(degree=max(deg, 0), penalty_grid=penalty_grid, fold_seed=fold_seed)
+            record = _unless_failed(ESTIMATORS[name].estimate, arm, p1.get(deg), cfg, target)
             if record is not None:
                 estimates[(name, deg)][run] = record.point_estimate
     return estimates
@@ -269,7 +274,8 @@ def _run_scenario_task(task: _ScenarioTask) -> list[dict]:
         return derive_seed(seed, *parts, task.scenario)
 
     world = gp_world(spec.fom_params, spec.ps_params, spec.pa_params, seed_of)
-    prologue = _prologue(world, spec.n0, spec.n_os, seed_of, spec.predictor_kind)
+    reads_f = any(ESTIMATORS[name].reads_f for name in task.estimators)
+    prologue = _prologue(world, spec.n0, spec.n_os, seed_of, spec.predictor_kind if reads_f else None)
     mu = prologue[-1]
     # os-om first (sorted is stable), then estimators x degrees in the given order
     keyed = [(name, deg) for name in sorted(task.estimators, key=lambda n: ESTIMATORS[n].per_degree)
@@ -514,7 +520,7 @@ def _run_table2_task(task: _Table2Task) -> dict[tuple[str, int], float]:
         return derive_seed(seed, "table2-" + part, row["row_id"], g, *rest)
 
     world = _sample_glm_world(row, seed, g)
-    prologue = _prologue(world, TABLE2_N0, TABLE2_N_OS, seed_of)
+    prologue = _prologue(world, TABLE2_N0, TABLE2_N_OS, seed_of, "learned")
     mu = prologue[-1]
     keyed = [(name, order) for order in TABLE2_ORDERS for name in ("om", "abc")]
     estimates = _run_trials(world, prologue, TABLE2_N1, task.n_runs, keyed, (TABLE2_PENALTY,), seed_of)

@@ -19,8 +19,9 @@ from ppgen.checks import (
     prop1_check,
     theorem_structural_check,
 )
-from ppgen.domain import CompositeSample, KernelParams, ScenarioSpec, TRIAL
+from ppgen.domain import KernelParams, ScenarioSpec
 from ppgen.estimators import (
+    Arm,
     EstimatorConfig,
     Target,
     estimate_abc,
@@ -203,29 +204,28 @@ def test_criterion_7_numerical_invariants(workers):
     x1 = rng.uniform(-1, 1, 100)
     y1 = np.sin(2 * x1) + rng.normal(0, 0.2, 100)
     x0 = rng.uniform(-1, 1, 500)
-    sample = CompositeSample.cohort(TRIAL, x1, np.zeros(100), np.ones(100, dtype=np.int64), y1)
     zero1, zero0 = np.zeros(100), np.zeros(500)
-    target = Target(x0, zero0)
-    cfg = EstimatorConfig(degree=3, a=1, fold_seed=11)
-    if (estimate_abc(sample, zero1, cfg, target=target).point_estimate
-            != estimate_om(sample, cfg, target=target).point_estimate):
+    arm, target = Arm(x1, y1, zero1), Target(x0, zero0)
+    cfg = EstimatorConfig(degree=3, fold_seed=11)
+    if (estimate_abc(arm, cfg, target=target).point_estimate
+            != estimate_om(arm, cfg, target=target).point_estimate):
         problems.append("ABC(f=0) != OM bit-for-bit")
 
     # DR reduction identities to 1e-10
     nuis = np.full(100, 0.3)
     zero = (zero1, zero0)
-    ipw = estimate_ipw(sample, nuis, a=1, target=target).point_estimate
+    ipw = estimate_ipw(arm, nuis, target=target).point_estimate
     for name, value in [
-        ("dr", estimate_dr_baseline(sample, nuis, cfg, outcome_fit=zero, target=target).point_estimate),
-        ("dr-abc", estimate_dr_abc(sample, zero1, nuis, cfg, bias_fit=zero, target=target).point_estimate),
-        ("dr-pa", estimate_dr_aom(sample, zero1, nuis, cfg, augmented_fit=zero, target=target).point_estimate),
+        ("dr", estimate_dr_baseline(arm, nuis, cfg, outcome_fit=zero, target=target).point_estimate),
+        ("dr-abc", estimate_dr_abc(arm, nuis, cfg, bias_fit=zero, target=target).point_estimate),
+        ("dr-pa", estimate_dr_aom(arm, nuis, cfg, augmented_fit=zero, target=target).point_estimate),
     ]:
         if abs(value - ipw) > 1e-10 * max(1.0, abs(ipw)):
             problems.append(f"{name} with zero regression != IPW")
     g_fit = ridge_cv(x1, y1, degree=3, penalty_grid=(1e-6,))
     om_same_fit = float(np.mean(g_fit.predict(x0)))
     dr_no_weights = estimate_dr_baseline(
-        sample,
+        arm,
         np.full(100, 1 - 1e-12),
         cfg,
         outcome_fit=(g_fit.predict(x1), g_fit.predict(x0)),

@@ -23,7 +23,9 @@ from ppgen.dgp import (
 )
 from ppgen.domain import (
     OS,
+    TARGET,
     TREATMENT_PROB,
+    TRIAL,
     CompositeSample,
     GlmParams,
     KernelParams,
@@ -234,7 +236,7 @@ def trial_target(world, n1, n0, seed):
 def test_exact_cohort_sizes():
     world = world_from_spec(_gp_spec(), "sizes")
     sample = trial_target(world, 200, 20_000, seed=1)
-    assert (sample.n1, sample.n0) == (200, 20_000)
+    assert (np.count_nonzero(sample.s == TRIAL), np.count_nonzero(sample.s == TARGET)) == (200, 20_000)
 
 
 def test_constant_world_outcomes():

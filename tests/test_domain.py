@@ -46,7 +46,7 @@ def test_partition_counts_match():
         (0.1, 0.2, TRIAL, 1, 1.0),
     ]
     sample = CompositeSample.from_records(records)
-    assert len(sample.target_x()) == 2 == sample.n0
+    assert len(sample.target_x()) == 2 == np.count_nonzero(sample.s == TARGET)
 
 
 def test_partition_empty_result_allowed():
@@ -84,7 +84,6 @@ def test_columnar_sample_properties(columns):
     x, u, s, a, y = columns
     sample = CompositeSample(x, u, s, a, y)
     assert len(sample) == x.shape[0]
-    assert sample.n1 == int(np.sum(s == TRIAL)) and sample.n0 == int(np.sum(s == TARGET))
 
     # target rows and the two trial arms split the trial + target rows exactly
     assert _bits(sample.target_x()) == _bits(x[s == TARGET])
@@ -94,7 +93,7 @@ def test_columnar_sample_properties(columns):
         rows = (s == TRIAL) & (a == arm)
         assert _bits(xa) == _bits(x[rows]) and _bits(ya) == _bits(y[rows])
         split += xa.shape[0]
-    assert split == sample.n1 + sample.n0
+    assert split == np.count_nonzero(sample.s == TRIAL) + np.count_nonzero(sample.s == TARGET)
 
     pub = sample.public()
     assert np.isnan(pub.hidden_u_array()).all()
@@ -181,7 +180,7 @@ def test_concat_keeps_row_order():
     assert both.x_array().tolist() == [0.1, 0.2, 0.3]
     assert both.s_array().tolist() == [TRIAL, TRIAL, TARGET]
     assert both.a_array().tolist() == [1, 0, -1]
-    assert (both.n1, both.n0, len(both)) == (2, 1, 3)
+    assert (np.count_nonzero(both.s == TRIAL), np.count_nonzero(both.s == TARGET), len(both)) == (2, 1, 3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -196,16 +195,12 @@ def test_concat_of_checked_parts_equals_the_checked_construction(sizes, seed):
             parts.append(CompositeSample.cohort(s, x, u))
         else:
             parts.append(CompositeSample.cohort(s, x, u, rng.integers(0, 2, n), rng.normal(0, 1, n)))
-    for part in parts:
-        part.trial_arm_arrays(1)  # fill each part's per-arm cache
     stacked = CompositeSample.concat(*parts)
     checked = CompositeSample(*(np.concatenate([getattr(p, c) for p in parts]) for c in "xusay"))
     assert stacked == checked
     for c in "xusay":
         assert getattr(stacked, c).dtype == getattr(checked, c).dtype
-    assert stacked._arms == {} and all(stacked._arms is not p._arms for p in parts)
     assert [a.tolist() for a in stacked.trial_arm_arrays(1)] == [a.tolist() for a in checked.trial_arm_arrays(1)]
-    assert (stacked.n1, stacked.n0) == (checked.n1, checked.n0)
 
 
 def test_observation_invariants():
@@ -273,7 +268,7 @@ def test_read_sample_csv_header_only_is_an_empty_sample(tmp_path):
     path = tmp_path / "sample.csv"
     path.write_text("x,u,s,a,y\n")
     sample = read_sample_csv(path)
-    assert len(sample) == 0 and sample.n1 == sample.n0 == 0
+    assert len(sample) == 0 and np.count_nonzero(sample.s == TRIAL) == np.count_nonzero(sample.s == TARGET) == 0
 
 
 def test_public_view_strips_u():
@@ -281,7 +276,7 @@ def test_public_view_strips_u():
     pub = sample.public()
     assert all(math.isnan(u) for u in pub.hidden_u_array())
     assert np.array_equal(pub.x_array(), sample.x_array())
-    assert (pub.n1, pub.n0) == (sample.n1, sample.n0)
+    assert all(np.count_nonzero(pub.s == s) == np.count_nonzero(sample.s == s) for s in (TRIAL, TARGET))
 
 
 def test_os_records_not_counted():
@@ -291,7 +286,8 @@ def test_os_records_not_counted():
         (0.5, 0.5, OS, 1, 2.0),
     ]
     sample = CompositeSample.from_records(records)
-    assert (sample.n1, sample.n0) == (1, 1)
+    assert (np.count_nonzero(sample.s == TRIAL), np.count_nonzero(sample.s == TARGET)) == (1, 1)
+    assert [v.tolist() for v in sample.trial_arm_arrays(1)] == [[0.1], [1.0]]  # the OS row is in no trial arm
 
 
 def test_kernel_params_validation():

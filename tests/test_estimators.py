@@ -10,16 +10,17 @@ from ppgen import estimators, grid
 from ppgen.analysis import tilted_participation, true_mu
 from ppgen.dgp import draw_target, draw_trial, generate_os, world_from_spec
 from ppgen.domain import (
-    OS,
     TARGET,
     TRIAL,
     CompositeSample,
     KernelParams,
+    TREATMENT_PROB,
     PositivityError,
     ScenarioSpec,
     derive_seed,
 )
 from ppgen.estimators import (
+    Arm,
     EstimatorConfig,
     Target,
     estimate_abc,
@@ -36,12 +37,13 @@ from ppgen.estimators import (
 from ppgen.regression import DEFAULT_PENALTY_GRID, LogisticFit
 
 
-def build_sample(x1, y1, x0, f=None, a=1):
-    """A trial cohort of arm ``a`` and the ``Target`` of ``x0`` with the values
-    of function ``f`` on it."""
-    n1 = len(x1)
-    sample = CompositeSample.cohort(TRIAL, x1, np.zeros(n1), np.full(n1, a), y1)
-    return sample, Target(x0, None if f is None else f(np.asarray(x0, dtype=float)))
+def build_arm(x1, y1, x0, f=None):
+    """The ``Arm`` of ``x1`` and ``y1`` and the ``Target`` of ``x0``, each
+    with the values of function ``f`` on its covariates."""
+    def values(x):
+        return None if f is None else f(np.asarray(x, dtype=float))
+
+    return Arm(x1, y1, values(x1)), Target(x0, values(x0))
 
 
 def const(value, x):
@@ -50,7 +52,7 @@ def const(value, x):
 
 
 def tiny_cfg(degree, penalty=1e-8, fold_seed=0):
-    return EstimatorConfig(degree=degree, a=1, penalty_grid=(penalty,), fold_seed=fold_seed)
+    return EstimatorConfig(degree=degree, penalty_grid=(penalty,), fold_seed=fold_seed)
 
 
 def seeded_world(seed=21, lx=0.5, alpha_u_pa=0.0, l_u_pa=None):
@@ -78,13 +80,13 @@ _identity_cases = st.fixed_dictionaries({
 
 
 def _identity_draw(case):
-    """A trial arm, its sample and config, a target, and participation values on the arm."""
+    """A trial arm's covariates and outcomes, a target's covariates, a config,
+    and participation values on the arm."""
     rng = np.random.default_rng(case["seed"])
     x1, x0 = rng.uniform(-1, 1, case["n1"]), rng.uniform(-1, 1, case["n0"])
     y1 = np.sin(3 * x1) + rng.normal(0, 0.5, case["n1"])
-    sample = CompositeSample.cohort(TRIAL, x1, np.zeros(case["n1"]), np.ones(case["n1"], int), y1)
     cfg = EstimatorConfig(case["degree"], penalty_grid=case["penalty_grid"], fold_seed=case["seed"] % 1000)
-    return x1, y1, x0, sample, cfg, rng.uniform(0.05, 0.95, case["n1"])
+    return x1, y1, x0, cfg, rng.uniform(0.05, 0.95, case["n1"])
 
 
 # -- outcome model ------------------------------------------------------------
@@ -92,8 +94,8 @@ def _identity_draw(case):
 
 def test_om_constant_fit():
     rng = np.random.default_rng(0)
-    sample, target = build_sample(rng.uniform(-1, 1, 30), np.full(30, 2.0), rng.uniform(-1, 1, 40))
-    rec = estimate_om(sample, tiny_cfg(degree=0, penalty=0.0), target=target)
+    arm, target = build_arm(rng.uniform(-1, 1, 30), np.full(30, 2.0), rng.uniform(-1, 1, 40))
+    rec = estimate_om(arm, tiny_cfg(degree=0, penalty=0.0), target=target)
     assert rec.point_estimate == pytest.approx(2.0, abs=1e-12)
 
 
@@ -101,15 +103,15 @@ def test_om_recovers_linear_truth():
     rng = np.random.default_rng(1)
     x1 = rng.uniform(-1, 1, 100)
     x0 = 0.2 + np.concatenate([-rng.uniform(0, 0.5, 500), rng.uniform(0, 0.5, 500)])
-    sample, target = build_sample(x1, x1, x0)  # y = x exactly
-    rec = estimate_om(sample, tiny_cfg(degree=1), target=target)
+    arm, target = build_arm(x1, x1, x0)  # y = x exactly
+    rec = estimate_om(arm, tiny_cfg(degree=1), target=target)
     assert rec.point_estimate == pytest.approx(float(np.mean(x0)), abs=1e-8)
 
 
 def test_om_requires_enough_arm_records():
-    sample, target = build_sample([0.1, 0.2], [1.0, 2.0], [0.0, 0.5])
-    with pytest.raises(ValueError):
-        estimate_om(sample, tiny_cfg(degree=3), target=target)
+    arm, target = build_arm([0.1, 0.2], [1.0, 2.0], [0.0, 0.5])
+    with pytest.raises(ValueError, match="the trial arm has 2 records"):
+        estimate_om(arm, tiny_cfg(degree=3), target=target)
 
 
 def test_om_matches_categorical_on_saturated_basis():
@@ -117,9 +119,9 @@ def test_om_matches_categorical_on_saturated_basis():
     x1 = rng.choice([-0.5, 0.5], 60)
     y1 = np.where(x1 > 0, 2.0, 1.0) + rng.normal(0, 0.3, 60)
     x0 = rng.choice([-0.5, 0.5], 200, p=[0.3, 0.7])
-    sample, target = build_sample(x1, y1, x0)
-    om = estimate_om(sample, tiny_cfg(degree=1, penalty=1e-12), target=target)
-    cat = estimate_om_categorical(sample, a=1, target=target)
+    arm, target = build_arm(x1, y1, x0)
+    om = estimate_om(arm, tiny_cfg(degree=1, penalty=1e-12), target=target)
+    cat = estimate_om_categorical(arm, target=target)
     assert om.point_estimate == pytest.approx(cat.point_estimate, abs=1e-10)
 
 
@@ -130,21 +132,21 @@ def test_categorical_weighted_average():
     x1 = [1.0] * 10 + [2.0] * 10
     y1 = [1.0] * 10 + [2.0] * 10
     x0 = [1.0] * 30 + [2.0] * 70
-    sample, target = build_sample(x1, y1, x0)
-    rec = estimate_om_categorical(sample, a=1, target=target)
+    arm, target = build_arm(x1, y1, x0)
+    rec = estimate_om_categorical(arm, target=target)
     assert rec.point_estimate == pytest.approx(1.7)
 
 
 def test_categorical_single_group():
-    sample, target = build_sample([1.0] * 5, [2, 4, 6, 0, 3], [1.0] * 9)
-    rec = estimate_om_categorical(sample, a=1, target=target)
+    arm, target = build_arm([1.0] * 5, [2, 4, 6, 0, 3], [1.0] * 9)
+    rec = estimate_om_categorical(arm, target=target)
     assert rec.point_estimate == pytest.approx(3.0)
 
 
 def test_categorical_positivity_error():
-    sample, target = build_sample([1.0] * 5, [1.0] * 5, [1.0, 2.0])
+    arm, target = build_arm([1.0] * 5, [1.0] * 5, [1.0, 2.0])
     with pytest.raises(PositivityError):
-        estimate_om_categorical(sample, a=1, target=target)
+        estimate_om_categorical(arm, target=target)
 
 
 # -- OS-OM ----------------------------------------------------------------------
@@ -166,9 +168,9 @@ def test_os_om_ignores_trial_records():
     rng = np.random.default_rng(4)
     x0 = rng.uniform(-1, 1, 100)
     target = Target(x0, x0**2)
-    os_om = grid.ESTIMATORS["os-om"].estimate  # as the grid calls it, with each run's trial
-    a = os_om(build_sample([0.1], [1.0], x0)[0], np.array([0.01]), None, tiny_cfg(0), target)
-    b = os_om(build_sample([0.9, -0.9], [7.0, -7.0], x0)[0], np.array([0.81, 0.81]), None, tiny_cfg(0), target)
+    os_om = grid.ESTIMATORS["os-om"].estimate  # as the grid calls it, with each run's arm
+    a = os_om(Arm([0.1], [1.0], [0.01]), None, tiny_cfg(0), target)
+    b = os_om(Arm([0.9, -0.9], [7.0, -7.0], [0.81, 0.81]), None, tiny_cfg(0), target)
     assert a.point_estimate == b.point_estimate == float(np.mean(x0**2))
 
 
@@ -179,9 +181,9 @@ def test_os_om_ignores_trial_records():
 @given(_identity_cases)
 def test_abc_zero_bias_predictor(case):
     """f exact on the arm has a fitted bias of exactly 0, so ABC is f's target mean."""
-    x1, y1, x0, sample, cfg, _ = _identity_draw(case)
+    x1, y1, x0, cfg, _ = _identity_draw(case)
     f0 = np.cos(2 * x0)
-    abc = estimate_abc(sample, y1, cfg, target=Target(x0, f0))
+    abc = estimate_abc(Arm(x1, y1, y1), cfg, target=Target(x0, f0))
     assert abc.point_estimate == float(np.mean(f0))
 
 
@@ -189,9 +191,9 @@ def test_abc_zero_bias_predictor(case):
 @given(_identity_cases)
 def test_abc_zero_predictor_equals_om_bitwise(case):
     """f = 0 makes ABC fit -y, the mirror image of OM's fit, through the CV sweep too."""
-    x1, _, x0, sample, cfg, _ = _identity_draw(case)
-    om = estimate_om(sample, cfg, target=Target(x0))
-    abc = estimate_abc(sample, np.zeros_like(x1), cfg, target=Target(x0, np.zeros_like(x0)))
+    x1, y1, x0, cfg, _ = _identity_draw(case)
+    om = estimate_om(Arm(x1, y1), cfg, target=Target(x0))
+    abc = estimate_abc(Arm(x1, y1, np.zeros_like(x1)), cfg, target=Target(x0, np.zeros_like(x0)))
     assert abc.point_estimate.hex() == om.point_estimate.hex()
 
 
@@ -201,8 +203,8 @@ def test_abc_constant_offset_predictor():
     g = lambda x: np.sin(2 * x)
     f = lambda x: g(x) + 0.5
     x0 = rng.uniform(-1, 1, 2_000)
-    sample, target = build_sample(x1, g(x1), x0, f)
-    abc = estimate_abc(sample, f(x1), tiny_cfg(degree=0), target=target)
+    arm, target = build_arm(x1, g(x1), x0, f)
+    abc = estimate_abc(arm, tiny_cfg(degree=0), target=target)
     assert abc.point_estimate == pytest.approx(float(np.mean(g(x0))), abs=2e-2)
 
 
@@ -211,9 +213,9 @@ def test_abc_equals_os_om_minus_mean_bias_fit():
     x1 = rng.uniform(-1, 1, 90)
     y1 = np.cos(x1) + rng.normal(0, 0.1, 90)
     x0 = rng.uniform(-1, 1, 500)
-    sample, target = build_sample(x1, y1, x0, lambda x: x)
-    cfg = EstimatorConfig(degree=2, a=1, fold_seed=5)
-    abc = estimate_abc(sample, x1, cfg, target=target)
+    arm, target = build_arm(x1, y1, x0, lambda x: x)
+    cfg = EstimatorConfig(degree=2, fold_seed=5)
+    abc = estimate_abc(arm, cfg, target=target)
     # reconstruct the two pieces with the same fit
     from ppgen.regression import ridge_cv
 
@@ -237,11 +239,16 @@ def test_trial_fit_variants_are_the_three_regressions():
         "aom": ridge_cv(x1, y1, 2, fold_seed=3, extra_column=f1),
     }
     for kind, want in expected.items():
-        got = trial_fit(kind, x1, y1, f1, cfg)
+        got = trial_fit(kind, Arm(x1, y1, f1), cfg)
         assert got.penalty == want.penalty
         assert np.array_equal(got.coefficients, want.coefficients)
     with pytest.raises(ValueError, match="ipw"):
-        trial_fit("ipw", x1, y1, f1, cfg)
+        trial_fit("ipw", Arm(x1, y1, f1), cfg)
+    # OM reads no f; ABC and AOM need it
+    assert np.array_equal(trial_fit("om", Arm(x1, y1), cfg).coefficients, expected["om"].coefficients)
+    for kind in ("abc", "aom"):
+        with pytest.raises(ValueError, match="the arm has no values of f"):
+            trial_fit(kind, Arm(x1, y1), cfg)
 
 
 # -- AOM --------------------------------------------------------------------------
@@ -252,8 +259,8 @@ def test_aom_in_class_predictor():
     x1 = rng.uniform(-1, 1, 150)
     f = lambda x: np.sin(4 * x)  # independent of polynomial columns
     x0 = rng.uniform(-1, 1, 800)
-    sample, target = build_sample(x1, f(x1), x0, f)  # y = f exactly
-    rec = estimate_aom(sample, f(x1), tiny_cfg(degree=1, penalty=1e-10), target=target)
+    arm, target = build_arm(x1, f(x1), x0, f)  # y = f exactly
+    rec = estimate_aom(arm, tiny_cfg(degree=1, penalty=1e-10), target=target)
     assert rec.point_estimate == pytest.approx(estimate_os_om(target).point_estimate, abs=1e-6)
 
 
@@ -262,9 +269,9 @@ def test_aom_constant_predictor_equals_om():
     x1 = rng.uniform(-1, 1, 100)
     y1 = x1**2 + rng.normal(0, 0.1, 100)
     x0 = rng.uniform(-1, 1, 400)
-    sample, target = build_sample(x1, y1, x0, partial(const, 2.0))
-    aom = estimate_aom(sample, const(2.0, x1), tiny_cfg(degree=2), target=target)
-    om = estimate_om(sample, tiny_cfg(degree=2), target=target)
+    arm, target = build_arm(x1, y1, x0, partial(const, 2.0))
+    aom = estimate_aom(arm, tiny_cfg(degree=2), target=target)
+    om = estimate_om(arm, tiny_cfg(degree=2), target=target)
     assert aom.point_estimate == pytest.approx(om.point_estimate, abs=1e-6)
 
 
@@ -278,10 +285,11 @@ def test_aom_noise_predictor_tracks_om():
     mu = true_mu(world, a=1).mu_a
     diffs, oms = [], []
     for rep in range(100):
-        trial = draw_trial(world, 200, seed=derive_seed("aom-noise", rep))
-        cfg = EstimatorConfig(degree=3, a=1, fold_seed=rep)
-        om = estimate_om(trial, cfg, target=target).point_estimate
-        aom = estimate_aom(trial, f.predict(trial.trial_arm_arrays(1)[0]), cfg, target=target).point_estimate
+        x1, y1 = draw_trial(world, 200, seed=derive_seed("aom-noise", rep)).trial_arm_arrays(1)
+        arm = Arm(x1, y1, f.predict(x1))
+        cfg = EstimatorConfig(degree=3, fold_seed=rep)
+        om = estimate_om(arm, cfg, target=target).point_estimate
+        aom = estimate_aom(arm, cfg, target=target).point_estimate
         oms.append(om)
         diffs.append(aom - om)
     rmse_om = np.sqrt(np.mean((np.asarray(oms) - mu) ** 2))
@@ -298,15 +306,15 @@ def test_ipw_constant_participation_reduces_to_scaled_arm_mean():
     x1 = rng.uniform(-1, 1, 50)
     y1 = rng.normal(1.0, 0.5, 50)
     x0 = rng.uniform(-1, 1, 150)
-    sample, target = build_sample(x1, y1, x0)
+    arm, target = build_arm(x1, y1, x0)
     p_m = 50 / 200
-    rec = estimate_ipw(sample, const(p_m, x1), a=1, target=target)
+    rec = estimate_ipw(arm, const(p_m, x1), target=target)
     assert rec.point_estimate == pytest.approx(2 * np.sum(y1) / 50, abs=1e-10)
 
 
 def test_ipw_single_record_unit_weight():
-    sample, target = build_sample([0.3], [4.2], [0.1])
-    rec = estimate_ipw(sample, [2.0 / 3.0], a=1, target=target)
+    arm, target = build_arm([0.3], [4.2], [0.1])
+    rec = estimate_ipw(arm, [2.0 / 3.0], target=target)
     assert rec.point_estimate == pytest.approx(4.2, abs=1e-12)
 
 
@@ -316,28 +324,38 @@ def test_ipw_consistent_on_homogeneous_world():
     trial = draw_trial(world, 25_000, seed=2)
     target = Target(draw_target(world, 25_000, seed=3).x)
     sample = replace(trial, y=np.full(len(trial), 3.0))
-    nuis = fit_nuisances(sample, target, degree=3)
-    rec = estimate_ipw(sample, nuis.predict(sample.trial_arm_arrays(1)[0]), a=1, target=target)
+    nuis = fit_nuisances(sample.x, target, degree=3)
+    x1, y1 = sample.trial_arm_arrays(1)
+    rec = estimate_ipw(Arm(x1, y1), nuis.predict(x1), target=target)
     assert rec.point_estimate == pytest.approx(3.0, abs=0.03)
 
 
 def test_ipw_extreme_weight_warning():
-    sample, target = build_sample([0.3], [4.2], [0.1])
-    rec = estimate_ipw(sample, [1e-4], a=1, target=target)
+    arm, target = build_arm([0.3], [4.2], [0.1])
+    rec = estimate_ipw(arm, [1e-4], target=target)
     assert rec.warnings
+
+
+@settings(max_examples=60, deadline=None)
+@given(_identity_cases)
+def test_ipw_is_the_weighted_arm_sum_over_n0(case):
+    """The weights' normalizer is 1/n0, n0 the Target's row count, whatever the arm's size."""
+    x1, y1, x0, _, p1 = _identity_draw(case)
+    w = (1.0 - p1) / (p1 * TREATMENT_PROB)
+    assert estimate_ipw(Arm(x1, y1), p1, target=Target(x0)).point_estimate == (1.0 / len(x0)) * float(np.sum(w * y1))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_identity_cases)
 def test_dr_zero_outcome_fit_is_ipw(case):
     """With zero regression components every DR form is IPW."""
-    x1, _, x0, sample, cfg, p1 = _identity_draw(case)
-    target = Target(x0, np.zeros_like(x0))  # f = 0, for DR-ABC
-    zero1, zero = np.zeros_like(x1), (np.zeros_like(x1), np.zeros_like(x0))
-    ipw = estimate_ipw(sample, p1, target=target).point_estimate
-    for dr in (estimate_dr_baseline(sample, p1, cfg, zero, target=target),
-               estimate_dr_abc(sample, zero1, p1, cfg, zero, target=target),
-               estimate_dr_aom(sample, zero1, p1, cfg, zero, target=target)):
+    x1, y1, x0, cfg, p1 = _identity_draw(case)
+    arm, target = Arm(x1, y1, np.zeros_like(x1)), Target(x0, np.zeros_like(x0))  # f = 0, for DR-ABC
+    zero = (np.zeros_like(x1), np.zeros_like(x0))
+    ipw = estimate_ipw(arm, p1, target=target).point_estimate
+    for dr in (estimate_dr_baseline(arm, p1, cfg, zero, target=target),
+               estimate_dr_abc(arm, p1, cfg, zero, target=target),
+               estimate_dr_aom(arm, p1, cfg, zero, target=target)):
         assert dr.point_estimate == pytest.approx(ipw, rel=1e-12, abs=1e-12)
 
 
@@ -345,9 +363,9 @@ def test_dr_zero_outcome_fit_is_ipw(case):
 @given(_identity_cases)
 def test_dr_exact_fit_noise_free_equals_om_average(case):
     """A fit exact on the arm leaves no residual to weight: DR is the fit's target mean."""
-    x1, y1, x0, sample, cfg, p1 = _identity_draw(case)
+    x1, y1, x0, cfg, p1 = _identity_draw(case)
     fit_x0 = np.sin(3 * x0) + 0.25
-    dr = estimate_dr_baseline(sample, p1, cfg, (y1, fit_x0), target=Target(x0))
+    dr = estimate_dr_baseline(Arm(x1, y1), p1, cfg, (y1, fit_x0), target=Target(x0))
     assert dr.point_estimate == pytest.approx(float(np.mean(fit_x0)), rel=1e-10, abs=1e-10)
 
 
@@ -358,9 +376,9 @@ def test_dr_abc_reductions():
     x1 = rng.uniform(-1, 1, 60)
     x0 = rng.uniform(-1, 1, 200)
     f = lambda x: x + 0.25
-    sample, target = build_sample(x1, x1, x0, f)  # y = x so the bias of f is exactly 0.25
+    arm, target = build_arm(x1, x1, x0, f)  # y = x so the bias of f is exactly 0.25
     bias = (const(0.25, x1), const(0.25, x0))
-    dr_abc = estimate_dr_abc(sample, f(x1), const(0.35, x1), tiny_cfg(0), bias_fit=bias, target=target)
+    dr_abc = estimate_dr_abc(arm, const(0.35, x1), tiny_cfg(0), bias_fit=bias, target=target)
     assert dr_abc.point_estimate == pytest.approx(float(np.mean(f(x0)) - 0.25), abs=1e-12)
 
 
@@ -370,10 +388,10 @@ def test_dr_aom_reductions():
     y1 = rng.normal(0, 1, 60)
     x0 = rng.uniform(-1, 1, 200)
     zero = (const(0.0, x1), const(0.0, x0))
-    sample, target = build_sample(x1, y1, x0, partial(const, 0.0))
+    arm, target = build_arm(x1, y1, x0, partial(const, 0.0))
     nuis = const(0.35, x1)
-    ipw = estimate_ipw(sample, nuis, a=1, target=target)
-    dr_pa = estimate_dr_aom(sample, zero[0], nuis, tiny_cfg(2), augmented_fit=zero, target=target)
+    ipw = estimate_ipw(arm, nuis, target=target)
+    dr_pa = estimate_dr_aom(arm, nuis, tiny_cfg(2), augmented_fit=zero, target=target)
     assert dr_pa.point_estimate == pytest.approx(ipw.point_estimate, abs=1e-12)
 
 
@@ -387,14 +405,14 @@ def test_dr_double_robustness_small():
     for rep in range(12):
         trial = draw_trial(world, 5_000, seed=derive_seed("dr-small", "t", rep))
         target = Target(draw_target(world, 15_000, seed=derive_seed("dr-small", "c", rep)).x)
-        x1 = trial.trial_arm_arrays(1)[0]
-        g = tuple(true_outcome_function(world, 1, x) for x in (x1, target.x))
+        arm = Arm(*trial.trial_arm_arrays(1))
+        g = tuple(true_outcome_function(world, 1, x) for x in (arm.x, target.x))
         g_wrong = tuple(v + 1.0 for v in g)
         ests_bad_outcome.append(
-            estimate_dr_baseline(trial, q(x1), tiny_cfg(3), outcome_fit=g_wrong, target=target).point_estimate
+            estimate_dr_baseline(arm, q(arm.x), tiny_cfg(3), outcome_fit=g_wrong, target=target).point_estimate
         )
         ests_bad_weights.append(
-            estimate_dr_baseline(trial, const(0.5, x1), tiny_cfg(3), outcome_fit=g, target=target).point_estimate
+            estimate_dr_baseline(arm, const(0.5, arm.x), tiny_cfg(3), outcome_fit=g, target=target).point_estimate
         )
     for ests in (ests_bad_outcome, ests_bad_weights):
         arr = np.asarray(ests)
@@ -413,13 +431,12 @@ def test_translation_equivariance():
     f = lambda x: np.sin(2 * x)
     shift = 3.7
     f_shift = lambda x: np.sin(2 * x) + shift
-    base, target = build_sample(x1, y1, x0, f)
-    shifted, target_shift = build_sample(x1, y1 + shift, x0, f_shift)
+    base, target = build_arm(x1, y1, x0, f)
+    shifted, target_shift = build_arm(x1, y1 + shift, x0, f_shift)
     cfg = tiny_cfg(degree=3, penalty=1e-8, fold_seed=3)
-    for estimate in (lambda s, g, t: estimate_om(s, cfg, target=t),
-                     lambda s, g, t: estimate_abc(s, g(x1), cfg, target=t),
-                     lambda s, g, t: estimate_aom(s, g(x1), cfg, target=t)):
-        moved = estimate(shifted, f_shift, target_shift).point_estimate - estimate(base, f, target).point_estimate
+    for estimate in (estimate_om, estimate_abc, estimate_aom):
+        moved = (estimate(shifted, cfg, target=target_shift).point_estimate
+                 - estimate(base, cfg, target=target).point_estimate)
         assert moved == pytest.approx(shift, abs=1e-5)
 
 
@@ -428,36 +445,33 @@ def test_estimators_deterministic():
     x1 = rng.uniform(-1, 1, 90)
     y1 = rng.normal(0, 1, 90)
     x0 = rng.uniform(-1, 1, 200)
-    sample, target = build_sample(x1, y1, x0, lambda x: x**3)
-    cfg = EstimatorConfig(degree=3, a=1, fold_seed=9)
-    for fn in (
-        lambda: estimate_om(sample, cfg, target=target).point_estimate,
-        lambda: estimate_abc(sample, x1**3, cfg, target=target).point_estimate,
-        lambda: estimate_aom(sample, x1**3, cfg, target=target).point_estimate,
-    ):
-        assert fn() == fn()
+    arm, target = build_arm(x1, y1, x0, lambda x: x**3)
+    cfg = EstimatorConfig(degree=3, fold_seed=9)
+    for estimate in (estimate_om, estimate_abc, estimate_aom):
+        assert estimate(arm, cfg, target=target).point_estimate == estimate(arm, cfg, target=target).point_estimate
 
 
 def test_estimators_blind_to_hidden_covariate():
     world = seeded_world(seed=61)
     sample = draw_trial(world, 300, seed=4)
-    cfg = EstimatorConfig(degree=3, a=1, fold_seed=2)
+    cfg = EstimatorConfig(degree=3, fold_seed=2)
     x0 = draw_target(world, 1_000, seed=5).x
-    target = Target(x0, x0)  # f is the identity; a Target holds no hidden covariate
+    target = Target(x0, x0)  # f is the identity; neither an Arm nor a Target holds the hidden covariate
     pub = sample.public()
-    x1, x1_pub = sample.trial_arm_arrays(1)[0], pub.trial_arm_arrays(1)[0]
-    assert (estimate_om(sample, cfg, target=target).point_estimate
-            == estimate_om(pub, cfg, target=target).point_estimate)
-    assert (estimate_abc(sample, x1, cfg, target=target).point_estimate
-            == estimate_abc(pub, x1_pub, cfg, target=target).point_estimate)
-    nuis, nuis_pub = fit_nuisances(sample, target, 3), fit_nuisances(pub, target, 3)
-    assert (estimate_ipw(sample, nuis.predict(x1), 1, target=target).point_estimate
-            == estimate_ipw(pub, nuis_pub.predict(x1_pub), 1, target=target).point_estimate)
+    (x1, y1), (x1_pub, y1_pub) = sample.trial_arm_arrays(1), pub.trial_arm_arrays(1)
+    arm, arm_pub = Arm(x1, y1, x1), Arm(x1_pub, y1_pub, x1_pub)
+    assert (estimate_om(arm, cfg, target=target).point_estimate
+            == estimate_om(arm_pub, cfg, target=target).point_estimate)
+    assert (estimate_abc(arm, cfg, target=target).point_estimate
+            == estimate_abc(arm_pub, cfg, target=target).point_estimate)
+    nuis, nuis_pub = fit_nuisances(sample.x, target, 3), fit_nuisances(pub.x, target, 3)
+    assert (estimate_ipw(arm, nuis.predict(x1), target=target).point_estimate
+            == estimate_ipw(arm_pub, nuis_pub.predict(x1_pub), target=target).point_estimate)
 
 
 def test_fit_nuisances_is_the_participation_model():
     world = seeded_world(seed=71)
-    p_hat = fit_nuisances(draw_trial(world, 120, seed=6), Target(draw_target(world, 480, seed=7).x), degree=2)
+    p_hat = fit_nuisances(draw_trial(world, 120, seed=6).x, Target(draw_target(world, 480, seed=7).x), degree=2)
     assert isinstance(p_hat, LogisticFit) and p_hat.degree == 2
     p = p_hat.predict(np.linspace(-1, 1, 50))
     assert np.all((p > 0) & (p < 1))
@@ -474,19 +488,17 @@ def test_weighting_estimators_need_target_records():
 def test_fit_nuisances_stacks_trial_then_target_rows(monkeypatch):
     seen = []
     monkeypatch.setattr(estimators, "logistic_fit", lambda x, labels, degree, penalty: seen.append((x, labels)))
-    trial = CompositeSample.cohort(TRIAL, [0.1, 0.2], [0.0, 0.0], [1, 0], [1.0, 2.0])
-    os_rows = CompositeSample.cohort(OS, [0.5], [0.0], [1], [3.0])
-    own_target = CompositeSample.cohort(TARGET, [0.9], [0.5])
-    fit_nuisances(CompositeSample.concat(trial, os_rows, own_target), Target([0.3, -0.4]), 2)
+    fit_nuisances(np.array([0.1, 0.2]), Target([0.3, -0.4]), 2)  # both arms' trial records
     (x, labels), = seen
     assert x.tolist() == [0.1, 0.2, 0.3, -0.4] and labels.tolist() == [1.0, 1.0, 0.0, 0.0]
     assert x.dtype == labels.dtype == np.float64
 
 
 def test_estimates_ignore_the_samples_own_target_rows():
-    """Every estimator gives the same bits on a composite sample as on its
-    trial cohort alone, given the same Target: it reads the target population
-    from the Target, and skips the sample's target and OS rows."""
+    """Every estimator gives the same bits on the arm and trial records of a
+    composite sample as on those of its trial cohort alone, given the same
+    Target: it reads the target population from the Target, and the sample's
+    target and OS rows enter neither the arm nor the nuisance fit."""
     world = seeded_world(seed=81)
     trial = draw_trial(world, 300, seed=8)
     f = lambda x: np.sin(3 * x)
@@ -498,14 +510,17 @@ def test_estimates_ignore_the_samples_own_target_rows():
             cfg = EstimatorConfig(degree=max(degree, 0), fold_seed=5)
             values = []
             for sample in (trial, composite):
-                x1 = sample.trial_arm_arrays(1)[0]
-                p1 = fit_nuisances(sample, target, max(degree, 0)).predict(x1) if estimator.nuisances else None
-                values.append(estimator.estimate(sample, f(x1), p1, cfg, target).point_estimate.hex())
+                x1, y1 = sample.trial_arm_arrays(1)
+                x_trial = sample.x[sample.s == TRIAL]
+                p1 = fit_nuisances(x_trial, target, max(degree, 0)).predict(x1) if estimator.nuisances else None
+                values.append(estimator.estimate(Arm(x1, y1, f(x1)), p1, cfg, target).point_estimate.hex())
             assert values[0] == values[1], (name, degree)
-    trial, target = build_sample([1.0, 2.0, 2.0], [1.0, 3.0, 5.0], [1.0, 2.0, 2.0, 2.0])
+    trial = CompositeSample.cohort(TRIAL, [1.0, 2.0, 2.0], np.zeros(3), np.ones(3, int), [1.0, 3.0, 5.0])
     composite = CompositeSample.concat(trial, CompositeSample.cohort(TARGET, [1.0] * 5, np.zeros(5)))
-    assert (estimate_om_categorical(trial, 1, target=target).point_estimate
-            == estimate_om_categorical(composite, 1, target=target).point_estimate == 0.25 + 0.75 * 4.0)
+    target = Target([1.0, 2.0, 2.0, 2.0])
+    assert (estimate_om_categorical(Arm(*trial.trial_arm_arrays(1)), target=target).point_estimate
+            == estimate_om_categorical(Arm(*composite.trial_arm_arrays(1)), target=target).point_estimate
+            == 0.25 + 0.75 * 4.0)
 
 
 @pytest.mark.parametrize("degree", [-1, True, False, 2.5, 3.0, "3", None])
@@ -520,9 +535,14 @@ def test_estimator_config_degree_is_a_nonnegative_int(degree):
 
 @pytest.mark.parametrize("a", [2, -1, True, False, 1.0, "1", None])
 def test_estimator_config_arm_is_0_or_1(a):
-    with pytest.raises(ValueError, match="treatment arm a must be 0 or 1"):
+    """The estimators' arm is chosen where it is masked, not in their config:
+    EstimatorConfig takes no arm, and trial_arm_arrays takes the int 0 or 1 only."""
+    with pytest.raises(TypeError):
         EstimatorConfig(degree=1, a=a)
-    assert EstimatorConfig(degree=1, a=0).a == 0 and EstimatorConfig(degree=1, a=1).a == 1
+    sample = CompositeSample.cohort(TRIAL, [0.1, 0.2], [0.0, 0.0], [0, 1], [1.0, 2.0])
+    with pytest.raises(ValueError, match="treatment arm a must be 0 or 1"):
+        sample.trial_arm_arrays(a)
+    assert [v.tolist() for v in sample.trial_arm_arrays(0) + sample.trial_arm_arrays(1)] == [[0.1], [1.0], [0.2], [2.0]]
 
 
 @pytest.mark.parametrize("penalty_grid, message", [((), "nonempty"), ([], "nonempty"),
@@ -545,6 +565,22 @@ def test_target_takes_one_value_of_f_per_row(misshapen):
         Target(x0, _MISSHAPEN[misshapen](np.sin(x0)))
 
 
+@pytest.mark.parametrize("misshapen", _MISSHAPEN)
+def test_arm_takes_one_outcome_per_row(misshapen):
+    x1 = np.linspace(-1, 1, 20)
+    with pytest.raises(ValueError, match="the arm's y must hold one value per row"):
+        Arm(x1, _MISSHAPEN[misshapen](np.sin(x1)))
+
+
+@pytest.mark.parametrize("x", [np.ones((3, 1)), [np.nan], [0.1, np.inf, 0.2], 0.5],
+                         ids=["2-d", "nan", "inf", "scalar"])
+def test_arm_and_target_take_one_dimensional_finite_covariates(x):
+    with pytest.raises(ValueError, match="the target's covariates must be one-dimensional and finite"):
+        Target(x)
+    with pytest.raises(ValueError, match="the arm's covariates must be one-dimensional and finite"):
+        Arm(x, np.zeros(np.size(x)))
+
+
 # (estimator, the values that are misshapen); a given fit is (on the arm, on the target)
 _READS = [("abc", "f1"), ("aom", "f1"), ("ipw", "p1"), ("dr", "p1"), ("dr", "fit-arm"), ("dr", "fit-target")] + [
     (name, arg) for name in ("dr-abc", "dr-pa") for arg in ("f1", "p1", "fit-arm", "fit-target")]
@@ -553,22 +589,22 @@ _READS = [("abc", "f1"), ("aom", "f1"), ("ipw", "p1"), ("dr", "p1"), ("dr", "fit
 @pytest.mark.parametrize("misshapen", _MISSHAPEN)
 @pytest.mark.parametrize("name, arg", _READS)
 def test_estimators_take_one_value_per_row(name, arg, misshapen):
+    """f1 is checked once, where the arm is built; p1 and a given fit's values
+    by the estimate."""
     rng = np.random.default_rng(18)
     x1, x0 = rng.uniform(-1, 1, 20), rng.uniform(-1, 1, 30)
-    sample, target = build_sample(x1, rng.normal(0, 1, 20), x0, np.sin)
+    y1, target = rng.normal(0, 1, 20), Target(x0, np.sin(x0))
     cfg = tiny_cfg(degree=2)
     estimate = {
-        "abc": lambda f1, p1, fit: estimate_abc(sample, f1, cfg, target=target),
-        "aom": lambda f1, p1, fit: estimate_aom(sample, f1, cfg, target=target),
-        "ipw": lambda f1, p1, fit: estimate_ipw(sample, p1, cfg.a, target=target),
-        "dr": lambda f1, p1, fit: estimate_dr_baseline(sample, p1, cfg, fit, target=target),
-        "dr-abc": lambda f1, p1, fit: estimate_dr_abc(sample, f1, p1, cfg, fit, target=target),
-        "dr-pa": lambda f1, p1, fit: estimate_dr_aom(sample, f1, p1, cfg, fit, target=target),
+        "abc": lambda f1, p1, fit: estimate_abc(Arm(x1, y1, f1), cfg, target=target),
+        "aom": lambda f1, p1, fit: estimate_aom(Arm(x1, y1, f1), cfg, target=target),
+        "ipw": lambda f1, p1, fit: estimate_ipw(Arm(x1, y1, f1), p1, target=target),
+        "dr": lambda f1, p1, fit: estimate_dr_baseline(Arm(x1, y1, f1), p1, cfg, fit, target=target),
+        "dr-abc": lambda f1, p1, fit: estimate_dr_abc(Arm(x1, y1, f1), p1, cfg, fit, target=target),
+        "dr-pa": lambda f1, p1, fit: estimate_dr_aom(Arm(x1, y1, f1), p1, cfg, fit, target=target),
     }[name]
-    # f1 is read by the estimator's own trial fit, so a misshapen f1 is given no fit
     values = {"f1": np.sin(x1), "p1": np.full(20, 0.4), "fit-arm": np.zeros(20), "fit-target": np.zeros(30)}
     assert np.isfinite(estimate(values["f1"], values["p1"], (values["fit-arm"], values["fit-target"])).point_estimate)
     values[arg] = _MISSHAPEN[misshapen](values[arg])
-    fit = None if arg == "f1" else (values["fit-arm"], values["fit-target"])
     with pytest.raises(ValueError, match="one value per row"):
-        estimate(values["f1"], values["p1"], fit)
+        estimate(values["f1"], values["p1"], (values["fit-arm"], values["fit-target"]))

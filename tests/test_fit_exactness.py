@@ -33,7 +33,7 @@ from ppgen import estimators, grid, regression
 from ppgen.analysis import os_predictor
 from ppgen.dgp import draw_target, draw_trial, world_from_spec
 from ppgen.domain import KernelParams, ScenarioSpec, derive_seed
-from ppgen.estimators import EstimatorConfig, Target, fit_nuisances, trial_fit
+from ppgen.estimators import Arm, EstimatorConfig, Target, fit_nuisances, trial_fit
 from ppgen.grid import benchmark_grid, run_scenario_grid
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,12 +71,12 @@ def flexible_fit_values() -> dict:
 def ridge_cv_values() -> dict:
     f, _, trial = _world()
     x1, y1 = trial.trial_arm_arrays(1)
-    f1 = f.predict(x1)
+    arm = Arm(x1, y1, f.predict(x1))
     fold_seed = FOLD_SEED
     out = {}
     for kind in ("om", "abc", "aom"):
         for degree in (1, 3, 5, 7):
-            fit = trial_fit(kind, x1, y1, f1, EstimatorConfig(degree=degree, fold_seed=fold_seed))
+            fit = trial_fit(kind, arm, EstimatorConfig(degree=degree, fold_seed=fold_seed))
             out[f"{kind}/{degree}"] = [float(fit.penalty).hex(), _digest(fit.coefficients)]
     return out
 
@@ -190,11 +190,12 @@ def test_grid_evaluates_the_predictor_once_per_input(monkeypatch):
 def test_target_design_reproduces_predict():
     f, target, trial = _world()
     x1, y1 = trial.trial_arm_arrays(1)
+    arm = Arm(x1, y1, f.predict(x1))
     f0 = f.predict(target.x)
     shared = Target(target.x, f0)
     for kind in ("om", "abc", "aom"):
         for degree in (1, 3, 5, 7):
-            fit = trial_fit(kind, x1, y1, f.predict(x1), EstimatorConfig(degree=degree, fold_seed=FOLD_SEED))
+            fit = trial_fit(kind, arm, EstimatorConfig(degree=degree, fold_seed=FOLD_SEED))
             # an AOM fit's design has f's values appended, which RidgeFit.predict cannot build
             want = (np.column_stack([regression.legendre_eval(target.x, degree), f0]) @ fit.coefficients
                     if kind == "aom" else fit.predict(target.x))
@@ -203,14 +204,14 @@ def test_target_design_reproduces_predict():
 
 def test_estimates_do_not_depend_on_sharing_the_target():
     f, target, trial = _world()
-    x1 = trial.trial_arm_arrays(1)[0]
-    f0, f1 = f.predict(target.x), f.predict(x1)
+    x1, y1 = trial.trial_arm_arrays(1)
+    f0, arm = f.predict(target.x), Arm(x1, y1, f.predict(x1))
     shared = Target(target.x, f0)
-    p1 = {d: fit_nuisances(trial, shared, d).predict(x1) for d in grid.DEFAULT_DEGREES}
+    p1 = {d: fit_nuisances(trial.x, shared, d).predict(x1) for d in grid.DEFAULT_DEGREES}
     for name, estimator in grid.ESTIMATORS.items():
         for degree in grid._estimator_degrees(name, grid.DEFAULT_DEGREES):
             cfg = EstimatorConfig(degree=max(degree, 0), fold_seed=FOLD_SEED)
-            alone, with_shared = (estimator.estimate(trial, f1, p1.get(degree), cfg, t).point_estimate
+            alone, with_shared = (estimator.estimate(arm, p1.get(degree), cfg, t).point_estimate
                                   for t in (Target(target.x, f0), shared))
             assert alone.hex() == with_shared.hex(), (name, degree)
 
@@ -241,7 +242,7 @@ def test_grid_builds_each_target_design_once_per_world(monkeypatch):
     n_worlds = 2
     assert sorted(on_target) == sorted([("phi", 400, d) for d in (1, 3)] * n_worlds + [("f", 400)] * 2 * n_worlds)
     for name, entry in list(grid.ESTIMATORS.items()):  # every estimate builds its own Target
-        fresh = lambda s, f1, p1, cfg, t, entry=entry: entry.estimate(s, f1, p1, cfg, Target(t.x, t.f))
+        fresh = lambda arm, p1, cfg, t, entry=entry: entry.estimate(arm, p1, cfg, Target(t.x, t.f))
         monkeypatch.setitem(grid.ESTIMATORS, name, replace(entry, estimate=fresh))
     alone, rebuilt = run()
     assert json.dumps(shared) == json.dumps(alone)

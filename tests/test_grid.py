@@ -78,34 +78,47 @@ def test_grid_runs_weighting_estimators():
     assert all(r["n_failures"] == 0 for r in result.combo_rows)
 
 
-def test_trial_arm_is_masked_once_per_sample_and_arm(monkeypatch):
-    from collections import Counter
+def test_estimators_that_read_no_f_build_none(monkeypatch):
+    """A selection that reads no f builds no OS predictor, and its rows equal
+    those of a run of every estimator."""
+    from ppgen import grid
 
-    from ppgen.domain import CompositeSample
-    from ppgen.grid import ALL_ESTIMATORS
+    everything = run_scenario_grid(small_grid(seed=23), estimators=grid.ALL_ESTIMATORS,
+                                   degrees=(1, 3), n_scenarios=1, n_runs=2, workers=1)
 
-    masked, reads = [], []
-    mask, read = CompositeSample._trial_arm, CompositeSample.trial_arm_arrays
+    def no_predictor(*args, **kwargs):
+        raise AssertionError("the OS predictor was built")
 
-    def counted_mask(self, a):
-        masked.append((self, a))  # holding the sample keeps its id unique
-        return mask(self, a)
+    monkeypatch.setattr(grid, "os_predictor", no_predictor)
+    selected = ("om", "ipw", "dr")
+    assert not any(grid.ESTIMATORS[name].reads_f for name in selected)
+    without_f = run_scenario_grid(small_grid(seed=23), estimators=selected,
+                                  degrees=(1, 3), n_scenarios=1, n_runs=2, workers=1)
+    for table in ("scenario_rows", "combo_rows"):
+        want = [row for row in getattr(everything, table) if row["estimator"] in selected]
+        assert json.dumps(getattr(without_f, table)) == json.dumps(want)
 
-    def counted_read(self, a):
-        reads.append((self, a))
-        return read(self, a)
 
-    monkeypatch.setattr(CompositeSample, "_trial_arm", counted_mask)
-    monkeypatch.setattr(CompositeSample, "trial_arm_arrays", counted_read)
-    run_scenario_grid(small_grid(seed=23)[:1], estimators=ALL_ESTIMATORS,
-                      degrees=(1, 3, 5), n_scenarios=1, n_runs=2, workers=1)
-    per_arm = Counter((id(sample), a) for sample, a in masked)
-    assert len(per_arm) == 2 and set(per_arm.values()) == {1}  # two runs, one arm each
-    assert len(reads) > 10 * len(masked)  # every estimator and degree reads the kept arm
+def test_reads_f_says_which_estimators_read_f():
+    from ppgen import grid
+    from ppgen.estimators import Arm, EstimatorConfig, Target
+
+    rng = np.random.default_rng(3)
+    x1, x0 = rng.uniform(-1, 1, 40), rng.uniform(-1, 1, 60)
+    y1 = np.sin(x1)
+    arm = Arm(x1, y1)
+    for name, entry in grid.ESTIMATORS.items():
+        p1 = np.full(40, 0.4) if entry.nuisances else None
+        with_f = entry.estimate(Arm(x1, y1, np.cos(x1)), p1, EstimatorConfig(2), Target(x0, np.cos(x0)))
+        if entry.reads_f:
+            with pytest.raises(ValueError, match="no values of f"):
+                entry.estimate(arm, p1, EstimatorConfig(2), Target(x0))
+        else:
+            assert entry.estimate(arm, p1, EstimatorConfig(2), Target(x0)) == with_f, name
 
 
 def _failing_om(exc):
-    def estimate_om(sample, cfg, *, target):
+    def estimate_om(arm, cfg, *, target):
         raise exc
 
     return estimate_om
@@ -143,10 +156,10 @@ def test_a_failed_nuisance_fit_leaves_its_degree_of_the_weighting_estimators_nan
     fit = grid.fit_nuisances
 
     def failing_at_3(exc):
-        def fit_nuisances(sample, target, degree):
+        def fit_nuisances(x_trial, target, degree):
             if degree == 3:
                 raise exc
-            return fit(sample, target, degree)
+            return fit(x_trial, target, degree)
 
         return fit_nuisances
 

@@ -9,7 +9,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def test_namespace_exports_exactly_these_names():
     assert sorted(ppgen.__all__) == [
-        "CompositeSample", "EstimateRecord", "EstimatorConfig", "GlmParams",
+        "Arm", "CompositeSample", "EstimateRecord", "EstimatorConfig", "GlmParams",
         "GridFunction", "KernelParams", "LogisticFit", "NoisePredictor", "OS", "OracleResult",
         "RandomFeatureFit", "RidgeFit", "ScenarioSpec", "Spectrum", "TARGET", "TRIAL", "Target", "World",
         "analysis", "benchmark_grid", "derive_seed", "dgp", "domain", "draw_target", "draw_trial",
