@@ -199,9 +199,10 @@ def spectrum(f: Callable[[np.ndarray], np.ndarray], d_max: int) -> Spectrum:
     return Spectrum(basis.T @ (weights * values))
 
 
-def empirical_excess_risk(fit, truth: Callable[[np.ndarray], np.ndarray], xs) -> float:
-    """Mean squared distance between a fit and the truth over given points."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if xs.shape[0] == 0:
-        raise ValueError("need at least one evaluation point")
-    return float(np.mean((fit.predict(xs) - np.asarray(truth(xs), dtype=float)) ** 2))
+def empirical_excess_risk(fit_values, truth_values) -> float:
+    """Mean squared distance between a fit's values and the truth's at the
+    same points; ValueError unless both hold one value per point, at least one."""
+    fit_values, truth_values = np.asarray(fit_values, dtype=float), np.asarray(truth_values, dtype=float)
+    if fit_values.shape != truth_values.shape or not fit_values.size:
+        raise ValueError(f"need values at the same points, at least one; got {fit_values.shape}, {truth_values.shape}")
+    return float(np.mean((fit_values - truth_values) ** 2))

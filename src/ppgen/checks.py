@@ -42,7 +42,7 @@ from .estimators import (
     target_prediction,
     trial_fit,
 )
-from .grid import grid_kernels
+from .grid import grid_kernels, world_prologue
 from .regression import legendre_eval
 
 
@@ -163,15 +163,12 @@ def theorem_structural_check(
         raise ValueError("need at least 2 refits for a refit variance")
     seed_of = partial(derive_seed, seed, "thm", which)
     world = _check_world(seed_of())
-    target_x = draw_target(world, n0, seed_of("target")).x_array()
-    mu = true_mu(world, a=1).mu_a
-    g_true = true_outcome_function(world, 1, target_x)
-    f = os_predictor(world, n_os, seed_of) if which in ("abc", "aom") else None
-    # the fit's design on the target, built once rather than per refit
-    target = Target(target_x, None if f is None else f.predict(target_x))
+    # the grid's prologue: the fit's design on the target is built once rather than per refit
+    f, target, mu = world_prologue(world, n0, n_os, seed_of, "learned" if which in ("abc", "aom") else None)
+    g_true = true_outcome_function(world, 1, target.x)
 
     m = np.empty(n_refits)
-    pointwise_sum = np.zeros(target_x.shape[0])
+    pointwise_sum = np.zeros(target.x.shape[0])
     for r in range(n_refits):
         x1, y1 = draw_trial(world, _N1, seed_of("trial", r)).trial_arm_arrays(1)
         arm = Arm(x1, y1, None if f is None else f.predict(x1))
@@ -186,12 +183,12 @@ def theorem_structural_check(
     delta = abs(mse_sim - bias_plug**2 - var_plug)
 
     se_mse = float(np.std((m - mu) ** 2, ddof=1) / np.sqrt(n_refits))
-    se_bias = math.sqrt(var_plug / n_refits + np.var(deviation, ddof=1) / target_x.shape[0])
+    se_bias = math.sqrt(var_plug / n_refits + np.var(deviation, ddof=1) / target.x.shape[0])
     se_var = var_plug * math.sqrt(2.0 / (n_refits - 1))
     # The simulated MSE is anchored to the population mean while the bias term
     # integrates over the fixed target draw; the gap between the two is the
     # finite-target effect, of size sd(g)/sqrt(n0), and belongs in the band.
-    se_target = float(np.std(g_true, ddof=1)) / math.sqrt(target_x.shape[0])
+    se_target = float(np.std(g_true, ddof=1)) / math.sqrt(target.x.shape[0])
     combined = math.sqrt(
         se_mse**2
         + (2 * abs(bias_plug) * se_bias) ** 2
@@ -231,11 +228,11 @@ def lemma2_check(seed: int = 0, n_worlds: int = 100, n_os: int = 20_000, n_featu
         if spec_b.tail_mass(_DEGREE) >= spec_g.tail_mass(_DEGREE):
             continue
         x1, y1 = draw_trial(world, _N1, derive_seed(world_seed, "trial")).trial_arm_arrays(1)
-        arm = Arm(x1, y1, f.predict(x1))
+        arm, g1 = Arm(x1, y1, f.predict(x1)), g_fn(x1)
         cfg = EstimatorConfig(_DEGREE, fold_seed=derive_seed(world_seed, "folds"))
         g_fit, b_fit = trial_fit("om", arm, cfg), trial_fit("abc", arm, cfg)
-        risks_g.append(empirical_excess_risk(g_fit, g_fn, x1))
-        risks_b.append(empirical_excess_risk(b_fit, b_fn, x1))
+        risks_g.append(empirical_excess_risk(g_fit.predict(x1), g1))
+        risks_b.append(empirical_excess_risk(b_fit.predict(x1), arm.f - g1))
     if len(risks_g) < max(3, n_worlds // 10):
         return CheckResult(
             "lemma2", False, f"only {len(risks_g)}/{n_worlds} worlds met the tail condition"

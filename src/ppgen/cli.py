@@ -149,8 +149,12 @@ class RunConfig:
         deg = values.get("degrees")
         self.degrees = DEFAULT_DEGREES if deg is None else _checked(
             "degrees", lambda text: check_degrees([int(d) for d in text.split(",")]), deg)
+        if self.command == "export-world" and deg is not None and len(self.degrees) != 1:
+            raise SystemExit(f"--degrees: export-world fits one degree, not {deg}")
         self.checks = _names("check", values.get("check"), CHECKS)
         self.max_failures = values.get("max_failures", 0)
+        if self.max_failures < 0:
+            raise SystemExit("--max-failures must be at least 0")
         try:  # before any work, so that an --out that cannot be a directory costs none
             self.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -345,7 +349,7 @@ def cmd_export_world(cfg: RunConfig) -> Outputs:
     f = os_predictor(world, 50_000, seed_of)
     x1, y1 = draw_trial(world, 200, seed_of("trial")).trial_arm_arrays(1)
     arm = Arm(x1, y1, f.predict(x1))
-    degree = cfg.degrees[0]
+    degree = cfg.degrees[0]  # the one given, or 1 (the first default) without --degrees
     fit_cfg = EstimatorConfig(degree, fold_seed=seed_of("folds"))
     g_fit, b_fit = trial_fit("om", arm, fit_cfg), trial_fit("abc", arm, fit_cfg)
     xs = np.linspace(-1.0, 1.0, 201)
@@ -367,8 +371,6 @@ class Command(NamedTuple):
 _GRID_FLAGS = ("combo", "estimators", "degrees", "max-failures")
 COMMANDS = {
     "figure3": Command("RMSE of OM / OS-OM / ABC / AOM over the 12-combo grid", _GRID_FLAGS,
-                       partial(_grid_command, estimators=GP_ESTIMATORS)),
-    "biasvar": Command("squared bias and variance over the 12-combo grid", _GRID_FLAGS,
                        partial(_grid_command, estimators=GP_ESTIMATORS)),
     "ipwdr": Command("the grid with IPW and doubly-robust estimators included", _GRID_FLAGS,
                      partial(_grid_command, estimators=ALL_ESTIMATORS)),

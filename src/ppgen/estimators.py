@@ -48,9 +48,11 @@ class EstimatorConfig:
 
 
 class _Rows:
-    """Covariates ``x``, one-dimensional and finite, and the OS predictor's
-    values ``f`` on them, one per row, if given (``f`` raises ValueError
-    when they were not)."""
+    """Covariates ``x``, one-dimensional and finite, the OS predictor's values
+    ``f`` on them, one per row, if given (``f`` raises ValueError when they
+    were not), and ``design(kind, degree)``, the design of trial fit ``kind``
+    on them: the Legendre features up to ``degree``, with ``f`` appended as
+    the last column for AOM (OM and ABC share one), built on first use and kept."""
 
     def __init__(self, x, f, what: str):
         self.x = np.asarray(x, dtype=float)
@@ -58,42 +60,13 @@ class _Rows:
             raise ValueError(f"{what}'s covariates must be one-dimensional and finite")
         self._f = None if f is None else per_row(f, self.x.shape[0], f"{what}'s f")
         self._what = what
+        self._designs: dict[tuple[bool, int], np.ndarray] = {}
 
     @property
     def f(self) -> np.ndarray:
         if self._f is None:
             raise ValueError(f"{self._what} has no values of f")
         return self._f
-
-
-class Arm(_Rows):
-    """One trial arm as the estimators read it: the covariates ``x`` and
-    outcomes ``y`` of the trial records with one treatment (one value per
-    row), and f's values ``f`` on them (needed by ABC, AOM, DR-ABC and DR-PA
-    only)."""
-
-    def __init__(self, x, y, f=None):
-        super().__init__(x, f, "the arm")
-        self.y = per_row(y, self.x.shape[0], "the arm's y")
-
-
-class Target(_Rows):
-    """The target sample as the estimators read it, for one world: their only
-    source of it, so n0 is ``len(x)``, which must be at least 1.
-
-    ``x`` holds the target covariates, ``f`` the OS predictor's values on
-    them (needed by OS-OM, ABC and AOM only), and ``design(kind, degree)``
-    the design of trial fit ``kind`` on them: the Legendre features up to
-    ``degree``, with ``f`` appended as the last column for AOM (OM and ABC
-    share one).  Each design is built on first use and kept, so the runs,
-    estimators and degrees of a world share one.
-    """
-
-    def __init__(self, x, f=None):
-        super().__init__(x, f, "the target")
-        if not self.x.size:
-            raise ValueError("no target records")
-        self._designs: dict[tuple[bool, int], np.ndarray] = {}
 
     def design(self, kind: str, degree: int) -> np.ndarray:
         key = (kind == "aom", degree)
@@ -104,6 +77,32 @@ class Target(_Rows):
             else:
                 self._designs[key] = regression.legendre_eval(self.x, degree)
         return self._designs[key]
+
+
+class Arm(_Rows):
+    """One trial arm as the estimators read it: the covariates ``x`` and
+    outcomes ``y`` of the trial records with one treatment (one value per
+    row), and f's values ``f`` on them (needed by ABC, AOM, DR-ABC and DR-PA
+    only).  A run's DR estimators share its designs."""
+
+    def __init__(self, x, y, f=None):
+        super().__init__(x, f, "the arm")
+        self.y = per_row(y, self.x.shape[0], "the arm's y")
+
+
+class Target(_Rows):
+    """The target sample as the estimators read it, for one world: their only
+    source of it, so n0 is ``len(x)``, which must be at least 1.
+
+    ``x`` holds the target covariates and ``f`` the OS predictor's values on
+    them (needed by OS-OM, ABC and AOM only).  The runs, estimators and
+    degrees of a world share its designs.
+    """
+
+    def __init__(self, x, f=None):
+        super().__init__(x, f, "the target")
+        if not self.x.size:
+            raise ValueError("no target records")
 
 
 def fit_nuisances(x_trial, target: Target, degree: int) -> LogisticFit:
@@ -233,10 +232,7 @@ def _dr_estimate(kind: str, arm: Arm, p1, cfg: EstimatorConfig, fit, target: Tar
     weights, warns = _weights(arm, p1)
     if fit is None:
         own = trial_fit(kind, arm, cfg)
-        arm_design = regression.legendre_eval(arm.x, own.degree)
-        if kind == "aom":
-            arm_design = _augment(arm_design, arm.f)
-        fit = (arm_design @ own.coefficients, target.design(kind, own.degree) @ own.coefficients)
+        fit = (arm.design(kind, own.degree) @ own.coefficients, target.design(kind, own.degree) @ own.coefficients)
     on_arm, on_target = fit
     fit_x1 = per_row(on_arm, len(arm.y), "a fit's values on the arm")
     fit_x0 = per_row(on_target, len(target.x), "a fit's values on the target")

@@ -204,7 +204,7 @@ class _MemoPredictor:
         return values
 
 
-def _prologue(world: World, n0: int, n_os: int, seed_of, predictor_kind: str | None) -> tuple:
+def world_prologue(world: World, n0: int, n_os: int, seed_of, predictor_kind: str | None) -> tuple:
     """What every run on ``world`` shares: the OS predictor ``f`` of
     ``predictor_kind``, the ``Target`` of the target cohort and ``f``'s
     values on it, and the true mean ``mu``.  A ``predictor_kind`` of None
@@ -275,11 +275,9 @@ def _run_scenario_task(task: _ScenarioTask) -> list[dict]:
 
     world = gp_world(spec.fom_params, spec.ps_params, spec.pa_params, seed_of)
     reads_f = any(ESTIMATORS[name].reads_f for name in task.estimators)
-    prologue = _prologue(world, spec.n0, spec.n_os, seed_of, spec.predictor_kind if reads_f else None)
+    prologue = world_prologue(world, spec.n0, spec.n_os, seed_of, spec.predictor_kind if reads_f else None)
     mu = prologue[-1]
-    # os-om first (sorted is stable), then estimators x degrees in the given order
-    keyed = [(name, deg) for name in sorted(task.estimators, key=lambda n: ESTIMATORS[n].per_degree)
-             for deg in _estimator_degrees(name, task.degrees)]
+    keyed = [(name, deg) for name in task.estimators for deg in _estimator_degrees(name, task.degrees)]
     rows: list[dict] = []
     for n1 in task.n1_values:
         combo = _combo_fields(replace(spec, n1=n1))
@@ -520,9 +518,9 @@ def _run_table2_task(task: _Table2Task) -> dict[tuple[str, int], float]:
         return derive_seed(seed, "table2-" + part, row["row_id"], g, *rest)
 
     world = _sample_glm_world(row, seed, g)
-    prologue = _prologue(world, TABLE2_N0, TABLE2_N_OS, seed_of, "learned")
+    prologue = world_prologue(world, TABLE2_N0, TABLE2_N_OS, seed_of, "learned")
     mu = prologue[-1]
-    keyed = [(name, order) for order in TABLE2_ORDERS for name in ("om", "abc")]
+    keyed = [(name, order) for order in TABLE2_ORDERS for name in TABLE2_ESTIMATORS]
     estimates = _run_trials(world, prologue, TABLE2_N1, task.n_runs, keyed, (TABLE2_PENALTY,), seed_of)
     # Each (estimator, order)'s MSE, NaN if a named failure left a run NaN.  It
     # squares Python floats (C pow), which can differ from numpy's x*x in the last bit.

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -148,15 +146,21 @@ def test_spectrum_mass_bounded_by_norm():
 
 
 def test_excess_risk_zero_for_exact_fit():
-    truth = lambda x: 0.3 * x
-    fit = SimpleNamespace(predict=truth)
-    assert empirical_excess_risk(fit, truth, np.linspace(-1, 1, 20)) == 0.0
+    truth = 0.3 * np.linspace(-1, 1, 20)
+    assert empirical_excess_risk(truth, truth) == 0.0
 
 
 def test_excess_risk_constant_offset():
-    truth = lambda x: 0.3 * x
-    fit = SimpleNamespace(predict=lambda x: truth(x) + 0.1)
-    assert empirical_excess_risk(fit, truth, np.linspace(-1, 1, 20)) == pytest.approx(0.01)
+    truth = 0.3 * np.linspace(-1, 1, 20)
+    assert empirical_excess_risk(truth + 0.1, truth) == pytest.approx(0.01)
+
+
+@pytest.mark.parametrize("fit_values, truth_values", [(np.zeros(3), np.zeros(4)), (np.zeros((2, 2)), np.zeros(4)),
+                                                      (np.zeros(0), np.zeros(0))],
+                         ids=["lengths", "shapes", "empty"])
+def test_excess_risk_needs_values_at_the_same_points(fit_values, truth_values):
+    with pytest.raises(ValueError, match="same points"):
+        empirical_excess_risk(fit_values, truth_values)
 
 
 def test_excess_risk_decreases_with_sample_size():
@@ -168,5 +172,5 @@ def test_excess_risk_decreases_with_sample_size():
             x = rng.uniform(-1, 1, n)
             y = truth(x) + rng.normal(0, 0.5, n)
             fit = ridge_cv(x, y, degree=1, penalty_grid=(1e-8,))
-            risks[n].append(empirical_excess_risk(fit, truth, x))
+            risks[n].append(empirical_excess_risk(fit.predict(x), truth(x)))
     assert np.mean(risks[2_000]) < np.mean(risks[200])

@@ -2,6 +2,7 @@ import json
 import re
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -241,6 +242,39 @@ def test_commands_reject_selection_flags_they_ignore(tmp_path, monkeypatch):
             main([command, flag, value, "--scale", "0.01", "--out", str(tmp_path)])
 
 
+def test_max_failures_below_zero_exits_before_the_run(tmp_path, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the grid ran")
+
+    monkeypatch.setattr(cli, "run_scenario_grid", no_run)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max-failures": -1}))
+    for flags in (["--max-failures=-1"], ["--config", str(config)]):
+        with pytest.raises(SystemExit, match="--max-failures must be at least 0"):
+            main(["figure3", *flags, "--scale", "0.01", "--out", str(tmp_path)])
+    assert not list(tmp_path.glob("figure3.*"))
+
+
+def test_export_world_degrees_names_one_degree(tmp_path, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the world was built")
+
+    monkeypatch.setattr(cli, "gp_world", no_run)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"degrees": [5, 1]}))
+    for flags in (["--degrees", "5,1"], ["--config", str(config)]):
+        with pytest.raises(SystemExit, match="--degrees: export-world fits one degree"):
+            main(["export-world", *flags, "--out", str(tmp_path)])
+    assert not list(tmp_path.glob("world_*"))
+
+
+def test_readme_cli_block_names_every_command_once():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    named = [line.split()[1] for line in block.splitlines() if line.startswith("ppgen ")]
+    assert named == list(cli.COMMANDS)
+
+
 def test_noise_robustness_needs_aom_and_om(tmp_path, monkeypatch):
     import pytest
 
@@ -362,7 +396,7 @@ def test_unreadable_config_file_exits_naming_it(tmp_path, monkeypatch, text, mes
 
 # command -> the CSVs it writes; its JSON is the command's name with - replaced by _
 CSV_OUTPUTS = {
-    "figure3": ["figure3.csv"], "biasvar": ["biasvar.csv"], "ipwdr": ["ipwdr.csv"],
+    "figure3": ["figure3.csv"], "ipwdr": ["ipwdr.csv"],
     "noise-robustness": ["noise_robustness.csv"], "table2": ["table2.csv"], "checks": ["checks.csv"],
     "export-world": ["world_fits.csv", "world_grid.csv"],
 }

@@ -78,8 +78,6 @@ GOLDEN_ENVIRONMENT = {
 # command -> (arguments, {file written: golden file})
 RUNS = {
     "figure3": (["figure3", *COMBO], {"figure3.csv": "figure3.csv"}),
-    # biasvar runs figure3's grid and writes the same table
-    "biasvar": (["biasvar", *COMBO], {"biasvar.csv": "figure3.csv"}),
     "ipwdr": (["ipwdr", *COMBO], {"ipwdr.csv": "ipwdr.csv"}),
     "noise-robustness": (["noise-robustness", *COMBO], {"noise_robustness.csv": "noise_robustness.csv"}),
     "table2": (["table2"], {"table2.csv": "table2.csv"}),

@@ -1,11 +1,14 @@
 import json
 import re
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
 from ppgen.domain import KernelParams, PositivityError, ScenarioSpec
 from ppgen.grid import (
+    ALL_ESTIMATORS,
+    ESTIMATORS,
     GP_ESTIMATORS,
     TABLE2_ROWS,
     combo_id,
@@ -246,6 +249,38 @@ def test_target_and_predictor_shared_across_trial_sizes():
     os_om_60 = result.scenario_values(c60, "os-om", -1)
     os_om_120 = result.scenario_values(c120, "os-om", -1)
     assert np.array_equal(os_om_60, os_om_120)  # no trial data enters OS-OM
+
+
+def _scenario_rows_by_conf(predictor_kind: str) -> dict:
+    """conf -> (scenario, n1, estimator, degree) -> the scenario row without
+    the fields that name the confounding setting, over all three settings."""
+    grid = benchmark_grid(7, lx_values=(0.5,), n0=2_000, n_os=5_000, predictor_kind=predictor_kind)
+    rows = run_scenario_grid(grid, estimators=ALL_ESTIMATORS, degrees=(1, 3), n_scenarios=2, n_runs=2).scenario_rows
+    by_conf = defaultdict(dict)
+    for r in rows:
+        rest = {k: v for k, v in r.items() if k not in ("combo_id", "l_u_pa", "alpha_u_pa")}
+        by_conf[r["combo_id"].rsplit("conf=", 1)[1]][(r["scenario"], r["n1"], r["estimator"], r["degree"])] = \
+            json.dumps(rest)  # NaN compares equal to NaN in its text
+    assert sorted(by_conf) == ["mid", "none", "strong"]
+    assert by_conf["none"].keys() == by_conf["mid"].keys() == by_conf["strong"].keys()
+    return by_conf
+
+
+def test_confounding_touches_only_the_estimators_that_read_f():
+    # confounding shapes the OS cohort's treatment, so only f sees it; the
+    # trial's treatment is randomized
+    no_f = tuple(name for name, e in ESTIMATORS.items() if not e.reads_f)
+    assert no_f == ("om", "ipw", "dr")
+    by_conf = _scenario_rows_by_conf("learned")
+    none, mid, strong = by_conf["none"], by_conf["mid"], by_conf["strong"]
+    for key in none:
+        if key[2] in no_f:
+            assert none[key] == mid[key] == strong[key], key
+    assert any(none[key] != strong[key] for key in none if key[2] == "abc")
+    # the i.i.d.-noise predictor is drawn without the OS cohort, so no estimator sees it
+    by_conf = _scenario_rows_by_conf("iid_noise")
+    for key in by_conf["none"]:
+        assert by_conf["none"][key] == by_conf["mid"][key] == by_conf["strong"][key], key
 
 
 def test_mean_rmse_and_gap():
