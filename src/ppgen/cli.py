@@ -88,12 +88,6 @@ def build_parser(**kwargs) -> argparse.ArgumentParser:
     return parser
 
 
-def _check_selections(command: str, args: argparse.Namespace, source: str = "") -> None:
-    for flag in ("combo", "estimators", "degrees", "check", "max-failures"):
-        if getattr(args, flag.replace("-", "_")) is not None and flag not in COMMANDS[command].flags:
-            raise SystemExit(f"{source}--{flag}: {command} does not use this flag")
-
-
 def _parse_entries(command: str, source: str, entries: dict) -> dict:
     """``entries`` (flag name -> value) parsed as ``command``'s flags: each is
     one ``--name=value`` (a list stands for its comma-separated value, or for
@@ -112,18 +106,29 @@ def _parse_entries(command: str, source: str, entries: dict) -> dict:
         raise SystemExit(f"{source}: {exc.argument_name} {exc.message}") from None
     if unknown:
         raise SystemExit(f"{source}: unrecognized arguments: {' '.join(unknown)}")
-    _check_selections(command, args, f"{source}: ")
-    return {name: value for name, value in vars(args).items() if value is not None}
+    return _settings(args, f"{source}: ")
+
+
+def _settings(args: argparse.Namespace, source: str = "") -> dict:
+    """The settings in ``args`` (name -> value), each through its ``_SETTING_CHECKS`` entry.  A
+    selection flag the command does not use, or a rejected value, exits prefixed by ``source``."""
+    for flag in ("combo", "estimators", "degrees", "check", "max-failures"):
+        if getattr(args, flag.replace("-", "_")) is not None and flag not in COMMANDS[args.command].flags:
+            raise SystemExit(f"{source}--{flag}: {args.command} does not use this flag")
+    try:
+        return {name: _SETTING_CHECKS[name](value) if name in _SETTING_CHECKS else value
+                for name, value in vars(args).items() if value is not None}
+    except ValueError as exc:
+        raise SystemExit(f"{source}{exc}") from None
 
 
 class RunConfig:
-    """Merged view of the defaults, PPGEN_SEED, the config file and explicit
-    flags, each winning over the ones before it.  Each is parsed by the
-    command's own parser, so a bad value exits naming where it came from."""
+    """Merged view of the defaults, PPGEN_SEED, the config file and explicit flags,
+    each winning over the ones before it.  ``_settings`` checks each on its own, so a
+    bad value exits naming its source; the two per-command rules read the merged values."""
 
     def __init__(self, args: argparse.Namespace):
         self.command, self.stem = args.command, args.command.replace("-", "_")  # stem: the files' name
-        _check_selections(self.command, args)
         try:
             entries = json.loads(args.config.read_text()) if args.config else {}
         except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
@@ -131,30 +136,19 @@ class RunConfig:
         values = {
             "scale": 1.0, "out": Path("ppgen-out"), "format": "both", "workers": os.cpu_count() or 1,
             **(_parse_entries(self.command, f"--config {args.config}", entries) if args.config else {}),
-            **{name: value for name, value in vars(args).items() if value is not None},
+            **_settings(args),
         }
         if "seed" not in values and "PPGEN_SEED" in os.environ:
             values.update(_parse_entries(self.command, "PPGEN_SEED", {"seed": os.environ["PPGEN_SEED"]}))
-        self.scale = values["scale"]
-        if not 0.0 < self.scale <= 1.0:
-            raise SystemExit("--scale must lie in (0, 1]")
-        self.seed, self.out, self.format = values.get("seed", DEFAULT_SEED), values["out"], values["format"]
-        self.workers = values["workers"]
-        if self.workers < 1:
-            raise SystemExit("--workers must be at least 1")
-        self.combos = values.get("combo")
-        self.estimators = _names("estimators", values.get("estimators"), ESTIMATORS)
+        self.scale, self.seed = values["scale"], values.get("seed", DEFAULT_SEED)
+        self.out, self.format, self.workers = values["out"], values["format"], values["workers"]
+        self.combos, self.estimators = values.get("combo"), values.get("estimators")
         if self.command == "noise-robustness" and self.estimators and not {"om", "aom"} <= set(self.estimators):
             raise SystemExit("--estimators: noise-robustness compares aom with om, so it needs both")
-        deg = values.get("degrees")
-        self.degrees = DEFAULT_DEGREES if deg is None else _checked(
-            "degrees", lambda text: check_degrees([int(d) for d in text.split(",")]), deg)
-        if self.command == "export-world" and deg is not None and len(self.degrees) != 1:
-            raise SystemExit(f"--degrees: export-world fits one degree, not {deg}")
-        self.checks = _names("check", values.get("check"), CHECKS)
-        self.max_failures = values.get("max_failures", 0)
-        if self.max_failures < 0:
-            raise SystemExit("--max-failures must be at least 0")
+        self.degrees = values.get("degrees", DEFAULT_DEGREES)
+        if self.command == "export-world" and "degrees" in values and len(self.degrees) != 1:
+            raise SystemExit(f"--degrees: export-world fits one degree, not {','.join(map(str, self.degrees))}")
+        self.checks, self.max_failures = values.get("check"), values.get("max_failures", 0)
         try:  # before any work, so that an --out that cannot be a directory costs none
             self.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -164,20 +158,43 @@ class RunConfig:
         return max(1, math.ceil(n * self.scale))
 
 
+def _ensure(ok: bool, value, message: str):
+    """``value``, or ValueError(``message``) unless ``ok``."""
+    if not ok:
+        raise ValueError(message)
+    return value
+
+
 def _checked(flag: str, check, value):
-    """``check(value)``, with a ValueError turned into an exit naming the flag."""
+    """``check(value)``, with ``--flag: `` put before the message of a ValueError it raises."""
     try:
         return check(value)
     except ValueError as exc:
-        raise SystemExit(f"--{flag}: {exc}") from None
+        raise ValueError(f"--{flag}: {exc}") from None
 
 
-def _names(flag: str, value, valid) -> tuple[str, ...] | None:
+def _names(flag: str, value, valid) -> tuple[str, ...]:
     """The comma-separated names in ``value`` (one string or a list), each checked against ``valid``."""
-    if value is None:
-        return None
     names = [n for part in ([value] if isinstance(value, str) else value) for n in part.split(",")]
     return _checked(flag, partial(check_names, flag, valid=valid), names)
+
+
+def _combos(filters: list[str]) -> list[str]:
+    for text in filters:
+        _parse_combo_filter(text)  # ValueError unless it is key=value pairs
+    return filters
+
+
+# setting -> check(value): the value to use, or ValueError naming the flag
+_SETTING_CHECKS = {
+    "scale": lambda scale: _ensure(0.0 < scale <= 1.0, scale, "--scale must lie in (0, 1]"),
+    "workers": lambda n: _ensure(n >= 1, n, "--workers must be at least 1"),
+    "max_failures": lambda n: _ensure(n >= 0, n, "--max-failures must be at least 0"),
+    "estimators": lambda names: _names("estimators", names, ESTIMATORS),
+    "check": lambda names: _names("check", names, CHECKS),
+    "degrees": lambda text: _checked("degrees", lambda t: check_degrees([int(d) for d in t.split(",")]), text),
+    "combo": _combos,
+}
 
 
 def _parse_combo_filter(text: str) -> dict:
@@ -185,7 +202,7 @@ def _parse_combo_filter(text: str) -> dict:
     for part in text.replace(";", ",").split(","):
         key, sep, value = part.partition("=")
         if not sep:
-            raise SystemExit(f"--combo: expected key=value pairs such as n1=200,lx=0.2,conf=none, not {text!r}")
+            raise ValueError(f"--combo: expected key=value pairs such as n1=200,lx=0.2,conf=none, not {text!r}")
         out[key.strip()] = value.strip()
     return out
 

@@ -4,13 +4,11 @@ A composite sample is a struct of columns, one row per record: the observed
 covariate ``x``, the hidden covariate ``u``, the population label ``s``, and
 the treatment ``a`` and outcome ``y`` of trial and observational rows (-1 and
 NaN on target rows, which carry neither).  Cohort draws return one-label
-samples and :meth:`CompositeSample.concat` stacks them.  The estimators read
-no sample: they take one trial arm, ``trial_arm_arrays(a)``, as an
-``estimators.Arm`` and the target population as an ``estimators.Target``.
-The hidden covariate drives confounding in the synthetic worlds; estimator
-code must never read it, so it is exposed only through the oracle-flagged
-accessors below (``hidden_u_array``, ``include_hidden=`` in the CSV writer)
-and can be blanked wholesale with :meth:`CompositeSample.public`.
+samples and :meth:`CompositeSample.concat` stacks them.  The hidden covariate
+drives confounding in the synthetic worlds and is a column like any other.
+The estimators cannot read it, as they read no sample: they take one trial
+arm, ``trial_arm_arrays(a)``, as an ``estimators.Arm`` and the target
+population as an ``estimators.Target``, and neither holds ``u``.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ import csv
 import hashlib
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -149,7 +147,6 @@ class CompositeSample:
         return all(np.array_equal(getattr(self, c), getattr(other, c), equal_nan=True) for c in _COLUMNS)
 
     # -- array views ---------------------------------------------------
-    # None of these expose the hidden covariate.
 
     def x_array(self) -> np.ndarray:
         return self.x
@@ -176,14 +173,6 @@ class CompositeSample:
         mask = (self.s == TRIAL) & (self.a == a)
         return self.x[mask], self.y[mask]
 
-    def hidden_u_array(self) -> np.ndarray:
-        """Oracle accessor: the hidden covariate of every record, in order."""
-        return self.u
-
-    def public(self) -> "CompositeSample":
-        """A copy with the hidden covariate blanked out (NaN) on every record."""
-        return replace(self, u=np.full(len(self), np.nan))
-
 
 # -- scenario specifications ------------------------------------------------
 
@@ -202,11 +191,11 @@ class KernelParams:
     l_u: float | None
 
     def __post_init__(self):
-        if self.alpha_x < 0 or self.alpha_u < 0:
-            raise ValueError("linear-kernel weights must be nonnegative")
+        if not (0 <= self.alpha_x < math.inf and 0 <= self.alpha_u < math.inf):
+            raise ValueError("linear-kernel weights must be nonnegative and finite")
         for l in (self.l_x, self.l_u):
-            if l is not None and not l > 0:
-                raise ValueError("active length-scales must be strictly positive")
+            if l is not None and not 0 < l < math.inf:
+                raise ValueError("active length-scales must be strictly positive and finite")
 
 
 @dataclass(frozen=True)
@@ -226,10 +215,12 @@ class GlmParams:
         for arr in (self.c_x, self.c_u, self.c_xu):
             if len(arr) != 5:
                 raise ValueError("coefficient arrays must have length 5")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
+        if not all(map(math.isfinite, (self.c0, *self.c_x, *self.c_u, *self.c_xu))):
+            raise ValueError("coefficients must be finite")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be nonnegative and finite")
+        if not 0 < self.scale < math.inf:
+            raise ValueError("scale must be positive and finite")
 
 
 @dataclass(frozen=True)

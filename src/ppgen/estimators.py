@@ -35,7 +35,7 @@ from .regression import ridge_cv
 class EstimatorConfig:
     """Trial-side fitting configuration shared by the regression estimators.
     ValueError at construction unless ``degree`` is a fit degree and
-    ``penalty_grid`` nonempty and nonnegative."""
+    ``penalty_grid`` nonempty, nonnegative and finite."""
 
     degree: int
     penalty_grid: tuple[float, ...] = tuple(DEFAULT_PENALTY_GRID)
@@ -71,7 +71,8 @@ class _Rows:
     def design(self, kind: str, degree: int) -> np.ndarray:
         key = (kind == "aom", degree)
         if key not in self._designs:
-            # the same matrix RidgeFit.predict builds, so products with it are bit-identical
+            # OM's is the matrix RidgeFit.predict builds and AOM's the one ridge_cv fits on,
+            # so products with either are bit-identical
             if kind == "aom":
                 self._designs[key] = _augment(self.design("om", degree), self.f)
             else:

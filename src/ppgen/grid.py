@@ -185,23 +185,14 @@ def _map(fn, tasks: list, workers: int) -> list:
 
 
 class _MemoPredictor:
-    """A view of a predictor that evaluates each distinct input once, keyed by
-    exact array equality.  Nothing in ppgen builds one any more, since the
-    estimators take values; it stays defined because the benchmark's tracer
-    wraps it by name."""
+    """A predictor passed through unchanged.  No ppgen code builds one: the
+    benchmark's tracer wraps it by name, and ROADMAP item 12 deletes it."""
 
     def __init__(self, base):
         self.base = base
-        self._known: list[tuple[np.ndarray, np.ndarray]] = []
 
     def predict(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        for inputs, values in self._known:
-            if inputs.shape == x.shape and np.array_equal(inputs, x):
-                return values
-        values = self.base.predict(x)
-        self._known.append((x.copy(), values))
-        return values
+        return self.base.predict(x)
 
 
 def world_prologue(world: World, n0: int, n_os: int, seed_of, predictor_kind: str | None) -> tuple:

@@ -72,15 +72,16 @@ def legendre_eval(x, degree: int) -> np.ndarray:
     return out[0] if scalar else out
 
 
+def _reject_singular(eigvals: np.ndarray) -> None:
+    """IllConditionedError if a Gram, or one of a stack, whose ascending eigenvalues are ``eigvals`` is singular."""
+    if np.any(eigvals[..., 0] <= eigvals[..., -1] * 1e-12):
+        raise IllConditionedError("normal equations are singular at penalty 0; use a positive penalty")
+
+
 def _solve_gram(gram: np.ndarray, rhs: np.ndarray, penalty: float) -> np.ndarray:
-    p = gram.shape[0]
     if penalty == 0.0:
-        eigvals = scipy.linalg.eigvalsh(gram)
-        if eigvals[0] <= eigvals[-1] * 1e-12:
-            raise IllConditionedError(
-                "normal equations are singular at penalty 0; use a positive penalty"
-            )
-    return _solve_pos(gram + penalty * np.eye(p), rhs)
+        _reject_singular(scipy.linalg.eigvalsh(gram))
+    return _solve_pos(gram + penalty * np.eye(gram.shape[0]), rhs)
 
 
 def _solve_pos(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -161,7 +162,7 @@ def ridge_cv(
     per input) appended as the last regressor when given.  Inputs and
     targets of different or zero length, an ``extra_column`` that does not
     match the inputs, too few samples for the folds, an empty grid or a
-    negative penalty raise ValueError.
+    negative or non-finite penalty raise ValueError.
     """
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -178,12 +179,12 @@ def ridge_cv(
 
 
 def _penalties(penalty_grid: Sequence[float]) -> list[float]:
-    """The grid in ascending order; ValueError if it is empty or has a negative penalty."""
+    """The grid in ascending order; ValueError if it is empty or a penalty is negative or not finite."""
     penalties = sorted(penalty_grid)
     if not penalties:
         raise ValueError("penalty grid must be nonempty")
-    if penalties[0] < 0:
-        raise ValueError("penalty must be nonnegative")
+    if not all(0.0 <= p < np.inf for p in penalties):  # a NaN fails both
+        raise ValueError(f"penalty must be nonnegative and finite, got {penalty_grid}")
     return penalties
 
 
@@ -253,10 +254,8 @@ def _fold_penalty_sweep(grams: np.ndarray, rhs: np.ndarray, penalties: Sequence[
     features), from one stacked eigendecomposition of the folds' Grams."""
     vals, vecs = np.linalg.eigh(grams)
     lams = np.asarray(penalties, dtype=float)
-    if 0.0 in penalties and np.any(vals[:, 0] <= vals[:, -1] * 1e-12):
-        raise IllConditionedError(
-            "normal equations are singular at penalty 0; use a positive penalty"
-        )
+    if 0.0 in penalties:
+        _reject_singular(vals)
     proj = np.matmul(rhs[:, None, :], vecs)  # (folds, 1, features): vecs' rhs
     return (proj / (vals[:, None, :] + lams[None, :, None])) @ vecs.transpose(0, 2, 1)
 
@@ -331,7 +330,7 @@ def flexible_fit(
     Requires at least 50 training points.  Targets are centered so the
     intercept is not penalized; training MSE therefore never exceeds the
     target variance.  All-identical inputs fall back to the target mean.
-    An empty grid or a negative penalty raises ValueError.
+    An empty grid or a negative or non-finite penalty raises ValueError.
     """
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)

@@ -320,24 +320,42 @@ def _no_checks(monkeypatch):
 
 
 CONFIG_ERRORS = [
-    ({"seed": 1.5}, "--seed invalid int value: '1.5'"),
-    ({"sede": 3}, "unrecognized arguments: --sede=3"),
-    ({"sca": 0.5}, "unrecognized arguments: --sca=0.5"),  # keys are whole flag names
-    ({"estimators": "om"}, "--estimators: checks does not use this flag"),
-    ({"workers": "two"}, "--workers invalid int value: 'two'"),
-    ({"scale": "half"}, "--scale invalid float value: 'half'"),
-    ({"config": "other.json"}, "a config file cannot name another"),
+    ("checks", {"seed": 1.5}, "--seed invalid int value: '1.5'"),
+    ("checks", {"sede": 3}, "unrecognized arguments: --sede=3"),
+    ("checks", {"sca": 0.5}, "unrecognized arguments: --sca=0.5"),  # keys are whole flag names
+    ("checks", {"estimators": "om"}, "--estimators: checks does not use this flag"),
+    ("checks", {"workers": "two"}, "--workers invalid int value: 'two'"),
+    ("checks", {"scale": "half"}, "--scale invalid float value: 'half'"),
+    ("checks", {"config": "other.json"}, "a config file cannot name another"),
+    # values that parse but that the setting's check rejects, as it rejects the flag's
+    ("checks", {"workers": 0}, "--workers must be at least 1"),
+    ("checks", {"scale": 1.5}, "--scale must lie in (0, 1]"),
+    ("figure3", {"max-failures": -1}, "--max-failures must be at least 0"),
+    ("figure3", {"estimators": "omm"}, "--estimators: unknown estimators ['omm']"),
+    ("checks", {"check": "nope"}, "--check: unknown check ['nope']"),
+    ("figure3", {"degrees": "1,1"}, "--degrees: degrees must be distinct nonnegative integers"),
+    ("figure3", {"combo": "lx"}, "--combo: expected key=value pairs"),
 ]
 
 
-@pytest.mark.parametrize("entries, message", CONFIG_ERRORS, ids=[next(iter(e)) for e, _ in CONFIG_ERRORS])
-def test_config_file_entries_are_parsed_like_flags(tmp_path, monkeypatch, entries, message):
+def _first_key_ids(cases) -> list[str]:
+    """Each case's first entry name, with its value where an earlier case has that name."""
+    ids = []
+    for _, entries, _ in cases:
+        key = next(iter(entries))
+        ids.append(f"{key}={entries[key]}" if key in ids else key)
+    return ids
+
+
+@pytest.mark.parametrize("command, entries, message", CONFIG_ERRORS, ids=_first_key_ids(CONFIG_ERRORS))
+def test_config_file_entries_are_parsed_like_flags(tmp_path, monkeypatch, command, entries, message):
     _no_checks(monkeypatch)
+    monkeypatch.setattr(cli, "run_scenario_grid", lambda *args, **kwargs: pytest.fail("the grid ran"))
     config = tmp_path / "config.json"
     config.write_text(json.dumps(entries))
     with pytest.raises(SystemExit, match=re.escape(f"--config {config}: {message}")):
-        main(["checks", "--config", str(config), "--check", "orthonormality", "--out", str(tmp_path)])
-    assert not list(tmp_path.glob("checks.*"))
+        main([command, "--config", str(config), "--out", str(tmp_path)])
+    assert not list(tmp_path.glob(f"{command}.*"))
 
 
 def test_env_seed_and_config_lists_are_parsed_like_flags(tmp_path, monkeypatch):

@@ -264,7 +264,7 @@ def test_trial_treats_at_the_probability_the_weights_divide_by():
 def test_noise_free_consistency():
     world = world_from_spec(_gp_spec(), "consistency")
     trial = draw_trial(world, 500, seed=4)
-    rows = zip(trial.x_array(), trial.hidden_u_array(), trial.a_array(), trial.y_array())
+    rows = zip(trial.x_array(), trial.u, trial.a_array(), trial.y_array())
     for x, u, a, y in rows:
         assert y == pytest.approx(float(world.outcome(a, x, u)[0]), abs=1e-12)
 
@@ -302,7 +302,7 @@ def test_os_treatment_independent_of_u_without_confounding():
     )
     world = world_from_spec(spec, "no-conf")
     cohort = generate_os(world, 50_000, seed=8)
-    u = cohort.hidden_u_array()
+    u = cohort.u
     a = cohort.a_array()
     lo, hi = a[u < 0], a[u >= 0]
     se = np.sqrt(lo.var() / lo.size + hi.var() / hi.size)
@@ -367,6 +367,13 @@ def test_glm_surfaces_equal_the_full_formula_bitwise(gamma, seed):
     ({"scale": 0.0}, "scale must be positive"),
     ({"scale": -1.0}, "scale must be positive"),
     ({"scale": math.nan}, "scale must be positive"),
+    ({"c0": math.nan}, "coefficients must be finite"),
+    ({"c_x": (0.0, 0.0, math.inf, 0.0, 0.0)}, "coefficients must be finite"),
+    ({"c_u": (0.0, 0.0, 0.0, 0.0, -math.inf)}, "coefficients must be finite"),
+    ({"c_xu": (math.nan, 0.0, 0.0, 0.0, 0.0)}, "coefficients must be finite"),
+    ({"gamma": math.nan}, "gamma must be nonnegative and finite"),
+    ({"gamma": math.inf}, "gamma must be nonnegative and finite"),
+    ({"scale": math.inf}, "scale must be positive and finite"),
 ])
 def test_glm_params_rejects_bad_coefficients_gamma_and_scale(change, message):
     fields = {"c0": 0.1, "c_x": (0.0,) * 5, "c_u": (0.0,) * 5, "c_xu": (0.0,) * 5, "gamma": 0.5, **change}
@@ -520,7 +527,7 @@ def test_cohort_draws_match_stored_values(kind):
     rel = 0.0 if kind == "gp" else 1e-12
     for name, stored in _GOLDEN[kind].items():
         c = cohorts[name]
-        columns = {"x": c.x_array(), "u": c.hidden_u_array(), "s": c.s_array(),
+        columns = {"x": c.x_array(), "u": c.u, "s": c.s_array(),
                    "a": c.a_array(), "y": c.y_array()}
         for col, (first, total) in stored.items():
             values = columns[col]

@@ -95,10 +95,6 @@ def test_columnar_sample_properties(columns):
         split += xa.shape[0]
     assert split == np.count_nonzero(sample.s == TRIAL) + np.count_nonzero(sample.s == TARGET)
 
-    pub = sample.public()
-    assert np.isnan(pub.hidden_u_array()).all()
-    assert pub == CompositeSample(x, np.full(x.shape[0], np.nan), s, a, y)
-
     with tempfile.TemporaryDirectory() as tmp:
         for include_hidden in (True, False):
             path = Path(tmp) / "sample.csv"
@@ -108,9 +104,9 @@ def test_columnar_sample_properties(columns):
             assert np.array_equal(back.s_array(), s) and np.array_equal(back.a_array(), a)
             assert _bits(back.y_array()) == _bits(y)
             if include_hidden:
-                assert _bits(back.hidden_u_array()) == _bits(u)
+                assert _bits(back.u) == _bits(u)
             else:
-                assert np.isnan(back.hidden_u_array()).all()
+                assert np.isnan(back.u).all()
 
 
 @given(sample_columns(), st.data())
@@ -228,7 +224,7 @@ def test_csv_hides_u_by_default(tmp_path):
     path = tmp_path / "sample.csv"
     write_sample_csv(sample, path)
     back = read_sample_csv(path)
-    assert all(math.isnan(u) for u in back.hidden_u_array())
+    assert all(math.isnan(u) for u in back.u)
     assert back.x_array().tolist() == sample.x_array().tolist()
     for column in ("s_array", "a_array", "y_array"):
         assert np.array_equal(getattr(back, column)(), getattr(sample, column)(), equal_nan=True)
@@ -271,14 +267,6 @@ def test_read_sample_csv_header_only_is_an_empty_sample(tmp_path):
     assert len(sample) == 0 and np.count_nonzero(sample.s == TRIAL) == np.count_nonzero(sample.s == TARGET) == 0
 
 
-def test_public_view_strips_u():
-    sample = make_sample()
-    pub = sample.public()
-    assert all(math.isnan(u) for u in pub.hidden_u_array())
-    assert np.array_equal(pub.x_array(), sample.x_array())
-    assert all(np.count_nonzero(pub.s == s) == np.count_nonzero(sample.s == s) for s in (TRIAL, TARGET))
-
-
 def test_os_records_not_counted():
     records = [
         (0.1, 0.2, TRIAL, 1, 1.0),
@@ -296,6 +284,15 @@ def test_kernel_params_validation():
         KernelParams(-1.0, 0.0, 0.5, 0.5)
     with pytest.raises(ValueError):
         KernelParams(1.0, 0.0, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("fields", [
+    (math.nan, 0.0, 1.0, None), (1.0, math.inf, 1.0, None), (1.0, 0.0, math.nan, None),
+    (1.0, 0.0, math.inf, None), (1.0, 0.0, 1.0, math.nan), (1.0, 0.0, 1.0, math.inf),
+], ids=["nan-alpha_x", "inf-alpha_u", "nan-l_x", "inf-l_x", "nan-l_u", "inf-l_u"])
+def test_kernel_params_reject_non_finite_values(fields):
+    with pytest.raises(ValueError, match="finite"):
+        KernelParams(*fields)
 
 
 def test_scenario_spec_validation():

@@ -457,7 +457,7 @@ def test_estimators_blind_to_hidden_covariate():
     cfg = EstimatorConfig(degree=3, fold_seed=2)
     x0 = draw_target(world, 1_000, seed=5).x
     target = Target(x0, x0)  # f is the identity; neither an Arm nor a Target holds the hidden covariate
-    pub = sample.public()
+    pub = replace(sample, u=np.full(len(sample), np.nan))
     (x1, y1), (x1_pub, y1_pub) = sample.trial_arm_arrays(1), pub.trial_arm_arrays(1)
     arm, arm_pub = Arm(x1, y1, x1), Arm(x1_pub, y1_pub, x1_pub)
     assert (estimate_om(arm, cfg, target=target).point_estimate
@@ -546,7 +546,9 @@ def test_estimator_config_arm_is_0_or_1(a):
 
 
 @pytest.mark.parametrize("penalty_grid, message", [((), "nonempty"), ([], "nonempty"),
-                                                   ((1.0, -0.5), "nonnegative"), ((-1e-9,), "nonnegative")])
+                                                   ((1.0, -0.5), "nonnegative"), ((-1e-9,), "nonnegative"),
+                                                   ((np.nan,), "finite"), ((1.0, np.nan), "finite"),
+                                                   ((2.0, np.nan, 1.0), "finite"), ((np.inf,), "finite")])
 def test_estimator_config_rejects_a_grid_no_fit_could_use(penalty_grid, message):
     with pytest.raises(ValueError, match=message):
         EstimatorConfig(degree=1, penalty_grid=penalty_grid)

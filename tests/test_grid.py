@@ -351,6 +351,19 @@ def test_grid_without_estimators_rejected_before_any_world(monkeypatch):
         run_scenario_grid(small_grid()[:1], estimators=(), n_scenarios=1, n_runs=1)
 
 
+def test_non_finite_participation_kernel_rejected_before_any_world(monkeypatch):
+    # with a NaN weight every trial draw would spin its rejection batches
+    # until GenerationError, leaving the grid's estimates NaN
+    from dataclasses import replace
+
+    from ppgen import grid
+
+    monkeypatch.setattr(grid, "gp_world", _no_world)
+    with pytest.raises(ValueError, match="linear-kernel weights must be nonnegative and finite"):
+        spec = replace(small_grid()[0], pa_params=KernelParams(float("nan"), 0.0, 1.0, None))
+        run_scenario_grid([spec], estimators=("om",), n_scenarios=1, n_runs=2)
+
+
 def test_table2_without_rows_rejected_before_any_world(monkeypatch):
     from ppgen import grid
 

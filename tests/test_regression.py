@@ -367,7 +367,8 @@ def _no_sweep(*args):
     raise AssertionError("the grid must be checked before any sweep")
 
 
-@pytest.mark.parametrize("grid, message", [((), "nonempty"), ((1.0, -0.5, 2.0), "nonnegative")])
+@pytest.mark.parametrize("grid, message", [((), "nonempty"), ((1.0, -0.5, 2.0), "nonnegative"),
+                                           ((np.nan,), "finite"), ((1.0, np.nan), "finite"), ((np.inf,), "finite")])
 def test_ridge_cv_rejects_bad_grid_up_front(monkeypatch, grid, message):
     monkeypatch.setattr(regression, "_fold_penalty_sweep", _no_sweep)
     rng = np.random.default_rng(5)
@@ -431,7 +432,8 @@ def test_flexible_fit_needs_50_points():
         flexible_fit(np.linspace(-1, 1, 49), np.zeros(49))
 
 
-@pytest.mark.parametrize("grid, message", [((), "nonempty"), ((1.0, -0.5, 2.0), "nonnegative")])
+@pytest.mark.parametrize("grid, message", [((), "nonempty"), ((1.0, -0.5, 2.0), "nonnegative"),
+                                           ((np.nan,), "finite"), ((1.0, np.nan), "finite"), ((np.inf,), "finite")])
 def test_flexible_fit_rejects_bad_grid_up_front(monkeypatch, grid, message):
     monkeypatch.setattr(regression, "_fold_penalty_sweep", _no_sweep)
     rng = np.random.default_rng(6)
