@@ -344,7 +344,8 @@ DEFAULT_CHECKS = ("orthonormality", "prop1", "theorem1", "theorem2", "theorem3",
 def run_checks(
     names: Sequence[str] | None = None, seed: int = 0, scale: float = 1.0
 ) -> list[CheckResult]:
-    """Run the named checks (default: the full suite) at a given scale."""
+    """Run the named checks (default: the full suite) at a given scale; no,
+    unknown or repeated names raise ValueError before any check runs."""
 
     def scaled(n: int, floor: int) -> int:
         return max(floor, math.ceil(n * scale))

@@ -35,6 +35,7 @@ from .domain import check_names, csv_text, derive_seed
 from .estimators import Arm, EstimatorConfig, trial_fit
 from .grid import (
     ALL_ESTIMATORS,
+    CONFOUNDING_SETTINGS,
     DEFAULT_DEGREES,
     ESTIMATORS,
     GP_ESTIMATORS,
@@ -53,38 +54,74 @@ DEFAULT_SEED = 1729
 FORMATS = ("csv", "json", "both")
 
 
-def _format(value: str) -> str:
-    if value not in FORMATS:
-        raise argparse.ArgumentTypeError(f"must be one of {', '.join(FORMATS)}, not {value!r}")
-    return value
+def _fail(message: str):
+    raise ValueError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, help="JSON config file; flags override it")
-    parser.add_argument("--scale", type=float, default=None, help="count multiplier in (0, 1]")
-    parser.add_argument("--seed", type=int, default=None, help="master seed (env PPGEN_SEED fallback)")
-    parser.add_argument("--out", type=Path, default=None, help="output directory")
-    parser.add_argument("--format", type=_format, default=None, metavar="{csv,json,both}", help="output format")
-    parser.add_argument("--workers", type=int, default=None, help="process pool size")
-    parser.add_argument(
-        "--combo",
-        action="append",
-        default=None,
-        metavar="n1=200,lx=0.2,conf=none",
-        help="restrict to matching grid combos (repeatable)",
-    )
-    parser.add_argument("--estimators", default=None, help="comma-separated estimator names")
-    parser.add_argument("--degrees", default=None, help="comma-separated polynomial degrees")
-    parser.add_argument("--check", action="append", default=None, help="check name (repeatable)")
-    parser.add_argument("--max-failures", type=int, default=None, help="failed replications tolerated")
+def _flag_type(check: Callable, convert: Callable = str) -> Callable:
+    """The argparse type that reads a flag's text with ``convert`` (whose
+    ValueError reads "invalid <convert> value") and returns ``check`` of that
+    (whose ValueError message is the flag's error)."""
+
+    def flag_type(text: str):
+        value = convert(text)
+        try:
+            return check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    flag_type.__name__ = convert.__name__
+    return flag_type
+
+
+def _at_least(low: int) -> Callable:
+    return _flag_type(lambda n: n if n >= low else _fail(f"must be at least {low}"), int)
+
+
+def _names(what: str, valid) -> Callable:
+    """The type of a flag of comma-separated names, each in ``valid`` and none twice."""
+    return _flag_type(lambda text: check_names(what, text.split(","), valid))
+
+
+_degrees = _flag_type(lambda text: check_degrees([int(d) for d in text.split(",")]))
+
+
+@_flag_type
+def _combo(text: str) -> dict[str, str]:
+    """A --combo filter's key=value pairs: keys among n1, lx and conf, and a
+    conf among the confounding settings."""
+    pairs = [[s.strip() for s in part.split("=", 1)] for part in text.replace(";", ",").split(",")]
+    if not all(len(pair) == 2 for pair in pairs):
+        _fail(f"expected key=value pairs such as n1=200,lx=0.2,conf=none, not {text!r}")
+    check_names("combo keys", [key for key, _ in pairs], ("n1", "lx", "conf"))
+    combo = dict(pairs)
+    if "conf" in combo:
+        check_names("confounding", [combo["conf"]], CONFOUNDING_SETTINGS)
+    return combo
+
+
+_COMMON_FLAGS = {  # flag -> its add_argument keywords; every command reads these
+    "config": dict(type=Path, help="JSON config file; flags override it"),
+    "scale": dict(type=_flag_type(lambda s: s if 0.0 < s <= 1.0 else _fail("must lie in (0, 1]"), float),
+                  help="count multiplier in (0, 1]"),
+    "seed": dict(type=int, help="master seed (env PPGEN_SEED fallback)"),
+    "out": dict(type=Path, help="output directory"),
+    "format": dict(type=_flag_type(lambda f: f if f in FORMATS else _fail(
+        f"must be one of {', '.join(FORMATS)}, not {f!r}")), metavar="{csv,json,both}", help="output format"),
+    "workers": dict(type=_at_least(1), help="process pool size"),
+}
 
 
 def build_parser(**kwargs) -> argparse.ArgumentParser:
-    """The command line's parser; ``kwargs`` go to it and to each command's."""
+    """The command line's parser: each command's reads the common flags and
+    its own selection flags, and holds only those given.  ``kwargs`` go to it
+    and to each command's."""
     parser = argparse.ArgumentParser(prog="ppgen", description=__doc__, **kwargs)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        _add_common(sub.add_parser(name, help=command.help, **kwargs))
+        command_parser = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS, **kwargs)
+        for flag, keywords in {**_COMMON_FLAGS, **command.flags}.items():
+            command_parser.add_argument(f"--{flag}", **keywords)
     return parser
 
 
@@ -103,52 +140,39 @@ def _parse_entries(command: str, source: str, entries: dict) -> dict:
     try:
         args, unknown = build_parser(allow_abbrev=False, exit_on_error=False).parse_known_args([command, *tokens])
     except argparse.ArgumentError as exc:
-        raise SystemExit(f"{source}: {exc.argument_name} {exc.message}") from None
+        raise SystemExit(f"{source}: {exc}") from None
     if unknown:
         raise SystemExit(f"{source}: unrecognized arguments: {' '.join(unknown)}")
-    return _settings(args, f"{source}: ")
-
-
-def _settings(args: argparse.Namespace, source: str = "") -> dict:
-    """The settings in ``args`` (name -> value), each through its ``_SETTING_CHECKS`` entry.  A
-    selection flag the command does not use, or a rejected value, exits prefixed by ``source``."""
-    for flag in ("combo", "estimators", "degrees", "check", "max-failures"):
-        if getattr(args, flag.replace("-", "_")) is not None and flag not in COMMANDS[args.command].flags:
-            raise SystemExit(f"{source}--{flag}: {args.command} does not use this flag")
-    try:
-        return {name: _SETTING_CHECKS[name](value) if name in _SETTING_CHECKS else value
-                for name, value in vars(args).items() if value is not None}
-    except ValueError as exc:
-        raise SystemExit(f"{source}{exc}") from None
+    return vars(args)
 
 
 class RunConfig:
     """Merged view of the defaults, PPGEN_SEED, the config file and explicit flags,
-    each winning over the ones before it.  ``_settings`` checks each on its own, so a
-    bad value exits naming its source; the two per-command rules read the merged values."""
+    each winning over the ones before it.  The command's parser checks each source
+    on its own, so a bad value exits naming its source."""
 
     def __init__(self, args: argparse.Namespace):
         self.command, self.stem = args.command, args.command.replace("-", "_")  # stem: the files' name
+        config = vars(args).get("config")
         try:
-            entries = json.loads(args.config.read_text()) if args.config else {}
+            entries = json.loads(config.read_text()) if config else {}
         except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
-            raise SystemExit(f"--config {args.config}: {exc}") from None
+            raise SystemExit(f"--config {config}: {exc}") from None
         values = {
             "scale": 1.0, "out": Path("ppgen-out"), "format": "both", "workers": os.cpu_count() or 1,
-            **(_parse_entries(self.command, f"--config {args.config}", entries) if args.config else {}),
-            **_settings(args),
+            **(_parse_entries(self.command, f"--config {config}", entries) if config else {}),
+            **vars(args),
         }
         if "seed" not in values and "PPGEN_SEED" in os.environ:
             values.update(_parse_entries(self.command, "PPGEN_SEED", {"seed": os.environ["PPGEN_SEED"]}))
         self.scale, self.seed = values["scale"], values.get("seed", DEFAULT_SEED)
         self.out, self.format, self.workers = values["out"], values["format"], values["workers"]
         self.combos, self.estimators = values.get("combo"), values.get("estimators")
-        if self.command == "noise-robustness" and self.estimators and not {"om", "aom"} <= set(self.estimators):
-            raise SystemExit("--estimators: noise-robustness compares aom with om, so it needs both")
-        self.degrees = values.get("degrees", DEFAULT_DEGREES)
-        if self.command == "export-world" and "degrees" in values and len(self.degrees) != 1:
-            raise SystemExit(f"--degrees: export-world fits one degree, not {','.join(map(str, self.degrees))}")
-        self.checks, self.max_failures = values.get("check"), values.get("max_failures", 0)
+        self.degrees, self.max_failures = values.get("degrees", DEFAULT_DEGREES), values.get("max_failures", 0)
+        try:  # each --check flag's names, joined: one named by two flags is an error
+            self.checks = values.get("check") and check_names("check", values["check"], CHECKS)
+        except ValueError as exc:
+            raise SystemExit(f"--check: {exc}") from None
         try:  # before any work, so that an --out that cannot be a directory costs none
             self.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -158,63 +182,13 @@ class RunConfig:
         return max(1, math.ceil(n * self.scale))
 
 
-def _ensure(ok: bool, value, message: str):
-    """``value``, or ValueError(``message``) unless ``ok``."""
-    if not ok:
-        raise ValueError(message)
-    return value
-
-
-def _checked(flag: str, check, value):
-    """``check(value)``, with ``--flag: `` put before the message of a ValueError it raises."""
-    try:
-        return check(value)
-    except ValueError as exc:
-        raise ValueError(f"--{flag}: {exc}") from None
-
-
-def _names(flag: str, value, valid) -> tuple[str, ...]:
-    """The comma-separated names in ``value`` (one string or a list), each checked against ``valid``."""
-    names = [n for part in ([value] if isinstance(value, str) else value) for n in part.split(",")]
-    return _checked(flag, partial(check_names, flag, valid=valid), names)
-
-
-def _combos(filters: list[str]) -> list[str]:
-    for text in filters:
-        _parse_combo_filter(text)  # ValueError unless it is key=value pairs
-    return filters
-
-
-# setting -> check(value): the value to use, or ValueError naming the flag
-_SETTING_CHECKS = {
-    "scale": lambda scale: _ensure(0.0 < scale <= 1.0, scale, "--scale must lie in (0, 1]"),
-    "workers": lambda n: _ensure(n >= 1, n, "--workers must be at least 1"),
-    "max_failures": lambda n: _ensure(n >= 0, n, "--max-failures must be at least 0"),
-    "estimators": lambda names: _names("estimators", names, ESTIMATORS),
-    "check": lambda names: _names("check", names, CHECKS),
-    "degrees": lambda text: _checked("degrees", lambda t: check_degrees([int(d) for d in t.split(",")]), text),
-    "combo": _combos,
-}
-
-
-def _parse_combo_filter(text: str) -> dict:
-    out = {}
-    for part in text.replace(";", ",").split(","):
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise ValueError(f"--combo: expected key=value pairs such as n1=200,lx=0.2,conf=none, not {text!r}")
-        out[key.strip()] = value.strip()
-    return out
-
-
-def _filter_grid(grid, combo_filters):
-    if not combo_filters:
+def _filter_grid(grid, wanted: list[dict] | None):
+    if not wanted:
         return grid
-    wanted = [_parse_combo_filter(flt) for flt in combo_filters]
     keep = [spec for spec in grid if any(
-        all(_parse_combo_filter(combo_id(spec)).get(k) == v for k, v in w.items()) for w in wanted)]
+        w.items() <= dict(p.split("=") for p in combo_id(spec).split(";")).items() for w in wanted)]
     if not keep:
-        raise SystemExit(f"no combos match {combo_filters}")
+        raise SystemExit(f"no combos match {wanted}")
     return keep
 
 
@@ -377,25 +351,39 @@ def cmd_export_world(cfg: RunConfig) -> Outputs:
 
 
 class Command(NamedTuple):
-    """One subcommand: its help line, the selection flags it reads (giving it
-    another is an error) and ``run(cfg)``, which returns its ``Outputs``."""
+    """One subcommand: its help line, the selection flags it reads beside the
+    common ones (flag -> add_argument keywords) and ``run(cfg)``, which
+    returns its ``Outputs``."""
 
     help: str
-    flags: tuple[str, ...]
+    flags: dict[str, dict]
     run: Callable[[RunConfig], Outputs]
 
 
-_GRID_FLAGS = ("combo", "estimators", "degrees", "max-failures")
+_GRID_FLAGS = {  # flag -> its add_argument keywords
+    "combo": dict(type=_combo, action="append", metavar="n1=200,lx=0.2,conf=none",
+                  help="restrict to matching grid combos (repeatable)"),
+    "estimators": dict(type=_names("estimators", ESTIMATORS), help="comma-separated estimator names"),
+    "degrees": dict(type=_degrees, help="comma-separated polynomial degrees"),
+    "max-failures": dict(type=_at_least(0), help="failed replications tolerated"),
+}
 COMMANDS = {
     "figure3": Command("RMSE of OM / OS-OM / ABC / AOM over the 12-combo grid", _GRID_FLAGS,
                        partial(_grid_command, estimators=GP_ESTIMATORS)),
     "ipwdr": Command("the grid with IPW and doubly-robust estimators included", _GRID_FLAGS,
                      partial(_grid_command, estimators=ALL_ESTIMATORS)),
-    "table2": Command("the linear-model benchmark rows", (), cmd_table2),
-    "noise-robustness": Command("the grid with the i.i.d.-noise predictor", _GRID_FLAGS,
-                                partial(_grid_command, estimators=GP_ESTIMATORS, predictor_kind="iid_noise")),
-    "checks": Command("run the theory checks and report PASS/FAIL", ("check",), cmd_checks),
-    "export-world": Command("write one world's lattice and fitted curves as CSV", ("degrees",), cmd_export_world),
+    "table2": Command("the linear-model benchmark rows", {}, cmd_table2),
+    "noise-robustness": Command("the grid with the i.i.d.-noise predictor", {**_GRID_FLAGS, "estimators": dict(
+        type=_flag_type(lambda names: names if {"om", "aom"} <= set(names) else _fail(
+            "noise-robustness compares aom with om, so it needs both"), _names("estimators", ESTIMATORS)),
+        help="comma-separated estimator names, om and aom among them")},
+        partial(_grid_command, estimators=GP_ESTIMATORS, predictor_kind="iid_noise")),
+    "checks": Command("run the theory checks and report PASS/FAIL", {"check": dict(
+        type=_names("check", CHECKS), action="extend", help="comma-separated check names (repeatable)")}, cmd_checks),
+    "export-world": Command("write one world's lattice and fitted curves as CSV", {"degrees": dict(
+        type=_flag_type(lambda d: d if len(d) == 1 else _fail(
+            f"export-world fits one degree, not {','.join(map(str, d))}"), _degrees),
+        help="the one polynomial degree to fit")}, cmd_export_world),
 }
 
 

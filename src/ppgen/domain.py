@@ -62,14 +62,23 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+def reject_repeats(what: str, ids: Sequence) -> None:
+    """ValueError naming the ids listed more than once: a repeated id would
+    come back as repeated table rows, each averaging all of its copies."""
+    repeated = sorted({i for i in ids if ids.count(i) > 1})
+    if repeated:
+        raise ValueError(f"{what} more than once: {repeated}")
+
+
 def check_names(what: str, names: Sequence[str], valid: Iterable[str]) -> tuple[str, ...]:
-    """``names`` as a tuple; ValueError if it is empty or, listing the
-    ``valid`` ``what``, if one is unknown."""
+    """``names`` as a tuple; ValueError if it is empty, if one is unknown
+    (listing the ``valid`` ``what``) or if one is named twice."""
     if not names:
         raise ValueError(f"no {what} selected")
     unknown = [n for n in names if n not in valid]
     if unknown:
         raise ValueError(f"unknown {what} {unknown}; valid: {', '.join(valid)}")
+    reject_repeats(f"{what} named", list(names))
     return tuple(names)
 
 

@@ -37,7 +37,7 @@ import numpy as np
 from .analysis import os_predictor, true_mu
 from .dgp import World, draw_target, draw_trial, gp_world
 from .domain import GenerationError, GlmParams, KernelParams, ScenarioSpec
-from .domain import check_names, csv_text, derive_seed, is_degree
+from .domain import check_names, csv_text, derive_seed, is_degree, reject_repeats
 from .estimators import (
     Arm,
     EstimatorConfig,
@@ -138,7 +138,9 @@ def benchmark_grid(
     n_os: int = 50_000,
     predictor_kind: str = "learned",
 ) -> list[ScenarioSpec]:
-    """The 2 x 2 x 3 benchmark grid of scenario templates."""
+    """The 2 x 2 x 3 benchmark grid of scenario templates; ValueError, before
+    any spec is built, unless ``confounding`` names distinct settings."""
+    check_names("confounding", confounding, CONFOUNDING_SETTINGS)
     grid = []
     for n1 in n1_values:
         for lx in lx_values:
@@ -370,14 +372,6 @@ class GridResult:
         return ref - other, math.hypot(se_ref, se_other)
 
 
-def _reject_repeats(what: str, ids: list) -> None:
-    """ValueError naming the ids listed more than once: a repeated id would
-    come back as repeated table rows, each averaging all of its copies."""
-    repeated = sorted({i for i in ids if ids.count(i) > 1})
-    if repeated:
-        raise ValueError(f"{what} more than once: {repeated}")
-
-
 def run_scenario_grid(
     grid: Sequence[ScenarioSpec],
     estimators: Sequence[str] = GP_ESTIMATORS,
@@ -389,7 +383,7 @@ def run_scenario_grid(
     """Run every combo of the grid and aggregate RMSE / bias^2 / variance.
 
     All templates must share a master seed.  Deterministic for a fixed seed
-    regardless of ``workers``.  No or unknown estimator names, invalid
+    regardless of ``workers``.  No, unknown or repeated estimator names, invalid
     degrees, a combo listed twice and a non-positive ``n_scenarios`` or
     ``n_runs`` raise ValueError before any world is built.
     """
@@ -397,7 +391,7 @@ def run_scenario_grid(
         raise ValueError("empty grid")
     if n_scenarios < 1 or n_runs < 1:
         raise ValueError(f"n_scenarios and n_runs must be positive, got {n_scenarios} and {n_runs}")
-    _reject_repeats("the grid lists a combo", [combo_id(spec) for spec in grid])
+    reject_repeats("the grid lists a combo", [combo_id(spec) for spec in grid])
     estimators, degrees = check_names("estimators", estimators, ESTIMATORS), check_degrees(degrees)
     seeds = {spec.master_seed for spec in grid}
     if len(seeds) != 1:
@@ -543,7 +537,7 @@ def run_table2(
         raise ValueError(f"n_ground_truths and n_runs must be positive, got {n_ground_truths} and {n_runs}")
     if not rows:
         raise ValueError("no table2 rows selected")
-    _reject_repeats("the rows list a row_id", [row["row_id"] for row in rows])
+    reject_repeats("the rows list a row_id", [row["row_id"] for row in rows])
     tasks = [
         _Table2Task(row=row, ground_truth=g, n_runs=n_runs, master_seed=master_seed)
         for row in rows

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from ppgen.checks import (
@@ -93,6 +95,8 @@ def test_run_checks_filter_and_unknown():
     assert [r.name for r in results] == ["orthonormality"]
     with pytest.raises(ValueError):
         run_checks(["no-such-check"])
+    with pytest.raises(ValueError, match=re.escape("checks named more than once: ['orthonormality']")):
+        run_checks(["orthonormality", "prop1", "orthonormality"])
 
 
 def test_check_result_line_format():

@@ -157,6 +157,14 @@ def test_noise_robustness_single_combo(tmp_path):
     assert payload["robustness_report"]["entries"]
 
 
+def _flag_error(capsys, argv) -> str:
+    """The error argparse gives a bad flag: exit 2, with the usage and the message on stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
 def test_combo_filter_rejects_unknown(tmp_path):
     import pytest
 
@@ -167,43 +175,69 @@ def test_combo_filter_rejects_unknown(tmp_path):
         ])
 
 
-def test_scale_validation(tmp_path):
-    import pytest
-
-    with pytest.raises(SystemExit):
-        main(["checks", "--scale", "1.5", "--out", str(tmp_path)])
+def test_scale_validation(tmp_path, capsys):
+    err = _flag_error(capsys, ["checks", "--scale", "1.5", "--out", str(tmp_path)])
+    assert "ppgen checks: error: argument --scale: must lie in (0, 1]" in err
 
 
-def test_unknown_estimator_lists_valid_names(tmp_path):
-    import pytest
-
-    with pytest.raises(SystemExit, match="omm.*valid: om, os-om, abc"):
-        main(["figure3", "--estimators", "omm", "--scale", "0.01", "--out", str(tmp_path)])
+def test_unknown_estimator_lists_valid_names(tmp_path, capsys):
+    err = _flag_error(capsys, ["figure3", "--estimators", "omm", "--scale", "0.01", "--out", str(tmp_path)])
+    assert "argument --estimators: unknown estimators ['omm']; valid: om, os-om, abc" in err
 
 
-def test_degrees_and_combo_validation(tmp_path):
-    import pytest
-
+def test_degrees_and_combo_validation(tmp_path, capsys):
     # -1 is the degree label of os-om; the others do not parse
-    for flag, value in [("--degrees", "-1"), ("--degrees", ""), ("--degrees", "1,1"), ("--combo", "lx")]:
-        with pytest.raises(SystemExit, match=flag):
-            main(["figure3", flag, value, "--scale", "0.01", "--out", str(tmp_path)])
+    for flag, value, message in [
+        ("--degrees", "-1", "degrees must be distinct nonnegative integers, got (-1,)"),
+        ("--degrees", "", "invalid literal for int() with base 10: ''"),
+        ("--degrees", "1,1", "degrees must be distinct nonnegative integers, got (1, 1)"),
+        ("--combo", "lx", "expected key=value pairs such as n1=200,lx=0.2,conf=none, not 'lx'"),
+    ]:
+        err = _flag_error(capsys, ["figure3", flag, value, "--scale", "0.01", "--out", str(tmp_path)])
+        assert f"argument {flag}: {message}" in err
 
 
-def test_check_names_and_workers_validation(tmp_path, monkeypatch):
-    import pytest
+def test_combo_keys_and_confounding_are_checked_where_parsed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "benchmark_grid", lambda *args, **kwargs: pytest.fail("the grid was built"))
+    config = tmp_path / "config.json"
+    for value, message in [("l=0.5", "unknown combo keys ['l']; valid: n1, lx, conf"),
+                           ("n1=200,conf=mod", "unknown confounding ['mod']; valid: none, mid, strong"),
+                           ("lx=0.5,lx=0.2", "combo keys named more than once: ['lx']")]:
+        err = _flag_error(capsys, ["figure3", "--combo", value, "--scale", "0.01", "--out", str(tmp_path)])
+        assert f"argument --combo: {message}" in err
+        config.write_text(json.dumps({"combo": [value]}))
+        with pytest.raises(SystemExit, match=re.escape(f"--config {config}: argument --combo: {message}")):
+            main(["figure3", "--config", str(config), "--scale", "0.01", "--out", str(tmp_path)])
+    assert not list(tmp_path.glob("figure3.*"))
 
-    from ppgen import cli
 
-    def no_run(*args, **kwargs):
-        raise AssertionError("a check ran")
-
-    monkeypatch.setattr(cli, "run_checks", no_run)
-    with pytest.raises(SystemExit, match="--check: .*nope.*valid: orthonormality, prop1"):
-        main(["checks", "--check", "orthonormality,nope", "--out", str(tmp_path)])
+def test_check_names_and_workers_validation(tmp_path, monkeypatch, capsys):
+    _no_checks(monkeypatch)
+    err = _flag_error(capsys, ["checks", "--check", "orthonormality,nope", "--out", str(tmp_path)])
+    assert "argument --check: unknown check ['nope']; valid: orthonormality, prop1" in err
     for workers in ("0", "-3"):
-        with pytest.raises(SystemExit, match="--workers"):
-            main(["checks", "--check", "orthonormality", "--workers", workers, "--out", str(tmp_path)])
+        err = _flag_error(capsys, ["checks", "--check", "orthonormality", "--workers", workers, "--out", str(tmp_path)])
+        assert "ppgen checks: error: argument --workers: must be at least 1" in err
+
+
+def test_a_repeated_estimator_or_check_name_is_rejected(tmp_path, monkeypatch, capsys):
+    _no_checks(monkeypatch)
+    monkeypatch.setattr(cli, "run_scenario_grid", lambda *args, **kwargs: pytest.fail("the grid ran"))
+    err = _flag_error(capsys, ["figure3", "--estimators", "om,om", "--degrees", "1", "--combo",
+                               "n1=200,lx=0.5,conf=mid", "--scale", "0.01", "--out", str(tmp_path)])
+    assert "argument --estimators: estimators named more than once: ['om']" in err
+    err = _flag_error(capsys, ["checks", "--check", "prop1,orthonormality,prop1", "--out", str(tmp_path)])
+    assert "argument --check: check named more than once: ['prop1']" in err
+    # across flags, the names are joined before any check runs
+    with pytest.raises(SystemExit) as exc:
+        main(["checks", "--check", "orthonormality", "--check", "orthonormality", "--out", str(tmp_path)])
+    assert exc.value.code == "--check: check named more than once: ['orthonormality']"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"check": ["orthonormality", "orthonormality"]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["checks", "--config", str(config), "--out", str(tmp_path)])
+    assert exc.value.code == f"--config {config}: argument --check: check named more than once: ['orthonormality']"
+    assert not list(tmp_path.glob("figure3.*")) and not list(tmp_path.glob("checks.*"))
 
 
 def test_error_inside_a_check_propagates(tmp_path, monkeypatch):
@@ -219,11 +253,7 @@ def test_error_inside_a_check_propagates(tmp_path, monkeypatch):
         main(["checks", "--check", "orthonormality", "--out", str(tmp_path)])
 
 
-def test_commands_reject_selection_flags_they_ignore(tmp_path, monkeypatch):
-    import pytest
-
-    from ppgen import cli
-
+def test_commands_reject_selection_flags_they_ignore(tmp_path, monkeypatch, capsys):
     def no_run(*args, **kwargs):
         raise AssertionError("the command ran")
 
@@ -238,33 +268,53 @@ def test_commands_reject_selection_flags_they_ignore(tmp_path, monkeypatch):
         ("export-world", "--estimators", "om"), ("export-world", "--combo", "lx=0.2"),
     ]
     for command, flag, value in cases:
-        with pytest.raises(SystemExit, match=f"{flag}: {command} does not use this flag"):
-            main([command, flag, value, "--scale", "0.01", "--out", str(tmp_path)])
+        err = _flag_error(capsys, [command, flag, value, "--scale", "0.01", "--out", str(tmp_path)])
+        assert f"ppgen: error: unrecognized arguments: {flag} {value}" in err
 
 
-def test_max_failures_below_zero_exits_before_the_run(tmp_path, monkeypatch):
+# the common flags, which every command reads, and each command's own
+COMMON_FLAGS = ["--config", "--scale", "--seed", "--out", "--format", "--workers"]
+GRID_FLAGS = ["--combo", "--estimators", "--degrees", "--max-failures"]
+COMMAND_FLAGS = {"figure3": GRID_FLAGS, "ipwdr": GRID_FLAGS, "table2": [], "noise-robustness": GRID_FLAGS,
+                 "checks": ["--check"], "export-world": ["--degrees"]}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+def test_each_commands_help_lists_only_the_flags_it_reads(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    options = capsys.readouterr().out.split("options:\n", 1)[1]
+    listed = re.findall(r"^  (?:-h, )?(--[a-z-]+)", options, flags=re.MULTILINE)
+    assert listed == ["--help", *COMMON_FLAGS, *COMMAND_FLAGS[command]]
+    assert [f"--{flag}" for flag in cli.COMMANDS[command].flags] == COMMAND_FLAGS[command]
+
+
+def test_max_failures_below_zero_exits_before_the_run(tmp_path, monkeypatch, capsys):
     def no_run(*args, **kwargs):
         raise AssertionError("the grid ran")
 
     monkeypatch.setattr(cli, "run_scenario_grid", no_run)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"max-failures": -1}))
-    for flags in (["--max-failures=-1"], ["--config", str(config)]):
-        with pytest.raises(SystemExit, match="--max-failures must be at least 0"):
-            main(["figure3", *flags, "--scale", "0.01", "--out", str(tmp_path)])
+    err = _flag_error(capsys, ["figure3", "--max-failures=-1", "--scale", "0.01", "--out", str(tmp_path)])
+    assert "argument --max-failures: must be at least 0" in err
+    with pytest.raises(SystemExit, match=re.escape(f"--config {config}: argument --max-failures: must be at least 0")):
+        main(["figure3", "--config", str(config), "--scale", "0.01", "--out", str(tmp_path)])
     assert not list(tmp_path.glob("figure3.*"))
 
 
-def test_export_world_degrees_names_one_degree(tmp_path, monkeypatch):
+def test_export_world_degrees_names_one_degree(tmp_path, monkeypatch, capsys):
     def no_run(*args, **kwargs):
         raise AssertionError("the world was built")
 
     monkeypatch.setattr(cli, "gp_world", no_run)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"degrees": [5, 1]}))
-    for flags in (["--degrees", "5,1"], ["--config", str(config)]):
-        with pytest.raises(SystemExit, match="--degrees: export-world fits one degree"):
-            main(["export-world", *flags, "--out", str(tmp_path)])
+    message = "argument --degrees: export-world fits one degree, not 5,1"
+    assert message in _flag_error(capsys, ["export-world", "--degrees", "5,1", "--out", str(tmp_path)])
+    with pytest.raises(SystemExit, match=re.escape(f"--config {config}: {message}")):
+        main(["export-world", "--config", str(config), "--out", str(tmp_path)])
     assert not list(tmp_path.glob("world_*"))
 
 
@@ -275,11 +325,7 @@ def test_readme_cli_block_names_every_command_once():
     assert named == list(cli.COMMANDS)
 
 
-def test_noise_robustness_needs_aom_and_om(tmp_path, monkeypatch):
-    import pytest
-
-    from ppgen import cli
-
+def test_noise_robustness_needs_aom_and_om(tmp_path, monkeypatch, capsys):
     def no_run(*args, **kwargs):
         raise AssertionError("the grid ran")
 
@@ -287,10 +333,13 @@ def test_noise_robustness_needs_aom_and_om(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_scenario_grid", no_run)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"estimators": "abc,aom"}))
-    for flags in (["--estimators", "om"], ["--estimators", "aom,abc"], ["--config", str(config)]):
-        with pytest.raises(SystemExit, match="--estimators: .*aom.*om"):
-            main(["noise-robustness", *flags, "--scale", "0.01", "--combo", "n1=200,lx=0.5,conf=mid",
-                  "--out", str(tmp_path)])
+    message = "argument --estimators: noise-robustness compares aom with om, so it needs both"
+    for flags in (["--estimators", "om"], ["--estimators", "aom,abc"]):
+        assert message in _flag_error(capsys, ["noise-robustness", *flags, "--scale", "0.01", "--combo",
+                                               "n1=200,lx=0.5,conf=mid", "--out", str(tmp_path)])
+    with pytest.raises(SystemExit, match=re.escape(f"--config {config}: {message}")):
+        main(["noise-robustness", "--config", str(config), "--scale", "0.01", "--combo", "n1=200,lx=0.5,conf=mid",
+              "--out", str(tmp_path)])
     assert not list(tmp_path.glob("noise_robustness.*"))
 
 
@@ -305,7 +354,8 @@ def test_config_file_format_is_validated(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_checks", no_run)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"format": "xml"}))
-    with pytest.raises(SystemExit, match="--format .*csv, json, both.*'xml'"):
+    message = "argument --format: must be one of csv, json, both, not 'xml'"
+    with pytest.raises(SystemExit, match=re.escape(f"--config {config}: {message}")):
         main(["checks", "--config", str(config), "--check", "orthonormality", "--out", str(tmp_path)])
     assert not list(tmp_path.glob("checks.*"))
 
@@ -320,21 +370,22 @@ def _no_checks(monkeypatch):
 
 
 CONFIG_ERRORS = [
-    ("checks", {"seed": 1.5}, "--seed invalid int value: '1.5'"),
+    ("checks", {"seed": 1.5}, "argument --seed: invalid int value: '1.5'"),
     ("checks", {"sede": 3}, "unrecognized arguments: --sede=3"),
     ("checks", {"sca": 0.5}, "unrecognized arguments: --sca=0.5"),  # keys are whole flag names
-    ("checks", {"estimators": "om"}, "--estimators: checks does not use this flag"),
-    ("checks", {"workers": "two"}, "--workers invalid int value: 'two'"),
-    ("checks", {"scale": "half"}, "--scale invalid float value: 'half'"),
+    ("checks", {"estimators": "om"}, "unrecognized arguments: --estimators=om"),
+    ("checks", {"workers": "two"}, "argument --workers: invalid int value: 'two'"),
+    ("checks", {"scale": "half"}, "argument --scale: invalid float value: 'half'"),
     ("checks", {"config": "other.json"}, "a config file cannot name another"),
-    # values that parse but that the setting's check rejects, as it rejects the flag's
-    ("checks", {"workers": 0}, "--workers must be at least 1"),
-    ("checks", {"scale": 1.5}, "--scale must lie in (0, 1]"),
-    ("figure3", {"max-failures": -1}, "--max-failures must be at least 0"),
-    ("figure3", {"estimators": "omm"}, "--estimators: unknown estimators ['omm']"),
-    ("checks", {"check": "nope"}, "--check: unknown check ['nope']"),
-    ("figure3", {"degrees": "1,1"}, "--degrees: degrees must be distinct nonnegative integers"),
-    ("figure3", {"combo": "lx"}, "--combo: expected key=value pairs"),
+    # values that parse but that the flag's type rejects, as it rejects the flag's
+    ("checks", {"workers": 0}, "argument --workers: must be at least 1"),
+    ("checks", {"scale": 1.5}, "argument --scale: must lie in (0, 1]"),
+    ("figure3", {"max-failures": -1}, "argument --max-failures: must be at least 0"),
+    ("figure3", {"estimators": "omm"}, "argument --estimators: unknown estimators ['omm']"),
+    ("checks", {"check": "nope"}, "argument --check: unknown check ['nope']"),
+    ("figure3", {"degrees": "1,1"}, "argument --degrees: degrees must be distinct nonnegative integers"),
+    ("figure3", {"combo": "lx"}, "argument --combo: expected key=value pairs"),
+    ("figure3", {"estimators": "om,om"}, "argument --estimators: estimators named more than once: ['om']"),
 ]
 
 
@@ -390,7 +441,7 @@ def test_env_seed_and_config_lists_are_parsed_like_flags(tmp_path, monkeypatch):
     monkeypatch.setenv("PPGEN_SEED", "abc")
     assert _checks_payload(tmp_path, "--seed", "4")["master_seed"] == 4
     _no_checks(monkeypatch)
-    with pytest.raises(SystemExit, match=re.escape("PPGEN_SEED: --seed invalid int value: 'abc'")):
+    with pytest.raises(SystemExit, match=re.escape("PPGEN_SEED: argument --seed: invalid int value: 'abc'")):
         main(["checks", "--check", "orthonormality", "--out", str(tmp_path)])
 
 

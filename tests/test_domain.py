@@ -15,6 +15,7 @@ from ppgen.domain import (
     CompositeSample,
     KernelParams,
     ScenarioSpec,
+    check_names,
     derive_seed,
     read_sample_csv,
     write_sample_csv,
@@ -319,6 +320,15 @@ def test_derive_seed_canonicalises_numpy_scalars():
     assert derive_seed(7, "trial", np.int64(5)) == derive_seed(7, "trial", 5)
     assert derive_seed(np.float64(0.5), np.bool_(True)) == derive_seed(0.5, True)
     assert derive_seed(np.str_("a")) == derive_seed("a")
+
+
+def test_check_names_rejects_none_unknown_and_repeated_names():
+    valid = ("a", "b", "c")
+    assert check_names("letters", ["c", "a"], valid) == ("c", "a")
+    for names, message in [([], "no letters selected"), (["a", "z"], "unknown letters ['z']; valid: a, b, c"),
+                           (["b", "a", "b", "a"], "letters named more than once: ['a', 'b']")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_names("letters", names, valid)
 
 
 def test_derive_seed_rejects_other_types():

@@ -314,6 +314,9 @@ def test_unknown_estimator_rejected_before_any_world(monkeypatch):
     monkeypatch.setattr(grid, "gp_world", no_world)
     with pytest.raises(ValueError, match="omm.*valid: om, os-om"):
         run_scenario_grid(small_grid()[:1], estimators=("om", "omm"), n_scenarios=1, n_runs=1)
+    # a repeat would fit the estimator twice per run and write its rows twice
+    with pytest.raises(ValueError, match=re.escape("estimators named more than once: ['om']")):
+        run_scenario_grid(small_grid()[:1], estimators=("om", "abc", "om"), n_scenarios=1, n_runs=1)
     for degrees in ((-1,), (True,), (1, False), (2.5,)):  # a bool is an int, but no degree
         with pytest.raises(ValueError, match="degrees"):
             run_scenario_grid(small_grid()[:1], degrees=degrees, n_scenarios=1, n_runs=1)
@@ -349,6 +352,16 @@ def test_grid_without_estimators_rejected_before_any_world(monkeypatch):
     monkeypatch.setattr(grid, "gp_world", _no_world)
     with pytest.raises(ValueError, match="no estimators selected"):
         run_scenario_grid(small_grid()[:1], estimators=(), n_scenarios=1, n_runs=1)
+
+
+def test_unknown_confounding_label_rejected_before_any_spec(monkeypatch):
+    from ppgen import grid
+
+    monkeypatch.setattr(grid, "grid_kernels", _no_world)
+    with pytest.raises(ValueError, match=re.escape("unknown confounding ['mild']; valid: none, mid, strong")):
+        benchmark_grid(7, confounding=("none", "mild"))
+    with pytest.raises(ValueError, match=re.escape("confounding named more than once: ['mid']")):
+        benchmark_grid(7, confounding=("mid", "mid"))
 
 
 def test_non_finite_participation_kernel_rejected_before_any_world(monkeypatch):
