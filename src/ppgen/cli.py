@@ -44,7 +44,7 @@ from .grid import (
     GridResult,
     benchmark_grid,
     check_degrees,
-    combo_id,
+    confounding_label,
     grid_kernels,
     run_scenario_grid,
     run_table2,
@@ -87,9 +87,9 @@ _degrees = _flag_type(lambda text: check_degrees([int(d) for d in text.split(","
 
 
 @_flag_type
-def _combo(text: str) -> dict[str, str]:
-    """A --combo filter's key=value pairs: keys among n1, lx and conf, and a
-    conf among the confounding settings."""
+def _combo(text: str) -> dict:
+    """A --combo filter's key=value pairs: keys among n1, lx and conf, an
+    integer n1, a float lx and a conf among the confounding settings."""
     pairs = [[s.strip() for s in part.split("=", 1)] for part in text.replace(";", ",").split(",")]
     if not all(len(pair) == 2 for pair in pairs):
         _fail(f"expected key=value pairs such as n1=200,lx=0.2,conf=none, not {text!r}")
@@ -97,6 +97,9 @@ def _combo(text: str) -> dict[str, str]:
     combo = dict(pairs)
     if "conf" in combo:
         check_names("confounding", [combo["conf"]], CONFOUNDING_SETTINGS)
+    for key, convert in (("n1", int), ("lx", float)):
+        if key in combo:
+            combo[key] = convert(combo[key])
     return combo
 
 
@@ -185,8 +188,9 @@ class RunConfig:
 def _filter_grid(grid, wanted: list[dict] | None):
     if not wanted:
         return grid
-    keep = [spec for spec in grid if any(
-        w.items() <= dict(p.split("=") for p in combo_id(spec).split(";")).items() for w in wanted)]
+    values = [{"n1": s.n1, "lx": s.fom_params[1].l_x, "conf": confounding_label(s.pa_params.l_u, s.pa_params.alpha_u)}
+              for s in grid]  # each spec's values of the --combo keys, as _combo parses them
+    keep = [spec for spec, v in zip(grid, values) if any(w.items() <= v.items() for w in wanted)]
     if not keep:
         raise SystemExit(f"no combos match {wanted}")
     return keep

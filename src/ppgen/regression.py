@@ -28,7 +28,6 @@ N_FOLDS = 5  # folds of every cross-validated fit
 # boundaries at multiples of BLAS's row groups keep predictions bit-identical
 # to one product over all rows.
 ROW_BLOCK = 1024
-EIGH_BYTES = 2**20  # fold Grams per eigh call of the CV sweep: all trial-side folds, one OS fold
 
 
 class IllConditionedError(ValueError):
@@ -193,8 +192,9 @@ def _cv_ridge(
 ) -> tuple[np.ndarray, float]:
     """Coefficients at the cross-validated penalty, and that penalty.
 
-    The full-design Gram and right-hand side are formed once; the folds
-    subtract their held-out rows from them and the winner is solved from them.
+    The full-design Gram and right-hand side are formed once; the sweep
+    works in the Gram's range and the winner is solved from them, so the
+    coefficients depend on the sweep only through the penalty it picks.
     """
     gram = feats.T @ feats
     rhs = feats.T @ y
@@ -209,49 +209,45 @@ def _cv_errors(
     feats: np.ndarray, y: np.ndarray, gram_all: np.ndarray, rhs_all: np.ndarray,
     penalties: Sequence[float], n_folds: int, fold_seed: int,
 ) -> np.ndarray:
-    """Pooled held-out squared error per penalty.
-
-    The folds go in order, as many at a time as keep their Grams within
-    ``EIGH_BYTES``.  A fold's training Gram and right-hand side are the full
-    ones minus the products of its held-out rows, ``ROW_BLOCK`` at a time; one
-    stacked eigendecomposition solves the folds at every penalty, and a second
-    pass over the same blocks scores them before the next folds start.
-    """
+    """Pooled held-out squared error per penalty, in the range V of the full
+    Gram: its eigenvectors above float precision times its top eigenvalue (the
+    rest are rounding; the OS predictor's 500 features keep 14-18, a full-rank
+    design all).  Fold k solves diag(eigenvalues) - z_k'z_k against V'F'y -
+    z_k'y_k, z_k = F_k V its held-out rows rotated ``ROW_BLOCK`` at a time; one
+    stacked eigendecomposition solves every fold at every penalty, and a second
+    pass over the same blocks scores them."""
+    vals, vecs = np.linalg.eigh(gram_all)
+    if 0.0 in penalties:  # a singular full Gram makes every fold's singular, even where its range is not
+        _reject_singular(vals)
+    keep = vals > np.finfo(float).eps * vals[-1]
+    vecs = vecs[:, keep]
     folds = _fold_split(feats.shape[0], n_folds, fold_seed)
-    step = min(n_folds, max(1, EIGH_BYTES // gram_all.nbytes))
-    grams, rhs = np.empty((step, *gram_all.shape)), np.empty((step, rhs_all.shape[0]))
+    grams = np.repeat(np.diag(vals[keep])[None], len(folds), axis=0)
+    rhs = np.repeat((rhs_all @ vecs)[None], len(folds), axis=0)
+    for k, idx in enumerate(folds):
+        for z_rows, y_rows in _held_out_blocks(feats, y, idx, vecs):
+            grams[k] -= z_rows.T @ z_rows
+            rhs[k] -= y_rows @ z_rows
+    coefs = _fold_penalty_sweep(grams, rhs, penalties)
     sse = np.zeros(len(penalties))
-    for first in range(0, len(folds), step):
-        group = folds[first:first + step]
-        grams[:], rhs[:] = gram_all, rhs_all
-        for k, idx in enumerate(group):
-            for rows, y_rows in _held_out_blocks(feats, y, idx):
-                grams[k] -= rows.T @ rows
-                rhs[k] -= rows.T @ y_rows
-        del rows, y_rows  # no block of rows outlives its pass
-        coefs = _fold_penalty_sweep(grams[:len(group)], rhs[:len(group)], penalties)
-        for k, idx in enumerate(group):
-            for rows, y_rows in _held_out_blocks(feats, y, idx):
-                resid = y_rows[:, None] - rows @ coefs[k].T
-                sse += np.add.reduce(np.square(resid, out=resid), axis=0)
-        del rows, y_rows
+    for k, idx in enumerate(folds):
+        for z_rows, y_rows in _held_out_blocks(feats, y, idx, vecs):
+            resid = coefs[k] @ z_rows.T  # (penalties, held-out rows)
+            resid -= y_rows
+            sse += np.add.reduce(np.square(resid, out=resid), axis=1)
     return sse / feats.shape[0]
 
 
-def _held_out_blocks(feats: np.ndarray, y: np.ndarray, idx: np.ndarray):
-    """The held-out rows of fold ``idx`` and their targets, ``ROW_BLOCK`` rows
-    at a time; every block after the first is gathered into the first's array."""
-    rows = None
+def _held_out_blocks(feats: np.ndarray, y: np.ndarray, idx: np.ndarray, vecs: np.ndarray):
+    """Fold ``idx``'s held-out rows rotated onto ``vecs``, and their targets, ``ROW_BLOCK`` rows at a time."""
     for start in range(0, idx.shape[0], ROW_BLOCK):
         part = idx[start:start + ROW_BLOCK]
-        # mode="clip": the indices are in range, so take can write straight into out=
-        rows = feats.take(part, axis=0, out=None if rows is None else rows[:part.shape[0]], mode="clip")
-        yield rows, y[part]
+        yield feats.take(part, axis=0) @ vecs, y[part]
 
 
 def _fold_penalty_sweep(grams: np.ndarray, rhs: np.ndarray, penalties: Sequence[float]) -> np.ndarray:
     """Coefficients of every fold at every penalty, shape (folds, penalties,
-    features), from one stacked eigendecomposition of the folds' Grams."""
+    unknowns), from one stacked eigendecomposition of the folds' Grams."""
     vals, vecs = np.linalg.eigh(grams)
     lams = np.asarray(penalties, dtype=float)
     if 0.0 in penalties:

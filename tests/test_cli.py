@@ -175,6 +175,18 @@ def test_combo_filter_rejects_unknown(tmp_path):
         ])
 
 
+def test_combo_values_match_by_number(tmp_path, capsys):
+    grid = cli.benchmark_grid(7)
+    chosen = {text: cli._filter_grid(grid, [cli._combo(text)]) for text in ("lx=0.5", "lx=0.50", "n1=200,lx=.5")}
+    assert len(chosen["lx=0.5"]) == 6 and all(spec.fom_params[1].l_x == 0.5 for spec in chosen["lx=0.5"])
+    assert chosen["lx=0.50"] == chosen["lx=0.5"]
+    assert chosen["n1=200,lx=.5"] == [spec for spec in chosen["lx=0.5"] if spec.n1 == 200]
+    for value, message in [("n1=200.0", "invalid literal for int() with base 10: '200.0'"),
+                           ("lx=wide", "could not convert string to float: 'wide'")]:
+        err = _flag_error(capsys, ["figure3", "--combo", value, "--scale", "0.01", "--out", str(tmp_path)])
+        assert f"argument --combo: {message}" in err
+
+
 def test_scale_validation(tmp_path, capsys):
     err = _flag_error(capsys, ["checks", "--scale", "1.5", "--out", str(tmp_path)])
     assert "ppgen checks: error: argument --scale: must lie in (0, 1]" in err
@@ -411,6 +423,7 @@ def test_config_file_entries_are_parsed_like_flags(tmp_path, monkeypatch, comman
 
 def test_env_seed_and_config_lists_are_parsed_like_flags(tmp_path, monkeypatch):
     from ppgen import cli
+    from ppgen.grid import combo_id
 
     monkeypatch.setenv("PPGEN_SEED", "5")
     config = tmp_path / "config.json"
@@ -427,7 +440,7 @@ def test_env_seed_and_config_lists_are_parsed_like_flags(tmp_path, monkeypatch):
         pass
 
     def capture(grid, **kwargs):
-        seen.update(combos=[cli.combo_id(spec) for spec in grid], **kwargs)
+        seen.update(combos=[combo_id(spec) for spec in grid], **kwargs)
         raise Captured
 
     monkeypatch.setattr(cli, "run_scenario_grid", capture)

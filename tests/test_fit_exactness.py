@@ -1,18 +1,19 @@
 """Bit-exactness pins for the OS predictor and the trial-side ridge fits, the
 OS predictor's prediction in row blocks, the grid's one evaluation of the OS
-predictor per input, and the estimators' reads of the target through one
-``Target`` per world.
+predictor per input, the estimators' reads of the target through one
+``Target`` per world, and the decompositions a CV sweep makes.
 
 The digests and hex floats below were computed at commit
 b000459dd1e302c7709eb21d712fbf5a8196fe95, before the cross-validated fits
 solved their chosen penalty from the Gram matrix of the CV sweep, before the
 cosine design was built in one buffer, before the grid evaluated the OS
-predictor once per run and before the CV sweep and ``predict`` worked in
-blocks of ``ROW_BLOCK`` rows.  Equal sha256 digests of the float64 bytes mean
-bit-identical arrays.  A multithreaded BLAS may split the OS Gram's sums
-differently, and a matrix-vector product's rows at other boundaries than the
-blocks' (3,077 rows on two threads moved predictions by 1 ulp), so the fits
-and the blocked-versus-one-shot predictions run in a subprocess with one BLAS
+predictor once per run, before the CV sweep and ``predict`` worked in blocks
+of ``ROW_BLOCK`` rows and before the sweep worked in the full Gram's range.
+Equal sha256 digests of the float64 bytes mean bit-identical arrays.  A
+multithreaded BLAS may split the OS Gram's sums differently, and a
+matrix-vector product's rows at other boundaries than the blocks' (3,077
+rows on two threads moved predictions by 1 ulp), so the fits and the
+blocked-versus-one-shot predictions run in a subprocess with one BLAS
 thread.  The ``Target`` tests compare two paths within one process, so they
 run in it.
 """
@@ -247,3 +248,27 @@ def test_grid_builds_each_target_design_once_per_world(monkeypatch):
     alone, rebuilt = run()
     assert json.dumps(shared) == json.dumps(alone)
     assert len(rebuilt) > len(on_target)
+
+
+def test_cv_sweeps_decompose_the_full_gram_and_one_stack_in_its_range(monkeypatch, record_property):
+    spec = benchmark_grid(7, n1_values=(1000,), lx_values=(0.5,), confounding=("mid",))[0]
+    world = world_from_spec(spec)  # the world of _world(), built before eigh is counted
+    shapes, eigh = [], np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    os_predictor(world, spec.n_os, lambda part: derive_seed(7, "fit-exactness", part))
+    # the 500 x 500 full Gram, then the five folds' r x r systems in its range:
+    # r read 18 at one BLAS thread and 17 at two
+    assert len(shapes) == 2 and shapes[0] == (500, 500)
+    r = shapes[1][1]
+    record_property("os_range_rank", r)
+    assert shapes[1] == (5, r, r) and 10 <= r <= 40
+    _, _, trial = _world()
+    x1, y1 = trial.trial_arm_arrays(1)
+    shapes.clear()
+    regression.ridge_cv(x1, y1, 5, fold_seed=FOLD_SEED)
+    assert shapes == [(6, 6), (5, 6, 6)]  # a full-rank trial design keeps every direction

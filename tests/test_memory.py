@@ -4,11 +4,12 @@ neither holds a second copy of a large design.
 
 Peaks are numpy's allocations as tracemalloc sees them, above what was
 allocated before the call (LAPACK's workspace is not among them).  The fit
-is measured at the default 500 features.  Its sweep forms and decomposes
-one fold's 2 MB training Gram at a time, so above the design it holds the
-full Gram, that training Gram, one 4 MiB block of held-out rows and the
-block's product: about 10 MiB at 20k rows.  Stacking all five folds' Grams
-again would add 8 MiB, and a copy of a fold's rows 15 MiB.
+is measured at the default 500 features.  Its sweep decomposes the 2 MB
+full Gram once and rotates held-out rows into its range (14-18 directions on
+the benchmark's worlds) one 4 MiB block at a time, so above the design it
+holds the Gram, its eigenvectors, one block and the block's rotation: 6.6 MiB
+at 20k rows, against 10.1 MiB when each fold's 500 x 500 training Gram was
+formed.  A copy of one fold's rows would add 15 MiB.
 """
 
 import tracemalloc

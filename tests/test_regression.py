@@ -236,8 +236,9 @@ def _reference_cv_errors(feats, y, penalties, n_folds, fold_seed):
         train = np.ones(n, dtype=bool)
         train[idx] = False
         f_tr, y_tr = feats[train], y[train]
+        gram, rhs = f_tr.T @ f_tr, f_tr.T @ y_tr
         for i, lam in enumerate(penalties):
-            coefs = np.linalg.solve(f_tr.T @ f_tr + lam * np.eye(p), f_tr.T @ y_tr)
+            coefs = np.linalg.solve(gram + lam * np.eye(p), rhs)
             errors[i] += np.sum((y[idx] - feats[idx] @ coefs) ** 2)
     return errors / n
 
@@ -268,28 +269,10 @@ def test_cv_sweep_picks_the_reference_penalty(fold, degree, noise, seed):
         assert chosen in near
 
 
-def _stacked_cv_errors(feats, y, gram_all, rhs_all, penalties, n_folds, fold_seed):
-    """The sweep that decomposed every fold's training Gram in one stacked
-    ``eigh``: the Grams are formed first (held-out rows subtracted
-    ``ROW_BLOCK`` at a time, fold by fold), all folds are solved at once, and
-    a second pass scores them."""
-    folds = cv_fold_indices(feats.shape[0], n_folds, fold_seed)
-    blocks = [(k, feats[idx[s:s + ROW_BLOCK]], y[idx[s:s + ROW_BLOCK]])
-              for k, idx in enumerate(folds) for s in range(0, idx.shape[0], ROW_BLOCK)]
-    grams = np.repeat(gram_all[None], n_folds, axis=0)
-    rhs = np.repeat(rhs_all[None], n_folds, axis=0)
-    for k, rows, y_rows in blocks:
-        grams[k] -= rows.T @ rows
-        rhs[k] -= rows.T @ y_rows
-    vals, vecs = np.linalg.eigh(grams)
-    lams = np.asarray(penalties, dtype=float)
-    proj = np.matmul(rhs[:, None, :], vecs)
-    coefs = (proj / (vals[:, None, :] + lams[None, :, None])) @ vecs.transpose(0, 2, 1)
-    sse = np.zeros(len(penalties))
-    for k, rows, y_rows in blocks:
-        resid = y_rows[:, None] - rows @ coefs[k].T
-        sse += np.sum(resid**2, axis=0)
-    return sse / feats.shape[0]
+# The range sweep against the per-fold solves: over every shape below (40 seeds
+# of the Legendre designs, 12 of the cosine ones) the pooled errors differed
+# by at most 6.3e-10 relative, at the smallest penalty of the default grid.
+RANGE_SWEEP_RTOL = 1e-8
 
 
 @settings(max_examples=16, deadline=None)
@@ -298,9 +281,10 @@ def _stacked_cv_errors(feats, y, gram_all, rhs_all, penalties, n_folds, fold_see
     width=st.sampled_from([*range(1, 10), 200, 500]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(fold=3 * ROW_BLOCK + 7, width=500, seed=0)  # the OS predictor's shape: one fold per eigh
-@example(fold=ROW_BLOCK + 1, width=200, seed=1)  # three folds in the first eigh, two in the second
-def test_cv_errors_are_the_stacked_sweeps_bit_for_bit(fold, width, seed):
+@example(fold=3 * ROW_BLOCK + 7, width=500, seed=0)  # the OS predictor's shape: rank far below width
+@example(fold=ROW_BLOCK, width=500, seed=3)  # the largest drift measured
+@example(fold=ROW_BLOCK + 1, width=9, seed=1)  # a full-rank design keeps every direction
+def test_cv_errors_match_the_per_fold_solves(fold, width, seed):
     rng = np.random.default_rng(seed)
     n = 5 * fold  # five folds of exactly `fold` held-out rows
     x = rng.uniform(-1, 1, n)
@@ -309,10 +293,12 @@ def test_cv_errors_are_the_stacked_sweeps_bit_for_bit(fold, width, seed):
     else:  # random cosine features, as the OS predictor fits them
         feats = regression._cosine_features(x, rng.standard_normal(width) * 3, rng.uniform(0, 2 * np.pi, width))
     y = np.sin(3 * x) + rng.normal(0, 0.5, n)
-    gram, rhs = feats.T @ feats, feats.T @ y
     grid = regression.DEFAULT_PENALTY_GRID
-    got = regression._cv_errors(feats, y, gram, rhs, grid, 5, seed)
-    assert got.tobytes() == _stacked_cv_errors(feats, y, gram, rhs, grid, 5, seed).tobytes()
+    got = regression._cv_errors(feats, y, feats.T @ feats, feats.T @ y, grid, 5, seed)
+    ref = _reference_cv_errors(feats, y, grid, 5, seed)
+    assert np.allclose(got, ref, rtol=RANGE_SWEEP_RTOL, atol=0)
+    if np.sort(ref)[1] > ref.min() * (1 + 2 * RANGE_SWEEP_RTOL):  # a winner the drift cannot unseat
+        assert regression._cv_ridge(feats, y, list(grid), 5, seed)[1] == grid[np.argmin(ref)]
 
 
 def test_all_zero_targets_tie_to_the_largest_penalty_across_blocks():
