@@ -14,7 +14,6 @@ from .domain import (
     EstimateRecord,
     GlmParams,
     KernelParams,
-    ScenarioSpec,
     derive_seed,
 )
 from .dgp import (
@@ -27,7 +26,6 @@ from .dgp import (
     glm_logit_prob,
     glm_outcome,
     sample_gp,
-    world_from_spec,
 )
 from .regression import (
     LogisticFit,

@@ -164,7 +164,7 @@ def theorem_structural_check(
     seed_of = partial(derive_seed, seed, "thm", which)
     world = _check_world(seed_of())
     # the grid's prologue: the fit's design on the target is built once rather than per refit
-    f, target, mu = world_prologue(world, n0, n_os, seed_of, "learned" if which in ("abc", "aom") else None)
+    [(f, target)], mu = world_prologue([world], n0, n_os, seed_of, "learned" if which in ("abc", "aom") else None)
     g_true = true_outcome_function(world, 1, target.x)
 
     m = np.empty(n_refits)

@@ -16,6 +16,7 @@ import os
 import platform
 import sys
 import time
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -41,10 +42,10 @@ from .grid import (
     GP_ESTIMATORS,
     TABLE2_N1,
     TABLE2_RUNS,
+    Grid,
     GridResult,
     benchmark_grid,
     check_degrees,
-    confounding_label,
     grid_kernels,
     run_scenario_grid,
     run_table2,
@@ -185,15 +186,14 @@ class RunConfig:
         return max(1, math.ceil(n * self.scale))
 
 
-def _filter_grid(grid, wanted: list[dict] | None):
+def _filter_grid(grid: Grid, wanted: list[dict] | None) -> Grid:
+    """The combos of ``grid`` that match any of the ``--combo`` filters (all of them without one)."""
     if not wanted:
         return grid
-    values = [{"n1": s.n1, "lx": s.fom_params[1].l_x, "conf": confounding_label(s.pa_params.l_u, s.pa_params.alpha_u)}
-              for s in grid]  # each spec's values of the --combo keys, as _combo parses them
-    keep = [spec for spec, v in zip(grid, values) if any(w.items() <= v.items() for w in wanted)]
+    keep = [combo for combo in grid.combos if any(w.items() <= combo._asdict().items() for w in wanted)]
     if not keep:
         raise SystemExit(f"no combos match {wanted}")
-    return keep
+    return replace(grid, combos=keep)
 
 
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -287,7 +287,7 @@ def _grid_command(cfg: RunConfig, estimators, predictor_kind: str = "learned") -
     n_runs = cfg.scaled(100)
     grid = _filter_grid(benchmark_grid(cfg.seed, predictor_kind=predictor_kind), cfg.combos)
     estimators = cfg.estimators or estimators
-    print(f"{cfg.command}: {len(grid)} combos x {n_scenarios} scenarios x {n_runs} runs, "
+    print(f"{cfg.command}: {len(grid.combos)} combos x {n_scenarios} scenarios x {n_runs} runs, "
           f"estimators {','.join(estimators)}, workers {cfg.workers}", flush=True)
     result = run_scenario_grid(
         grid,

@@ -20,7 +20,6 @@ factorization of the full G^2 x G^2 covariance, and is exact in distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -35,8 +34,6 @@ from .domain import (
     GenerationError,
     GlmParams,
     KernelParams,
-    ScenarioSpec,
-    derive_seed,
 )
 
 PROB_CLIP = (0.1, 0.9)  # positivity floor/ceiling for GP-drawn probabilities
@@ -243,13 +240,6 @@ def gp_world(fom_params: tuple, ps_params: KernelParams, pa_params: KernelParams
     ps = sample_gp(ps_params, seed=seed_of("ps"))
     pa = sample_gp(pa_params, seed=seed_of("pa"))
     return World("gp", fom, ps, pa, 0.0)
-
-
-def world_from_spec(spec: ScenarioSpec, seed_tag: object = "world") -> World:
-    """Realize a spec's world, its surfaces drawn with seeds derived from
-    (master_seed, seed_tag, component)."""
-    seed_of = partial(derive_seed, spec.master_seed, seed_tag)
-    return gp_world(spec.fom_params, spec.ps_params, spec.pa_params, seed_of)
 
 
 # -- cohort sampling ---------------------------------------------------------

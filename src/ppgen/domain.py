@@ -183,7 +183,7 @@ class CompositeSample:
         return self.x[mask], self.y[mask]
 
 
-# -- scenario specifications ------------------------------------------------
+# -- world parameters ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -230,26 +230,6 @@ class GlmParams:
             raise ValueError("gamma must be nonnegative and finite")
         if not 0 < self.scale < math.inf:
             raise ValueError("scale must be positive and finite")
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """Everything needed to rebuild one noise-free GP world and its samples."""
-
-    fom_params: tuple[KernelParams, KernelParams]  # (arm 0, arm 1)
-    ps_params: KernelParams
-    pa_params: KernelParams
-    n1: int
-    n0: int
-    n_os: int
-    predictor_kind: str = "learned"  # "learned" | "iid_noise"
-    master_seed: int = 0
-
-    def __post_init__(self):
-        if self.predictor_kind not in ("learned", "iid_noise"):
-            raise ValueError(f"unknown predictor kind {self.predictor_kind!r}")
-        if min(self.n1, self.n0, self.n_os) < 1:
-            raise ValueError("sample sizes must be positive")
 
 
 # -- result records ----------------------------------------------------------

@@ -12,6 +12,12 @@ surface across confounding settings) get bit-identical draws.  This pairs the
 cells, which both stabilizes head-to-head comparisons and makes results
 independent of how work is split across processes.
 
+A confounding setting changes only the OS treatment surface ``pa``, which only
+the OS cohort reads, so one task runs every setting of a scenario at one
+length-scale: they share its target draw, true mean and, per trial size and
+run, trial draw and nuisance fits, and the estimates that read no OS predictor
+f are made once.  Each setting builds its own f.
+
 Both studies redraw trials on a fixed world through one loop, ``_run_trials``.
 The estimators take values, not predictors, and the loop evaluates each
 function once where they read it.  The target sample and the OS predictor f
@@ -26,17 +32,19 @@ read no f builds none.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .analysis import os_predictor, true_mu
 from .dgp import World, draw_target, draw_trial, gp_world
-from .domain import GenerationError, GlmParams, KernelParams, ScenarioSpec
+from .domain import GenerationError, GlmParams, KernelParams
 from .domain import check_names, csv_text, derive_seed, is_degree, reject_repeats
 from .estimators import (
     Arm,
@@ -113,13 +121,6 @@ CONFOUNDING_SETTINGS = {
 }
 
 
-def confounding_label(l_u_pa: float | None, alpha_u_pa: float) -> str:
-    for label, setting in CONFOUNDING_SETTINGS.items():
-        if setting == (l_u_pa, alpha_u_pa):
-            return label
-    return f"lu={l_u_pa},au={alpha_u_pa}"
-
-
 def grid_kernels(l_x: float, conf: str) -> tuple:
     """(outcome kernels, participation kernel, treatment kernel) of the grid
     cell with treated-outcome length-scale ``l_x`` and confounding ``conf``."""
@@ -127,6 +128,49 @@ def grid_kernels(l_x: float, conf: str) -> tuple:
     fom1 = KernelParams(alpha_x=1.0, alpha_u=1.0, l_x=l_x, l_u=None)
     pa = KernelParams(alpha_x=1.0, alpha_u=alpha_u, l_x=1.0, l_u=l_u)
     return (FOM0_KERNEL, fom1), PS_KERNEL, pa
+
+
+class Combo(NamedTuple):
+    """One grid cell: the trial size, the treated outcome's length-scale and
+    the confounding setting."""
+
+    n1: int
+    lx: float
+    conf: str
+
+
+def combo_id(combo: Combo) -> str:
+    return f"n1={combo.n1};lx={combo.lx};conf={combo.conf}"  # semicolons keep the CSV comma-free
+
+
+@dataclass(frozen=True)
+class Grid:
+    """The combos of one grid run, each a ``Combo`` (or a tuple of its
+    fields), and what they share: the master seed, the target and OS cohort
+    sizes and the OS predictor's kind, "learned" or "iid_noise".  ValueError
+    at construction on no combos, a non-positive size, an unknown kind or
+    confounding setting, a length-scale that is not positive and finite, or a
+    combo listed twice."""
+
+    combos: tuple[Combo, ...]
+    master_seed: int
+    n0: int
+    n_os: int
+    predictor_kind: str
+
+    def __post_init__(self):
+        combos = tuple(Combo(*combo) for combo in self.combos)
+        object.__setattr__(self, "combos", combos)
+        if not combos:
+            raise ValueError("empty grid")
+        if self.predictor_kind not in ("learned", "iid_noise"):
+            raise ValueError(f"unknown predictor kind {self.predictor_kind!r}")
+        if min(self.n0, self.n_os, *(combo.n1 for combo in combos)) < 1:
+            raise ValueError("sample sizes must be positive")
+        check_names("confounding", list(dict.fromkeys(combo.conf for combo in combos)), CONFOUNDING_SETTINGS)
+        for combo in combos:
+            grid_kernels(combo.lx, combo.conf)  # KernelParams checks the length-scale
+        reject_repeats("the grid lists a combo", list(combos))
 
 
 def benchmark_grid(
@@ -137,45 +181,16 @@ def benchmark_grid(
     n0: int = 20_000,
     n_os: int = 50_000,
     predictor_kind: str = "learned",
-) -> list[ScenarioSpec]:
-    """The 2 x 2 x 3 benchmark grid of scenario templates; ValueError, before
-    any spec is built, unless ``confounding`` names distinct settings."""
-    check_names("confounding", confounding, CONFOUNDING_SETTINGS)
-    grid = []
-    for n1 in n1_values:
-        for lx in lx_values:
-            for conf in confounding:
-                fom, ps, pa = grid_kernels(lx, conf)
-                grid.append(
-                    ScenarioSpec(
-                        fom_params=fom,
-                        ps_params=ps,
-                        pa_params=pa,
-                        n1=n1,
-                        n0=n0,
-                        n_os=n_os,
-                        predictor_kind=predictor_kind,
-                        master_seed=master_seed,
-                    )
-                )
-    return grid
+) -> Grid:
+    """The 2 x 2 x 3 benchmark grid: every (n1, lx, conf) of the given
+    values, in that order."""
+    return Grid(tuple(itertools.product(n1_values, lx_values, confounding)), master_seed, n0, n_os, predictor_kind)
 
 
-def combo_id(spec: ScenarioSpec) -> str:
-    lx = spec.fom_params[1].l_x
-    conf = confounding_label(spec.pa_params.l_u, spec.pa_params.alpha_u)
-    return f"n1={spec.n1};lx={lx};conf={conf}"  # semicolons keep the CSV comma-free
-
-
-def _combo_fields(spec: ScenarioSpec) -> dict:
+def _combo_fields(combo: Combo) -> dict:
     """The combo id, trial size and kernel settings a grid row reports."""
-    return {
-        "combo_id": combo_id(spec),
-        "n1": spec.n1,
-        "l_x_fom1": spec.fom_params[1].l_x,
-        "l_u_pa": spec.pa_params.l_u,
-        "alpha_u_pa": spec.pa_params.alpha_u,
-    }
+    l_u, alpha_u = CONFOUNDING_SETTINGS[combo.conf]
+    return {"combo_id": combo_id(combo), "n1": combo.n1, "l_x_fom1": combo.lx, "l_u_pa": l_u, "alpha_u_pa": alpha_u}
 
 
 def _map(fn, tasks: list, workers: int) -> list:
@@ -197,14 +212,19 @@ class _MemoPredictor:
         return self.base.predict(x)
 
 
-def world_prologue(world: World, n0: int, n_os: int, seed_of, predictor_kind: str | None) -> tuple:
-    """What every run on ``world`` shares: the OS predictor ``f`` of
-    ``predictor_kind``, the ``Target`` of the target cohort and ``f``'s
-    values on it, and the true mean ``mu``.  A ``predictor_kind`` of None
-    builds no ``f``: it is None, and the ``Target`` holds no values of it."""
-    x0 = draw_target(world, n0, seed_of("target")).x
-    f = None if predictor_kind is None else os_predictor(world, n_os, seed_of, predictor_kind)
-    return f, Target(x0, None if f is None else f.predict(x0)), true_mu(world, a=1).mu_a
+def world_prologue(worlds: list[World], n0: int, n_os: int, seed_of, predictor_kind: str | None) -> tuple:
+    """What every run on ``worlds`` shares, for worlds that differ at most in
+    their OS treatment surface, which only the OS cohort reads: one cell
+    ``(f, target)`` per world, of the OS predictor ``f`` of ``predictor_kind``
+    and the ``Target`` of the shared target cohort and ``f``'s values on it,
+    and the true mean ``mu``.  A ``predictor_kind`` of None builds no ``f``: it
+    is None, and the ``Target`` holds no values of it."""
+    x0 = draw_target(worlds[0], n0, seed_of("target")).x
+    cells = []
+    for world in worlds:
+        f = None if predictor_kind is None else os_predictor(world, n_os, seed_of, predictor_kind)
+        cells.append((f, Target(x0, None if f is None else f.predict(x0))))
+    return cells, true_mu(worlds[0], a=1).mu_a
 
 
 def _unless_failed(fn, *args):
@@ -217,79 +237,95 @@ def _unless_failed(fn, *args):
         return None
 
 
-def _run_trials(world: World, prologue: tuple, n1: int, n_runs: int, keyed: list[tuple[str, int]],
-                penalty_grid: tuple[float, ...], run_seed) -> dict[tuple[str, int], np.ndarray]:
-    """The estimates of each (estimator, degree) in ``keyed`` on ``n_runs``
-    fresh trials of size ``n1``, run-aligned; ``run_seed(part, run)`` seeds
-    run ``run``'s ``"trial"`` draw and ``"folds"`` split.  A named domain error
-    leaves NaN what it stops: a failed draw the whole run, a failed nuisance
-    fit the weighting estimators at its degree, a failed estimate itself.
-    Any other error propagates."""
-    f, target, _ = prologue
+def _run_trials(world: World, cells: list[tuple], n1: int, n_runs: int, keyed: list[tuple[str, int]],
+                penalty_grid: tuple[float, ...], run_seed) -> list[dict[tuple[str, int], np.ndarray]]:
+    """The estimates of each (estimator, degree) in ``keyed`` in each cell
+    ``(f, target)`` of ``cells``, as ``world_prologue`` makes them, on
+    ``n_runs`` fresh trials of size ``n1`` drawn from ``world``, run-aligned;
+    ``run_seed(part, run)`` seeds run ``run``'s ``"trial"`` draw and
+    ``"folds"`` split.  A run's trial draw and nuisance fits serve every cell,
+    and the estimates that read no f are made in the first cell and are the
+    same arrays in the others.  A named domain error leaves NaN what it
+    stops: a failed draw the whole run, a failed nuisance fit the weighting
+    estimators at its degree, a failed estimate itself.  Any other error
+    propagates."""
     nuisance_degrees = dict.fromkeys(deg for name, deg in keyed if ESTIMATORS[name].nuisances)
-    estimates = {k: np.full(n_runs, np.nan) for k in keyed}
+    estimates = [{k: np.full(n_runs, np.nan) for k in keyed} for _ in cells]
     for run in range(n_runs):
         trial = _unless_failed(draw_trial, world, n1, run_seed("trial", run))
         if trial is None:
             continue
         fold_seed = run_seed("folds", run)
         x1, y1 = trial.trial_arm_arrays(1)
-        arm = Arm(x1, y1, None if f is None else f.predict(x1))
-        nuisances = {deg: _unless_failed(fit_nuisances, trial.x, target, deg) for deg in nuisance_degrees}
+        nuisances = {deg: _unless_failed(fit_nuisances, trial.x, cells[0][1], deg) for deg in nuisance_degrees}
         p1 = {deg: None if fit is None else fit.predict(x1) for deg, fit in nuisances.items()}
-        for name, deg in keyed:
-            if ESTIMATORS[name].nuisances and p1[deg] is None:
-                continue
-            cfg = EstimatorConfig(degree=max(deg, 0), penalty_grid=penalty_grid, fold_seed=fold_seed)
-            record = _unless_failed(ESTIMATORS[name].estimate, arm, p1.get(deg), cfg, target)
-            if record is not None:
-                estimates[(name, deg)][run] = record.point_estimate
+        for cell, (f, target) in zip(estimates, cells):
+            arm = Arm(x1, y1, None if f is None else f.predict(x1))
+            for name, deg in keyed:
+                entry = ESTIMATORS[name]
+                if (cell is not estimates[0] and not entry.reads_f) or (entry.nuisances and p1[deg] is None):
+                    continue
+                cfg = EstimatorConfig(degree=max(deg, 0), penalty_grid=penalty_grid, fold_seed=fold_seed)
+                record = _unless_failed(entry.estimate, arm, p1.get(deg), cfg, target)
+                if record is not None:
+                    cell[(name, deg)][run] = record.point_estimate
+    for cell in estimates[1:]:
+        cell.update((key, estimates[0][key]) for key in keyed if not ESTIMATORS[key[0]].reads_f)
     return estimates
 
 
 @dataclass(frozen=True)
 class _ScenarioTask:
-    """One world shared by every combo that differs only in trial size."""
+    """One scenario at one length-scale: every combo of ``grid`` at ``lx``."""
 
     scenario: int
-    template: ScenarioSpec  # n1 field unused here
-    n1_values: tuple[int, ...]
+    lx: float
+    grid: Grid
     estimators: tuple[str, ...]
     degrees: tuple[int, ...]
     n_runs: int
 
+    @property
+    def template(self):  # where perfbench's tracer reads the task's lx; ROADMAP item 12(a) deletes it
+        return SimpleNamespace(fom_params=grid_kernels(self.lx, "none")[0])
+
 
 def _run_scenario_task(task: _ScenarioTask) -> list[dict]:
-    spec = task.template
-    seed = spec.master_seed
+    seed = task.grid.master_seed
 
     def seed_of(*parts):
         return derive_seed(seed, *parts, task.scenario)
 
-    world = gp_world(spec.fom_params, spec.ps_params, spec.pa_params, seed_of)
+    combos = [combo for combo in task.grid.combos if combo.lx == task.lx]
+    # the settings' worlds differ only in pa, and one prologue draws their shared target
+    worlds = {conf: gp_world(*grid_kernels(task.lx, conf), seed_of) for conf in dict.fromkeys(c.conf for c in combos)}
     reads_f = any(ESTIMATORS[name].reads_f for name in task.estimators)
-    prologue = world_prologue(world, spec.n0, spec.n_os, seed_of, spec.predictor_kind if reads_f else None)
-    mu = prologue[-1]
+    cells, mu = world_prologue(list(worlds.values()), task.grid.n0, task.grid.n_os, seed_of,
+                               task.grid.predictor_kind if reads_f else None)
+    cell_of = dict(zip(worlds, cells))
     keyed = [(name, deg) for name in task.estimators for deg in _estimator_degrees(name, task.degrees)]
     rows: list[dict] = []
-    for n1 in task.n1_values:
-        combo = _combo_fields(replace(spec, n1=n1))
-        estimates = _run_trials(world, prologue, n1, task.n_runs, keyed, EstimatorConfig.penalty_grid,
-                                lambda part, run: derive_seed(seed, part, n1, task.scenario, run))
-        for (name, deg), est in estimates.items():
-            ok = est[~np.isnan(est)]
-            if ok.size:
-                rmse = float(np.sqrt(np.mean((ok - mu) ** 2)))
-                bias = float(np.mean(ok) - mu)
-                var = float(np.var(ok, ddof=1)) if ok.size > 1 else math.nan  # undefined from one run
-            else:
-                rmse = bias = var = math.nan
-            rows.append({
-                "scenario": task.scenario, "n1": n1, "estimator": name, "degree": deg, "rmse": rmse, "bias": bias,
-                "variance": var, "n_failures": int(np.isnan(est).sum()), "mu": mu,
-                "estimates": est.tolist(),  # run-aligned, NaN where failed
-                **combo,
-            })
+    for n1 in dict.fromkeys(combo.n1 for combo in combos):
+        at_n1 = [combo for combo in combos if combo.n1 == n1]
+        per_cell = _run_trials(worlds[at_n1[0].conf], [cell_of[combo.conf] for combo in at_n1], n1, task.n_runs,
+                               keyed, EstimatorConfig.penalty_grid,
+                               lambda part, run: derive_seed(seed, part, n1, task.scenario, run))
+        for combo, estimates in zip(at_n1, per_cell):
+            fields = _combo_fields(combo)
+            for (name, deg), est in estimates.items():
+                ok = est[~np.isnan(est)]
+                if ok.size:
+                    rmse = float(np.sqrt(np.mean((ok - mu) ** 2)))
+                    bias = float(np.mean(ok) - mu)
+                    var = float(np.var(ok, ddof=1)) if ok.size > 1 else math.nan  # undefined from one run
+                else:
+                    rmse = bias = var = math.nan
+                rows.append({
+                    "scenario": task.scenario, "n1": n1, "estimator": name, "degree": deg, "rmse": rmse,
+                    "bias": bias, "variance": var, "n_failures": int(np.isnan(est).sum()), "mu": mu,
+                    "estimates": est.tolist(),  # run-aligned, NaN where failed
+                    **fields,
+                })
     return rows
 
 
@@ -350,7 +386,8 @@ class GridResult:
             influence = None
             for estimates, mu in per_degree:
                 e2 = (estimates[s] - mu[s]) ** 2
-                rmse = math.sqrt(float(np.nanmean(e2)))
+                # a scenario with no successful run has no RMSE, and its NaN reaches the mean and the SE
+                rmse = math.nan if np.isnan(e2).all() else math.sqrt(float(np.nanmean(e2)))
                 total += rmse / len(per_degree)
                 inf = e2 / (2 * rmse * len(per_degree))
                 influence = inf if influence is None else influence + inf
@@ -373,7 +410,7 @@ class GridResult:
 
 
 def run_scenario_grid(
-    grid: Sequence[ScenarioSpec],
+    grid: Grid,
     estimators: Sequence[str] = GP_ESTIMATORS,
     degrees: Sequence[int] = DEFAULT_DEGREES,
     n_scenarios: int = 100,
@@ -382,38 +419,16 @@ def run_scenario_grid(
 ) -> GridResult:
     """Run every combo of the grid and aggregate RMSE / bias^2 / variance.
 
-    All templates must share a master seed.  Deterministic for a fixed seed
-    regardless of ``workers``.  No, unknown or repeated estimator names, invalid
-    degrees, a combo listed twice and a non-positive ``n_scenarios`` or
-    ``n_runs`` raise ValueError before any world is built.
+    Deterministic for a fixed seed regardless of ``workers``.  No, unknown or
+    repeated estimator names, invalid degrees and a non-positive
+    ``n_scenarios`` or ``n_runs`` raise ValueError before any world is built.
     """
-    if not grid:
-        raise ValueError("empty grid")
     if n_scenarios < 1 or n_runs < 1:
         raise ValueError(f"n_scenarios and n_runs must be positive, got {n_scenarios} and {n_runs}")
-    reject_repeats("the grid lists a combo", [combo_id(spec) for spec in grid])
     estimators, degrees = check_names("estimators", estimators, ESTIMATORS), check_degrees(degrees)
-    seeds = {spec.master_seed for spec in grid}
-    if len(seeds) != 1:
-        raise ValueError("all grid templates must share one master seed")
-    master_seed = seeds.pop()
-
-    # Group combos that differ only in trial size; they share the whole world.
-    groups: dict[ScenarioSpec, list[int]] = {}
-    for spec in grid:
-        key = replace(spec, n1=1)
-        groups.setdefault(key, []).append(spec.n1)
-
     tasks = [
-        _ScenarioTask(
-            scenario=i,
-            template=key,
-            n1_values=tuple(n1s),
-            estimators=estimators,
-            degrees=degrees,
-            n_runs=n_runs,
-        )
-        for key, n1s in groups.items()
+        _ScenarioTask(scenario=i, lx=lx, grid=grid, estimators=estimators, degrees=degrees, n_runs=n_runs)
+        for lx in dict.fromkeys(combo.lx for combo in grid.combos)
         for i in range(n_scenarios)
     ]
     scenario_rows = [row for rows in _map(_run_scenario_task, tasks, workers) for row in rows]
@@ -423,8 +438,8 @@ def run_scenario_grid(
     for row in scenario_rows:
         seen[(row["combo_id"], row["estimator"], row["degree"])].append(row)
     combo_rows: list[dict] = []
-    for spec in grid:
-        fields = _combo_fields(spec)
+    for combo in grid.combos:
+        fields = _combo_fields(combo)
         for name in estimators:
             for deg in _estimator_degrees(name, degrees):
                 rows = seen.get((fields["combo_id"], name, deg), [])
@@ -444,7 +459,7 @@ def run_scenario_grid(
                         "n_failures": int(sum(r["n_failures"] for r in rows)),
                     }
                 )
-    return GridResult(scenario_rows, combo_rows, master_seed)
+    return GridResult(scenario_rows, combo_rows, grid.master_seed)
 
 
 # -- Table-2 GLM study --------------------------------------------------------
@@ -503,10 +518,9 @@ def _run_table2_task(task: _Table2Task) -> dict[tuple[str, int], float]:
         return derive_seed(seed, "table2-" + part, row["row_id"], g, *rest)
 
     world = _sample_glm_world(row, seed, g)
-    prologue = world_prologue(world, TABLE2_N0, TABLE2_N_OS, seed_of, "learned")
-    mu = prologue[-1]
+    cells, mu = world_prologue([world], TABLE2_N0, TABLE2_N_OS, seed_of, "learned")
     keyed = [(name, order) for order in TABLE2_ORDERS for name in TABLE2_ESTIMATORS]
-    estimates = _run_trials(world, prologue, TABLE2_N1, task.n_runs, keyed, (TABLE2_PENALTY,), seed_of)
+    [estimates] = _run_trials(world, cells, TABLE2_N1, task.n_runs, keyed, (TABLE2_PENALTY,), seed_of)
     # Each (estimator, order)'s MSE, NaN if a named failure left a run NaN.  It
     # squares Python floats (C pow), which can differ from numpy's x*x in the last bit.
     return {key: float(np.mean([(e - mu) ** 2 for e in est.tolist()])) for key, est in estimates.items()}

@@ -19,7 +19,6 @@ from ppgen.checks import (
     prop1_check,
     theorem_structural_check,
 )
-from ppgen.domain import KernelParams, ScenarioSpec
 from ppgen.estimators import (
     Arm,
     EstimatorConfig,
@@ -240,18 +239,7 @@ def test_criterion_7_numerical_invariants(workers):
         problems.append(res.detail)
 
     # full-pipeline determinism across parallelism degrees
-    mini = [
-        ScenarioSpec(
-            fom_params=(KernelParams(1.0, 1.0, 0.5, None), KernelParams(1.0, 1.0, 0.2, None)),
-            ps_params=KernelParams(10.0, 0.0, 1.0, None),
-            pa_params=KernelParams(1.0, 0.0, 1.0, 0.5),
-            n1=n1,
-            n0=400,
-            n_os=2_000,
-            master_seed=99,
-        )
-        for n1 in (60, 120)
-    ]
+    mini = benchmark_grid(99, n1_values=(60, 120), lx_values=(0.2,), confounding=("mid",), n0=400, n_os=2_000)
     serial = run_scenario_grid(mini, degrees=(1, 3), n_scenarios=2, n_runs=2, workers=1)
     parallel = run_scenario_grid(mini, degrees=(1, 3), n_scenarios=2, n_runs=2, workers=max(2, workers))
     if serial.combo_csv_text() != parallel.combo_csv_text():

@@ -177,14 +177,26 @@ def test_combo_filter_rejects_unknown(tmp_path):
 
 def test_combo_values_match_by_number(tmp_path, capsys):
     grid = cli.benchmark_grid(7)
-    chosen = {text: cli._filter_grid(grid, [cli._combo(text)]) for text in ("lx=0.5", "lx=0.50", "n1=200,lx=.5")}
-    assert len(chosen["lx=0.5"]) == 6 and all(spec.fom_params[1].l_x == 0.5 for spec in chosen["lx=0.5"])
+    chosen = {text: cli._filter_grid(grid, [cli._combo(text)]).combos for text in ("lx=0.5", "lx=0.50", "n1=200,lx=.5")}
+    assert len(chosen["lx=0.5"]) == 6 and all(combo.lx == 0.5 for combo in chosen["lx=0.5"])
     assert chosen["lx=0.50"] == chosen["lx=0.5"]
-    assert chosen["n1=200,lx=.5"] == [spec for spec in chosen["lx=0.5"] if spec.n1 == 200]
+    assert chosen["n1=200,lx=.5"] == tuple(combo for combo in chosen["lx=0.5"] if combo.n1 == 200)
     for value, message in [("n1=200.0", "invalid literal for int() with base 10: '200.0'"),
                            ("lx=wide", "could not convert string to float: 'wide'")]:
         err = _flag_error(capsys, ["figure3", "--combo", value, "--scale", "0.01", "--out", str(tmp_path)])
         assert f"argument --combo: {message}" in err
+
+
+def test_a_union_of_combo_filters_keeps_the_grids_order_and_settings():
+    grid = cli.benchmark_grid(7, predictor_kind="iid_noise")
+    union = cli._filter_grid(grid, [cli._combo("n1=200,lx=0.5"), cli._combo("n1=1000,conf=strong")])
+    # not a product of axes: three settings at n1=200, lx=0.5, and strong alone at n1=1000
+    assert union.combos == ((200, 0.5, "none"), (200, 0.5, "mid"), (200, 0.5, "strong"),
+                            (1000, 0.5, "strong"), (1000, 0.2, "strong"))
+    assert (union.master_seed, union.n0, union.n_os, union.predictor_kind) == (7, 20_000, 50_000, "iid_noise")
+    assert cli._filter_grid(grid, None) is grid
+    with pytest.raises(SystemExit, match="no combos match"):
+        cli._filter_grid(grid, [cli._combo("n1=77")])
 
 
 def test_scale_validation(tmp_path, capsys):
@@ -422,7 +434,6 @@ def test_config_file_entries_are_parsed_like_flags(tmp_path, monkeypatch, comman
 
 
 def test_env_seed_and_config_lists_are_parsed_like_flags(tmp_path, monkeypatch):
-    from ppgen import cli
     from ppgen.grid import combo_id
 
     monkeypatch.setenv("PPGEN_SEED", "5")
@@ -440,7 +451,7 @@ def test_env_seed_and_config_lists_are_parsed_like_flags(tmp_path, monkeypatch):
         pass
 
     def capture(grid, **kwargs):
-        seen.update(combos=[combo_id(spec) for spec in grid], **kwargs)
+        seen.update(combos=[combo_id(combo) for combo in grid.combos], **kwargs)
         raise Captured
 
     monkeypatch.setattr(cli, "run_scenario_grid", capture)

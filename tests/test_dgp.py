@@ -18,8 +18,8 @@ from ppgen.dgp import (
     generate_os,
     glm_logit_prob,
     glm_outcome,
+    gp_world,
     sample_gp,
-    world_from_spec,
 )
 from ppgen.domain import (
     OS,
@@ -29,10 +29,9 @@ from ppgen.domain import (
     CompositeSample,
     GlmParams,
     KernelParams,
-    ScenarioSpec,
     derive_seed,
 )
-from ppgen.grid import TABLE2_ROWS, _sample_glm_world
+from ppgen.grid import TABLE2_ROWS, _sample_glm_world, grid_kernels
 
 SE_ONLY = KernelParams(0.0, 0.0, 0.5, None)
 
@@ -146,7 +145,7 @@ def test_grid_function_clamps_infinite_coordinates_to_the_edge():
 
 @functools.cache
 def _out_worlds():
-    return {"gp": world_from_spec(_gp_spec(), "out-test"), "glm": _sample_glm_world(TABLE2_ROWS[1], 7, 0)}
+    return {"gp": _gp_world("out-test"), "glm": _sample_glm_world(TABLE2_ROWS[1], 7, 0)}
 
 
 def _evaluations(world):
@@ -205,7 +204,7 @@ def test_participation_prob_examples():
 
 
 def test_participation_prob_always_clipped():
-    world = world_from_spec(_gp_spec(), "clip-test")
+    world = _gp_world("clip-test")
     rng = np.random.default_rng(0)
     p = world.participation_prob(rng.uniform(-1, 1, 10_000), rng.uniform(-1, 1, 10_000))
     assert p.min() >= 0.1 and p.max() <= 0.9
@@ -214,16 +213,9 @@ def test_participation_prob_always_clipped():
 # -- cohort generation --------------------------------------------------------------
 
 
-def _gp_spec(n1=200, n0=500, n_os=500, seed=5):
-    return ScenarioSpec(
-        fom_params=(KernelParams(1.0, 1.0, 0.5, None), KernelParams(1.0, 1.0, 0.5, None)),
-        ps_params=KernelParams(10.0, 0.0, 1.0, None),
-        pa_params=KernelParams(1.0, 0.0, 1.0, 0.5),
-        n1=n1,
-        n0=n0,
-        n_os=n_os,
-        master_seed=seed,
-    )
+def _gp_world(tag, seed=5, conf="mid"):
+    """The benchmark's lx=0.5 world at ``conf``, its surfaces seeded from (seed, tag)."""
+    return gp_world(*grid_kernels(0.5, conf), functools.partial(derive_seed, seed, tag))
 
 
 def trial_target(world, n1, n0, seed):
@@ -234,7 +226,7 @@ def trial_target(world, n1, n0, seed):
 
 
 def test_exact_cohort_sizes():
-    world = world_from_spec(_gp_spec(), "sizes")
+    world = _gp_world("sizes")
     sample = trial_target(world, 200, 20_000, seed=1)
     assert (np.count_nonzero(sample.s == TRIAL), np.count_nonzero(sample.s == TARGET)) == (200, 20_000)
 
@@ -255,14 +247,14 @@ def test_trial_treatment_fraction_clt_band():
 
 def test_trial_treats_at_the_probability_the_weights_divide_by():
     # the inverse-odds weights divide by TREATMENT_PROB; draw_trial must randomize at it
-    world = world_from_spec(_gp_spec(), "randomization")
+    world = _gp_world("randomization")
     n1 = 40_000
     share = np.mean(draw_trial(world, n1, seed=12).a)
     assert abs(share - TREATMENT_PROB) < 4 * math.sqrt(TREATMENT_PROB * (1 - TREATMENT_PROB) / n1)
 
 
 def test_noise_free_consistency():
-    world = world_from_spec(_gp_spec(), "consistency")
+    world = _gp_world("consistency")
     trial = draw_trial(world, 500, seed=4)
     rows = zip(trial.x_array(), trial.u, trial.a_array(), trial.y_array())
     for x, u, a, y in rows:
@@ -270,7 +262,7 @@ def test_noise_free_consistency():
 
 
 def test_trial_randomization_chi_square():
-    world = world_from_spec(_gp_spec(), "chi2")
+    world = _gp_world("chi2")
     trial = draw_trial(world, 50_000, seed=6)
     x = trial.x_array()
     a = trial.a_array()
@@ -289,18 +281,7 @@ def test_os_counts_and_balanced_treatment():
 
 
 def test_os_treatment_independent_of_u_without_confounding():
-    world = world_from_spec(_gp_spec(), "no-conf")  # pa has alpha_u=0... override below
-    spec = _gp_spec()
-    spec = ScenarioSpec(
-        fom_params=spec.fom_params,
-        ps_params=spec.ps_params,
-        pa_params=KernelParams(1.0, 0.0, 1.0, None),  # no u dependence at all
-        n1=200,
-        n0=500,
-        n_os=50_000,
-        master_seed=5,
-    )
-    world = world_from_spec(spec, "no-conf")
+    world = _gp_world("no-conf", conf="none")  # no u dependence at all
     cohort = generate_os(world, 50_000, seed=8)
     u = cohort.u
     a = cohort.a_array()
@@ -442,14 +423,13 @@ def test_noise_predictor_uncorrelated_with_smooth_functions():
 
 
 def test_pipeline_determinism():
-    spec = _gp_spec(seed=77)
-    world_a = world_from_spec(spec, "det")
-    world_b = world_from_spec(spec, "det")
-    sample_a = trial_target(world_a, spec.n1, spec.n0, seed=spec.master_seed)
-    sample_b = trial_target(world_b, spec.n1, spec.n0, seed=spec.master_seed)
+    world_a = _gp_world("det", seed=77)
+    world_b = _gp_world("det", seed=77)
+    sample_a = trial_target(world_a, 200, 500, seed=77)
+    sample_b = trial_target(world_b, 200, 500, seed=77)
     assert sample_a == sample_b
-    os_a = generate_os(world_a, spec.n_os, seed=spec.master_seed)
-    os_b = generate_os(world_b, spec.n_os, seed=spec.master_seed)
+    os_a = generate_os(world_a, 500, seed=77)
+    os_b = generate_os(world_b, 500, seed=77)
     assert os_a == os_b
 
 
@@ -507,10 +487,8 @@ _GOLDEN = {
 
 
 def _golden_worlds():
-    from ppgen.grid import TABLE2_ROWS, _sample_glm_world, benchmark_grid
-
-    spec = benchmark_grid(7, n1_values=(200,), lx_values=(0.2,), confounding=("mid",), n_os=3000)[0]
-    return {"gp": world_from_spec(spec), "glm": _sample_glm_world(TABLE2_ROWS[1], 7, 0)}
+    gp = gp_world(*grid_kernels(0.2, "mid"), functools.partial(derive_seed, 7, "world"))
+    return {"gp": gp, "glm": _sample_glm_world(TABLE2_ROWS[1], 7, 0)}
 
 
 @pytest.mark.parametrize("kind", ["gp", "glm"])

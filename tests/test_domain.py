@@ -14,7 +14,6 @@ from ppgen.domain import (
     TRIAL,
     CompositeSample,
     KernelParams,
-    ScenarioSpec,
     check_names,
     derive_seed,
     read_sample_csv,
@@ -294,14 +293,6 @@ def test_kernel_params_validation():
 def test_kernel_params_reject_non_finite_values(fields):
     with pytest.raises(ValueError, match="finite"):
         KernelParams(*fields)
-
-
-def test_scenario_spec_validation():
-    kp = KernelParams(1.0, 1.0, 0.5, None)
-    spec = ScenarioSpec((kp, kp), kp, kp, 10, 10, 10)
-    assert spec.predictor_kind == "learned"
-    with pytest.raises(ValueError):
-        ScenarioSpec((kp, kp), kp, kp, 0, 10, 10)
 
 
 def test_derive_seed_stable():

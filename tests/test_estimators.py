@@ -8,15 +8,13 @@ from hypothesis import strategies as st
 
 from ppgen import estimators, grid
 from ppgen.analysis import tilted_participation, true_mu
-from ppgen.dgp import draw_target, draw_trial, generate_os, world_from_spec
+from ppgen.dgp import draw_target, draw_trial, generate_os, gp_world
 from ppgen.domain import (
     TARGET,
     TRIAL,
     CompositeSample,
-    KernelParams,
     TREATMENT_PROB,
     PositivityError,
-    ScenarioSpec,
     derive_seed,
 )
 from ppgen.estimators import (
@@ -55,17 +53,9 @@ def tiny_cfg(degree, penalty=1e-8, fold_seed=0):
     return EstimatorConfig(degree=degree, penalty_grid=(penalty,), fold_seed=fold_seed)
 
 
-def seeded_world(seed=21, lx=0.5, alpha_u_pa=0.0, l_u_pa=None):
-    spec = ScenarioSpec(
-        fom_params=(KernelParams(1.0, 1.0, 0.5, None), KernelParams(1.0, 1.0, lx, None)),
-        ps_params=KernelParams(10.0, 0.0, 1.0, None),
-        pa_params=KernelParams(1.0, alpha_u_pa, 1.0, l_u_pa),
-        n1=200,
-        n0=2_000,
-        n_os=2_000,
-        master_seed=seed,
-    )
-    return world_from_spec(spec, "estimator-tests")
+def seeded_world(seed=21):
+    """The benchmark's lx=0.5, conf=none world, its surfaces seeded from (seed, "estimator-tests")."""
+    return gp_world(*grid.grid_kernels(0.5, "none"), partial(derive_seed, seed, "estimator-tests"))
 
 
 # The identity tests below are properties of the estimators' arrays, drawn

@@ -25,6 +25,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,10 +33,10 @@ import pytest
 
 from ppgen import estimators, grid, regression
 from ppgen.analysis import os_predictor
-from ppgen.dgp import draw_target, draw_trial, world_from_spec
-from ppgen.domain import KernelParams, ScenarioSpec, derive_seed
+from ppgen.dgp import draw_target, draw_trial, gp_world
+from ppgen.domain import derive_seed
 from ppgen.estimators import Arm, EstimatorConfig, Target, fit_nuisances, trial_fit
-from ppgen.grid import benchmark_grid, run_scenario_grid
+from ppgen.grid import benchmark_grid, grid_kernels, run_scenario_grid
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,15 +48,19 @@ def _digest(values) -> str:
 FOLD_SEED = derive_seed(7, "fit-exactness", "folds")
 
 
+def _gp_world():
+    """The benchmark's lx=0.5, conf=mid world, its surfaces seeded from (7, "world")."""
+    return gp_world(*grid_kernels(0.5, "mid"), partial(derive_seed, 7, "world"))
+
+
 @functools.cache
 def _world():
     """A seed-7 GP world at the grid's default sizes (50k OS records, n0 = 20k),
     its fitted OS predictor, its target cohort and one trial cohort."""
-    spec = benchmark_grid(7, n1_values=(1000,), lx_values=(0.5,), confounding=("mid",))[0]
-    world = world_from_spec(spec)
-    f = os_predictor(world, spec.n_os, lambda part: derive_seed(7, "fit-exactness", part))
-    target = draw_target(world, spec.n0, derive_seed(7, "fit-exactness", "target"))
-    trial = draw_trial(world, spec.n1, derive_seed(7, "fit-exactness", "trial"))
+    world = _gp_world()
+    f = os_predictor(world, 50_000, lambda part: derive_seed(7, "fit-exactness", part))
+    target = draw_target(world, 20_000, derive_seed(7, "fit-exactness", "target"))
+    trial = draw_trial(world, 1000, derive_seed(7, "fit-exactness", "trial"))
     return f, target, trial
 
 
@@ -163,23 +168,15 @@ class _Counting:
         return self.base.predict(x)
 
 
-def _grid_specs():
-    return [
-        ScenarioSpec(
-            fom_params=(KernelParams(1.0, 1.0, 0.5, None), KernelParams(1.0, 1.0, 0.5, None)),
-            ps_params=KernelParams(10.0, 0.0, 1.0, None),
-            pa_params=KernelParams(1.0, 0.0, 1.0, None),
-            n1=n1, n0=400, n_os=2_000, predictor_kind="learned", master_seed=11,
-        )
-        for n1 in (60, 120)
-    ]
+def _small_grid():
+    return benchmark_grid(11, n1_values=(60, 120), lx_values=(0.5,), confounding=("none",), n0=400, n_os=2_000)
 
 
 def test_grid_evaluates_the_predictor_once_per_input(monkeypatch):
     sizes = []
     real_predictor = grid.os_predictor
     monkeypatch.setattr(grid, "os_predictor", lambda *a, **k: _Counting(real_predictor(*a, **k), sizes))
-    run_scenario_grid(_grid_specs(), estimators=grid.ALL_ESTIMATORS, degrees=(1, 3), n_scenarios=2, n_runs=3)
+    run_scenario_grid(_small_grid(), estimators=grid.ALL_ESTIMATORS, degrees=(1, 3), n_scenarios=2, n_runs=3)
     # one target evaluation per world, then one trial-arm evaluation per (n1, run)
     n_worlds, per_world = 2, 1 + 2 * 3
     assert len(sizes) == n_worlds * per_world
@@ -234,7 +231,7 @@ def test_grid_builds_each_target_design_once_per_world(monkeypatch):
 
     def run():
         built.clear()
-        rows = run_scenario_grid(_grid_specs(), estimators=grid.ALL_ESTIMATORS, degrees=(1, 3),
+        rows = run_scenario_grid(_small_grid(), estimators=grid.ALL_ESTIMATORS, degrees=(1, 3),
                                  n_scenarios=2, n_runs=3).scenario_rows
         return rows, [b for b in built if b[1] == 400]  # n0 = 400; no trial arm or sample has 400 rows
 
@@ -251,8 +248,7 @@ def test_grid_builds_each_target_design_once_per_world(monkeypatch):
 
 
 def test_cv_sweeps_decompose_the_full_gram_and_one_stack_in_its_range(monkeypatch, record_property):
-    spec = benchmark_grid(7, n1_values=(1000,), lx_values=(0.5,), confounding=("mid",))[0]
-    world = world_from_spec(spec)  # the world of _world(), built before eigh is counted
+    world = _gp_world()  # the world of _world(), built before eigh is counted
     shapes, eigh = [], np.linalg.eigh
 
     def counted(a, *args, **kwargs):
@@ -260,7 +256,7 @@ def test_cv_sweeps_decompose_the_full_gram_and_one_stack_in_its_range(monkeypatc
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    os_predictor(world, spec.n_os, lambda part: derive_seed(7, "fit-exactness", part))
+    os_predictor(world, 50_000, lambda part: derive_seed(7, "fit-exactness", part))
     # the 500 x 500 full Gram, then the five folds' r x r systems in its range:
     # r read 18 at one BLAS thread and 17 at two
     assert len(shapes) == 2 and shapes[0] == (500, 500)

@@ -47,6 +47,13 @@ that every changed cell is a float:
 - world_grid.csv: 61 pa cells, max rel 3.1e-16, so its digest changed.
 
 The other goldens are the same at one and at two threads.
+
+The grid commands' goldens hold only conf=mid.  grid_cells.sha256 pins all
+three confounding settings through ``run_scenario_grid``: each line is the
+sha256 of a run's combo CSV followed by ``json.dumps(scenario_rows,
+sort_keys=True)``, for the runs in ``GRID_CELLS_SCRIPT``.  It was written at
+commit b32f7242e8507d814e328f0a3635dd5c9f5d1163, before one task ran every
+confounding setting of a scenario, with one BLAS thread.
 """
 
 import csv
@@ -138,3 +145,35 @@ def test_golden_outputs(command, tmp_path):
         # one run per scenario leaves the Monte Carlo SE of the AOM-OM gap undefined
         entries = payloads["noise_robustness.json"]["robustness_report"]["entries"]
         assert entries and all(e["se"] is None and e["within_2se"] is None for e in entries)
+
+
+GRID_CELLS_SCRIPT = """
+import hashlib, json, sys
+from dataclasses import replace
+from ppgen.grid import ALL_ESTIMATORS, benchmark_grid, run_scenario_grid
+
+seed11 = benchmark_grid(11, n0=2_000, n_os=5_000)
+RUNS = {  # name -> (grid, degrees, n_scenarios, n_runs)
+    "learned": (benchmark_grid(7, n0=2_000, n_os=5_000), (1, 3), 2, 3),
+    "iid_noise": (benchmark_grid(7, n0=2_000, n_os=5_000, predictor_kind="iid_noise"), (1, 3), 2, 3),
+    # not a product of axes, as a union of --combo filters selects it
+    "subset": (replace(seed11, combos=[c for c in seed11.combos
+                                       if (c.n1, c.conf) in {(200, "none"), (200, "mid"), (1000, "strong")}]),
+               (1,), 1, 2),
+}
+grid, degrees, n_scenarios, n_runs = RUNS[sys.argv[1]]
+result = run_scenario_grid(grid, estimators=ALL_ESTIMATORS, degrees=degrees, n_scenarios=n_scenarios, n_runs=n_runs)
+text = result.combo_csv_text() + json.dumps(result.scenario_rows, sort_keys=True)
+print(hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("run", ["learned", "iid_noise", "subset"])
+def test_grid_cells_match_their_digests(run):
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", GRID_CELLS_SCRIPT, run], cwd=ROOT,
+                          env={**os.environ, **ONE_BLAS_THREAD, "PYTHONPATH": path},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    digests = dict(line.split()[::-1] for line in (GOLDEN / "grid_cells.sha256").read_text().splitlines())
+    assert done.stdout.strip() == digests[run]

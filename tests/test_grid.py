@@ -1,48 +1,58 @@
 import json
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ppgen.domain import KernelParams, PositivityError, ScenarioSpec
+from ppgen.domain import PositivityError
 from ppgen.grid import (
     ALL_ESTIMATORS,
     ESTIMATORS,
     GP_ESTIMATORS,
     TABLE2_ROWS,
-    combo_id,
+    Grid,
     benchmark_grid,
+    combo_id,
     run_scenario_grid,
     run_table2,
 )
 
 
-def small_grid(seed=11, predictor_kind="learned"):
-    """A single-cell grid with small samples, for fast structural tests."""
-    return [
-        ScenarioSpec(
-            fom_params=(KernelParams(1.0, 1.0, 0.5, None), KernelParams(1.0, 1.0, 0.5, None)),
-            ps_params=KernelParams(10.0, 0.0, 1.0, None),
-            pa_params=KernelParams(1.0, 0.0, 1.0, None),
-            n1=n1,
-            n0=400,
-            n_os=2_000,
-            predictor_kind=predictor_kind,
-            master_seed=seed,
-        )
-        for n1 in (60, 120)
-    ]
+def small_grid(seed=11, predictor_kind="learned", n1_values=(60, 120)):
+    """The benchmark's lx=0.5, conf=none cell with small samples, for fast structural tests."""
+    return benchmark_grid(seed, n1_values=n1_values, lx_values=(0.5,), confounding=("none",), n0=400, n_os=2_000,
+                          predictor_kind=predictor_kind)
 
 
 def test_benchmark_grid_has_twelve_combos():
     grid = benchmark_grid(master_seed=1)
-    assert len(grid) == 12
-    assert len({combo_id(s) for s in grid}) == 12
+    assert len(grid.combos) == 12
+    assert len({combo_id(c) for c in grid.combos}) == 12
+    assert grid.combos[:2] == ((200, 0.5, "none"), (200, 0.5, "mid"))  # n1, then lx, then conf
+    assert (grid.master_seed, grid.n0, grid.n_os, grid.predictor_kind) == (1, 20_000, 50_000, "learned")
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"combos": [(0, 0.5, "none")]}, "sample sizes must be positive"),
+    ({"n0": 0}, "sample sizes must be positive"),
+    ({"n_os": -1}, "sample sizes must be positive"),
+    ({"predictor_kind": "oracle"}, "unknown predictor kind 'oracle'"),
+    ({"combos": [(200, 0.5, "mild")]}, re.escape("unknown confounding ['mild']; valid: none, mid, strong")),
+    ({"combos": [(200, 0.5, "none"), (1000, 0.2, "mid"), (200, 0.5, "none")]}, "combo more than once"),
+    ({"combos": []}, "empty grid"),
+], ids=["n1", "n0", "n_os", "kind", "conf", "combo-twice", "empty"])
+def test_grid_validation(fields, message):
+    grid = Grid([(200, 0.5, "none")], 7, 400, 2_000, "learned")
+    with pytest.raises(ValueError, match=message):
+        Grid(**{**vars(grid), **fields})
+    with pytest.raises(ValueError, match=message):
+        replace(grid, **fields)
 
 
 def test_single_cell_grid_rows():
-    result = run_scenario_grid(small_grid()[:1], estimators=GP_ESTIMATORS, degrees=(1, 3),
+    result = run_scenario_grid(small_grid(n1_values=(60,)), estimators=GP_ESTIMATORS, degrees=(1, 3),
                                n_scenarios=1, n_runs=1, workers=1)
     keys = {(r["estimator"], r["degree"]) for r in result.combo_rows}
     assert keys == {("om", 1), ("om", 3), ("abc", 1), ("abc", 3),
@@ -51,7 +61,7 @@ def test_single_cell_grid_rows():
 
 
 def test_variance_is_undefined_from_one_run():
-    spec = small_grid(predictor_kind="iid_noise")[:1]
+    spec = small_grid(predictor_kind="iid_noise", n1_values=(60,))
     one = run_scenario_grid(spec, estimators=("om",), degrees=(1,), n_scenarios=1, n_runs=1)
     assert np.isnan(one.scenario_rows[0]["variance"]) and np.isnan(one.combo_rows[0]["variance"])
     assert np.isfinite(one.combo_rows[0]["rmse"])
@@ -60,8 +70,8 @@ def test_variance_is_undefined_from_one_run():
 
 
 def test_scenario_rows_decompose_the_mse():
-    result = run_scenario_grid(small_grid(predictor_kind="iid_noise")[:1], estimators=("om",), degrees=(1,),
-                               n_scenarios=1, n_runs=6)
+    result = run_scenario_grid(small_grid(predictor_kind="iid_noise", n1_values=(60,)), estimators=("om",),
+                               degrees=(1,), n_scenarios=1, n_runs=6)
     row = result.scenario_rows[-1]
     est = np.asarray(row["estimates"])
     assert row["bias"] == pytest.approx(np.mean(est) - row["mu"], abs=1e-12)
@@ -73,7 +83,7 @@ def test_scenario_rows_decompose_the_mse():
 def test_grid_runs_weighting_estimators():
     from ppgen.grid import ALL_ESTIMATORS
 
-    result = run_scenario_grid(small_grid(seed=23)[:1], estimators=ALL_ESTIMATORS,
+    result = run_scenario_grid(small_grid(seed=23, n1_values=(60,)), estimators=ALL_ESTIMATORS,
                                degrees=(1, 3), n_scenarios=1, n_runs=2, workers=1)
     names = {r["estimator"] for r in result.combo_rows}
     assert names == set(ALL_ESTIMATORS)
@@ -131,7 +141,7 @@ def test_grid_counts_named_failures(monkeypatch):
     from ppgen import grid
 
     monkeypatch.setattr(grid, "estimate_om", _failing_om(PositivityError("no support")))
-    result = run_scenario_grid(small_grid(predictor_kind="iid_noise")[:1], estimators=("om", "abc"),
+    result = run_scenario_grid(small_grid(predictor_kind="iid_noise", n1_values=(60,)), estimators=("om", "abc"),
                                degrees=(1,), n_scenarios=1, n_runs=2, workers=1)
     failures = {r["estimator"]: r["n_failures"] for r in result.combo_rows}
     assert failures == {"om": 2, "abc": 0}
@@ -142,14 +152,14 @@ def test_grid_propagates_unexpected_errors(monkeypatch):
 
     monkeypatch.setattr(grid, "estimate_om", _failing_om(TypeError("a bug")))
     with pytest.raises(TypeError):
-        run_scenario_grid(small_grid(predictor_kind="iid_noise")[:1], estimators=("om",),
+        run_scenario_grid(small_grid(predictor_kind="iid_noise", n1_values=(60,)), estimators=("om",),
                           degrees=(1,), n_scenarios=1, n_runs=1, workers=1)
 
 
 def _two_run_grid():
     from ppgen import grid
 
-    return run_scenario_grid(small_grid(predictor_kind="iid_noise")[:1], estimators=grid.ALL_ESTIMATORS,
+    return run_scenario_grid(small_grid(predictor_kind="iid_noise", n1_values=(60,)), estimators=grid.ALL_ESTIMATORS,
                              degrees=(1, 3), n_scenarios=1, n_runs=2, workers=1)
 
 
@@ -231,7 +241,7 @@ def test_grid_deterministic_across_workers():
 
 
 def test_combo_csv_schema():
-    result = run_scenario_grid(small_grid()[:1], degrees=(1,), n_scenarios=1, n_runs=1, workers=1)
+    result = run_scenario_grid(small_grid(n1_values=(60,)), degrees=(1,), n_scenarios=1, n_runs=1, workers=1)
     lines = result.combo_csv_text().splitlines()
     assert lines[0] == (
         "combo_id,n1,l_x_fom1,l_u_pa,alpha_u_pa,estimator,degree,"
@@ -244,8 +254,7 @@ def test_combo_csv_schema():
 def test_target_and_predictor_shared_across_trial_sizes():
     grid = small_grid(seed=17)
     result = run_scenario_grid(grid, degrees=(1,), n_scenarios=2, n_runs=3, workers=1)
-    c60 = combo_id(grid[0])
-    c120 = combo_id(grid[1])
+    c60, c120 = (combo_id(combo) for combo in grid.combos)
     os_om_60 = result.scenario_values(c60, "os-om", -1)
     os_om_120 = result.scenario_values(c120, "os-om", -1)
     assert np.array_equal(os_om_60, os_om_120)  # no trial data enters OS-OM
@@ -283,10 +292,62 @@ def test_confounding_touches_only_the_estimators_that_read_f():
         assert by_conf["none"][key] == by_conf["mid"][key] == by_conf["strong"][key], key
 
 
+def test_a_scenarios_confounding_settings_share_what_reads_no_pa(monkeypatch):
+    """One task runs a scenario's three settings at one length-scale: the
+    target draw and mu once, the OS predictor once per setting, and the
+    nuisance fits and the estimators that read no f once per (n1, run,
+    degree).  Its rows equal those of each setting run alone."""
+    from ppgen import grid
+
+    three = benchmark_grid(5, n1_values=(60, 120), lx_values=(0.5,), n0=400, n_os=2_000)
+    assert len(three.combos) == 6
+
+    def run(combos):
+        return run_scenario_grid(replace(three, combos=combos), estimators=ALL_ESTIMATORS, degrees=(1, 3),
+                                 n_scenarios=1, n_runs=2).scenario_rows
+
+    alone = [row for conf in ("none", "mid", "strong")
+             for row in run([combo for combo in three.combos if combo.conf == conf])]
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(grid, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(grid, name, count)
+
+    shared = ("draw_target", "true_mu", "os_predictor", "fit_nuisances", "estimate_om", "estimate_ipw",
+              "estimate_dr_baseline", "estimate_abc")
+    for name in shared:
+        counted(name)
+    together = run(three.combos)
+    per_trial = 2 * 2 * 2  # (n1, run, degree)
+    assert calls == {"draw_target": 1, "true_mu": 1, "os_predictor": 3, "fit_nuisances": per_trial,
+                     "estimate_om": per_trial, "estimate_ipw": per_trial, "estimate_dr_baseline": per_trial,
+                     "estimate_abc": 3 * per_trial}
+    key = lambda row: (row["combo_id"], row["estimator"], row["degree"], row["scenario"])
+    assert json.dumps(together) == json.dumps(sorted(alone, key=key))
+
+
+def test_mean_rmse_is_nan_where_a_scenario_has_no_successful_run(monkeypatch):
+    from ppgen import grid
+
+    monkeypatch.setattr(grid, "estimate_om", _failing_om(PositivityError("no support")))
+    result = run_scenario_grid(small_grid(predictor_kind="iid_noise", n1_values=(60,)), estimators=("om", "aom"),
+                               degrees=(1,), n_scenarios=2, n_runs=2)
+    cid = combo_id(small_grid(n1_values=(60,)).combos[0])
+    assert all(np.isnan(result.mean_rmse(cid, "om", (1,))))
+    assert all(np.isnan(result.rmse_gap(cid, "aom", "om", (1,))))
+    assert all(np.isfinite(result.mean_rmse(cid, "aom", (1,))))
+
+
 def test_mean_rmse_and_gap():
-    result = run_scenario_grid(small_grid(seed=19)[:1], degrees=(1, 3),
+    result = run_scenario_grid(small_grid(seed=19, n1_values=(60,)), degrees=(1, 3),
                                n_scenarios=2, n_runs=4, workers=1)
-    cid = combo_id(small_grid(seed=19)[0])
+    cid = combo_id(small_grid(seed=19).combos[0])
     value, se = result.mean_rmse(cid, "om", (1, 3))
     assert np.isfinite(value) and se > 0
     gap, gap_se = result.rmse_gap(cid, "om", "abc", (1, 3))
@@ -313,25 +374,33 @@ def test_unknown_estimator_rejected_before_any_world(monkeypatch):
 
     monkeypatch.setattr(grid, "gp_world", no_world)
     with pytest.raises(ValueError, match="omm.*valid: om, os-om"):
-        run_scenario_grid(small_grid()[:1], estimators=("om", "omm"), n_scenarios=1, n_runs=1)
+        run_scenario_grid(small_grid(n1_values=(60,)), estimators=("om", "omm"), n_scenarios=1, n_runs=1)
     # a repeat would fit the estimator twice per run and write its rows twice
     with pytest.raises(ValueError, match=re.escape("estimators named more than once: ['om']")):
-        run_scenario_grid(small_grid()[:1], estimators=("om", "abc", "om"), n_scenarios=1, n_runs=1)
+        run_scenario_grid(small_grid(n1_values=(60,)), estimators=("om", "abc", "om"), n_scenarios=1, n_runs=1)
     for degrees in ((-1,), (True,), (1, False), (2.5,)):  # a bool is an int, but no degree
         with pytest.raises(ValueError, match="degrees"):
-            run_scenario_grid(small_grid()[:1], degrees=degrees, n_scenarios=1, n_runs=1)
+            run_scenario_grid(small_grid(n1_values=(60,)), degrees=degrees, n_scenarios=1, n_runs=1)
     with pytest.raises(ValueError, match="degrees"):
         grid.check_degrees((True,))
 
 
-@pytest.mark.parametrize("specs, sizes, message", [
-    (small_grid()[:1] * 2, {}, "combo more than once"),
-    (small_grid()[:2] + small_grid()[1:2], {}, "combo more than once"),
-    (small_grid()[:1], {"n_scenarios": 0}, "n_scenarios and n_runs must be positive"),
-    (small_grid()[:1], {"n_runs": 0}, "n_scenarios and n_runs must be positive"),
-    (small_grid()[:1], {"n_scenarios": -2}, "n_scenarios and n_runs must be positive"),
+def _combo_twice():
+    return replace(small_grid(), combos=small_grid().combos[:1] * 2)
+
+
+def _later_combo_twice():
+    return replace(small_grid(), combos=small_grid().combos + small_grid().combos[1:])
+
+
+@pytest.mark.parametrize("make_grid, sizes, message", [
+    (_combo_twice, {}, "combo more than once"),
+    (_later_combo_twice, {}, "combo more than once"),
+    (small_grid, {"n_scenarios": 0}, "n_scenarios and n_runs must be positive"),
+    (small_grid, {"n_runs": 0}, "n_scenarios and n_runs must be positive"),
+    (small_grid, {"n_scenarios": -2}, "n_scenarios and n_runs must be positive"),
 ], ids=["combo-twice", "later-combo-twice", "no-scenarios", "no-runs", "negative-scenarios"])
-def test_grids_that_would_corrupt_the_tables_rejected_before_any_world(monkeypatch, specs, sizes, message):
+def test_grids_that_would_corrupt_the_tables_rejected_before_any_world(monkeypatch, make_grid, sizes, message):
     from ppgen import grid
 
     def no_world(*args):
@@ -339,7 +408,7 @@ def test_grids_that_would_corrupt_the_tables_rejected_before_any_world(monkeypat
 
     monkeypatch.setattr(grid, "gp_world", no_world)
     with pytest.raises(ValueError, match=message):
-        run_scenario_grid(specs, **{"n_scenarios": 1, "n_runs": 1, **sizes})
+        run_scenario_grid(make_grid(), **{"n_scenarios": 1, "n_runs": 1, **sizes})
 
 
 def _no_world(*args):
@@ -351,30 +420,21 @@ def test_grid_without_estimators_rejected_before_any_world(monkeypatch):
 
     monkeypatch.setattr(grid, "gp_world", _no_world)
     with pytest.raises(ValueError, match="no estimators selected"):
-        run_scenario_grid(small_grid()[:1], estimators=(), n_scenarios=1, n_runs=1)
+        run_scenario_grid(small_grid(n1_values=(60,)), estimators=(), n_scenarios=1, n_runs=1)
 
 
-def test_unknown_confounding_label_rejected_before_any_spec(monkeypatch):
-    from ppgen import grid
-
-    monkeypatch.setattr(grid, "grid_kernels", _no_world)
+def test_unknown_confounding_label_rejected_before_any_spec():
     with pytest.raises(ValueError, match=re.escape("unknown confounding ['mild']; valid: none, mid, strong")):
         benchmark_grid(7, confounding=("none", "mild"))
-    with pytest.raises(ValueError, match=re.escape("confounding named more than once: ['mid']")):
+    with pytest.raises(ValueError, match=re.escape("the grid lists a combo more than once")):
         benchmark_grid(7, confounding=("mid", "mid"))
 
 
-def test_non_finite_participation_kernel_rejected_before_any_world(monkeypatch):
-    # with a NaN weight every trial draw would spin its rejection batches
-    # until GenerationError, leaving the grid's estimates NaN
-    from dataclasses import replace
-
-    from ppgen import grid
-
-    monkeypatch.setattr(grid, "gp_world", _no_world)
-    with pytest.raises(ValueError, match="linear-kernel weights must be nonnegative and finite"):
-        spec = replace(small_grid()[0], pa_params=KernelParams(float("nan"), 0.0, 1.0, None))
-        run_scenario_grid([spec], estimators=("om",), n_scenarios=1, n_runs=2)
+@pytest.mark.parametrize("lx", [float("nan"), float("inf"), 0.0, -0.5])
+def test_non_finite_length_scale_rejected_before_any_world(lx):
+    # a length-scale that is not positive and finite would stop each task at its world's draw
+    with pytest.raises(ValueError, match="active length-scales must be strictly positive and finite"):
+        benchmark_grid(7, lx_values=(0.5, lx))
 
 
 def test_table2_without_rows_rejected_before_any_world(monkeypatch):
@@ -411,12 +471,6 @@ def test_table2_rows_that_repeat_a_row_id_rejected_before_any_world(monkeypatch,
     monkeypatch.setattr(grid, "_sample_glm_world", no_world)
     with pytest.raises(ValueError, match="row_id more than once: " + repeated):
         run_table2(master_seed=7, n_ground_truths=1, n_runs=2, rows=rows)
-
-
-def test_grid_requires_shared_master_seed():
-    specs = small_grid(seed=1)[:1] + small_grid(seed=2)[:1]
-    with pytest.raises(ValueError):
-        run_scenario_grid(specs, n_scenarios=1, n_runs=1)
 
 
 def test_table2_structure_and_determinism():

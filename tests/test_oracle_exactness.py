@@ -10,6 +10,7 @@ gathers.  Equal sha256 digests of the float64 bytes mean bit-identical arrays.
 
 import functools
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from hypothesis import strategies as st
 
 from ppgen import checks
 from ppgen.analysis import ORACLE_BLOCK, gauss_legendre_nodes, tilted_participation, true_outcome_function
-from ppgen.dgp import world_from_spec
-from ppgen.grid import TABLE2_ROWS, _sample_glm_world, benchmark_grid
+from ppgen.dgp import gp_world
+from ppgen.domain import derive_seed
+from ppgen.grid import TABLE2_ROWS, _sample_glm_world, grid_kernels
 
 
 def _digest(values) -> str:
@@ -29,8 +31,8 @@ def _digest(values) -> str:
 
 @functools.cache
 def _worlds():
-    spec = benchmark_grid(7, n1_values=(200,), lx_values=(0.2,), confounding=("mid",), n_os=3000)[0]
-    return {"gp": world_from_spec(spec), "glm": _sample_glm_world(TABLE2_ROWS[1], 7, 0)}
+    gp = gp_world(*grid_kernels(0.2, "mid"), partial(derive_seed, 7, "world"))
+    return {"gp": gp, "glm": _sample_glm_world(TABLE2_ROWS[1], 7, 0)}
 
 
 def _points():
