@@ -213,26 +213,25 @@ def _cv_errors(
     Gram: its eigenvectors above float precision times its top eigenvalue (the
     rest are rounding; the OS predictor's 500 features keep 14-18, a full-rank
     design all).  Fold k solves diag(eigenvalues) - z_k'z_k against V'F'y -
-    z_k'y_k, z_k = F_k V its held-out rows rotated ``ROW_BLOCK`` at a time; one
-    stacked eigendecomposition solves every fold at every penalty, and a second
-    pass over the same blocks scores them."""
+    z_k'y_k, z_k = F_k V its held-out rows, gathered and rotated once
+    (``ROW_BLOCK`` at a time) and kept to score its solutions; one stacked
+    eigendecomposition solves every fold at every penalty."""
     vals, vecs = np.linalg.eigh(gram_all)
     if 0.0 in penalties:  # a singular full Gram makes every fold's singular, even where its range is not
         _reject_singular(vals)
     keep = vals > np.finfo(float).eps * vals[-1]
     vecs = vecs[:, keep]
-    folds = _fold_split(feats.shape[0], n_folds, fold_seed)
+    folds = [list(_held_out_blocks(feats, y, idx, vecs)) for idx in _fold_split(feats.shape[0], n_folds, fold_seed)]
     grams = np.repeat(np.diag(vals[keep])[None], len(folds), axis=0)
     rhs = np.repeat((rhs_all @ vecs)[None], len(folds), axis=0)
-    for k, idx in enumerate(folds):
-        for z_rows, y_rows in _held_out_blocks(feats, y, idx, vecs):
-            grams[k] -= z_rows.T @ z_rows
-            rhs[k] -= y_rows @ z_rows
-    coefs = _fold_penalty_sweep(grams, rhs, penalties)
+    for gram, fold_rhs, blocks in zip(grams, rhs, folds):  # views: each fold's system in place
+        for z_rows, y_rows in blocks:
+            gram -= z_rows.T @ z_rows
+            fold_rhs -= y_rows @ z_rows
     sse = np.zeros(len(penalties))
-    for k, idx in enumerate(folds):
-        for z_rows, y_rows in _held_out_blocks(feats, y, idx, vecs):
-            resid = coefs[k] @ z_rows.T  # (penalties, held-out rows)
+    for coefs, blocks in zip(_fold_penalty_sweep(grams, rhs, penalties), folds):
+        for z_rows, y_rows in blocks:
+            resid = coefs @ z_rows.T  # (penalties, held-out rows)
             resid -= y_rows
             sse += np.add.reduce(np.square(resid, out=resid), axis=1)
     return sse / feats.shape[0]
@@ -373,47 +372,32 @@ def logistic_fit(inputs, labels, degree: int, ridge_penalty: float) -> LogisticF
         raise ValueError("both classes must be present")
     feats = legendre_eval(x, degree)
     p_dim = feats.shape[1]
+
+    def objective(c):
+        """The penalized objective at ``c`` and its logits z, with log(1 + e^z) computed stably."""
+        z = feats @ c
+        nll = np.sum(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - y * z)
+        return nll + 0.5 * ridge_penalty * float(c @ c), z
+
     coefs = np.zeros(p_dim)
-    # row-sized buffers for every Newton step: logits, a candidate's logits, two work vectors
-    logits, new_logits, work, resid = (np.empty(feats.shape[0]) for _ in range(4))
-    weighted = np.empty_like(feats)  # the Hessian's weighted design
-
-    def objective(c, out):
-        """The penalized objective at ``c``; the logits it was computed from go to ``out``."""
-        np.matmul(feats, c, out=out)
-        # log(1 + exp(logits)) - y*logits, computed stably
-        losses = np.subtract(np.logaddexp(0.0, out, out=work), np.multiply(y, out, out=resid), out=work)
-        return np.sum(losses) + 0.5 * ridge_penalty * float(c @ c)
-
-    def gradient(c, logits):
-        """The gradient at ``c`` from its ``logits``; ``work`` keeps the probabilities."""
-        probs = expit(logits, out=work)
-        return feats.T @ np.subtract(probs, y, out=resid) + ridge_penalty * c
-
-    obj = objective(coefs, logits)
-    converged = False
-    for _ in range(100):
-        grad = gradient(coefs, logits)
-        if np.max(np.abs(grad)) < grad_tol:
-            converged = True
+    obj, logits = objective(coefs)
+    for newton_step in range(101):  # 100 steps, then the last iterate's gradient
+        probs = expit(logits)
+        grad = feats.T @ (probs - y) + ridge_penalty * coefs
+        if np.max(np.abs(grad)) < grad_tol or newton_step == 100:
             break
-        w = np.multiply(work, np.subtract(1.0, work, out=resid), out=resid)  # p(1 - p)
-        hess = np.einsum("ij,i->ij", feats, w, out=weighted).T @ feats + ridge_penalty * np.eye(p_dim)
+        w = probs * (1.0 - probs)
+        hess = (feats * w[:, None]).T @ feats + ridge_penalty * np.eye(p_dim)
         step = _solve_pos(hess, grad)
         # Halve the step until the objective decreases (up to float resolution;
         # near the optimum the true decrease falls below machine precision).
-        scale = 1.0
         slack = 1e-12 * (1.0 + abs(obj))
-        for _ in range(30):
-            new_coefs = coefs - scale * step
-            new_obj = objective(new_coefs, new_logits)
+        for halvings in range(30):
+            new_coefs = coefs - 0.5**halvings * step
+            new_obj, new_logits = objective(new_coefs)
             if new_obj < obj + slack:
                 break
-            scale *= 0.5
-        else:
+        if not new_obj < obj + slack:
             break  # no acceptable step; stop with the current iterate
-        coefs, obj = new_coefs, new_obj
-        logits, new_logits = new_logits, logits
-    else:
-        converged = bool(np.max(np.abs(gradient(coefs, logits))) < grad_tol)
-    return LogisticFit(degree, coefs, converged)
+        coefs, obj, logits = new_coefs, new_obj, new_logits
+    return LogisticFit(degree, coefs, bool(np.max(np.abs(grad)) < grad_tol))

@@ -301,6 +301,50 @@ def test_cv_errors_match_the_per_fold_solves(fold, width, seed):
         assert regression._cv_ridge(feats, y, list(grid), 5, seed)[1] == grid[np.argmin(ref)]
 
 
+def _two_pass_cv_errors(feats, y, gram_all, rhs_all, penalties, n_folds, fold_seed):
+    """The range sweep that gathered and rotated every held-out block a second
+    time to score the folds' solutions."""
+    vals, vecs = np.linalg.eigh(gram_all)
+    keep = vals > np.finfo(float).eps * vals[-1]
+    vecs = vecs[:, keep]
+    folds = cv_fold_indices(feats.shape[0], n_folds, fold_seed)
+    grams = np.repeat(np.diag(vals[keep])[None], len(folds), axis=0)
+    rhs = np.repeat((rhs_all @ vecs)[None], len(folds), axis=0)
+    for k, idx in enumerate(folds):
+        for z_rows, y_rows in regression._held_out_blocks(feats, y, idx, vecs):
+            grams[k] -= z_rows.T @ z_rows
+            rhs[k] -= y_rows @ z_rows
+    coefs = regression._fold_penalty_sweep(grams, rhs, penalties)
+    sse = np.zeros(len(penalties))
+    for k, idx in enumerate(folds):
+        for z_rows, y_rows in regression._held_out_blocks(feats, y, idx, vecs):
+            resid = coefs[k] @ z_rows.T
+            resid -= y_rows
+            sse += np.add.reduce(np.square(resid, out=resid), axis=1)
+    return sse / feats.shape[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    fold=st.sampled_from([ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 7]),
+    width=st.sampled_from([*range(1, 10), 200, 500]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(fold=3 * ROW_BLOCK + 7, width=500, seed=0)
+@example(fold=ROW_BLOCK + 1, width=9, seed=1)
+def test_cv_errors_are_the_two_pass_sweep_bit_for_bit(fold, width, seed):
+    rng = np.random.default_rng(seed)
+    n = 5 * fold
+    x = rng.uniform(-1, 1, n)
+    if width <= 9:
+        feats = legendre_eval(x, width - 1)
+    else:
+        feats = regression._cosine_features(x, rng.standard_normal(width) * 3, rng.uniform(0, 2 * np.pi, width))
+    y = np.sin(3 * x) + rng.normal(0, 0.5, n)
+    args = (feats, y, feats.T @ feats, feats.T @ y, regression.DEFAULT_PENALTY_GRID, 5, seed)
+    assert regression._cv_errors(*args).tobytes() == _two_pass_cv_errors(*args).tobytes()
+
+
 def test_all_zero_targets_tie_to_the_largest_penalty_across_blocks():
     n = 5 * ROW_BLOCK + 3  # every fold spans two blocks
     x = np.random.default_rng(21).uniform(-1, 1, n)
