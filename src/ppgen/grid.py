@@ -297,22 +297,27 @@ def _run_scenario_task(task: _ScenarioTask) -> list[dict]:
         return derive_seed(seed, *parts, task.scenario)
 
     combos = [combo for combo in task.grid.combos if combo.lx == task.lx]
-    # the settings' worlds differ only in pa, and one prologue draws their shared target
-    worlds = {conf: gp_world(*grid_kernels(task.lx, conf), seed_of) for conf in dict.fromkeys(c.conf for c in combos)}
+    confs = list(dict.fromkeys(combo.conf for combo in combos))
     reads_f = any(ESTIMATORS[name].reads_f for name in task.estimators)
-    cells, mu = world_prologue(list(worlds.values()), task.grid.n0, task.grid.n_os, seed_of,
-                               task.grid.predictor_kind if reads_f else None)
-    cell_of = dict(zip(worlds, cells))
+    kind = task.grid.predictor_kind if reads_f else None
+    # The settings' worlds differ only in pa, which only the learned predictor's OS
+    # cohort reads: it makes one cell per setting, any other f (or none) one for all.
+    per_conf = kind == "learned"
+    worlds = [gp_world(*grid_kernels(task.lx, conf), seed_of) for conf in (confs if per_conf else confs[:1])]
+    cells, mu = world_prologue(worlds, task.grid.n0, task.grid.n_os, seed_of, kind)
+    cell_of = {conf: i if per_conf else 0 for i, conf in enumerate(confs)}
     keyed = [(name, deg) for name in task.estimators for deg in _estimator_degrees(name, task.degrees)]
     rows: list[dict] = []
     for n1 in dict.fromkeys(combo.n1 for combo in combos):
         at_n1 = [combo for combo in combos if combo.n1 == n1]
-        per_cell = _run_trials(worlds[at_n1[0].conf], [cell_of[combo.conf] for combo in at_n1], n1, task.n_runs,
-                               keyed, EstimatorConfig.penalty_grid,
-                               lambda part, run: derive_seed(seed, part, n1, task.scenario, run))
-        for combo, estimates in zip(at_n1, per_cell):
+        used = list(dict.fromkeys(cell_of[combo.conf] for combo in at_n1))
+        # no draw reads pa, so any of the worlds draws the trials
+        per_cell = dict(zip(used, _run_trials(worlds[0], [cells[i] for i in used], n1, task.n_runs, keyed,
+                                              EstimatorConfig.penalty_grid,
+                                              lambda part, run: derive_seed(seed, part, n1, task.scenario, run))))
+        for combo in at_n1:
             fields = _combo_fields(combo)
-            for (name, deg), est in estimates.items():
+            for (name, deg), est in per_cell[cell_of[combo.conf]].items():
                 ok = est[~np.isnan(est)]
                 if ok.size:
                     rmse = float(np.sqrt(np.mean((ok - mu) ** 2)))

@@ -128,6 +128,17 @@ def per_row(values, n: int, what: str) -> np.ndarray:
     return values
 
 
+def _sample(inputs, targets, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``inputs`` and ``targets`` as float arrays; ValueError unless both are
+    one-dimensional and finite, of the same nonzero length."""
+    x, y = np.asarray(inputs, dtype=float), np.asarray(targets, dtype=float)
+    if x.ndim != 1 or y.shape != x.shape or x.size == 0:
+        raise ValueError(f"inputs and {what} must be 1-D of the same nonzero length, got {x.shape} and {y.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError(f"inputs and {what} must be finite")
+    return x, y
+
+
 def cv_fold_indices(n: int, n_folds: int, fold_seed: int) -> list[np.ndarray]:
     """Contiguous folds of a seeded permutation of range(n), read-only."""
     return list(_fold_split(n, n_folds, fold_seed))
@@ -158,21 +169,21 @@ def ridge_cv(
     exactly once); exact ties go to the larger penalty.  The winner is
     refit on all the data; a one-element grid makes no folds and is that
     one solve.  F is the Legendre design, with ``extra_column`` (one value
-    per input) appended as the last regressor when given.  Inputs and
-    targets of different or zero length, an ``extra_column`` that does not
-    match the inputs, too few samples for the folds, an empty grid or a
+    per input) appended as the last regressor when given.  Inputs, targets
+    and ``extra_column`` that are not one-dimensional and finite, of one
+    nonzero length, too few samples for the folds, an empty grid or a
     negative or non-finite penalty raise ValueError.
     """
-    x = np.asarray(inputs, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    if x.shape[0] != y.shape[0] or x.shape[0] == 0:
-        raise ValueError("inputs and targets must have the same nonzero length")
+    x, y = _sample(inputs, targets, "targets")
     penalties = _penalties(penalty_grid)
     if len(penalties) > 1 and x.shape[0] < N_FOLDS:
         raise ValueError(f"need at least {N_FOLDS} samples, one per fold")
     feats = legendre_eval(x, degree)
     if extra_column is not None:
-        feats = _augment(feats, per_row(extra_column, x.shape[0], "extra_column"))
+        column = per_row(extra_column, x.shape[0], "extra_column")
+        if not np.isfinite(column).all():
+            raise ValueError("extra_column must be finite")
+        feats = _augment(feats, column)
     coefs, penalty = _cv_ridge(feats, y, penalties, N_FOLDS, fold_seed)
     return RidgeFit(degree, coefs, penalty)
 
@@ -325,10 +336,10 @@ def flexible_fit(
     Requires at least 50 training points.  Targets are centered so the
     intercept is not penalized; training MSE therefore never exceeds the
     target variance.  All-identical inputs fall back to the target mean.
-    An empty grid or a negative or non-finite penalty raises ValueError.
+    Inputs and targets that are not one-dimensional and finite, of one
+    length, an empty grid or a negative or non-finite penalty raise ValueError.
     """
-    x = np.asarray(inputs, dtype=float)
-    y = np.asarray(targets, dtype=float)
+    x, y = _sample(inputs, targets, "targets")
     penalties = _penalties(penalty_grid)
     if x.shape[0] < 50:
         raise ValueError("flexible fit needs at least 50 training points")
@@ -361,17 +372,16 @@ class LogisticFit:
 def logistic_fit(inputs, labels, degree: int, ridge_penalty: float) -> LogisticFit:
     """Maximize the penalized Bernoulli log-likelihood by damped Newton steps.
 
-    Both classes must be present.  Convergence means the gradient max-norm
-    dropped below ``grad_tol`` = 1e-8 within 100 steps; otherwise the last iterate
-    is returned with ``converged=False``.
+    Inputs must be 1-D and finite, with one label, 0 or 1, each and both
+    classes present (else ValueError).  Convergence means the gradient
+    max-norm dropped below ``grad_tol`` = 1e-8 within 100 steps; otherwise
+    the last iterate is returned with ``converged=False``.
     """
     grad_tol = 1e-8
-    x = np.asarray(inputs, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    if len(np.unique(y)) < 2:
-        raise ValueError("both classes must be present")
+    x, y = _sample(inputs, labels, "labels")
+    if not ((y == 0.0) | (y == 1.0)).all() or y.min() == y.max():
+        raise ValueError("labels must be 0 or 1, and both classes must be present")
     feats = legendre_eval(x, degree)
-    p_dim = feats.shape[1]
 
     def objective(c):
         """The penalized objective at ``c`` and its logits z, with log(1 + e^z) computed stably."""
@@ -379,7 +389,7 @@ def logistic_fit(inputs, labels, degree: int, ridge_penalty: float) -> LogisticF
         nll = np.sum(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - y * z)
         return nll + 0.5 * ridge_penalty * float(c @ c), z
 
-    coefs = np.zeros(p_dim)
+    coefs = np.zeros(feats.shape[1])
     obj, logits = objective(coefs)
     for newton_step in range(101):  # 100 steps, then the last iterate's gradient
         probs = expit(logits)
@@ -387,7 +397,7 @@ def logistic_fit(inputs, labels, degree: int, ridge_penalty: float) -> LogisticF
         if np.max(np.abs(grad)) < grad_tol or newton_step == 100:
             break
         w = probs * (1.0 - probs)
-        hess = (feats * w[:, None]).T @ feats + ridge_penalty * np.eye(p_dim)
+        hess = (feats * w[:, None]).T @ feats + ridge_penalty * np.eye(coefs.size)
         step = _solve_pos(hess, grad)
         # Halve the step until the objective decreases (up to float resolution;
         # near the optimum the true decrease falls below machine precision).

@@ -294,20 +294,12 @@ def test_confounding_touches_only_the_estimators_that_read_f():
 
 def test_a_scenarios_confounding_settings_share_what_reads_no_pa(monkeypatch):
     """One task runs a scenario's three settings at one length-scale: the
-    target draw and mu once, the OS predictor once per setting, and the
-    nuisance fits and the estimators that read no f once per (n1, run,
-    degree).  Its rows equal those of each setting run alone."""
+    target draw and mu once, the learned OS predictor once per setting (the
+    i.i.d.-noise one, which reads no world, once), and the nuisance fits and
+    the estimators that read no f once per (n1, run, degree).  Its rows equal
+    those of each setting run alone."""
     from ppgen import grid
 
-    three = benchmark_grid(5, n1_values=(60, 120), lx_values=(0.5,), n0=400, n_os=2_000)
-    assert len(three.combos) == 6
-
-    def run(combos):
-        return run_scenario_grid(replace(three, combos=combos), estimators=ALL_ESTIMATORS, degrees=(1, 3),
-                                 n_scenarios=1, n_runs=2).scenario_rows
-
-    alone = [row for conf in ("none", "mid", "strong")
-             for row in run([combo for combo in three.combos if combo.conf == conf])]
     calls = Counter()
 
     def counted(name):
@@ -323,13 +315,25 @@ def test_a_scenarios_confounding_settings_share_what_reads_no_pa(monkeypatch):
               "estimate_dr_baseline", "estimate_abc")
     for name in shared:
         counted(name)
-    together = run(three.combos)
     per_trial = 2 * 2 * 2  # (n1, run, degree)
-    assert calls == {"draw_target": 1, "true_mu": 1, "os_predictor": 3, "fit_nuisances": per_trial,
-                     "estimate_om": per_trial, "estimate_ipw": per_trial, "estimate_dr_baseline": per_trial,
-                     "estimate_abc": 3 * per_trial}
     key = lambda row: (row["combo_id"], row["estimator"], row["degree"], row["scenario"])
-    assert json.dumps(together) == json.dumps(sorted(alone, key=key))
+    for predictor_kind, n_predictors in (("learned", 3), ("iid_noise", 1)):
+        three = benchmark_grid(5, n1_values=(60, 120), lx_values=(0.5,), n0=400, n_os=2_000,
+                               predictor_kind=predictor_kind)
+        assert len(three.combos) == 6
+
+        def run(combos):
+            return run_scenario_grid(replace(three, combos=combos), estimators=ALL_ESTIMATORS, degrees=(1, 3),
+                                     n_scenarios=1, n_runs=2).scenario_rows
+
+        alone = [row for conf in ("none", "mid", "strong")
+                 for row in run([combo for combo in three.combos if combo.conf == conf])]
+        calls.clear()
+        together = run(three.combos)
+        assert calls == {"draw_target": 1, "true_mu": 1, "os_predictor": n_predictors, "fit_nuisances": per_trial,
+                         "estimate_om": per_trial, "estimate_ipw": per_trial, "estimate_dr_baseline": per_trial,
+                         "estimate_abc": n_predictors * per_trial}, predictor_kind
+        assert json.dumps(together) == json.dumps(sorted(alone, key=key)), predictor_kind
 
 
 def test_mean_rmse_is_nan_where_a_scenario_has_no_successful_run(monkeypatch):

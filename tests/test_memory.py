@@ -6,10 +6,11 @@ Peaks are numpy's allocations as tracemalloc sees them, above what was
 allocated before the call (LAPACK's workspace is not among them).  The fit
 is measured at the default 500 features.  Its sweep decomposes the 2 MB
 full Gram once and rotates held-out rows into its range (14-18 directions on
-the benchmark's worlds) one 4 MiB block at a time, so above the design it
-holds the Gram, its eigenvectors, one block and the block's rotation: 6.6 MiB
-at 20k rows, against 10.1 MiB when each fold's 500 x 500 training Gram was
-formed.  A copy of one fold's rows would add 15 MiB.
+the benchmark's worlds) one 4 MiB block at a time, keeping the rotations, so
+above the design it holds the Gram, its eigenvectors, one block and the
+rotated rows: 8.8 MiB at 20k rows, against 10.1 MiB when each fold's
+500 x 500 training Gram was formed.  A copy of one fold's rows would add
+15 MiB.
 """
 
 import tracemalloc

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -575,7 +577,7 @@ def _newton_outcome(fit):
     of the error it raised; ``fit`` returns (fit, steps) or (coefficients,
     converged, steps)."""
     try:
-        with np.errstate(all="ignore"):  # labels outside [0, 1] drive the logits to overflow
+        with np.errstate(all="ignore"):  # a nearly collinear design can drive the logits to overflow
             out = fit()
     except ValueError as err:  # LinAlgError included
         return type(err)
@@ -584,30 +586,36 @@ def _newton_outcome(fit):
     return out[0].tobytes(), out[1], out[2]
 
 
+def _newton_sample(n, labels, seed):
+    """Inputs and 0/1 labels for the Newton loop's reference test."""
+    rng = np.random.default_rng(seed)
+    if labels == "narrow":  # within [0.99, 1], where the Legendre columns are nearly collinear
+        x = rng.uniform(0.99, 1.0, n)
+        y = (x > np.median(x)).astype(float)  # separated but for the two labels set below
+    else:
+        x = rng.uniform(-1, 1, n)
+        x[:2] = (-0.5, 0.5)
+        if labels == "separated":
+            return x, (x > 0).astype(float)
+        y = (rng.random(n) < 1 / (1 + np.exp(-2 * x))).astype(float)
+    y[:2] = (0.0, 1.0)
+    return x, y
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(2, 3000),
     degree=st.integers(0, 7),
     penalty=st.sampled_from([0.0, 1e-12, 1e-8, 1e-4, 0.5, 10.0]),
-    labels=st.sampled_from(["logistic", "separated", "zero or two"]),
+    labels=st.sampled_from(["logistic", "separated", "narrow"]),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(n=21_000, degree=7, penalty=1e-4, labels="logistic", seed=1)  # a nuisance fit's size
-@example(n=378, degree=5, penalty=1e-8, labels="zero or two", seed=0)  # 100 steps, not converged
-@example(n=190, degree=4, penalty=1e-12, labels="zero or two", seed=0)  # no acceptable step
-@example(n=300, degree=2, penalty=0.0, labels="zero or two", seed=0)  # a singular Hessian
+@example(n=3000, degree=2, penalty=0.0, labels="narrow", seed=0)  # 100 steps, not converged
+@example(n=300, degree=2, penalty=0.0, labels="narrow", seed=0)  # no acceptable step
+@example(n=300, degree=3, penalty=0.0, labels="narrow", seed=0)  # a singular Hessian
 def test_logistic_fit_is_the_reference_newton_loop_bit_for_bit(n, degree, penalty, labels, seed):
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-1, 1, n)
-    x[:2] = (-0.5, 0.5)
-    if labels == "logistic":
-        y = (rng.random(n) < 1 / (1 + np.exp(-2 * x))).astype(float)
-        y[:2] = (0.0, 1.0)
-    elif labels == "separated":
-        y = (x > 0).astype(float)
-    else:  # no finite optimum without a penalty; the loop may stop unconverged
-        y = 2.0 * (rng.random(n) < 0.5)
-        y[:2] = (0.0, 2.0)
+    x, y = _newton_sample(n, labels, seed)
     steps = []
     solve = regression._solve_pos
 
@@ -623,3 +631,62 @@ def test_logistic_fit_is_the_reference_newton_loop_bit_for_bit(n, degree, penalt
 def test_logistic_one_class_rejected():
     with pytest.raises(ValueError):
         logistic_fit([0.1, 0.2], [1, 1], degree=0, ridge_penalty=0.1)
+
+
+@pytest.mark.parametrize("labels", [[0.0, 2.0], [0.5, 1.0], [0.0, -1.0]],
+                         ids=["zero-or-two", "half-or-one", "minus-one"])
+def test_logistic_fit_rejects_labels_other_than_zero_or_one(labels):
+    x = np.linspace(-1, 1, 60)
+    y = np.resize(np.asarray(labels), 60)
+    with pytest.raises(ValueError, match="0 or 1"):
+        logistic_fit(x, y, degree=1, ridge_penalty=1e-6)
+
+
+# -- malformed input, refused at entry by every public fit ------------------------
+
+
+def _malformed(case):
+    """80 inputs and 0/1 targets, which every public fit accepts, made malformed as ``case`` says."""
+    rng = np.random.default_rng(3)
+    x, y = rng.uniform(-1, 1, 80), (rng.random(80) < 0.5).astype(float)
+    y[:2] = (0.0, 1.0)
+    if case == "2-d":
+        return x.reshape(40, 2), y.reshape(40, 2)
+    if case == "longer-targets":
+        return x, np.append(y, 1.0)
+    what, bad = case.split("-")
+    (x if what == "input" else y)[7] = float(bad)
+    return x, y
+
+
+FITS = {
+    "ridge_cv": lambda x, y: ridge_cv(x, y, degree=2),
+    "flexible_fit": lambda x, y: flexible_fit(x, y, n_features=20),
+    "logistic_fit": lambda x, y: logistic_fit(x, y, degree=2, ridge_penalty=1e-6),
+}
+
+
+@pytest.mark.parametrize("fit", FITS)
+@pytest.mark.parametrize("case, message", [
+    ("target-nan", "finite"), ("target-inf", "finite"), ("input-nan", "finite"), ("input-inf", "finite"),
+    ("2-d", "1-D"), ("longer-targets", "same nonzero length"),
+])
+def test_fits_reject_malformed_input_at_entry(fit, case, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic warns
+        with pytest.raises(ValueError, match=message):
+            FITS[fit](*_malformed(case))
+
+
+@pytest.mark.parametrize("fit", FITS)
+def test_the_malformed_input_tests_start_from_a_sample_every_fit_accepts(fit):
+    FITS[fit](*_malformed("target-0"))  # setting one 0/1 target to 0 leaves it well formed
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ridge_cv_rejects_a_non_finite_extra_column(bad):
+    rng = np.random.default_rng(8)
+    column = rng.normal(0, 1, 30)
+    column[4] = bad
+    with pytest.raises(ValueError, match="extra_column must be finite"):
+        ridge_cv(rng.uniform(-1, 1, 30), rng.normal(0, 1, 30), degree=1, extra_column=column)
