@@ -8,7 +8,6 @@ JSON into --out.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import importlib
 import json
 import math
@@ -40,6 +39,7 @@ from .grid import (
     DEFAULT_DEGREES,
     ESTIMATORS,
     GP_ESTIMATORS,
+    OPENBLAS,
     TABLE2_N1,
     TABLE2_RUNS,
     Grid,
@@ -47,6 +47,8 @@ from .grid import (
     benchmark_grid,
     check_degrees,
     grid_kernels,
+    one_blas_thread,
+    openblas_state,
     run_scenario_grid,
     run_table2,
 )
@@ -199,26 +201,6 @@ def _filter_grid(grid: Grid, wanted: list[dict] | None) -> Grid:
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-# The extension module that links each library's bundled OpenBLAS, and the
-# suffix of that OpenBLAS's exported names (numpy's has 64-bit integers).
-_OPENBLAS = {"numpy": ("numpy.linalg._umath_linalg", "64_"), "scipy": ("scipy.linalg._fblas", "")}
-
-
-def _openblas(module: str, suffix: str) -> dict:
-    """The effective thread count and the kernel core name of the OpenBLAS
-    that the extension ``module`` links, read through ctypes, or
-    "unavailable" where that library does not export them."""
-    try:
-        lib = ctypes.CDLL(importlib.import_module(module).__file__)
-        threads = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-        corename = getattr(lib, f"scipy_openblas_get_corename{suffix}")
-    except (ImportError, OSError, AttributeError):
-        return {"threads": "unavailable", "core": "unavailable"}
-    threads.argtypes, threads.restype = [], ctypes.c_int
-    corename.argtypes, corename.restype = [], ctypes.c_char_p
-    return {"threads": threads(), "core": corename().decode()}
-
-
 def _numpy_cpu() -> dict | str:
     """numpy's baseline CPU targets and the dispatched targets this CPU runs,
     or "unavailable" where numpy does not export them."""
@@ -233,9 +215,10 @@ def _numpy_cpu() -> dict | str:
 def _environment(workers: int) -> dict:
     """What a run's speed and last bits depend on: cores, workers, the BLAS
     thread variables as set (None when unset), the library versions, the
-    thread count and kernel each library's OpenBLAS actually runs, and the
-    CPU targets numpy dispatches to.  The OS predictor's fit sums in BLAS, so
-    its last bits follow the thread count and the kernels."""
+    thread count and kernel each library's OpenBLAS ran the command with (one
+    thread where the library lets ``main`` set it, whatever the variables
+    say), and the CPU targets numpy dispatches to.  The OS predictor's fit
+    sums in BLAS, so its last bits follow the thread count and the kernels."""
     return {
         "cpu_count": os.cpu_count(),
         "workers": workers,
@@ -243,7 +226,7 @@ def _environment(workers: int) -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        **{f"{lib}_openblas": _openblas(*where) for lib, where in _OPENBLAS.items()},
+        **{f"{lib}_openblas": openblas_state(*where) for lib, where in OPENBLAS.items()},
         "numpy_cpu": _numpy_cpu(),
     }
 
@@ -392,13 +375,14 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    """Run one command, write its outputs (also when it fails a gate) and
-    return its exit code."""
+    """Run one command with one BLAS thread (``one_blas_thread``), write its
+    outputs (also when it fails a gate) and return its exit code."""
     cfg = RunConfig(build_parser().parse_args(argv))
     started = time.perf_counter()
-    csvs, fields, code = COMMANDS[cfg.command].run(cfg)
-    payload = {"command": cfg.command, "master_seed": cfg.seed, "scale": cfg.scale, **fields, **_cost(cfg, started)}
-    _write_outputs(cfg, csvs, payload)
+    with one_blas_thread():
+        csvs, fields, code = COMMANDS[cfg.command].run(cfg)
+        payload = {"command": cfg.command, "master_seed": cfg.seed, "scale": cfg.scale, **fields, **_cost(cfg, started)}
+        _write_outputs(cfg, csvs, payload)
     return code
 
 

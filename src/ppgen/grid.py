@@ -32,11 +32,15 @@ read no f builds none.
 
 from __future__ import annotations
 
+import ctypes
+import importlib
 import itertools
 import math
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
 
@@ -193,12 +197,70 @@ def _combo_fields(combo: Combo) -> dict:
     return {"combo_id": combo_id(combo), "n1": combo.n1, "l_x_fom1": combo.lx, "l_u_pa": l_u, "alpha_u_pa": alpha_u}
 
 
+# The extension module that links each library's bundled OpenBLAS, and the
+# suffix of that OpenBLAS's exported names (numpy's has 64-bit integers).
+OPENBLAS = {"numpy": ("numpy.linalg._umath_linalg", "64_"), "scipy": ("scipy.linalg._fblas", "")}
+
+
+@lru_cache(maxsize=None)
+def _openblas_call(module: str, suffix: str, name: str, restype, *argtypes):
+    """``scipy_openblas_<name><suffix>`` of the OpenBLAS that the extension
+    ``module`` links, through ctypes, or None where it exports no such name."""
+    try:
+        fn = getattr(ctypes.CDLL(importlib.import_module(module).__file__), f"scipy_openblas_{name}{suffix}")
+    except (ImportError, OSError, AttributeError):
+        return None
+    fn.restype, fn.argtypes = restype, list(argtypes)
+    return fn
+
+
+def openblas_state(module: str, suffix: str) -> dict:
+    """The effective thread count and the kernel core name of the OpenBLAS
+    that the extension ``module`` links, or "unavailable" where that library
+    does not export them."""
+    threads = _openblas_call(module, suffix, "get_num_threads", ctypes.c_int)
+    core = _openblas_call(module, suffix, "get_corename", ctypes.c_char_p)
+    if threads is None or core is None:
+        return {"threads": "unavailable", "core": "unavailable"}
+    return {"threads": threads(), "core": core().decode()}
+
+
+def _one_blas_thread() -> list[tuple]:
+    """Set each library's OpenBLAS that exports a thread getter and setter to
+    one thread; returns each (setter, previous count)."""
+    undo = []
+    for module, suffix in OPENBLAS.values():
+        get = _openblas_call(module, suffix, "get_num_threads", ctypes.c_int)
+        put = _openblas_call(module, suffix, "set_num_threads", None, ctypes.c_int)
+        if get is not None and put is not None:
+            undo.append((put, get()))
+            put(1)
+    return undo
+
+
+@contextmanager
+def one_blas_thread():
+    """The block runs with numpy's and scipy's OpenBLAS at one thread, and
+    each library gets its count back after.  The OS predictor's Gram sums in
+    BLAS, so its last bits follow the thread count; at one thread they do not
+    depend on the machine's default or on ``--workers``, and a process pool
+    does not run its workers' BLAS threads on one another's cores."""
+    undo = _one_blas_thread()
+    try:
+        yield
+    finally:
+        for put, threads in undo:
+            put(threads)
+
+
 def _map(fn, tasks: list, workers: int) -> list:
-    """``fn`` over ``tasks`` in order, in a process pool when workers > 1."""
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks, chunksize=1))
-    return [fn(t) for t in tasks]
+    """``fn`` over ``tasks`` in order, in a process pool when workers > 1,
+    with one BLAS thread in every process that runs a task."""
+    with one_blas_thread():
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+                return list(pool.map(fn, tasks, chunksize=1))
+        return [fn(t) for t in tasks]
 
 
 class _MemoPredictor:

@@ -23,10 +23,9 @@ from scipy.special import expit
 
 DEFAULT_PENALTY_GRID = tuple(np.logspace(-6, 2, 10))
 N_FOLDS = 5  # folds of every cross-validated fit
-# Rows per block when the CV sweep gathers held-out rows and when the random
-# features are evaluated for prediction: a 1024 x 500 block is 4 MiB.  Block
-# boundaries at multiples of BLAS's row groups keep predictions bit-identical
-# to one product over all rows.
+# Rows per block when the random features are evaluated for prediction: a
+# 1024 x 500 block is 4 MiB.  Block boundaries at multiples of BLAS's row
+# groups keep predictions bit-identical to one product over all rows.
 ROW_BLOCK = 1024
 
 
@@ -223,36 +222,26 @@ def _cv_errors(
     """Pooled held-out squared error per penalty, in the range V of the full
     Gram: its eigenvectors above float precision times its top eigenvalue (the
     rest are rounding; the OS predictor's 500 features keep 14-18, a full-rank
-    design all).  Fold k solves diag(eigenvalues) - z_k'z_k against V'F'y -
-    z_k'y_k, z_k = F_k V its held-out rows, gathered and rotated once
-    (``ROW_BLOCK`` at a time) and kept to score its solutions; one stacked
-    eigendecomposition solves every fold at every penalty."""
+    design all).  The design is rotated once, z = F V, and each fold's held-out
+    rows z_k, y_k are read once, for the moments z_k'z_k, z_k'y_k and y_k'y_k.
+    Fold k solves diag(eigenvalues) - z_k'z_k against V'F'y - z_k'y_k, one
+    stacked eigendecomposition for every fold at every penalty, and its
+    solution c scores y_k'y_k - 2 c'z_k'y_k + c'z_k'z_k c."""
     vals, vecs = np.linalg.eigh(gram_all)
     if 0.0 in penalties:  # a singular full Gram makes every fold's singular, even where its range is not
         _reject_singular(vals)
     keep = vals > np.finfo(float).eps * vals[-1]
     vecs = vecs[:, keep]
-    folds = [list(_held_out_blocks(feats, y, idx, vecs)) for idx in _fold_split(feats.shape[0], n_folds, fold_seed)]
-    grams = np.repeat(np.diag(vals[keep])[None], len(folds), axis=0)
-    rhs = np.repeat((rhs_all @ vecs)[None], len(folds), axis=0)
-    for gram, fold_rhs, blocks in zip(grams, rhs, folds):  # views: each fold's system in place
-        for z_rows, y_rows in blocks:
-            gram -= z_rows.T @ z_rows
-            fold_rhs -= y_rows @ z_rows
-    sse = np.zeros(len(penalties))
-    for coefs, blocks in zip(_fold_penalty_sweep(grams, rhs, penalties), folds):
-        for z_rows, y_rows in blocks:
-            resid = coefs @ z_rows.T  # (penalties, held-out rows)
-            resid -= y_rows
-            sse += np.add.reduce(np.square(resid, out=resid), axis=1)
+    z = feats @ vecs
+    moments = []
+    for idx in _fold_split(feats.shape[0], n_folds, fold_seed):
+        z_k, y_k = z[idx], y[idx]
+        moments.append((z_k.T @ z_k, y_k @ z_k, y_k @ y_k))
+    zz, zy, yy = (np.array(m) for m in zip(*moments))
+    coefs = _fold_penalty_sweep(np.diag(vals[keep]) - zz, rhs_all @ vecs - zy, penalties)
+    # per (fold, penalty): c'(z'z c - 2 z'y), summed over folds beside the y'y
+    sse = np.sum(coefs * (coefs @ zz - 2.0 * zy[:, None, :]), axis=(0, 2)) + yy.sum()
     return sse / feats.shape[0]
-
-
-def _held_out_blocks(feats: np.ndarray, y: np.ndarray, idx: np.ndarray, vecs: np.ndarray):
-    """Fold ``idx``'s held-out rows rotated onto ``vecs``, and their targets, ``ROW_BLOCK`` rows at a time."""
-    for start in range(0, idx.shape[0], ROW_BLOCK):
-        part = idx[start:start + ROW_BLOCK]
-        yield feats.take(part, axis=0) @ vecs, y[part]
 
 
 def _fold_penalty_sweep(grams: np.ndarray, rhs: np.ndarray, penalties: Sequence[float]) -> np.ndarray:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ppgen import cli
+from ppgen import cli, grid
 from ppgen.cli import main
 
 
@@ -54,7 +54,7 @@ def test_environment_reports_each_librarys_openblas_threads_and_kernel(tmp_path)
 def test_an_openblas_without_the_getters_reads_unavailable():
     # a linked OpenBLAS asked for names it does not export, and a module that is no shared library
     for module, suffix in (("scipy.linalg._fblas", "_absent"), ("json", "")):
-        assert cli._openblas(module, suffix) == {"threads": "unavailable", "core": "unavailable"}
+        assert grid.openblas_state(module, suffix) == {"threads": "unavailable", "core": "unavailable"}
 
 
 def test_environment_reports_numpys_dispatched_cpu_targets(tmp_path):

@@ -103,10 +103,12 @@ def _cells(text: str) -> list[list[str]]:
     return list(csv.reader(io.StringIO(text)))
 
 
-def _run_cli(argv: list[str]) -> None:
-    """``ppgen <argv>`` in a subprocess with one BLAS thread."""
+def _run_cli(argv: list[str], blas_env: dict = ONE_BLAS_THREAD) -> None:
+    """``ppgen <argv>`` in a subprocess whose BLAS thread variables are
+    ``blas_env``'s: one thread, unless it says otherwise."""
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    env = {**os.environ, **ONE_BLAS_THREAD, "PYTHONPATH": path}
+    env = {name: value for name, value in os.environ.items() if name not in ONE_BLAS_THREAD}
+    env.update(blas_env, PYTHONPATH=path)
     done = subprocess.run([sys.executable, "-m", "ppgen.cli", *argv], cwd=ROOT, env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
@@ -145,6 +147,18 @@ def test_golden_outputs(command, tmp_path):
         # one run per scenario leaves the Monte Carlo SE of the AOM-OM gap undefined
         entries = payloads["noise_robustness.json"]["robustness_report"]["entries"]
         assert entries and all(e["se"] is None and e["within_2se"] is None for e in entries)
+
+
+def test_figure3_without_blas_variables_on_two_workers_is_the_one_thread_golden(tmp_path):
+    # with no BLAS variable set, OpenBLAS defaults to a thread per core, which
+    # the CLI overrides with one in the parent and in each pool worker
+    one, pooled = tmp_path / "one-thread", tmp_path / "pooled"
+    _run_cli(["figure3", *COMBO, *COMMON, "--out", str(one)])
+    _run_cli(["figure3", *COMBO, "--seed", "7", "--scale", "0.01", "--workers", "2", "--out", str(pooled)], blas_env={})
+    got = (pooled / "figure3.csv").read_text()
+    assert got == (one / "figure3.csv").read_text() == (GOLDEN / "figure3.csv").read_text()
+    env = json.loads((pooled / "figure3.json").read_text())["environment"]
+    assert env["workers"] == 2 and all(env[name] is None for name in ONE_BLAS_THREAD)
 
 
 GRID_CELLS_SCRIPT = """

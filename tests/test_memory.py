@@ -1,16 +1,18 @@
-"""Memory guards for the OS predictor: its CV sweep gathers held-out rows and
-its prediction evaluates cosine features in blocks of ``ROW_BLOCK`` rows, so
-neither holds a second copy of a large design.
+"""Memory guards for the OS predictor: its CV sweep rotates the design into
+the full Gram's range, a few columns wide, and its prediction evaluates
+cosine features in blocks of ``ROW_BLOCK`` rows, so neither holds a second
+copy of a large design.
 
 Peaks are numpy's allocations as tracemalloc sees them, above what was
 allocated before the call (LAPACK's workspace is not among them).  The fit
 is measured at the default 500 features.  Its sweep decomposes the 2 MB
-full Gram once and rotates held-out rows into its range (14-18 directions on
-the benchmark's worlds) one 4 MiB block at a time, keeping the rotations, so
-above the design it holds the Gram, its eigenvectors, one block and the
-rotated rows: 8.8 MiB at 20k rows, against 10.1 MiB when each fold's
-500 x 500 training Gram was formed.  A copy of one fold's rows would add
-15 MiB.
+full Gram once, rotates the design into its range (14-18 directions on the
+benchmark's worlds) in one product and gathers each fold's rows of that
+once, for their moments, so above the design it holds the Gram, its
+eigenvectors, the rotated design and one fold's rows of it: 6.0 MiB at 20k
+rows, against 8.8 MiB when held-out rows were rotated 4 MiB at a time and
+kept to score the folds, and 10.1 MiB when each fold's 500 x 500 training
+Gram was formed.  A copy of one fold's rows would add 15 MiB.
 """
 
 import tracemalloc
