@@ -36,6 +36,7 @@ import ctypes
 import importlib
 import itertools
 import math
+import numbers
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -152,9 +153,9 @@ class Grid:
     """The combos of one grid run, each a ``Combo`` (or a tuple of its
     fields), and what they share: the master seed, the target and OS cohort
     sizes and the OS predictor's kind, "learned" or "iid_noise".  ValueError
-    at construction on no combos, a non-positive size, an unknown kind or
-    confounding setting, a length-scale that is not positive and finite, or a
-    combo listed twice."""
+    at construction on no combos, a size that is not a positive integer (a
+    bool is none), an unknown kind or confounding setting, a length-scale
+    that is not positive and finite, or a combo listed twice."""
 
     combos: tuple[Combo, ...]
     master_seed: int
@@ -169,7 +170,10 @@ class Grid:
             raise ValueError("empty grid")
         if self.predictor_kind not in ("learned", "iid_noise"):
             raise ValueError(f"unknown predictor kind {self.predictor_kind!r}")
-        if min(self.n0, self.n_os, *(combo.n1 for combo in combos)) < 1:
+        sizes = (self.n0, self.n_os, *(combo.n1 for combo in combos))
+        if not all(isinstance(size, numbers.Integral) and not isinstance(size, bool) for size in sizes):
+            raise ValueError(f"sample sizes must be integers, got {sizes}")
+        if min(sizes) < 1:
             raise ValueError("sample sizes must be positive")
         check_names("confounding", list(dict.fromkeys(combo.conf for combo in combos)), CONFOUNDING_SETTINGS)
         for combo in combos:
@@ -254,8 +258,10 @@ def one_blas_thread():
 
 
 def _map(fn, tasks: list, workers: int) -> list:
-    """``fn`` over ``tasks`` in order, in a process pool when workers > 1,
-    with one BLAS thread in every process that runs a task."""
+    """``fn`` over ``tasks`` in order, with one BLAS thread in every process
+    that runs a task: in a pool of ``min(workers, len(tasks))`` processes (it
+    forks them all at the first task), or in this one where that is 1."""
+    workers = min(workers, len(tasks))
     with one_blas_thread():
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
@@ -427,36 +433,37 @@ class GridResult:
     def mean_rmse(self, combo: str, estimator: str, degrees) -> tuple[float, float]:
         """Mean RMSE over (scenarios x degrees) and its Monte Carlo standard error.
 
-        The seeded scenarios are the fixed design; the Monte Carlo noise is
-        over trial redraws within each scenario.  The SE propagates run-level
-        squared errors through the per-scenario square root by the delta
-        method, averaging the per-run influence over degrees first so the
-        correlation between degrees (same trial draws) is preserved.
+        Each scenario's RMSE is its row's, over the runs that succeeded, as in
+        the combo rows; one with no successful run is NaN, which reaches the
+        mean and the SE.  The seeded scenarios are the fixed design; the
+        Monte Carlo noise is over trial redraws within each scenario.  The
+        SE propagates run-level squared errors through the per-scenario
+        square root by the delta method, averaging the per-run influence over
+        degrees first so the correlation between degrees (same trial draws)
+        is preserved.
         """
         if np.isscalar(degrees):
             degrees = (degrees,)
         if not len(degrees):
             raise ValueError(f"no degrees given for {combo}, {estimator}")
         per_degree = [
-            (self.scenario_values(combo, estimator, d, "estimates"), self.scenario_values(combo, estimator, d, "mu"))
+            tuple(self.scenario_values(combo, estimator, d, field) for field in ("estimates", "mu", "rmse"))
             for d in degrees
         ]
-        missing = [(combo, estimator, d) for d, (_, mu) in zip(degrees, per_degree) if not len(mu)]
+        missing = [(combo, estimator, d) for d, (_, mu, _) in zip(degrees, per_degree) if not len(mu)]
         if missing:
             raise ValueError(f"no scenario rows for (combo, estimator, degree) {missing[0]}")
         n_scen = len(per_degree[0][1])
-        if any(len(mu) != n_scen for _, mu in per_degree):
+        if any(len(mu) != n_scen for _, mu, _ in per_degree):
             raise ValueError("mismatched scenario rows")
         means, var_terms = [], []
         for s in range(n_scen):
             total = 0.0
             influence = None
-            for estimates, mu in per_degree:
+            for estimates, mu, rmse in per_degree:
                 e2 = (estimates[s] - mu[s]) ** 2
-                # a scenario with no successful run has no RMSE, and its NaN reaches the mean and the SE
-                rmse = math.nan if np.isnan(e2).all() else math.sqrt(float(np.nanmean(e2)))
-                total += rmse / len(per_degree)
-                inf = e2 / (2 * rmse * len(per_degree))
+                total += rmse[s] / len(per_degree)
+                inf = e2 / (2 * rmse[s] * len(per_degree))
                 influence = inf if influence is None else influence + inf
             kept = influence[~np.isnan(influence)]
             means.append(total)

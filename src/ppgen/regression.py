@@ -76,12 +76,6 @@ def _reject_singular(eigvals: np.ndarray) -> None:
         raise IllConditionedError("normal equations are singular at penalty 0; use a positive penalty")
 
 
-def _solve_gram(gram: np.ndarray, rhs: np.ndarray, penalty: float) -> np.ndarray:
-    if penalty == 0.0:
-        _reject_singular(scipy.linalg.eigvalsh(gram))
-    return _solve_pos(gram + penalty * np.eye(gram.shape[0]), rhs)
-
-
 def _solve_pos(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``scipy.linalg.solve(a, b, assume_a="pos")`` bit for bit (LAPACK posv on
     the upper triangle; a 1 x 1 system as b / a) without its condition
@@ -138,18 +132,14 @@ def _sample(inputs, targets, what: str) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def cv_fold_indices(n: int, n_folds: int, fold_seed: int) -> list[np.ndarray]:
-    """Contiguous folds of a seeded permutation of range(n), read-only."""
-    return list(_fold_split(n, n_folds, fold_seed))
-
-
 @lru_cache(maxsize=1)
-def _fold_split(n: int, n_folds: int, fold_seed: int) -> tuple[np.ndarray, ...]:
-    """The folds of ``cv_fold_indices``, kept for the next call: every trial
-    fit of a run shares the arm size and the fold seed."""
+def _fold_split(n: int, fold_seed: int) -> tuple[np.ndarray, ...]:
+    """``N_FOLDS`` contiguous folds of a seeded permutation of range(n),
+    read-only, kept for the next call: every trial fit of a run shares the
+    arm size and the fold seed."""
     perm = np.random.default_rng(fold_seed).permutation(n)
     perm.flags.writeable = False
-    return tuple(np.array_split(perm, n_folds))
+    return tuple(np.array_split(perm, N_FOLDS))
 
 
 def ridge_cv(
@@ -183,7 +173,7 @@ def ridge_cv(
         if not np.isfinite(column).all():
             raise ValueError("extra_column must be finite")
         feats = _augment(feats, column)
-    coefs, penalty = _cv_ridge(feats, y, penalties, N_FOLDS, fold_seed)
+    coefs, penalty = _cv_ridge(feats, y, penalties, fold_seed)
     return RidgeFit(degree, coefs, penalty)
 
 
@@ -197,27 +187,30 @@ def _penalties(penalty_grid: Sequence[float]) -> list[float]:
     return penalties
 
 
-def _cv_ridge(
-    feats: np.ndarray, y: np.ndarray, penalties: list[float], n_folds: int, fold_seed: int
-) -> tuple[np.ndarray, float]:
-    """Coefficients at the cross-validated penalty, and that penalty.
+def _cv_ridge(feats: np.ndarray, y: np.ndarray, penalties: list[float], fold_seed: int) -> tuple[np.ndarray, float]:
+    """Coefficients at the cross-validated penalty of the ascending
+    ``penalties``, and that penalty.
 
     The full-design Gram and right-hand side are formed once; the sweep
     works in the Gram's range and the winner is solved from them, so the
     coefficients depend on the sweep only through the penalty it picks.
+    Penalty 0 needs a nonsingular full Gram, checked before any sweep: a
+    singular one makes every fold's singular, even where its range is not.
     """
     gram = feats.T @ feats
     rhs = feats.T @ y
+    if penalties[0] == 0.0:
+        _reject_singular(scipy.linalg.eigvalsh(gram))
     best = 0  # a one-element grid needs no sweep
     if len(penalties) > 1:
-        errors = _cv_errors(feats, y, gram, rhs, penalties, n_folds, fold_seed)
+        errors = _cv_errors(feats, y, gram, rhs, penalties, fold_seed)
         best = max(np.flatnonzero(errors == errors.min()))  # ties -> larger penalty
-    return _solve_gram(gram, rhs, penalties[best]), penalties[best]
+    return _solve_pos(gram + penalties[best] * np.eye(gram.shape[0]), rhs), penalties[best]
 
 
 def _cv_errors(
     feats: np.ndarray, y: np.ndarray, gram_all: np.ndarray, rhs_all: np.ndarray,
-    penalties: Sequence[float], n_folds: int, fold_seed: int,
+    penalties: Sequence[float], fold_seed: int,
 ) -> np.ndarray:
     """Pooled held-out squared error per penalty, in the range V of the full
     Gram: its eigenvectors above float precision times its top eigenvalue (the
@@ -228,13 +221,11 @@ def _cv_errors(
     stacked eigendecomposition for every fold at every penalty, and its
     solution c scores y_k'y_k - 2 c'z_k'y_k + c'z_k'z_k c."""
     vals, vecs = np.linalg.eigh(gram_all)
-    if 0.0 in penalties:  # a singular full Gram makes every fold's singular, even where its range is not
-        _reject_singular(vals)
     keep = vals > np.finfo(float).eps * vals[-1]
     vecs = vecs[:, keep]
     z = feats @ vecs
     moments = []
-    for idx in _fold_split(feats.shape[0], n_folds, fold_seed):
+    for idx in _fold_split(feats.shape[0], fold_seed):
         z_k, y_k = z[idx], y[idx]
         moments.append((z_k.T @ z_k, y_k @ z_k, y_k @ y_k))
     zz, zy, yy = (np.array(m) for m in zip(*moments))
@@ -340,7 +331,7 @@ def flexible_fit(
     phases = rng.uniform(0.0, 2.0 * np.pi, n_features)
     fold_seed = int(rng.integers(2**63))
     y_mean = float(np.mean(y))
-    coefs, penalty = _cv_ridge(_cosine_features(x, freqs, phases), y - y_mean, penalties, N_FOLDS, fold_seed)
+    coefs, penalty = _cv_ridge(_cosine_features(x, freqs, phases), y - y_mean, penalties, fold_seed)
     return RandomFeatureFit(freqs, phases, coefs, y_mean, penalty)
 
 

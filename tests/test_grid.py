@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 from collections import Counter, defaultdict
@@ -42,13 +43,26 @@ def test_benchmark_grid_has_twelve_combos():
     ({"combos": [(200, 0.5, "mild")]}, re.escape("unknown confounding ['mild']; valid: none, mid, strong")),
     ({"combos": [(200, 0.5, "none"), (1000, 0.2, "mid"), (200, 0.5, "none")]}, "combo more than once"),
     ({"combos": []}, "empty grid"),
-], ids=["n1", "n0", "n_os", "kind", "conf", "combo-twice", "empty"])
+    # a size that is no integer would die deep in a run's draws, after the OS fit
+    ({"combos": [(200.0, 0.5, "none")]}, "sample sizes must be integers"),
+    ({"combos": [(True, 0.5, "none")]}, "sample sizes must be integers"),
+    ({"n0": 400.5}, "sample sizes must be integers"),
+    ({"n_os": np.float64(2_000)}, "sample sizes must be integers"),
+], ids=["n1", "n0", "n_os", "kind", "conf", "combo-twice", "empty", "n1-float", "n1-bool", "n0-float",
+        "n_os-numpy-float"])
 def test_grid_validation(fields, message):
     grid = Grid([(200, 0.5, "none")], 7, 400, 2_000, "learned")
     with pytest.raises(ValueError, match=message):
         Grid(**{**vars(grid), **fields})
     with pytest.raises(ValueError, match=message):
         replace(grid, **fields)
+
+
+def test_grid_takes_numpy_integer_sizes_and_no_others():
+    grid = Grid([(np.int64(200), 0.5, "none")], 7, np.int32(400), 2_000, "learned")
+    assert combo_id(grid.combos[0]) == "n1=200;lx=0.5;conf=none"
+    with pytest.raises(ValueError, match="sample sizes must be integers"):
+        benchmark_grid(7, n1_values=(200.0,))
 
 
 def test_single_cell_grid_rows():
@@ -233,6 +247,32 @@ def test_table2_propagates_unexpected_errors(monkeypatch):
         run_table2(master_seed=5, n_ground_truths=1, n_runs=1, workers=1, rows=TABLE2_ROWS[:1])
 
 
+def test_map_starts_no_more_processes_than_tasks(monkeypatch):
+    from ppgen import grid
+
+    pools = []
+
+    class FakePool:  # records its size and runs the tasks here, so no process starts
+        def __init__(self, max_workers, initializer):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(grid, "ProcessPoolExecutor", FakePool)
+    assert grid._map(abs, [-1], 64) == [1]  # one task runs inline
+    assert grid._map(abs, [-1, -2, -3], 64) == [1, 2, 3]
+    assert grid._map(abs, [-1, -2, -3], 2) == [1, 2, 3]
+    assert grid._map(abs, [], 8) == []
+    assert pools == [3, 2]
+
+
 def test_grid_deterministic_across_workers():
     grid = small_grid(seed=13)
     a = run_scenario_grid(grid, degrees=(1, 3), n_scenarios=2, n_runs=2, workers=1)
@@ -346,6 +386,28 @@ def test_mean_rmse_is_nan_where_a_scenario_has_no_successful_run(monkeypatch):
     assert all(np.isnan(result.mean_rmse(cid, "om", (1,))))
     assert all(np.isnan(result.rmse_gap(cid, "aom", "om", (1,))))
     assert all(np.isfinite(result.mean_rmse(cid, "aom", (1,))))
+
+
+def test_mean_rmse_is_the_rows_rmse_where_runs_fail(monkeypatch):
+    # every fourth OM fit fails; at seed 4 the RMSE over all runs with NaNs
+    # skipped differed from the rows' in the last bits
+    from ppgen import grid
+
+    om = grid.estimate_om
+    for seed in range(5):
+        calls = itertools.count()
+
+        def every_fourth_fails(arm, cfg, *, target):
+            if next(calls) % 4 == 0:
+                raise PositivityError("no support")
+            return om(arm, cfg, target=target)
+
+        monkeypatch.setattr(grid, "estimate_om", every_fourth_fails)
+        spec = small_grid(seed=seed, predictor_kind="iid_noise", n1_values=(60,))
+        result = run_scenario_grid(spec, estimators=("om",), degrees=(1,), n_scenarios=4, n_runs=10)
+        [row] = result.combo_rows
+        assert row["n_failures"] == 10
+        assert result.mean_rmse(row["combo_id"], "om", (1,))[0] == row["rmse"], seed
 
 
 def test_mean_rmse_and_gap():
